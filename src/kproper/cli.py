@@ -66,6 +66,13 @@ def load_picard_class(source: str) -> picard_mod.PicardClass:
 
 def load_slice(path: str) -> prop_mod.AbstractSlice:
     data = _read_json(path)
+    if not isinstance(data, dict):
+        raise InputError("slice JSON must be an object")
+    n, test_curves = data.get("n"), data.get("test_curves")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InputError(f'slice "n" must be an integer, got {json.dumps(n)}')
+    if not isinstance(test_curves, list) or not all(isinstance(c, dict) for c in test_curves):
+        raise InputError('slice "test_curves" must be a list of objects')
     try:
         curves = tuple(
             prop_mod.SliceCurve(
@@ -73,10 +80,10 @@ def load_slice(path: str) -> prop_mod.AbstractSlice:
                 l_pairing=parse_rational(c["L"], where=f"test_curves[{i}].L"),
                 k_pairing=parse_rational(c["K"], where=f"test_curves[{i}].K"),
             )
-            for i, c in enumerate(data["test_curves"])
+            for i, c in enumerate(test_curves)
         )
         return prop_mod.AbstractSlice(
-            n=int(data["n"]),
+            n=n,
             l_pow_n=parse_rational(data["l_pow_n"], where="l_pow_n"),
             k_dot_l_nm1=parse_rational(data["k_dot_l_nm1"], where="k_dot_l_nm1"),
             k_pow_n=parse_rational(data["k_pow_n"], where="k_pow_n"),
@@ -353,8 +360,13 @@ def _cmd_check(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _read_json(args.config)
+    if not isinstance(config, dict):
+        raise InputError("sweep config must be a JSON object")
+    endpoints = config.get("conjectured_endpoints", [])
+    if not isinstance(endpoints, list):
+        raise InputError('sweep "conjectured_endpoints" must be a list')
     name = config.get("family")
-    if name not in prop_mod.BUILTIN_FAMILIES:
+    if not isinstance(name, str) or name not in prop_mod.BUILTIN_FAMILIES:
         raise InputError(f'unknown family "{name}"; expected one of {sorted(prop_mod.BUILTIN_FAMILIES)}')
     family = prop_mod.BUILTIN_FAMILIES[name]()
     parallel = args.parallel
@@ -370,7 +382,7 @@ def _cmd_sweep(args) -> int:
         epsilon=parse_rational(config.get("epsilon", "1"), where="epsilon"),
         conjectured_endpoints=tuple(
             parse_rational(e, where=f"conjectured_endpoints[{i}]")
-            for i, e in enumerate(config.get("conjectured_endpoints", []))
+            for i, e in enumerate(endpoints)
         ),
         parallel=parallel,
     )

@@ -9,19 +9,31 @@ plus the Nakai safeguard D.D > 0.
 The exceptional curves are found by bounded search: C.K = -1 pins the
 degree d = C.H through 3d - 1 = sum m_i, and C.C = -1 gives
 sum m_i^2 = d^2 + 1, which by Cauchy-Schwarz forces d <= 6 for r <= 8.
-The enumeration also probes d = 7 and asserts nothing is found there.
+The enumeration also probes d = 7 and raises if anything is found there.
+
+Curve pairings run on an integer table: curve_matrix(r) holds one row
+(d, -m_1, ..., -m_r) per exceptional curve, and a class is cleared to
+integer numerators over the lcm of its denominators, so each pairing is an
+integer dot product and D.C = numerator / lcm.  Signs and minima are read
+off the numerators, and margins are rebuilt as exact Fractions, so every
+verdict stays exact.  pairing() remains the reference form, used for D.D
+and -K.D.
 """
 
 from __future__ import annotations
 
 import functools
+import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from .rationals import (
     GeometryError,
+    InputError,
     ValidationError,
+    clear_denominators,
     format_rational,
     parse_rational,
 )
@@ -141,14 +153,35 @@ def exceptional_curves(r: int) -> tuple[PicardClass, ...]:
     for d in range(0, 8):
         solutions = _multiplicity_vectors(r, 3 * d - 1, d * d + 1)
         if d == 7:
-            assert not solutions, "degree bound d <= 6 violated"
+            if solutions:
+                raise GeometryError("degree bound d <= 6 violated")
             continue
         for m in solutions:
             found.append(surface.cls((d,) + m))
     curves = tuple(sorted(found, key=lambda c: c.coords))
     for c in curves:
-        assert pairing(c, c) == -1 and pairing(c, surface.canonical()) == -1
+        if pairing(c, c) != -1 or pairing(c, surface.canonical()) != -1:
+            coords = ", ".join(format_rational(x) for x in c.coords)
+            raise GeometryError(f"enumerated class ({coords}) is not an exceptional curve")
     return curves
+
+
+@functools.lru_cache(maxsize=None)
+def curve_matrix(r: int) -> tuple[tuple[int, ...], ...]:
+    """Rows (d, -m_1, ..., -m_r) of the exceptional curves, in table order.
+
+    The row dotted with a class's coordinates is its pairing with the curve."""
+    return tuple(
+        (int(c.coords[0]),) + tuple(-int(m) for m in c.coords[1:])
+        for c in exceptional_curves(r)
+    )
+
+
+def curve_pairings_cleared(d: PicardClass) -> tuple[list[int], int]:
+    """(numerators, den): D.C_i = numerators[i] / den over the exceptional
+    curves in table order, with den > 0 the lcm of the coordinate denominators."""
+    den, nums = clear_denominators(d.coords)
+    return [sum(map(operator.mul, row, nums)) for row in curve_matrix(d.surface.r)], den
 
 
 def curve_census(r: int) -> dict[int, int]:
@@ -161,11 +194,11 @@ def curve_census(r: int) -> dict[int, int]:
 
 
 def _positivity(d: PicardClass, strict: bool) -> bool:
-    curves = exceptional_curves(d.surface.r)
+    low = min(curve_pairings_cleared(d)[0])
     self_int = pairing(d, d)
     if strict:
-        return self_int > 0 and all(pairing(d, c) > 0 for c in curves)
-    return self_int >= 0 and all(pairing(d, c) >= 0 for c in curves)
+        return self_int > 0 and low > 0
+    return self_int >= 0 and low >= 0
 
 
 def is_ample_picard(d: PicardClass) -> bool:
@@ -180,8 +213,7 @@ def is_nef_picard(d: PicardClass) -> bool:
 def nakai_binding(d: PicardClass) -> bool:
     """True when the D.D > 0 safeguard is the deciding constraint (all curve
     pairings positive but the self-intersection is not)."""
-    curves = exceptional_curves(d.surface.r)
-    return all(pairing(d, c) > 0 for c in curves) and pairing(d, d) <= 0
+    return min(curve_pairings_cleared(d)[0]) > 0 and pairing(d, d) <= 0
 
 
 def slope_picard(d: PicardClass) -> Fraction:
@@ -204,12 +236,14 @@ def picard_class_to_json(d: PicardClass) -> dict:
 
 
 def picard_class_from_json(data: dict) -> PicardClass:
-    from .rationals import InputError
-
     if not isinstance(data, dict) or "r" not in data or "coords" not in data:
         raise InputError('Picard class JSON must be an object with "r" and "coords"')
-    surface = BlowupSurface(int(data["r"]))
-    coords = tuple(
-        parse_rational(c, where=f"coords[{i}]") for i, c in enumerate(data["coords"])
+    r, coords = data["r"], data["coords"]
+    if isinstance(r, bool) or not isinstance(r, int):
+        raise InputError(f'Picard class "r" must be an integer, got {json.dumps(r)}')
+    if not isinstance(coords, list):
+        raise InputError(f'Picard class "coords" must be a list, got {json.dumps(coords)}')
+    surface = BlowupSurface(r)
+    return PicardClass(
+        surface, tuple(parse_rational(c, where=f"coords[{i}]") for i, c in enumerate(coords))
     )
-    return PicardClass(surface, coords)

@@ -46,6 +46,7 @@ from .alpha import alpha_invariant, symmetry_context
 from .picard import (
     BlowupSurface,
     PicardClass,
+    curve_pairings_cleared,
     dp1_surface,
     exceptional_curves,
     is_ample_picard,
@@ -57,6 +58,7 @@ from .rationals import (
     GeometryError,
     InputError,
     ValidationError,
+    clear_denominators,
     format_rational,
     parse_rational,
 )
@@ -229,11 +231,10 @@ def _combo_positive(backend, x, y, strict: bool):
         return holds, binding, margin
     if isinstance(backend, PicardClass):
         combo = x * backend + y * backend.surface.canonical()
-        curves = exceptional_curves(backend.surface.r)
-        labels = _curve_labels(backend.surface.r)
-        slacks = [pairing(combo, c) for c in curves]
-        margin = min(slacks)
-        binding = labels[slacks.index(margin)]
+        slacks, den = curve_pairings_cleared(combo)
+        low = min(slacks)
+        binding = _curve_labels(backend.surface.r)[slacks.index(low)]
+        margin = Fraction(low, den)
         self_int = pairing(combo, combo)
         holds = (margin > 0 and self_int > 0) if strict else (margin >= 0 and self_int >= 0)
         if margin > 0 and self_int <= 0:
@@ -274,10 +275,6 @@ def backend_mu(backend) -> Fraction:
     raise InputError(f"unknown backend {type(backend).__name__}")
 
 
-def _slice_mu(backend: AbstractSlice) -> Fraction:
-    return -backend.k_dot_l_nm1 / backend.l_pow_n
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -308,7 +305,11 @@ class PropernessReport:
 
     def __post_init__(self):
         expected = VERDICT_PROPER if all(c.holds for c in self.conditions) else VERDICT_FAIL
-        assert self.verdict == expected, "verdict must be the conjunction of the conditions"
+        if self.verdict != expected:
+            raise GeometryError(
+                f'internal inconsistency: verdict "{self.verdict}" is not the conjunction '
+                f'of the conditions ("{expected}")'
+            )
 
     @property
     def proper(self) -> bool:
@@ -466,10 +467,7 @@ def check_negative_c1(backend) -> PropernessReport:
     k_ample, _, _ = _combo_positive(backend, 0, 1, strict=True)
     if not k_ample:
         raise GeometryError("negative-c1 criterion requires c1 < 0 (ample canonical class)")
-    if isinstance(backend, AbstractSlice):
-        mu = _slice_mu(backend)
-    else:  # rational surfaces never reach this point (K is never ample there)
-        mu = backend_mu(backend)
+    mu = backend_mu(backend)
     factor = -n * mu
     holds, binding, margin = _combo_positive(backend, factor, -(n - 1), strict=False)
     cond = ConditionCheck(
@@ -658,43 +656,29 @@ class OpenInterval:
 
 @functools.lru_cache(maxsize=None)
 def _family_pairing_data(family):
-    """Per constraint: (label, base pairing, slope pairing, K pairing).
+    """Constraint labels and integer rows (B, S, K), one per constraint.
 
-    The class pairing at lambda is base + lambda * slope, so each probe of
-    the sweep is a handful of multiply-adds per constraint."""
+    A row is (base.C, slope.C, K.C) times one positive common multiplier, so
+    L_lambda.C is proportional to B + lambda S and each probe of the sweep is
+    a handful of integer multiply-adds per constraint."""
     base_cls = family.class_at(0)
     if isinstance(base_cls, ToricDivisor):
         fan = base_cls.fan
-        slope_cls = ToricDivisor(fan, family.slope)
-        k = canonical_divisor(fan)
-        rows = []
-        for i in range(fan.n_rays):
-            wall = _ray_divisor(fan, i)
-            rows.append(
-                (
-                    f"wall at ray {i}",
-                    intersection_number(base_cls, wall),
-                    intersection_number(slope_cls, wall),
-                    intersection_number(k, wall),
-                )
-            )
-        return tuple(rows)
-    slope_cls = PicardClass(base_cls.surface, family.slope)
-    k = base_cls.surface.canonical()
-    labels = _curve_labels(base_cls.surface.r)
-    return tuple(
-        (labels[i], pairing(base_cls, c), pairing(slope_cls, c), pairing(k, c))
-        for i, c in enumerate(exceptional_curves(base_cls.surface.r))
-    )
-
-
-def _family_pairings(family, lam):
-    """(label, L_lambda.C, K.C) for every positivity constraint of the backend."""
-    lam = Fraction(lam)
-    return [
-        (label, base + lam * slope, kc)
-        for label, base, slope, kc in _family_pairing_data(family)
-    ]
+        walls = [_ray_divisor(fan, i) for i in range(fan.n_rays)]
+        labels = tuple(f"wall at ray {i}" for i in range(fan.n_rays))
+        classes = (base_cls, ToricDivisor(fan, family.slope), canonical_divisor(fan))
+        columns = [[intersection_number(c, w) for w in walls] for c in classes]
+    else:
+        surface = base_cls.surface
+        labels = _curve_labels(surface.r)
+        classes = (base_cls, PicardClass(surface, family.slope), surface.canonical())
+        columns = [
+            [Fraction(x, den) for x in nums]
+            for nums, den in map(curve_pairings_cleared, classes)
+        ]
+    _, flat = clear_denominators([x for column in columns for x in column])
+    m = len(labels)
+    return labels, tuple(zip(flat[:m], flat[m : 2 * m], flat[2 * m :]))
 
 
 def _family_mu(family, lam) -> Fraction:
@@ -730,29 +714,35 @@ def _scale_interval_with_bindings(family, lam, epsilon):
     n = backend_dim(family.class_at(lam))
     alpha1, alpha_label, alpha_scope = family.alpha_unscaled(lam)
     mu1 = _family_mu(family, lam)
-    # each bound is (c0, c1) with c0 + c1 * a > 0 required
-    bounds: list[tuple[Fraction, Fraction, str]] = [
-        (Fraction(0), Fraction(1), "positive scale"),
-        (Fraction(n + 1, n) * alpha1 / epsilon, Fraction(-1), "condition (1): alpha bound"),
-    ]
-    for label, lc, kc in _family_pairings(family, lam):
-        bounds.append((kc, epsilon * lc, f"condition (2): {label}"))
-        bounds.append((-n * mu1 * lc - (n - 1) * kc, epsilon * lc, f"condition (3): {label}"))
-    lo, hi = Fraction(0), None
-    lo_label, hi_label = "positive scale", None
-    for c0, c1, label in bounds:
-        if c1 > 0:
-            cut = -c0 / c1
-            if cut > lo:
-                lo, lo_label = cut, label
-        elif c1 < 0:
-            cut = -c0 / c1
-            if hi is None or cut < hi:
-                hi, hi_label = cut, label
-        elif c0 <= 0:
-            return OpenInterval(Fraction(0), Fraction(0)), label, label
-    assert hi is not None  # the alpha bound always caps the scale
-    interval = OpenInterval(lo, hi)
+    labels, rows = _family_pairing_data(family)
+    # Each constraint reads c0 + c1 * a > 0.  The alpha bound caps a from
+    # above.  Every positivity constraint has c1 = epsilon * L.C > 0, since
+    # the class is ample (Kleiman), so it bounds a from below by -c0 / c1.
+    # That cut is kept in t = epsilon * a as an integer pair (num, den > 0):
+    # at lambda = p/q, with lc = B q + S p a positive multiple of L.C,
+    #   condition (2):  -K q / lc,
+    #   condition (3):  (n mu1 lc + (n-1) K q) / lc,
+    # and cuts are compared by cross-multiplication.  The strict comparison
+    # keeps the first constraint in table order on ties.
+    p, q = lam.numerator, lam.denominator
+    mu_n, mu_d = mu1.numerator, mu1.denominator
+    lo_num, lo_den, lo_label = 0, 1, "positive scale"
+    for label, (b, s, k) in zip(labels, rows):
+        lc = b * q + s * p
+        if lc <= 0:
+            raise GeometryError(
+                f"internal inconsistency: the ample class pairs nonpositively with {label}"
+            )
+        den = mu_d * lc
+        kq = k * q * mu_d
+        for num, cond in ((-kq, 2), (n * mu_n * lc + (n - 1) * kq, 3)):
+            if num * lo_den > lo_num * den:
+                lo_num, lo_den, lo_label = num, den, f"condition ({cond}): {label}"
+    interval = OpenInterval(
+        Fraction(lo_num * epsilon.denominator, lo_den * epsilon.numerator),
+        Fraction(n + 1, n) * alpha1 / epsilon,
+    )
+    hi_label = "condition (1): alpha bound"
     if not interval.is_empty:
         _verify_interval(family, lam, epsilon, interval, alpha1, alpha_label, alpha_scope)
     return interval, lo_label, hi_label

@@ -238,7 +238,7 @@ def clear_denominators(values: Sequence[Scalar]) -> tuple[int, tuple[int, ...]]:
     """Return (c, (c*v as ints)) with c the least positive common multiplier."""
     fracs = [Fraction(v) for v in values]
     c = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return c, tuple(int(f * c) for f in fracs)
+    return c, tuple(f.numerator * (c // f.denominator) for f in fracs)
 
 
 def integer_vector(v: Sequence[Scalar]) -> tuple[int, ...]:

@@ -492,7 +492,7 @@ def divisor_to_json(d: ToricDivisor) -> dict:
 def divisor_from_json(fan: Fan, data: dict) -> ToricDivisor:
     from .rationals import InputError
 
-    if not isinstance(data, dict) or "coeffs" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("coeffs"), list):
         raise InputError('divisor JSON must be an object with a "coeffs" list')
     coeffs = tuple(
         parse_rational(c, where=f"coeffs[{i}]") for i, c in enumerate(data["coeffs"])

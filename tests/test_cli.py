@@ -275,3 +275,84 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout) == {"smooth": True, "complete": True}
+
+
+DP1_CLASS = ["3", "1", "1", "1", "1", "1", "1", "1", "1"]
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"r": 8, "coords": 5}, '"coords" must be a list'),
+        ({"r": "x", "coords": DP1_CLASS}, '"r" must be an integer, got "x"'),
+        ({"r": 8.5, "coords": DP1_CLASS}, '"r" must be an integer, got 8.5'),
+        ({"r": True, "coords": DP1_CLASS[:2]}, '"r" must be an integer, got true'),
+    ],
+)
+def test_malformed_picard_json_is_input_error(capsys, tmp_path, payload, message):
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "check", "--builtin", "dp1", "--coeffs", str(path),
+                             "--alpha", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_malformed_slice_dimension_is_input_error(capsys, tmp_path):
+    path = tmp_path / "slice.json"
+    path.write_text(json.dumps({
+        "n": "x", "l_pow_n": "1", "k_dot_l_nm1": "1", "k_pow_n": "1",
+        "test_curves": [{"L": "1", "K": "1"}],
+    }))
+    code, _, err = run_cli(capsys, "check", "--mode", "negative-c1", "--slice", str(path))
+    assert code == 1
+    assert err == 'error: slice "n" must be an integer, got "x"\n'
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ([1, 2], "sweep config must be a JSON object"),
+        ({"family": ["dp6"]}, "unknown family"),
+        ({"family": "dp6", "conjectured_endpoints": "6/5"}, "must be a list"),
+    ],
+)
+def test_malformed_sweep_config_is_input_error(capsys, tmp_path, config, message):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "sweep", "--config", str(path))
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+
+
+def test_malformed_divisor_json_is_input_error(capsys, tmp_path):
+    path = tmp_path / "divisor.json"
+    path.write_text(json.dumps({"coeffs": 5}))
+    code, _, err = run_cli(capsys, "divisor", "ample", "dp6", "--coeffs", str(path))
+    assert code == 1
+    assert '"coeffs" list' in err
+
+
+def test_optimized_mode_keeps_results_and_invariants():
+    """Under python -O the load-bearing checks are raises, not asserts."""
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-O", *args], capture_output=True, text=True)
+
+    curves = run("-m", "kproper", "picard", "curves", "--r", "8")
+    assert curves.returncode == 0
+    assert json.loads(curves.stdout)["count"] == 240
+    check = run("-m", "kproper", "check", "--builtin", "dp1",
+                "--coeffs", "15/4,5/4,5/4,5/4,5/4,5/4,5/4,5/4,5/4", "--alpha", "4/5")
+    assert check.returncode == 0
+    assert json.loads(check.stdout)["verdict"] == "proper"
+    inconsistent = run("-c", (
+        "from kproper.properness import ConditionCheck, PropernessReport\n"
+        "from kproper.rationals import GeometryError\n"
+        "failing = ConditionCheck('condition (1)', 'd', holds=False)\n"
+        "try:\n"
+        "    PropernessReport('m', 'b', 'proper', 's', (failing,))\n"
+        "except GeometryError:\n"
+        "    print('raised')\n"
+    ))
+    assert inconsistent.returncode == 0 and inconsistent.stdout == "raised\n"

@@ -1,0 +1,94 @@
+"""Byte-identity of CLI output against a committed golden corpus.
+
+The files under tests/golden/ pin the exact stdout of sweeps and checks,
+including binding labels, margins and tie-breaking among equal margins.
+Regenerate them only for an intended output change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+from kproper.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+SWEEPS = {
+    "sweep_dp6": {
+        "family": "dp6",
+        "epsilon": "1",
+        "lambda_min": "1/2",
+        "lambda_max": "2",
+        "step": "1/10",
+        "refine_tol": "1/1000",
+        "conjectured_endpoints": ["5/6", "6/5"],
+    },
+    "sweep_dp1": {
+        "family": "dp1",
+        "epsilon": "1",
+        "lambda_min": "0",
+        "lambda_max": "4/3",
+        "step": "1/10",
+        "refine_tol": "1/1000",
+        "conjectured_endpoints": ["4/5", "10/9"],
+    },
+}
+
+DP1_PROPER = "15/4,5/4,5/4,5/4,5/4,5/4,5/4,5/4,5/4"
+DP1_FAILING = "3,1,1,1,1,1,1,1,1/2"
+
+CHECKS = {
+    "check_dp1_proper.json": ("check", "--builtin", "dp1", "--coeffs", DP1_PROPER,
+                              "--alpha", "4/5"),
+    "check_dp1_failing.json": ("check", "--builtin", "dp1", "--coeffs", DP1_FAILING,
+                               "--alpha", "2/3"),
+    "check_dp1_failing.txt": ("--format", "text", "check", "--builtin", "dp1",
+                              "--coeffs", DP1_FAILING, "--alpha", "2/3"),
+    # zero margin attained by many curves: the first curve in table order wins
+    "check_dp1_tie.json": ("check", "--builtin", "dp1", "--coeffs", "3,1,1,1,1,1,1,1,1",
+                           "--alpha", "1"),
+    "check_r5.json": ("check", "--builtin", "dp1", "--coeffs", "5,1,1,3/2,1,1/2",
+                      "--alpha", "1/3"),
+    "check_dp1_fano.json": ("check", "--builtin", "dp1", "--coeffs", "3,1,1,1,1,1,1,1,1",
+                            "--mode", "fano", "--alpha", "3/4"),
+}
+
+
+def _cases(config_dir: Path):
+    cases = dict(CHECKS)
+    for name, config in SWEEPS.items():
+        path = config_dir / f"{name}.config.json"
+        path.write_text(json.dumps(config))
+        cases[f"{name}.json"] = ("sweep", "--config", str(path))
+    return cases
+
+
+def _run(capsys, argv) -> str:
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    return out
+
+
+def test_cli_output_matches_golden_corpus(capsys, tmp_path):
+    for name, argv in sorted(_cases(tmp_path).items()):
+        expected = (GOLDEN / name).read_text(encoding="utf-8")
+        assert _run(capsys, argv) == expected, name
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in sorted(_cases(Path(tmp)).items()):
+            buffer = io.StringIO()
+            with contextlib.redirect_stdout(buffer):
+                if main(list(argv)) != 0:
+                    sys.exit(f"{name}: nonzero exit")
+            (GOLDEN / name).write_text(buffer.getvalue(), encoding="utf-8")
+            print(f"wrote {GOLDEN / name}")

@@ -1,8 +1,10 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
+from kproper import properness
 from kproper.picard import dp1_surface, is_ample_picard, pairing
 from kproper.properness import (
     SCOPE_ALL,
@@ -10,7 +12,10 @@ from kproper.properness import (
     VERDICT_FAIL,
     VERDICT_PROPER,
     AbstractSlice,
+    ConditionCheck,
     KClassSetup,
+    PicardFamily,
+    PropernessReport,
     SliceCurve,
     StabilizerAlpha,
     SuppliedAlpha,
@@ -399,3 +404,24 @@ def test_supplied_alpha_scope_is_all_potentials():
         )
     )
     assert report.scope == SCOPE_ALL
+
+
+def test_verdict_conjunction_is_enforced():
+    failing = ConditionCheck("condition (1)", "epsilon < (n+1)/n * alpha", holds=False)
+    with pytest.raises(GeometryError, match="conjunction"):
+        PropernessReport("epsilon-criterion", "b", VERDICT_PROPER, SCOPE_ALL, (failing,))
+
+
+def test_cut_loop_rejects_a_nonpositive_constraint(monkeypatch):
+    # past lambda = 4/3 the sextic pairs negatively with L_lambda; a family
+    # that wrongly claims ampleness there must not yield an interval
+    @dataclass(frozen=True)
+    class ClaimsAmple(PicardFamily):
+        def is_ample_at(self, lam):
+            return True
+
+    base = dp1_family()
+    family = ClaimsAmple(base.name, base.surface, base.base, base.slope)
+    monkeypatch.setattr(properness, "_family_mu", lambda family, lam: F(1))
+    with pytest.raises(GeometryError, match="internal inconsistency"):
+        feasible_scale_interval(family, F(3, 2))
