@@ -58,6 +58,11 @@ from .toric import (
 
 GROUP_MODES = ("full", "torus", "explicit")
 
+# The oracle visits the lattice points of k P for k = 1..depth, about
+# depth^3 / 3 times the area of P in all, so the depth is capped before any
+# enumeration starts.
+MAX_ORACLE_DEPTH = 64
+
 
 @dataclass(frozen=True)
 class SymmetryContext:
@@ -77,13 +82,18 @@ def class_stabilizer(d: ToricDivisor) -> tuple:
     if not is_ample(d):
         raise GeometryError("class stabilizer requires an ample divisor")
     centered, _ = _centered(d)
+    return _stabilizer_of(d.fan, centered)
+
+
+def _stabilizer_of(fan, centered: Polytope) -> tuple:
+    """The fan automorphisms that preserve the centered polytope."""
     vert_set = set(vertices(centered))
-    kept = []
-    for g in fan_automorphisms(d.fan):
-        gt = transpose(g)
-        if {tuple(mat_vec(gt, v)) for v in vert_set} == vert_set:
-            kept.append(g)
-    return tuple(kept)
+    return tuple(g for g in fan_automorphisms(fan) if _preserves(g, vert_set))
+
+
+def _preserves(g, vert_set) -> bool:
+    gt = transpose(g)
+    return {tuple(mat_vec(gt, v)) for v in vert_set} == vert_set
 
 
 def _centered(d: ToricDivisor):
@@ -120,7 +130,7 @@ def symmetry_context(
         raise GeometryError("alpha invariant requires an ample class")
     centered, shifted = _centered(d)
     if group_mode == "full":
-        stabilizer = class_stabilizer(d)
+        stabilizer = _stabilizer_of(d.fan, centered)
     elif group_mode == "torus":
         stabilizer = ()
     else:
@@ -135,19 +145,20 @@ def symmetry_context(
         for g in closure:
             if g not in autos:
                 raise GeometryError("explicit group element is not a fan automorphism")
-            gt = transpose(g)
-            if {tuple(mat_vec(gt, v)) for v in vert_set} != vert_set:
+            if not _preserves(g, vert_set):
                 raise GeometryError("explicit group element does not preserve the class")
         stabilizer = closure
-    ctx = SymmetryContext(
+    if any(x != 0 for x in barycenter(centered)):
+        raise GeometryError(
+            "internal inconsistency: the recentered polytope has a nonzero barycenter"
+        )
+    return SymmetryContext(
         divisor=d,
         group_mode=group_mode,
         stabilizer=stabilizer,
         centered_polytope=centered,
         centered_coeffs=shifted,
     )
-    assert all(x == 0 for x in barycenter(centered))
-    return ctx
 
 
 def fixed_polytope(ctx: SymmetryContext) -> Polytope:
@@ -167,7 +178,10 @@ def alpha_invariant(ctx: SymmetryContext) -> Fraction:
         for v in verts
         for ray, a in zip(ctx.divisor.fan.rays, ctx.centered_coeffs)
     )
-    assert worst > 0
+    if worst <= 0:
+        raise GeometryError(
+            "internal inconsistency: the alpha vertex formula has no positive denominator"
+        )
     return 1 / worst
 
 
@@ -179,9 +193,12 @@ def alpha_oracle(ctx: SymmetryContext, k_max: int = 12) -> Fraction:
     integral model, groups them into stabilizer orbits under the affine
     lattice action, and evaluates the exact lct of each orbit product
     section.  Nonincreasing in k_max and never below alpha_invariant.
+    The depth may be at most MAX_ORACLE_DEPTH.
     """
     if not isinstance(k_max, int) or k_max < 1:
         raise InputError("oracle depth must be a positive integer")
+    if k_max > MAX_ORACLE_DEPTH:
+        raise InputError(f"oracle depth {k_max} exceeds the cap of {MAX_ORACLE_DEPTH}")
     d = ctx.divisor
     multiplier, int_coeffs = clear_denominators(d.coeffs)
     integral = ToricDivisor(d.fan, tuple(Fraction(c) for c in int_coeffs))

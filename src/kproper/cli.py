@@ -21,7 +21,14 @@ from . import picard as picard_mod
 from . import polytope as polytope_mod
 from . import properness as prop_mod
 from . import toric as toric_mod
-from .rationals import InputError, KProperError, format_rational, parse_rational
+from .rationals import (
+    InputError,
+    KProperError,
+    format_rational,
+    json_int,
+    json_int_vector,
+    parse_rational,
+)
 
 
 def _read_json(path: str):
@@ -69,8 +76,7 @@ def load_slice(path: str) -> prop_mod.AbstractSlice:
     if not isinstance(data, dict):
         raise InputError("slice JSON must be an object")
     n, test_curves = data.get("n"), data.get("test_curves")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise InputError(f'slice "n" must be an integer, got {json.dumps(n)}')
+    json_int(n, 'slice "n"')
     if not isinstance(test_curves, list) or not all(isinstance(c, dict) for c in test_curves):
         raise InputError('slice "test_curves" must be a list of objects')
     try:
@@ -245,14 +251,14 @@ def _cmd_polytope_info(args) -> int:
 
 def load_group_matrices(path: str):
     data = _read_json(path)
-    if not isinstance(data, dict) or "matrices" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("matrices"), list):
         raise InputError('group JSON must be an object with a "matrices" list')
-    try:
-        return tuple(
-            tuple(tuple(int(x) for x in row) for row in g) for g in data["matrices"]
-        )
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed group matrices: {exc}") from exc
+    if not all(isinstance(g, list) for g in data["matrices"]):
+        raise InputError('group "matrices" must be a list of integer matrices')
+    return tuple(
+        tuple(json_int_vector(row, f"matrices[{k}][{i}]") for i, row in enumerate(g))
+        for k, g in enumerate(data["matrices"])
+    )
 
 
 def _cmd_alpha(args) -> int:
@@ -369,10 +375,6 @@ def _cmd_sweep(args) -> int:
     if not isinstance(name, str) or name not in prop_mod.BUILTIN_FAMILIES:
         raise InputError(f'unknown family "{name}"; expected one of {sorted(prop_mod.BUILTIN_FAMILIES)}')
     family = prop_mod.BUILTIN_FAMILIES[name]()
-    parallel = args.parallel
-    env = os.environ.get("KPROPER_PARALLEL")
-    if env is not None:
-        parallel = env.strip().lower() in {"1", "true", "yes", "on"}
     report = prop_mod.sweep_lambda(
         family,
         lambda_min=parse_rational(config.get("lambda_min"), where="lambda_min"),
@@ -384,7 +386,6 @@ def _cmd_sweep(args) -> int:
             parse_rational(e, where=f"conjectured_endpoints[{i}]")
             for i, e in enumerate(endpoints)
         ),
-        parallel=parallel,
     )
     sys.stdout.write(render_report(report, args.format, args.approx))
     return 0
@@ -475,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="certified lambda sweep from a JSON config")
     sw.add_argument("--config", required=True)
-    sw.add_argument("--parallel", action="store_true")
+    # kept so existing scripts still parse; probes always run in order
+    sw.add_argument("--parallel", action="store_true", help="no effect")
     sw.set_defaults(handler=_cmd_sweep)
 
     pc = sub.add_parser("picard", help="Picard lattice data")

@@ -35,6 +35,7 @@ from .rationals import (
     ValidationError,
     clear_denominators,
     format_rational,
+    json_int,
     parse_rational,
 )
 
@@ -239,8 +240,7 @@ def picard_class_from_json(data: dict) -> PicardClass:
     if not isinstance(data, dict) or "r" not in data or "coords" not in data:
         raise InputError('Picard class JSON must be an object with "r" and "coords"')
     r, coords = data["r"], data["coords"]
-    if isinstance(r, bool) or not isinstance(r, int):
-        raise InputError(f'Picard class "r" must be an integer, got {json.dumps(r)}')
+    json_int(r, 'Picard class "r"')
     if not isinstance(coords, list):
         raise InputError(f'Picard class "coords" must be a list, got {json.dumps(coords)}')
     surface = BlowupSurface(r)

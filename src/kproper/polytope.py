@@ -24,12 +24,15 @@ from math import ceil, floor, gcd, lcm
 
 from .rationals import (
     GeometryError,
+    InputError,
     ValidationError,
     det,
     dot,
     format_rational,
     identity_matrix,
     is_unimodular,
+    json_int,
+    json_int_vector,
     mat_vec,
     parse_rational,
     primitive,
@@ -480,12 +483,20 @@ def barycenter(p: Polytope) -> tuple:
 
 
 def translate(p: Polytope, t) -> Polytope:
-    """The polytope p + t, exactly."""
+    """The polytope p + t, exactly.
+
+    When the vertices of p are already known they are carried over as
+    v + t, so the translate never enumerates its vertices again.
+    """
     if len(t) != p.dim:
         raise ValidationError("translation vector dimension mismatch")
     hs = tuple(HalfSpace(h.normal, h.offset + dot(t, h.normal)) for h in p.hrep)
     eqs = tuple(LinearEquation(e.coeffs, e.rhs + dot(t, e.coeffs)) for e in p.equalities)
-    return Polytope(p.dim, hs, eqs)
+    moved = Polytope(p.dim, hs, eqs)
+    if p._vertex_cache is not None:
+        cache = tuple(sorted(vec_add(v, t) for v in p._vertex_cache))
+        object.__setattr__(moved, "_vertex_cache", cache)
+    return moved
 
 
 def scale(p: Polytope, factor) -> Polytope:
@@ -652,24 +663,25 @@ def polytope_to_json(p: Polytope, include_vrep: bool = False) -> dict:
 
 
 def polytope_from_json(data: dict) -> Polytope:
-    from .rationals import InputError
-
-    if not isinstance(data, dict) or "hrep" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("hrep"), list):
         raise InputError('polytope JSON must be an object with an "hrep" list')
+    equalities = data.get("equalities", [])
+    if not isinstance(equalities, list):
+        raise InputError('polytope "equalities" must be a list')
     hrep = []
     for i, entry in enumerate(data["hrep"]):
-        try:
-            normal = tuple(int(x) for x in entry["normal"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"hrep[{i}]: malformed normal") from exc
-        offset = parse_rational(entry.get("offset"), where=f"hrep[{i}].offset")
-        hrep.append((normal, offset))
-    dim = data.get("dim", len(hrep[0][0]) if hrep else 0)
+        if not isinstance(entry, dict):
+            raise InputError(f"hrep[{i}] must be an object")
+        normal = json_int_vector(entry.get("normal"), f"hrep[{i}].normal")
+        hrep.append((normal, parse_rational(entry.get("offset"), where=f"hrep[{i}].offset")))
     eqs = []
-    for i, entry in enumerate(data.get("equalities", [])):
-        try:
-            coeffs = tuple(int(x) for x in entry["coeffs"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"equalities[{i}]: malformed coeffs") from exc
+    for i, entry in enumerate(equalities):
+        if not isinstance(entry, dict):
+            raise InputError(f"equalities[{i}] must be an object")
+        coeffs = json_int_vector(entry.get("coeffs"), f"equalities[{i}].coeffs")
         eqs.append((coeffs, parse_rational(entry.get("rhs"), where=f"equalities[{i}].rhs")))
+    if "dim" in data:
+        dim = json_int(data["dim"], 'polytope "dim"')
+    else:
+        dim = len(hrep[0][0]) if hrep else 0
     return make_polytope(dim, hrep, eqs)

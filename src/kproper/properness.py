@@ -37,8 +37,7 @@ hexagonal family for 1/(1 + sqrt(10)/5) < lambda < 1 + sqrt(10)/5 (approx
 from __future__ import annotations
 
 import functools
-import itertools
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -72,6 +71,7 @@ from .toric import (
     is_ample,
     is_nef,
     slope_quantities,
+    wall_pairings,
 )
 
 SCOPE_ALL = "all potentials"
@@ -219,15 +219,14 @@ def _combo_positive(backend, x, y, strict: bool):
     x, y = Fraction(x), Fraction(y)
     if isinstance(backend, ToricDivisor):
         combo = x * backend + y * canonical_divisor(backend.fan)
-        holds = is_ample(combo) if strict else is_nef(combo)
-        binding = None
-        margin = None
-        if backend.fan.dim == 2:
-            slacks = [
-                (intersection_number(combo, _ray_divisor(backend.fan, i)), f"wall at ray {i}")
-                for i in range(backend.fan.n_rays)
-            ]
-            margin, binding = min(slacks)
+        if backend.fan.dim != 2:
+            return (is_ample(combo) if strict else is_nef(combo)), None, None
+        # toric Kleiman: one pass over the wall pairings decides positivity
+        # and names the binding wall (ties go to the smaller label string)
+        margin, binding = min(
+            (value, f"wall at ray {i}") for i, value in enumerate(wall_pairings(combo))
+        )
+        holds = margin > 0 if strict else margin >= 0
         return holds, binding, margin
     if isinstance(backend, PicardClass):
         combo = x * backend + y * backend.surface.canonical()
@@ -249,10 +248,6 @@ def _combo_positive(backend, x, y, strict: bool):
         holds = margin > 0 if strict else margin >= 0
         return holds, binding, margin
     raise InputError(f"unknown backend {type(backend).__name__}")
-
-
-def _ray_divisor(fan: Fan, i: int) -> ToricDivisor:
-    return ToricDivisor(fan, tuple(Fraction(1 if j == i else 0) for j in range(fan.n_rays)))
 
 
 def _curve_label(c: PicardClass) -> str:
@@ -664,10 +659,9 @@ def _family_pairing_data(family):
     base_cls = family.class_at(0)
     if isinstance(base_cls, ToricDivisor):
         fan = base_cls.fan
-        walls = [_ray_divisor(fan, i) for i in range(fan.n_rays)]
         labels = tuple(f"wall at ray {i}" for i in range(fan.n_rays))
         classes = (base_cls, ToricDivisor(fan, family.slope), canonical_divisor(fan))
-        columns = [[intersection_number(c, w) for w in walls] for c in classes]
+        columns = [wall_pairings(c) for c in classes]
     else:
         surface = base_cls.surface
         labels = _curve_labels(surface.r)
@@ -818,6 +812,9 @@ def _quadratic_positive_on_open(qa, qb, qc, lo, hi) -> bool:
 # ---------------------------------------------------------------------------
 # lambda sweeps
 
+# Each grid point is one exact feasibility probe (a few to tens of ms).
+MAX_GRID_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class FeasibleWindow:
@@ -874,6 +871,11 @@ def sweep_lambda(
     certificates: the bracket interior contains the true endpoint of the
     feasible window.  Conjectured exact endpoints are verified by probing
     the endpoint itself and both sides at distance refine_tol.
+
+    The grid may hold at most MAX_GRID_POINTS points; a larger one is
+    rejected before it is built.  `parallel` is accepted and ignored: the
+    probes run in order in the calling thread (a thread pool measured no
+    faster, since the exact arithmetic holds the interpreter lock).
     """
     lambda_min, lambda_max = Fraction(lambda_min), Fraction(lambda_max)
     step, refine_tol = Fraction(step), Fraction(refine_tol)
@@ -882,11 +884,13 @@ def sweep_lambda(
         raise InputError("step and refine_tol must be positive")
     if lambda_min > lambda_max:
         raise InputError("empty grid: lambda_min exceeds lambda_max")
-    grid = []
-    lam = lambda_min
-    while lam <= lambda_max:
-        grid.append(lam)
-        lam += step
+    points = math.floor((lambda_max - lambda_min) / step) + 1
+    if points > MAX_GRID_POINTS:
+        raise InputError(
+            f"the grid would hold {points} points; the cap is {MAX_GRID_POINTS} "
+            "(raise step or narrow the lambda range)"
+        )
+    grid = [lambda_min + k * step for k in range(points)]
     cache: dict[Fraction, bool] = {}
 
     def feasible(lam: Fraction) -> bool:
@@ -897,10 +901,6 @@ def sweep_lambda(
                 cache[lam] = False
         return cache[lam]
 
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            for lam, value in zip(grid, pool.map(_probe, itertools.repeat((family, epsilon)), grid)):
-                cache[lam] = value
     flags = [feasible(lam) for lam in grid]
     windows = []
     i = 0
@@ -967,14 +967,6 @@ def sweep_lambda(
         endpoint_checks=tuple(checks),
         diagnostics=diagnostics,
     )
-
-
-def _probe(args, lam) -> bool:
-    family, epsilon = args
-    try:
-        return not feasible_scale_interval(family, lam, epsilon).is_empty
-    except GeometryError:
-        return False
 
 
 def _bisect(bad, good, feasible, tol):

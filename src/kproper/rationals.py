@@ -13,6 +13,7 @@ immutable and safe to share between threads.
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -63,6 +64,22 @@ def parse_rational(text: str, where: str = "") -> Fraction:
     if canonical != text:
         raise InputError(f'non-canonical rational "{text}"{context}; expected "{canonical}"')
     return value
+
+
+def json_int(value, where: str) -> int:
+    """A JSON integer; booleans, floats and strings raise InputError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{where} must be an integer, got {json.dumps(value, default=repr)}")
+    return value
+
+
+def json_int_vector(value, where: str) -> tuple[int, ...]:
+    """A JSON list of integers, as an int tuple."""
+    if not isinstance(value, list):
+        raise InputError(
+            f"{where} must be a list of integers, got {json.dumps(value, default=repr)}"
+        )
+    return tuple(json_int(x, f"{where}[{i}]") for i, x in enumerate(value))
 
 
 def format_rational(q: Scalar) -> str:

@@ -5,11 +5,16 @@ sets of its maximal cones.  Torus-invariant divisors D = sum a_i D_i carry a
 piecewise linear support function with value -a_i on the i-th ray, and all
 positivity notions reduce to exact linear algebra on that function:
 
-* D is ample iff the support function is strictly concave, checked cone by
-  cone through the linear functional m_sigma with <m_sigma, u_i> = -a_i;
-* the moment polytope is P_D = {m : <m, u_i> >= -a_i};
 * on surfaces, intersection numbers come from the cyclic wall relation
-  u_{i-1} + u_{i+1} = c_i u_i, which also encodes D_i . D_i = -c_i.
+  u_{i-1} + u_{i+1} = c_i u_i with integer c_i, which also encodes
+  D_i . D_i = -c_i; the wall pairings are D . D_i = a_{i-1} + a_{i+1} - c_i a_i;
+* D is ample iff the support function is strictly concave.  On a surface
+  this is the toric Kleiman criterion: every wall pairing D . D_i is
+  positive (nef: nonnegative).  In dimension 3 it is checked cone by cone
+  through the linear functional m_sigma with <m_sigma, u_i> = -a_i;
+* the moment polytope is P_D = {m : <m, u_i> >= -a_i}.  The last few are
+  memoized by divisor, so the alpha invariant and the slope of one class
+  (one feasibility probe) build a single polygon.
 
 Mixed volumes of moment polytopes provide an independent route to
 intersection numbers for nef classes (n <= 3) and serve as a cross-check of
@@ -26,6 +31,7 @@ from fractions import Fraction
 from .polytope import Polytope, boundary_measure, make_polytope, volume
 from .rationals import (
     GeometryError,
+    InputError,
     ValidationError,
     det,
     dot,
@@ -33,6 +39,8 @@ from .rationals import (
     identity_matrix,
     is_primitive,
     is_unimodular,
+    json_int,
+    json_int_vector,
     mat_mul,
     mat_vec,
     parse_rational,
@@ -210,9 +218,9 @@ def fan_automorphisms(fan: Fan) -> tuple:
             continue
         if all(tuple(sorted(perm[i] for i in cone)) in cone_set for cone in fan.max_cones):
             found.add(g)
-    result = tuple(sorted(found))
-    assert identity_matrix(n) in found
-    return result
+    if identity_matrix(n) not in found:
+        raise GeometryError("internal inconsistency: the identity is not a fan automorphism")
+    return tuple(sorted(found))
 
 
 def ray_permutation(fan: Fan, g) -> tuple[int, ...]:
@@ -299,6 +307,9 @@ def _cone_functionals(d: ToricDivisor):
 
 def _positivity(d: ToricDivisor, strict: bool) -> bool:
     _require_valid(d.fan)
+    if d.fan.dim == 2:
+        pairings = wall_pairings(d)
+        return all(p > 0 for p in pairings) if strict else all(p >= 0 for p in pairings)
     for cone, m in _cone_functionals(d):
         inside = set(cone)
         for j, ray in enumerate(d.fan.rays):
@@ -314,7 +325,11 @@ def _positivity(d: ToricDivisor, strict: bool) -> bool:
 
 
 def is_ample(d: ToricDivisor) -> bool:
-    """Strict concavity of the support function across every wall."""
+    """Strict concavity of the support function across every wall.
+
+    On a surface this is positivity of every wall pairing D . D_i (toric
+    Kleiman); in dimension 3 it is tested cone by cone.
+    """
     return _positivity(d, strict=True)
 
 
@@ -322,8 +337,12 @@ def is_nef(d: ToricDivisor) -> bool:
     return _positivity(d, strict=False)
 
 
+@functools.lru_cache(maxsize=8)
 def moment_polytope(d: ToricDivisor) -> Polytope:
-    """P_D = {m : <m, u_i> >= -a_i}; may be empty for non-effective classes."""
+    """P_D = {m : <m, u_i> >= -a_i}; may be empty for non-effective classes.
+
+    Memoized by divisor, so callers share one polytope and its vertex list.
+    """
     check = validate_fan(d.fan)
     if not check.complete:
         raise GeometryError("moment polytope requires a complete fan")
@@ -331,8 +350,8 @@ def moment_polytope(d: ToricDivisor) -> Polytope:
 
 
 @functools.lru_cache(maxsize=None)
-def _wall_data(fan: Fan):
-    """Per ray, the cyclic neighbors and the integer c_i with
+def _wall_data(fan: Fan) -> tuple[tuple[int, int, int], ...]:
+    """Per ray, in ray order, the cyclic neighbors and the integer c_i with
     u_{i-1} + u_{i+1} = c_i u_i (so D_i . D_i = -c_i on the surface)."""
     _require_valid(fan)
     if fan.dim != 2:
@@ -348,9 +367,23 @@ def _wall_data(fan: Fan):
         total = tuple(a + b for a, b in zip(fan.rays[prev_i], fan.rays[next_i]))
         k = 0 if fan.rays[i][0] != 0 else 1
         c = Fraction(total[k], fan.rays[i][k])
-        assert c.denominator == 1 and tuple(int(c) * x for x in fan.rays[i]) == total
+        if c.denominator != 1 or tuple(int(c) * x for x in fan.rays[i]) != total:
+            raise GeometryError(
+                f"internal inconsistency: no integer wall relation at ray {i} of a smooth fan"
+            )
         data[i] = (prev_i, next_i, int(c))
-    return data
+    return tuple(data[i] for i in range(m))
+
+
+def wall_pairings(d: ToricDivisor) -> tuple[Fraction, ...]:
+    """D . D_i = a_{i-1} + a_{i+1} - c_i a_i for every ray i of a surface
+    fan, in ray order.  Every surface positivity question reads their
+    signs: D is ample (nef) iff all are positive (nonnegative)."""
+    a = d.coeffs
+    return tuple(
+        a[prev_i] + a[next_i] - c * a[i]
+        for i, (prev_i, next_i, c) in enumerate(_wall_data(d.fan))
+    )
 
 
 def intersection_number(d: ToricDivisor, e: ToricDivisor) -> Fraction:
@@ -361,12 +394,7 @@ def intersection_number(d: ToricDivisor, e: ToricDivisor) -> Fraction:
     """
     if d.fan != e.fan:
         raise ValidationError("divisors live on different fans")
-    walls = _wall_data(d.fan)
-    total = Fraction(0)
-    for i, (prev_i, next_i, c) in walls.items():
-        d_dot_di = d.coeffs[prev_i] + d.coeffs[next_i] - c * d.coeffs[i]
-        total += e.coeffs[i] * d_dot_di
-    return total
+    return sum((b * p for b, p in zip(e.coeffs, wall_pairings(d))), Fraction(0))
 
 
 def mixed_volume_intersection(divisors) -> Fraction:
@@ -421,7 +449,11 @@ def slope_quantities(d: ToricDivisor) -> SlopeQuantities:
         mu = intersection_number(minus_k, d) / d_sq
         rbar = 2 * mu
         p = moment_polytope(d)
-        assert rbar == boundary_measure(p) / volume(p)
+        if rbar != boundary_measure(p) / volume(p):
+            raise GeometryError(
+                "internal inconsistency: 2 mu differs from the boundary measure over "
+                "the area of the moment polygon"
+            )
         return SlopeQuantities(mu=mu, rbar=rbar)
     if fan.dim == 3:
         if not is_nef(minus_k):
@@ -472,16 +504,18 @@ def fan_to_json(fan: Fan) -> dict:
 
 
 def fan_from_json(data: dict) -> Fan:
-    from .rationals import InputError
-
-    if not isinstance(data, dict) or "rays" not in data or "max_cones" not in data:
-        raise InputError('fan JSON must be an object with "rays" and "max_cones"')
-    try:
-        rays = tuple(tuple(int(x) for x in r) for r in data["rays"])
-        cones = tuple(tuple(int(i) for i in c) for c in data["max_cones"])
-        dim = int(data.get("dim", len(rays[0]) if rays else 0))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed fan JSON: {exc}") from exc
+    if not isinstance(data, dict) or not all(
+        isinstance(data.get(key), list) for key in ("rays", "max_cones")
+    ):
+        raise InputError('fan JSON must be an object with "rays" and "max_cones" lists')
+    rays = tuple(json_int_vector(r, f"rays[{i}]") for i, r in enumerate(data["rays"]))
+    cones = tuple(
+        json_int_vector(c, f"max_cones[{i}]") for i, c in enumerate(data["max_cones"])
+    )
+    if "dim" in data:
+        dim = json_int(data["dim"], 'fan "dim"')
+    else:
+        dim = len(rays[0]) if rays else 0
     return Fan(dim, rays, cones)
 
 
@@ -490,8 +524,6 @@ def divisor_to_json(d: ToricDivisor) -> dict:
 
 
 def divisor_from_json(fan: Fan, data: dict) -> ToricDivisor:
-    from .rationals import InputError
-
     if not isinstance(data, dict) or not isinstance(data.get("coeffs"), list):
         raise InputError('divisor JSON must be an object with a "coeffs" list')
     coeffs = tuple(

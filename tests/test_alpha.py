@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from kproper.alpha import (
+    MAX_ORACLE_DEPTH,
     alpha_invariant,
     alpha_oracle,
     class_stabilizer,
@@ -139,6 +140,9 @@ def test_oracle_depth_validation():
     ctx = symmetry_context(anticanonical_divisor(dp6_fan()), "full")
     with pytest.raises(InputError):
         alpha_oracle(ctx, 0)
+    # rejected before any lattice point is enumerated
+    with pytest.raises(InputError, match="cap"):
+        alpha_oracle(ctx, MAX_ORACLE_DEPTH + 1)
 
 
 def test_explicit_group_mode():

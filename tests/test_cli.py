@@ -333,6 +333,80 @@ def test_malformed_divisor_json_is_input_error(capsys, tmp_path):
     assert '"coeffs" list' in err
 
 
+SQUARE_HREP = [
+    {"normal": [1, 0], "offset": "0"},
+    {"normal": [-1, 0], "offset": "-1"},
+    {"normal": [0, 1], "offset": "0"},
+    {"normal": [0, -1], "offset": "-1"},
+]
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"hrep": 5}, 'an "hrep" list'),
+        ({"dim": "x", "hrep": SQUARE_HREP}, 'polytope "dim" must be an integer, got "x"'),
+        ({"dim": 2, "hrep": SQUARE_HREP, "equalities": 5}, '"equalities" must be a list'),
+        ({"hrep": [{"normal": [1.5, 0], "offset": "0"}]}, "hrep[0].normal[0] must be an integer"),
+    ],
+)
+def test_malformed_polytope_json_is_input_error(capsys, tmp_path, payload, message):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "polytope", "info", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"dim": 2.5, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]},
+         'fan "dim" must be an integer, got 2.5'),
+        ({"rays": [[1, 0], [0, 1], [-1.5, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]},
+         "rays[2][0] must be an integer, got -1.5"),
+        ({"rays": 5, "max_cones": []}, '"rays" and "max_cones" lists'),
+    ],
+)
+def test_malformed_fan_json_is_input_error(capsys, tmp_path, payload, message):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "fan", "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"matrices": [[[0, -1.5], [1, -1]]]}, "matrices[0][0][1] must be an integer, got -1.5"),
+        ({"matrices": [5]}, "list of integer matrices"),
+    ],
+)
+def test_malformed_group_json_is_input_error(capsys, tmp_path, payload, message):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "alpha", "dp6", "--coeffs", "1,6/5,1,6/5,1,6/5",
+                             "--group", "explicit", "--group-file", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_cost_caps_reject_before_work(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "alpha", "dp6", "--coeffs", "1,1,1,1,1,1",
+                             "--oracle-depth", "100000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: oracle depth 100000 exceeds the cap")
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "family": "dp6", "lambda_min": "1/2", "lambda_max": "2",
+        "step": "1/1000000000", "refine_tol": "1/1000",
+    }))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(config))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the grid would hold 1500000001 points")
+
+
 def test_optimized_mode_keeps_results_and_invariants():
     """Under python -O the load-bearing checks are raises, not asserts."""
 
@@ -346,6 +420,13 @@ def test_optimized_mode_keeps_results_and_invariants():
                 "--coeffs", "15/4,5/4,5/4,5/4,5/4,5/4,5/4,5/4,5/4", "--alpha", "4/5")
     assert check.returncode == 0
     assert json.loads(check.stdout)["verdict"] == "proper"
+    dp6_check = run("-m", "kproper", "check", "--builtin", "dp6",
+                    "--coeffs", "5/4,5/4,5/4,5/4,5/4,5/4", "--epsilon", "1")
+    assert dp6_check.returncode == 0
+    assert json.loads(dp6_check.stdout)["verdict"] == "proper"
+    alpha = run("-m", "kproper", "alpha", "dp6", "--coeffs", "1,6/5,1,6/5,1,6/5")
+    assert alpha.returncode == 0
+    assert json.loads(alpha.stdout)["alpha"] == "5/6"
     inconsistent = run("-c", (
         "from kproper.properness import ConditionCheck, PropernessReport\n"
         "from kproper.rationals import GeometryError\n"

@@ -38,6 +38,8 @@ SWEEPS = {
 
 DP1_PROPER = "15/4,5/4,5/4,5/4,5/4,5/4,5/4,5/4,5/4"
 DP1_FAILING = "3,1,1,1,1,1,1,1,1/2"
+DP6_PROPER = "5/4,5/4,5/4,5/4,5/4,5/4"
+DP6_FAILING = "1,7/10,1,7/10,1,7/10"
 
 CHECKS = {
     "check_dp1_proper.json": ("check", "--builtin", "dp1", "--coeffs", DP1_PROPER,
@@ -53,6 +55,15 @@ CHECKS = {
                       "--alpha", "1/3"),
     "check_dp1_fano.json": ("check", "--builtin", "dp1", "--coeffs", "3,1,1,1,1,1,1,1,1",
                             "--mode", "fano", "--alpha", "3/4"),
+    "check_dp6_proper.json": ("check", "--builtin", "dp6", "--coeffs", DP6_PROPER,
+                              "--epsilon", "1"),
+    "check_dp6_failing.json": ("check", "--builtin", "dp6", "--coeffs", DP6_FAILING,
+                               "--epsilon", "1"),
+    "check_dp6_failing.txt": ("--format", "text", "check", "--builtin", "dp6",
+                              "--coeffs", DP6_FAILING, "--epsilon", "1"),
+    # condition (2) has margin 0 on exactly the walls at rays 3 and 5
+    "check_dp6_tie.json": ("check", "--builtin", "dp6", "--coeffs", "2,2,2,2,1,2",
+                           "--epsilon", "1"),
 }
 
 

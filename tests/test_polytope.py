@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from kproper.polytope import (
+    Polytope,
     apply_unimodular,
     affine_dimension,
     barycenter,
@@ -115,6 +116,30 @@ def test_translate_and_scale():
     for _ in range(20):
         t = F(rng.randint(1, 12), rng.randint(1, 12))
         assert volume(scale(hexagon(), t)) == t**2 * 3
+
+
+def test_translate_carries_vertices_exactly():
+    # the translate of a polytope with known vertices must list exactly the
+    # vertices that a fresh enumeration of the same H-representation finds
+    cube = make_polytope(3, [(n, 0) for n in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+                         + [(n, -1) for n in ((-1, 0, 0), (0, -1, 0), (0, 0, -1))])
+    empty = make_polytope(2, [((1, 0), 1), ((-1, 0), 0), ((0, 1), 0), ((0, -1), -1)])
+    segment = fixed_subpolytope(hexagon(), [((0, 1), (1, 0))])
+    rng = random.Random(3)
+    for p in (hexagon(F(7, 3)), p2_triangle(), unit_square(), cube, empty, segment):
+        vertices(p)
+        for _ in range(5):
+            t = tuple(F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(p.dim))
+            moved = translate(p, t)
+            fresh = Polytope(moved.dim, moved.hrep, moved.equalities)
+            assert vertices(moved) == vertices(fresh)
+            assert set(vertices(moved)) == {tuple(a + b for a, b in zip(v, t)) for v in vertices(p)}
+
+
+def test_translate_of_unbounded_polytope_still_raises():
+    half_plane = make_polytope(2, [((1, 0), 0)])
+    with pytest.raises(GeometryError, match="unbounded"):
+        vertices(translate(half_plane, (F(1), F(2))))
 
 
 def test_unimodular_invariance():

@@ -7,6 +7,7 @@ import pytest
 from kproper import properness
 from kproper.picard import dp1_surface, is_ample_picard, pairing
 from kproper.properness import (
+    MAX_GRID_POINTS,
     SCOPE_ALL,
     SCOPE_G,
     VERDICT_FAIL,
@@ -253,6 +254,23 @@ def test_dp1_feasible_interval_values():
     assert feasible_scale_interval(family, F(10, 9)).is_empty
 
 
+@pytest.mark.parametrize("family", [dp6_family(), dp1_family()], ids=["dp6", "dp1"])
+def test_feasible_interval_scales_as_one_over_epsilon(family):
+    # every constraint depends on a only through t = epsilon * a, so the
+    # interval at epsilon is the epsilon = 1 interval divided by epsilon
+    lambdas = [F(k, 12) for k in range(1, 24)] + [F(5, 6), F(6, 5), F(4, 5), F(10, 9)]
+    for lam in lambdas:
+        try:
+            base = feasible_scale_interval(family, lam)
+        except GeometryError:
+            for eps in (F(1, 7), F(2)):
+                with pytest.raises(GeometryError):
+                    feasible_scale_interval(family, lam, eps)
+            continue
+        for eps in (F(1, 7), F(1, 2), F(3, 4), F(2), F(7, 3)):
+            assert feasible_scale_interval(family, lam, eps) == base.scaled(1 / eps), (lam, eps)
+
+
 def test_feasible_interval_outside_ample_range_errors():
     with pytest.raises(GeometryError, match="ample range"):
         feasible_scale_interval(dp6_family(), F(5, 2))
@@ -344,6 +362,14 @@ def test_sweep_rejects_empty_grid():
         sweep_lambda(dp6_family(), F(2), F(1), F(1, 10), F(1, 100))
     with pytest.raises(InputError):
         sweep_lambda(dp6_family(), F(1), F(2), F(0), F(1, 100))
+
+
+def test_sweep_rejects_oversized_grid_before_building_it():
+    # one point more than the cap; the check runs before any probe
+    with pytest.raises(InputError, match="cap"):
+        sweep_lambda(dp6_family(), F(0), F(1), F(1, MAX_GRID_POINTS), F(1, 100))
+    with pytest.raises(InputError, match="cap"):
+        sweep_lambda(dp6_family(), F(0), F(10**9), F(1, 10**9), F(1, 100))
 
 
 def test_sweep_parallel_matches_serial():
