@@ -1,7 +1,8 @@
 """Byte-identity of CLI output against a committed golden corpus.
 
-The files under tests/golden/ pin the exact stdout of sweeps and checks,
-including binding labels, margins and tie-breaking among equal margins.
+The files under tests/golden/ pin the exact stdout of sweeps, checks and
+the toric polytope, alpha and intersection commands, including binding
+labels, margins and tie-breaking among equal margins.
 Regenerate them only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -40,6 +41,7 @@ DP1_PROPER = "15/4,5/4,5/4,5/4,5/4,5/4,5/4,5/4,5/4"
 DP1_FAILING = "3,1,1,1,1,1,1,1,1/2"
 DP6_PROPER = "5/4,5/4,5/4,5/4,5/4,5/4"
 DP6_FAILING = "1,7/10,1,7/10,1,7/10"
+DP6_WINDOW_END = "1,6/5,1,6/5,1,6/5"
 
 CHECKS = {
     "check_dp1_proper.json": ("check", "--builtin", "dp1", "--coeffs", DP1_PROPER,
@@ -64,6 +66,17 @@ CHECKS = {
     # condition (2) has margin 0 on exactly the walls at rays 3 and 5
     "check_dp6_tie.json": ("check", "--builtin", "dp6", "--coeffs", "2,2,2,2,1,2",
                            "--epsilon", "1"),
+    # README CLI examples on the toric backend; the nef class 1,2,1,2,1,2 is
+    # not ample, so its polygon comes from the general vertex enumeration
+    "polytope_dp6.json": ("polytope", "info", "dp6", "--coeffs", "1,1,1,1,1,1"),
+    "polytope_dp6.txt": ("--format", "text", "polytope", "info", "dp6",
+                         "--coeffs", "1,1,1,1,1,1"),
+    "polytope_dp6_nef.json": ("polytope", "info", "dp6", "--coeffs", "1,2,1,2,1,2"),
+    "alpha_dp6_full.json": ("alpha", "dp6", "--coeffs", DP6_WINDOW_END, "--group", "full",
+                            "--oracle-depth", "12"),
+    "alpha_dp6_torus.json": ("alpha", "dp6", "--coeffs", DP6_WINDOW_END, "--group", "torus",
+                             "--oracle-depth", "12"),
+    "intersect_dp6.json": ("intersect", "dp6", "--coeffs", "1,1,1,1,1,1"),
 }
 
 
