@@ -32,8 +32,10 @@ from fractions import Fraction
 from .polytope import (
     Polytope,
     barycenter,
+    cleared_vertices,
     fixed_subpolytope,
     lattice_points,
+    preserves_vertices,
     translate,
     vertices,
 )
@@ -87,13 +89,8 @@ def class_stabilizer(d: ToricDivisor) -> tuple:
 
 def _stabilizer_of(fan, centered: Polytope) -> tuple:
     """The fan automorphisms that preserve the centered polytope."""
-    vert_set = set(vertices(centered))
-    return tuple(g for g in fan_automorphisms(fan) if _preserves(g, vert_set))
-
-
-def _preserves(g, vert_set) -> bool:
-    gt = transpose(g)
-    return {tuple(mat_vec(gt, v)) for v in vert_set} == vert_set
+    cleared = cleared_vertices(centered)
+    return tuple(g for g in fan_automorphisms(fan) if preserves_vertices(g, cleared))
 
 
 def _centered(d: ToricDivisor):
@@ -141,11 +138,11 @@ def symmetry_context(
             [tuple(tuple(int(x) for x in row) for row in g) for g in explicit_group],
             bound=len(autos),
         )
-        vert_set = set(vertices(centered))
+        cleared = cleared_vertices(centered)
         for g in closure:
             if g not in autos:
                 raise GeometryError("explicit group element is not a fan automorphism")
-            if not _preserves(g, vert_set):
+            if not preserves_vertices(g, cleared):
                 raise GeometryError("explicit group element does not preserve the class")
         stabilizer = closure
     if any(x != 0 for x in barycenter(centered)):
@@ -229,16 +226,24 @@ def alpha_oracle(ctx: SymmetryContext, k_max: int = 12) -> Fraction:
             orbit = set()
             for gt, tau in actions:
                 image = tuple(int(a) - k * t for a, t in zip(mat_vec(gt, z), tau))
-                assert image in points
+                if image not in points:
+                    raise GeometryError(
+                        "internal inconsistency: a stabilizer element moves a lattice point "
+                        "out of the dilated polytope"
+                    )
                 orbit.add(image)
             seen |= orbit
             size = len(orbit)
             for i, ray in enumerate(rays):
                 denom = sum(dot(m, ray) for m in orbit) + size * k * int_coeffs[i]
-                assert denom >= 0
+                if denom < 0:
+                    raise GeometryError(
+                        "internal inconsistency: an orbit section has a negative vanishing order"
+                    )
                 if denom > 0:
                     value = Fraction(k * size, denom)
                     if best is None or value < best:
                         best = value
-    assert best is not None
+    if best is None:
+        raise GeometryError("internal inconsistency: no orbit section gives a finite threshold")
     return multiplier * best

@@ -8,10 +8,20 @@ volumes, the lattice boundary measure, barycenters and lattice points are
 all computed in exact rational arithmetic; no square root or float is ever
 taken.
 
-The enumeration strategy is deliberately unsophisticated: candidate
-vertices are intersections of dim-many facet hyperplanes, filtered by
-feasibility.  Inputs here are desk-scale (a few dozen facets), where this
-is both fast and easy to trust.
+A polygon keeps its vertices twice: sorted (the public vertex list) and
+as a counterclockwise cycle.  Areas, centroids and boundary measures read
+the cycle, on the vertices cleared to one common denominator, so each
+polygon is put in boundary order at most once.  Callers that already know
+the cycle supply it (`with_polygon_cycle`): the moment polygon of an ample
+class on a smooth toric surface has the cone functionals as its vertices,
+in the angular order of the rays, and a translate carries the cycle over.
+
+Otherwise the vertices come from the fallback enumeration, which is
+deliberately unsophisticated: candidate vertices are intersections of
+dim-many facet hyperplanes, filtered by feasibility.  Inputs here are
+desk-scale (a few dozen facets), where this is both fast and easy to trust.
+Symmetry tests (`fixed_subpolytope`, class stabilizers) compare integer
+images of the cleared vertex set.
 """
 
 from __future__ import annotations
@@ -93,6 +103,8 @@ class Polytope:
     hrep: tuple[HalfSpace, ...]
     equalities: tuple[LinearEquation, ...] = ()
     _vertex_cache: object = field(default=None, compare=False, repr=False)
+    # polygons only: the counterclockwise vertex cycle, () when not full-dimensional
+    _cycle_cache: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1 or self.dim > 3:
@@ -335,6 +347,38 @@ def affine_dimension(p: Polytope) -> int:
 # measures
 
 
+def with_polygon_cycle(p: Polytope, cycle) -> Polytope:
+    """Record the vertices of a full-dimensional polygon p, listed
+    counterclockwise, so it is never enumerated or sorted; returns p.
+
+    The caller vouches for the cycle: it must be exactly the vertex set of
+    p, in positive orientation."""
+    object.__setattr__(p, "_vertex_cache", tuple(sorted(cycle)))
+    object.__setattr__(p, "_cycle_cache", tuple(cycle))
+    return p
+
+
+def _polygon_cycle(p: Polytope) -> tuple:
+    """The vertices of a polygon counterclockwise; () when it is empty or not
+    full-dimensional.  Sorted at most once per polygon."""
+    if p._cycle_cache is None:
+        verts = vertices(p)
+        full = len(verts) >= 3 and affine_dimension(p) == 2
+        object.__setattr__(p, "_cycle_cache", tuple(_order_ccw_2d(list(verts))) if full else ())
+    return p._cycle_cache
+
+
+def _cleared(points) -> tuple[int, list]:
+    """(L, [L * v as integer tuples]) with L the lcm of all denominators."""
+    denom = lcm(*(x.denominator for v in points for x in v)) if points else 1
+    return denom, [tuple(x.numerator * (denom // x.denominator) for x in v) for v in points]
+
+
+def _cycle_edges(cycle):
+    """Consecutive pairs (a, b) of integer points around a closed cycle."""
+    return zip(cycle, cycle[1:] + cycle[:1])
+
+
 def _order_ccw_2d(points):
     n = len(points)
     center = tuple(sum(v[i] for v in points) / n for i in range(2))
@@ -394,6 +438,11 @@ def _order_facet_cycle(normal, points):
 
 def volume(p: Polytope) -> Fraction:
     """Euclidean volume, exact; 0 for empty or lower-dimensional polytopes."""
+    if p.dim == 2:
+        # shoelace on the cleared cycle: twice the area, times denom^2
+        denom, cycle = _cleared(_polygon_cycle(p))
+        twice = sum(a[0] * b[1] - a[1] * b[0] for a, b in _cycle_edges(cycle))
+        return Fraction(twice, 2 * denom * denom)
     verts = vertices(p)
     if len(verts) <= p.dim:
         return Fraction(0)
@@ -401,12 +450,6 @@ def volume(p: Polytope) -> Fraction:
         return Fraction(0)
     if p.dim == 1:
         return verts[-1][0] - verts[0][0]
-    if p.dim == 2:
-        ordered = _order_ccw_2d(list(verts))
-        total = Fraction(0)
-        for a, b in zip(ordered, ordered[1:] + ordered[:1]):
-            total += a[0] * b[1] - a[1] * b[0]
-        return abs(total) / 2
     base = verts[0]
     total = Fraction(0)
     for normal, on in _facets_3d(p, verts):
@@ -430,38 +473,35 @@ def boundary_measure(p: Polytope) -> Fraction:
     """
     if p.dim != 2:
         raise GeometryError("boundary measure is defined for polygons only")
-    verts = vertices(p)
-    if len(verts) < 3 or affine_dimension(p) < 2:
+    cycle = _polygon_cycle(p)
+    if not cycle:
         raise GeometryError("boundary measure requires a full-dimensional polygon")
-    ordered = _order_ccw_2d(list(verts))
-    total = Fraction(0)
-    for a, b in zip(ordered, ordered[1:] + ordered[:1]):
-        d = vec_sub(b, a)
-        direction = primitive(_integerize(d))
-        k = 0 if direction[0] != 0 else 1
-        total += abs(Fraction(d[k], direction[k]))
-    return total
+    # an edge b - a = (x, y) / denom has lattice length gcd(x, y) / denom
+    denom, cycle = _cleared(cycle)
+    return Fraction(sum(gcd(b[0] - a[0], b[1] - a[1]) for a, b in _cycle_edges(cycle)), denom)
 
 
 def barycenter(p: Polytope) -> tuple:
     """Exact centroid via triangulation; requires positive volume."""
+    if p.dim == 2:
+        cycle = _polygon_cycle(p)
+        if not cycle:
+            raise GeometryError("barycenter requires a polytope of positive volume")
+        # fan the cleared cycle from the origin: the triangle (0, a, b) has
+        # signed double area w = a x b and centroid (a + b) / 3
+        denom, cycle = _cleared(cycle)
+        twice = sx = sy = 0
+        for a, b in _cycle_edges(cycle):
+            w = a[0] * b[1] - a[1] * b[0]
+            twice += w
+            sx += w * (a[0] + b[0])
+            sy += w * (a[1] + b[1])
+        return (Fraction(sx, 3 * twice * denom), Fraction(sy, 3 * twice * denom))
     verts = vertices(p)
     if volume(p) == 0:
         raise GeometryError("barycenter requires a polytope of positive volume")
     if p.dim == 1:
         return ((verts[0][0] + verts[-1][0]) / 2,)
-    if p.dim == 2:
-        ordered = _order_ccw_2d(list(verts))
-        base = ordered[0]
-        total = Fraction(0)
-        acc = (Fraction(0), Fraction(0))
-        for a, b in zip(ordered[1:], ordered[2:]):
-            u, v = vec_sub(a, base), vec_sub(b, base)
-            area = (u[0] * v[1] - u[1] * v[0]) / 2
-            centroid = tuple((base[i] + a[i] + b[i]) / 3 for i in range(2))
-            acc = vec_add(acc, vec_scale(area, centroid))
-            total += area
-        return tuple(c / total for c in acc)
     base = verts[0]
     total = Fraction(0)
     acc = (Fraction(0), Fraction(0), Fraction(0))
@@ -485,17 +525,20 @@ def barycenter(p: Polytope) -> tuple:
 def translate(p: Polytope, t) -> Polytope:
     """The polytope p + t, exactly.
 
-    When the vertices of p are already known they are carried over as
-    v + t, so the translate never enumerates its vertices again.
+    When the vertices of p (and, for a polygon, its counterclockwise cycle)
+    are already known they are carried over as v + t, so the translate
+    never enumerates or sorts its vertices again.
     """
     if len(t) != p.dim:
         raise ValidationError("translation vector dimension mismatch")
     hs = tuple(HalfSpace(h.normal, h.offset + dot(t, h.normal)) for h in p.hrep)
     eqs = tuple(LinearEquation(e.coeffs, e.rhs + dot(t, e.coeffs)) for e in p.equalities)
     moved = Polytope(p.dim, hs, eqs)
+    # a translation keeps the lexicographic order and the orientation
     if p._vertex_cache is not None:
-        cache = tuple(sorted(vec_add(v, t) for v in p._vertex_cache))
-        object.__setattr__(moved, "_vertex_cache", cache)
+        object.__setattr__(moved, "_vertex_cache", tuple(vec_add(v, t) for v in p._vertex_cache))
+    if p._cycle_cache is not None:
+        object.__setattr__(moved, "_cycle_cache", tuple(vec_add(v, t) for v in p._cycle_cache))
     return moved
 
 
@@ -541,21 +584,33 @@ def fixed_subpolytope(p: Polytope, group) -> Polytope:
     the vertex set of p onto itself (the polytope must already be centered),
     otherwise this raises.
     """
-    verts = set(vertices(p))
+    cleared = cleared_vertices(p)
     eqs = list(p.equalities)
     eye = identity_matrix(p.dim)
     for g in group:
         if not is_unimodular(g):
             raise ValidationError("group elements must be unimodular integer matrices")
-        gt = transpose(g)
-        image = {tuple(mat_vec(gt, v)) for v in verts}
-        if image != verts:
+        if not preserves_vertices(g, cleared):
             raise GeometryError("group does not preserve polytope")
+        gt = transpose(g)
         for row_g, row_i in zip(gt, eye):
             coeffs = tuple(int(a - b) for a, b in zip(row_g, row_i))
             if any(coeffs):
                 eqs.append(LinearEquation(coeffs, Fraction(0)))
     return Polytope(p.dim, p.hrep, tuple(eqs))
+
+
+def cleared_vertices(p: Polytope) -> frozenset:
+    """The vertices of p times the lcm of their denominators, as integer
+    tuples.  A linear map preserves the vertex set exactly when it preserves
+    this integer copy, so symmetry tests never multiply fractions."""
+    return frozenset(_cleared(vertices(p))[1])
+
+
+def preserves_vertices(g, cleared: frozenset) -> bool:
+    """Whether g^T maps a cleared vertex set (see cleared_vertices) onto itself."""
+    gt = tuple(zip(*g))
+    return {tuple(sum(a * b for a, b in zip(row, w)) for row in gt) for w in cleared} == cleared
 
 
 def lattice_points(p: Polytope, k: int = 1) -> tuple:

@@ -814,6 +814,10 @@ def _quadratic_positive_on_open(qa, qb, qc, lo, hi) -> bool:
 
 # Each grid point is one exact feasibility probe (a few to tens of ms).
 MAX_GRID_POINTS = 100_000
+# Each bisection step is one more probe, and halving one grid step down to
+# refine_tol takes ceil(log2(step / refine_tol)) of them (about 14 at the
+# acceptance settings); the probes also slow down as the digits grow.
+MAX_BISECTION_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -872,10 +876,12 @@ def sweep_lambda(
     feasible window.  Conjectured exact endpoints are verified by probing
     the endpoint itself and both sides at distance refine_tol.
 
-    The grid may hold at most MAX_GRID_POINTS points; a larger one is
-    rejected before it is built.  `parallel` is accepted and ignored: the
-    probes run in order in the calling thread (a thread pool measured no
-    faster, since the exact arithmetic holds the interpreter lock).
+    The grid may hold at most MAX_GRID_POINTS points, and one grid step may
+    need at most MAX_BISECTION_STEPS halvings to reach refine_tol; larger
+    requests are rejected before any probe.  `parallel` is accepted and
+    ignored: the probes run in order in the calling thread (a thread pool
+    measured no faster, since the exact arithmetic holds the interpreter
+    lock).
     """
     lambda_min, lambda_max = Fraction(lambda_min), Fraction(lambda_max)
     step, refine_tol = Fraction(step), Fraction(refine_tol)
@@ -889,6 +895,13 @@ def sweep_lambda(
         raise InputError(
             f"the grid would hold {points} points; the cap is {MAX_GRID_POINTS} "
             "(raise step or narrow the lambda range)"
+        )
+    # the least k with step / 2**k <= refine_tol
+    halvings = (math.ceil(step / refine_tol) - 1).bit_length()
+    if halvings > MAX_BISECTION_STEPS:
+        raise InputError(
+            f"bisecting one grid step down to refine_tol would take {halvings} steps; "
+            f"the cap is {MAX_BISECTION_STEPS} (raise refine_tol or lower step)"
         )
     grid = [lambda_min + k * step for k in range(points)]
     cache: dict[Fraction, bool] = {}

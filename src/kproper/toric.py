@@ -12,9 +12,12 @@ positivity notions reduce to exact linear algebra on that function:
   this is the toric Kleiman criterion: every wall pairing D . D_i is
   positive (nef: nonnegative).  In dimension 3 it is checked cone by cone
   through the linear functional m_sigma with <m_sigma, u_i> = -a_i;
-* the moment polytope is P_D = {m : <m, u_i> >= -a_i}.  The last few are
-  memoized by divisor, so the alpha invariant and the slope of one class
-  (one feasibility probe) build a single polygon.
+* the moment polytope is P_D = {m : <m, u_i> >= -a_i}.  For an ample class
+  on a surface its vertices are the cone functionals, one per maximal cone,
+  and they run counterclockwise in the angular order of the rays, so the
+  polygon is built in boundary order without vertex enumeration.  The last
+  few are memoized by divisor, so the alpha invariant and the slope of one
+  class (one feasibility probe) build a single polygon.
 
 Mixed volumes of moment polytopes provide an independent route to
 intersection numbers for nef classes (n <= 3) and serve as a cross-check of
@@ -28,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polytope import Polytope, boundary_measure, make_polytope, volume
+from .polytope import Polytope, boundary_measure, make_polytope, volume, with_polygon_cycle
 from .rationals import (
     GeometryError,
     InputError,
@@ -300,7 +303,10 @@ def _cone_functionals(d: ToricDivisor):
     out = []
     for cone in d.fan.max_cones:
         m = solve_exact(d.fan.cone_matrix(cone), tuple(-d.coeffs[i] for i in cone))
-        assert m is not None  # smooth cones are unimodular
+        if m is None:
+            raise GeometryError(
+                f"internal inconsistency: the rays of maximal cone {cone} are not a basis"
+            )
         out.append((cone, m))
     return out
 
@@ -342,11 +348,22 @@ def moment_polytope(d: ToricDivisor) -> Polytope:
     """P_D = {m : <m, u_i> >= -a_i}; may be empty for non-effective classes.
 
     Memoized by divisor, so callers share one polytope and its vertex list.
+    For an ample class on a smooth surface the vertices are the cone
+    functionals m_sigma, and the cones taken in the angular order of their
+    rays list them counterclockwise (Cox-Little-Schenck, ch. 6); nef-only
+    classes and threefolds fall back to vertex enumeration.
     """
-    check = validate_fan(d.fan)
+    fan = d.fan
+    check = validate_fan(fan)
     if not check.complete:
         raise GeometryError("moment polytope requires a complete fan")
-    return make_polytope(d.fan.dim, [(r, -a) for r, a in zip(d.fan.rays, d.coeffs)])
+    p = make_polytope(fan.dim, [(r, -a) for r, a in zip(fan.rays, d.coeffs)])
+    if fan.dim == 2 and check.smooth and all(x > 0 for x in wall_pairings(d)):
+        functionals = dict(_cone_functionals(d))
+        order = angular_order(fan)
+        cones = (tuple(sorted(pair)) for pair in zip(order, order[1:] + order[:1]))
+        p = with_polygon_cycle(p, tuple(functionals[cone] for cone in cones))
+    return p
 
 
 @functools.lru_cache(maxsize=None)

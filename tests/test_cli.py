@@ -405,6 +405,14 @@ def test_cost_caps_reject_before_work(capsys, tmp_path):
     code, out, err = run_cli(capsys, "sweep", "--config", str(config))
     assert (code, out) == (1, "")
     assert err.startswith("error: the grid would hold 1500000001 points")
+    # 1/10 halved down to 1e-100 takes 329 bisection steps
+    config.write_text(json.dumps({
+        "family": "dp6", "lambda_min": "11/10", "lambda_max": "13/10",
+        "step": "1/10", "refine_tol": "1/1" + "0" * 100,
+    }))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(config))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bisecting one grid step down to refine_tol would take 329 steps")
 
 
 def test_optimized_mode_keeps_results_and_invariants():
@@ -427,6 +435,13 @@ def test_optimized_mode_keeps_results_and_invariants():
     alpha = run("-m", "kproper", "alpha", "dp6", "--coeffs", "1,6/5,1,6/5,1,6/5")
     assert alpha.returncode == 0
     assert json.loads(alpha.stdout)["alpha"] == "5/6"
+    polygon = run("-m", "kproper", "polytope", "info", "dp6", "--coeffs", "1,1,1,1,1,1")
+    assert polygon.returncode == 0
+    assert json.loads(polygon.stdout)["volume"] == "3"
+    oracle = run("-m", "kproper", "alpha", "dp6", "--coeffs", "1,6/5,1,6/5,1,6/5",
+                 "--oracle-depth", "2")
+    assert oracle.returncode == 0
+    assert json.loads(oracle.stdout)["oracle"] == "5/6"
     inconsistent = run("-c", (
         "from kproper.properness import ConditionCheck, PropernessReport\n"
         "from kproper.rationals import GeometryError\n"
