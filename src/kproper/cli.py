@@ -364,6 +364,24 @@ def _cmd_check(args) -> int:
     return 0
 
 
+_JSON_KINDS = {type(None): "null", bool: "boolean", int: "number", float: "number",
+               list: "array", dict: "object"}
+
+
+def _config_rational(config: dict, key: str, default: str | None = None) -> Fraction:
+    """The rational under `key`, given as a JSON string like "p/q"."""
+    if key not in config and default is None:
+        raise InputError(f'missing key "{key}"')
+    return _json_rational(config.get(key, default), key)
+
+
+def _json_rational(value, where: str) -> Fraction:
+    if not isinstance(value, str):
+        kind = _JSON_KINDS[type(value)]
+        raise InputError(f'"{where}" must be a string like "p/q", got a JSON {kind}')
+    return parse_rational(value, where=where)
+
+
 def _cmd_sweep(args) -> int:
     config = _read_json(args.config)
     if not isinstance(config, dict):
@@ -371,20 +389,21 @@ def _cmd_sweep(args) -> int:
     endpoints = config.get("conjectured_endpoints", [])
     if not isinstance(endpoints, list):
         raise InputError('sweep "conjectured_endpoints" must be a list')
-    name = config.get("family")
+    if "family" not in config:
+        raise InputError('missing key "family"')
+    name = config["family"]
     if not isinstance(name, str) or name not in prop_mod.BUILTIN_FAMILIES:
         raise InputError(f'unknown family "{name}"; expected one of {sorted(prop_mod.BUILTIN_FAMILIES)}')
     family = prop_mod.BUILTIN_FAMILIES[name]()
     report = prop_mod.sweep_lambda(
         family,
-        lambda_min=parse_rational(config.get("lambda_min"), where="lambda_min"),
-        lambda_max=parse_rational(config.get("lambda_max"), where="lambda_max"),
-        step=parse_rational(config.get("step"), where="step"),
-        refine_tol=parse_rational(config.get("refine_tol"), where="refine_tol"),
-        epsilon=parse_rational(config.get("epsilon", "1"), where="epsilon"),
+        lambda_min=_config_rational(config, "lambda_min"),
+        lambda_max=_config_rational(config, "lambda_max"),
+        step=_config_rational(config, "step"),
+        refine_tol=_config_rational(config, "refine_tol"),
+        epsilon=_config_rational(config, "epsilon", "1"),
         conjectured_endpoints=tuple(
-            parse_rational(e, where=f"conjectured_endpoints[{i}]")
-            for i, e in enumerate(endpoints)
+            _json_rational(e, f"conjectured_endpoints[{i}]") for i, e in enumerate(endpoints)
         ),
     )
     sys.stdout.write(render_report(report, args.format, args.approx))

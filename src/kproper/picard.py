@@ -11,13 +11,17 @@ degree d = C.H through 3d - 1 = sum m_i, and C.C = -1 gives
 sum m_i^2 = d^2 + 1, which by Cauchy-Schwarz forces d <= 6 for r <= 8.
 The enumeration also probes d = 7 and raises if anything is found there.
 
-Curve pairings run on an integer table: curve_matrix(r) holds one row
-(d, -m_1, ..., -m_r) per exceptional curve, and a class is cleared to
-integer numerators over the lcm of its denominators, so each pairing is an
-integer dot product and D.C = numerator / lcm.  Signs and minima are read
-off the numerators, and margins are rebuilt as exact Fractions, so every
-verdict stays exact.  pairing() remains the reference form, used for D.D
-and -K.D.
+Every positivity question reads one integer curve table per class
+(curve_table, built at most once and kept on the class): the pairings
+D.C_i as integer numerators over curve_matrix(r), which holds one row
+(d, -m_1, ..., -m_r) per exceptional curve, their common denominator (the
+lcm of the coordinate denominators), their least and greatest numerators,
+D.D and K.D.  Ampleness, nefness, the Nakai safeguard D.D > 0 and the slope
+mu = -K.D / D.D are read off it, and so is every combination x D + y K:
+each curve has K.C = -1, so (x D + y K).C_i = x D.C_i - y, which is least
+at the least numerator when x > 0 and at the greatest when x < 0.  Margins
+are rebuilt as exact Fractions, so every verdict stays exact.  pairing()
+remains the reference form, used for D.D and K.D.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import functools
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
@@ -78,6 +82,8 @@ class PicardClass:
 
     surface: BlowupSurface
     coords: tuple[Fraction, ...]
+    # the class's CurveTable, filled by curve_table() on first use
+    _table: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         coords = tuple(Fraction(c) for c in self.coords)
@@ -178,11 +184,50 @@ def curve_matrix(r: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+@dataclass(frozen=True)
+class CurveTable:
+    """A class D against the exceptional curves, in integers.
+
+    D.C_i = nums[i] / den in table order, with den > 0 the lcm of the
+    coordinate denominators; low and high are the least and greatest
+    numerators, self_int = D.D and canonical = K.D."""
+
+    r: int
+    nums: tuple[int, ...]
+    den: int
+    low: int
+    high: int
+    self_int: Fraction
+    canonical: Fraction
+
+    def combo(self, x, y) -> tuple[Fraction, int, Fraction]:
+        """(min_i (x D + y K).C_i, the first i in table order attaining it,
+        (x D + y K)^2), using K.C_i = -1 for every curve and K.K = 9 - r."""
+        x, y = Fraction(x), Fraction(y)
+        ext = self.low if x > 0 else self.high if x < 0 else self.nums[0]
+        margin = x * Fraction(ext, self.den) - y
+        self_int = x * x * self.self_int + 2 * x * y * self.canonical + y * y * (9 - self.r)
+        return margin, self.nums.index(ext), self_int
+
+
+def curve_table(d: PicardClass) -> CurveTable:
+    """The class's CurveTable, computed once per class."""
+    if d._table is None:
+        den, cleared = clear_denominators(d.coords)
+        nums = tuple(sum(map(operator.mul, row, cleared)) for row in curve_matrix(d.surface.r))
+        table = CurveTable(
+            d.surface.r, nums, den, min(nums), max(nums),
+            pairing(d, d), pairing(d.surface.canonical(), d),
+        )
+        object.__setattr__(d, "_table", table)
+    return d._table
+
+
 def curve_pairings_cleared(d: PicardClass) -> tuple[list[int], int]:
     """(numerators, den): D.C_i = numerators[i] / den over the exceptional
     curves in table order, with den > 0 the lcm of the coordinate denominators."""
-    den, nums = clear_denominators(d.coords)
-    return [sum(map(operator.mul, row, nums)) for row in curve_matrix(d.surface.r)], den
+    table = curve_table(d)
+    return list(table.nums), table.den
 
 
 def curve_census(r: int) -> dict[int, int]:
@@ -194,37 +239,32 @@ def curve_census(r: int) -> dict[int, int]:
     return census
 
 
-def _positivity(d: PicardClass, strict: bool) -> bool:
-    low = min(curve_pairings_cleared(d)[0])
-    self_int = pairing(d, d)
-    if strict:
-        return self_int > 0 and low > 0
-    return self_int >= 0 and low >= 0
-
-
 def is_ample_picard(d: PicardClass) -> bool:
     """Kleiman positivity against all exceptional curves plus D.D > 0."""
-    return _positivity(d, strict=True)
+    table = curve_table(d)
+    return table.low > 0 and table.self_int > 0
 
 
 def is_nef_picard(d: PicardClass) -> bool:
-    return _positivity(d, strict=False)
+    table = curve_table(d)
+    return table.low >= 0 and table.self_int >= 0
 
 
 def nakai_binding(d: PicardClass) -> bool:
     """True when the D.D > 0 safeguard is the deciding constraint (all curve
     pairings positive but the self-intersection is not)."""
-    return min(curve_pairings_cleared(d)[0]) > 0 and pairing(d, d) <= 0
+    table = curve_table(d)
+    return table.low > 0 and table.self_int <= 0
 
 
 def slope_picard(d: PicardClass) -> Fraction:
     """mu = -K.D / D.D for an ample class on the blowup surface."""
     if not is_ample_picard(d):
         raise GeometryError("slope requires an ample class")
-    d_sq = pairing(d, d)
-    if d_sq == 0:
+    table = curve_table(d)
+    if table.self_int == 0:
         raise GeometryError("slope undefined: D.D = 0")
-    return pairing(d.surface.anticanonical(), d) / d_sq
+    return -table.canonical / table.self_int
 
 
 def dp1_surface() -> BlowupSurface:

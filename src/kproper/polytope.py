@@ -584,20 +584,29 @@ def fixed_subpolytope(p: Polytope, group) -> Polytope:
     the vertex set of p onto itself (the polytope must already be centered),
     otherwise this raises.
     """
+    group = tuple(tuple(tuple(row) for row in g) for g in group)
+    fixed = _fixed_space_equations(group, p.dim)
     cleared = cleared_vertices(p)
-    eqs = list(p.equalities)
-    eye = identity_matrix(p.dim)
+    for g in group:
+        if not preserves_vertices(g, cleared):
+            raise GeometryError("group does not preserve polytope")
+    return Polytope(p.dim, p.hrep, tuple(p.equalities) + fixed)
+
+
+@functools.lru_cache(maxsize=64)
+def _fixed_space_equations(group: tuple, dim: int) -> tuple[LinearEquation, ...]:
+    """The nonzero rows of g^T - I over the group, checked unimodular once
+    per group."""
+    eqs = []
+    eye = identity_matrix(dim)
     for g in group:
         if not is_unimodular(g):
             raise ValidationError("group elements must be unimodular integer matrices")
-        if not preserves_vertices(g, cleared):
-            raise GeometryError("group does not preserve polytope")
-        gt = transpose(g)
-        for row_g, row_i in zip(gt, eye):
+        for row_g, row_i in zip(transpose(g), eye):
             coeffs = tuple(int(a - b) for a, b in zip(row_g, row_i))
             if any(coeffs):
                 eqs.append(LinearEquation(coeffs, Fraction(0)))
-    return Polytope(p.dim, p.hrep, tuple(eqs))
+    return tuple(eqs)
 
 
 def cleared_vertices(p: Polytope) -> frozenset:
@@ -643,11 +652,6 @@ def lattice_points(p: Polytope, k: int = 1) -> tuple:
         if ok:
             points.append(tuple(Fraction(x, k) for x in z))
     return tuple(sorted(points))
-
-
-def integral_points(p: Polytope) -> tuple[tuple[int, ...], ...]:
-    """Integer lattice points of p (the k = 1 case, cast to int tuples)."""
-    return tuple(tuple(int(x) for x in pt) for pt in lattice_points(p, 1))
 
 
 def polygon_from_vertices(points) -> Polytope:

@@ -45,11 +45,10 @@ from .alpha import alpha_invariant, symmetry_context
 from .picard import (
     BlowupSurface,
     PicardClass,
-    curve_pairings_cleared,
+    curve_table,
     dp1_surface,
     exceptional_curves,
     is_ample_picard,
-    nakai_binding,
     pairing,
     slope_picard,
 )
@@ -76,6 +75,8 @@ from .toric import (
 
 SCOPE_ALL = "all potentials"
 SCOPE_G = "G-invariant potentials"
+
+SAFEGUARD = "self-intersection safeguard (D.D > 0)"
 
 VERDICT_PROPER = "proper"
 VERDICT_FAIL = "criterion not satisfied"
@@ -229,16 +230,11 @@ def _combo_positive(backend, x, y, strict: bool):
         holds = margin > 0 if strict else margin >= 0
         return holds, binding, margin
     if isinstance(backend, PicardClass):
-        combo = x * backend + y * backend.surface.canonical()
-        slacks, den = curve_pairings_cleared(combo)
-        low = min(slacks)
-        binding = _curve_labels(backend.surface.r)[slacks.index(low)]
-        margin = Fraction(low, den)
-        self_int = pairing(combo, combo)
+        margin, index, self_int = curve_table(backend).combo(x, y)
+        binding = _curve_labels(backend.surface.r)[index]
         holds = (margin > 0 and self_int > 0) if strict else (margin >= 0 and self_int >= 0)
         if margin > 0 and self_int <= 0:
-            binding = "self-intersection safeguard (D.D > 0)"
-            margin = self_int
+            binding, margin = SAFEGUARD, self_int
         return holds, binding, margin
     if isinstance(backend, AbstractSlice):
         slacks = [
@@ -250,13 +246,12 @@ def _combo_positive(backend, x, y, strict: bool):
     raise InputError(f"unknown backend {type(backend).__name__}")
 
 
-def _curve_label(c: PicardClass) -> str:
-    return "curve (" + ", ".join(format_rational(x) for x in c.coords) + ")"
-
-
 @functools.lru_cache(maxsize=None)
 def _curve_labels(r: int) -> tuple[str, ...]:
-    return tuple(_curve_label(c) for c in exceptional_curves(r))
+    return tuple(
+        "curve (" + ", ".join(format_rational(x) for x in c.coords) + ")"
+        for c in exceptional_curves(r)
+    )
 
 
 def backend_mu(backend) -> Fraction:
@@ -434,26 +429,17 @@ def check_properness(setup: KClassSetup) -> PropernessReport:
         alpha=alpha,
         alpha_provenance=label,
         mu=mu,
-        notes=_nakai_notes(backend, ((eps, 1), (factor, -(n - 1)))),
+        notes=tuple(
+            f"self-intersection safeguard is the deciding constraint for "
+            f"({format_rational(x)}) L + ({format_rational(Fraction(y))}) K"
+            for (x, y), binding in (((eps, 1), binding2), ((factor, -(n - 1)), binding3))
+            if binding == SAFEGUARD and isinstance(backend, PicardClass)
+        ),
     )
 
 
 def _margin_values(margin) -> dict:
     return {} if margin is None else {"margin": format_rational(margin)}
-
-
-def _nakai_notes(backend, combos) -> tuple[str, ...]:
-    if not isinstance(backend, PicardClass):
-        return ()
-    notes = []
-    for x, y in combos:
-        combo = Fraction(x) * backend + Fraction(y) * backend.surface.canonical()
-        if nakai_binding(combo):
-            notes.append(
-                f"self-intersection safeguard is the deciding constraint for "
-                f"({format_rational(Fraction(x))}) L + ({format_rational(Fraction(y))}) K"
-            )
-    return tuple(notes)
 
 
 def check_negative_c1(backend) -> PropernessReport:
@@ -551,8 +537,17 @@ def jflow_converges_surface(d, w) -> bool:
 # one-parameter families and feasibility in the scale
 
 
+class _FamilyData:
+    """Integer constraint data computed once per family object, so a probe
+    never rehashes the family's Fractions to find it."""
+
+    @functools.cached_property
+    def pairing_data(self):
+        return _family_pairing_data(self)
+
+
 @dataclass(frozen=True)
-class ToricFamily:
+class ToricFamily(_FamilyData):
     """lambda -> ToricDivisor(base + lambda * slope) with recomputed alpha."""
 
     name: str
@@ -566,6 +561,10 @@ class ToricFamily:
         return ToricDivisor(
             self.fan, tuple(b + lam * s for b, s in zip(self.base, self.slope))
         )
+
+    @property
+    def dim(self) -> int:
+        return self.fan.dim
 
     def is_ample_at(self, lam) -> bool:
         return is_ample(self.class_at(lam))
@@ -581,7 +580,7 @@ class ToricFamily:
 
 
 @dataclass(frozen=True)
-class PicardFamily:
+class PicardFamily(_FamilyData):
     """lambda -> PicardClass(base + lambda * slope) with a supplied alpha bound."""
 
     name: str
@@ -596,8 +595,20 @@ class PicardFamily:
             self.surface, tuple(b + lam * s for b, s in zip(self.base, self.slope))
         )
 
+    @property
+    def dim(self) -> int:
+        return 2
+
+    @functools.cached_property
+    def forms(self):
+        return _picard_family_forms(self)
+
     def is_ample_at(self, lam) -> bool:
-        return is_ample_picard(self.class_at(lam))
+        """Kleiman on the family's integer curve rows, plus L_lambda^2 > 0."""
+        lam = Fraction(lam)
+        p, q = lam.numerator, lam.denominator
+        _, rows = self.pairing_data
+        return min(b * q + s * p for b, s, _ in rows) > 0 and _picard_forms_at(self, lam)[0] > 0
 
     def alpha_unscaled(self, lam):
         return dervan_alpha_bound(lam), self.alpha_label, SCOPE_ALL
@@ -649,7 +660,6 @@ class OpenInterval:
         return OpenInterval(self.lo * t, self.hi * t)
 
 
-@functools.lru_cache(maxsize=None)
 def _family_pairing_data(family):
     """Constraint labels and integer rows (B, S, K), one per constraint.
 
@@ -667,19 +677,42 @@ def _family_pairing_data(family):
         labels = _curve_labels(surface.r)
         classes = (base_cls, PicardClass(surface, family.slope), surface.canonical())
         columns = [
-            [Fraction(x, den) for x in nums]
-            for nums, den in map(curve_pairings_cleared, classes)
+            [Fraction(x, t.den) for x in t.nums] for t in map(curve_table, classes)
         ]
     _, flat = clear_denominators([x for column in columns for x in column])
     m = len(labels)
     return labels, tuple(zip(flat[:m], flat[m : 2 * m], flat[2 * m :]))
 
 
+def _picard_family_forms(family):
+    """Integers (a0, a1, a2, k0, k1, kk) for a Picard family, times one
+    positive multiplier M: M L_lambda^2 = a0 + a1 lambda + a2 lambda^2,
+    M K.L_lambda = k0 + k1 lambda and M K^2 = kk."""
+    surface = family.surface
+    base, slope = PicardClass(surface, family.base), PicardClass(surface, family.slope)
+    k = surface.canonical()
+    _, forms = clear_denominators((
+        pairing(base, base), 2 * pairing(base, slope), pairing(slope, slope),
+        pairing(k, base), pairing(k, slope), pairing(k, k),
+    ))
+    return forms
+
+
+def _picard_forms_at(family, lam: Fraction) -> tuple[int, int, int]:
+    """(L_lambda^2, K.L_lambda, K^2) at lambda = p/q, all times M q^2."""
+    a0, a1, a2, k0, k1, kk = family.forms
+    p, q = lam.numerator, lam.denominator
+    return a0 * q * q + a1 * p * q + a2 * p * p, (k0 * q + k1 * p) * q, kk * q * q
+
+
 def _family_mu(family, lam) -> Fraction:
-    cls = family.class_at(lam)
-    if isinstance(cls, ToricDivisor):
-        return slope_quantities(cls).mu
-    return slope_picard(cls)
+    lam = Fraction(lam)
+    if isinstance(family, PicardFamily):
+        l_sq, lk, _ = _picard_forms_at(family, lam)
+        if l_sq <= 0:
+            raise GeometryError("slope requires an ample class")
+        return Fraction(-lk, l_sq)
+    return slope_quantities(family.class_at(lam)).mu
 
 
 def feasible_scale_interval(family, lam, epsilon=Fraction(1)) -> OpenInterval:
@@ -705,10 +738,10 @@ def _scale_interval_with_bindings(family, lam, epsilon):
         raise InputError("family feasibility needs epsilon > 0 (zero slack is the c1 < 0 mode)")
     if not family.is_ample_at(lam):
         raise GeometryError(f"lambda = {format_rational(lam)} is outside the ample range")
-    n = backend_dim(family.class_at(lam))
+    n = family.dim
     alpha1, alpha_label, alpha_scope = family.alpha_unscaled(lam)
     mu1 = _family_mu(family, lam)
-    labels, rows = _family_pairing_data(family)
+    labels, rows = family.pairing_data
     # Each constraint reads c0 + c1 * a > 0.  The alpha bound caps a from
     # above.  Every positivity constraint has c1 = epsilon * L.C > 0, since
     # the class is ample (Kleiman), so it bounds a from below by -c0 / c1.
@@ -738,11 +771,11 @@ def _scale_interval_with_bindings(family, lam, epsilon):
     )
     hi_label = "condition (1): alpha bound"
     if not interval.is_empty:
-        _verify_interval(family, lam, epsilon, interval, alpha1, alpha_label, alpha_scope)
+        _verify_interval(family, lam, epsilon, interval, mu1, alpha1, alpha_label, alpha_scope)
     return interval, lo_label, hi_label
 
 
-def _verify_interval(family, lam, epsilon, interval, alpha1, alpha_label, alpha_scope):
+def _verify_interval(family, lam, epsilon, interval, mu1, alpha1, alpha_label, alpha_scope):
     mid = interval.midpoint
     backend = family.class_at(lam) * mid
     setup = KClassSetup(
@@ -755,20 +788,14 @@ def _verify_interval(family, lam, epsilon, interval, alpha1, alpha_label, alpha_
         raise GeometryError(
             "internal inconsistency: checker rejects the feasible-interval midpoint"
         )
-    if isinstance(backend, PicardClass):
-        n = backend_dim(backend)
-        unscaled = family.class_at(lam)
-        k = unscaled.surface.canonical()
-        mu1 = slope_picard(unscaled)
-        l_sq = pairing(unscaled, unscaled)
-        lk = pairing(unscaled, k)
-        k_sq = pairing(k, k)
+    if isinstance(family, PicardFamily):
+        n = family.dim
+        # L^2, K.L and K^2 share one positive multiplier, which scales both
+        # quadratics without moving their signs
+        l_sq, lk, k_sq = _picard_forms_at(family, lam)
         # (K + eps a L)^2 and ((eps a - n mu1) L - (n-1) K)^2 as quadratics in a
-        quads = [
-            (epsilon**2 * l_sq, 2 * epsilon * lk, k_sq),
-            _compose_quadratic(l_sq, lk, k_sq, epsilon, -n * mu1, n - 1),
-        ]
-        for qa, qb, qc in quads:
+        for shift, kfac in ((0, -1), (-n * mu1, n - 1)):
+            qa, qb, qc = _compose_quadratic(l_sq, lk, k_sq, epsilon, shift, kfac)
             if not _quadratic_positive_on_open(qa, qb, qc, interval.lo, interval.hi):
                 raise GeometryError(
                     "self-intersection safeguard binds inside the affine-feasible "

@@ -325,6 +325,42 @@ def test_malformed_sweep_config_is_input_error(capsys, tmp_path, config, message
     assert err.startswith("error: ") and message in err
 
 
+SWEEP_KEYS = {"family": "dp1", "lambda_min": "0", "lambda_max": "4/3", "step": "1/10",
+              "refine_tol": "1/100"}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"lambda_min": None}, 'missing key "lambda_min"'),
+        ({"refine_tol": None}, 'missing key "refine_tol"'),
+        ({"family": None}, 'missing key "family"'),
+        ({"lambda_min": 0}, '"lambda_min" must be a string like "p/q", got a JSON number'),
+        ({"step": 0.1}, '"step" must be a string like "p/q", got a JSON number'),
+        ({"lambda_max": True}, '"lambda_max" must be a string like "p/q", got a JSON boolean'),
+        ({"epsilon": [1]}, '"epsilon" must be a string like "p/q", got a JSON array'),
+        ({"epsilon": "null"}, 'malformed rational "null" in epsilon'),
+        ({"conjectured_endpoints": [{}]},
+         '"conjectured_endpoints[0]" must be a string like "p/q", got a JSON object'),
+    ],
+)
+def test_sweep_config_names_missing_and_mistyped_keys(capsys, tmp_path, change, message):
+    config = {k: v for k, v in {**SWEEP_KEYS, **change}.items() if v is not None}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}")
+
+
+def test_sweep_config_null_value_is_named(capsys, tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({**SWEEP_KEYS, "lambda_min": None}))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err == 'error: "lambda_min" must be a string like "p/q", got a JSON null\n'
+
+
 def test_malformed_divisor_json_is_input_error(capsys, tmp_path):
     path = tmp_path / "divisor.json"
     path.write_text(json.dumps({"coeffs": 5}))

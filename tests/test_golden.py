@@ -37,6 +37,22 @@ SWEEPS = {
     },
 }
 
+# negative-c1 slice whose nef test fails on two curves with equal margin -1;
+# the binding is the smaller name, not the first curve in the file
+SLICES = {
+    "check_slice_tie": {
+        "n": 2,
+        "l_pow_n": "1",
+        "k_dot_l_nm1": "1",
+        "k_pow_n": "1",
+        "test_curves": [
+            {"name": "zeta curve", "L": "1", "K": "3"},
+            {"name": "beta curve", "L": "2", "K": "1"},
+            {"name": "alpha curve", "L": "1", "K": "3"},
+        ],
+    },
+}
+
 DP1_PROPER = "15/4,5/4,5/4,5/4,5/4,5/4,5/4,5/4,5/4"
 DP1_FAILING = "3,1,1,1,1,1,1,1,1/2"
 DP6_PROPER = "5/4,5/4,5/4,5/4,5/4,5/4"
@@ -57,6 +73,13 @@ CHECKS = {
                       "--alpha", "1/3"),
     "check_dp1_fano.json": ("check", "--builtin", "dp1", "--coeffs", "3,1,1,1,1,1,1,1,1",
                             "--mode", "fano", "--alpha", "3/4"),
+    # on the blowup at one point, K + (3/2) L has every curve pairing
+    # positive but self-intersection -1/4: the safeguard binds condition (2)
+    # and the Nakai note is emitted
+    "check_r1_safeguard.json": ("check", "--builtin", "dp1", "--coeffs", "2,1",
+                                "--alpha", "1", "--epsilon", "3/2"),
+    "check_r1_safeguard.txt": ("--format", "text", "check", "--builtin", "dp1",
+                               "--coeffs", "2,1", "--alpha", "1", "--epsilon", "3/2"),
     "check_dp6_proper.json": ("check", "--builtin", "dp6", "--coeffs", DP6_PROPER,
                               "--epsilon", "1"),
     "check_dp6_failing.json": ("check", "--builtin", "dp6", "--coeffs", DP6_FAILING,
@@ -86,6 +109,10 @@ def _cases(config_dir: Path):
         path = config_dir / f"{name}.config.json"
         path.write_text(json.dumps(config))
         cases[f"{name}.json"] = ("sweep", "--config", str(path))
+    for name, data in SLICES.items():
+        path = config_dir / f"{name}.slice.json"
+        path.write_text(json.dumps(data))
+        cases[f"{name}.json"] = ("check", "--mode", "negative-c1", "--slice", str(path))
     return cases
 
 
