@@ -225,7 +225,10 @@ def curve_table(d: PicardClass) -> CurveTable:
 
 def curve_pairings_cleared(d: PicardClass) -> tuple[list[int], int]:
     """(numerators, den): D.C_i = numerators[i] / den over the exceptional
-    curves in table order, with den > 0 the lcm of the coordinate denominators."""
+    curves in table order, with den > 0 the lcm of the coordinate denominators.
+
+    Public API: a fresh list of curve_table(d).nums with curve_table(d).den,
+    for callers that want the cleared pairings without the table type."""
     table = curve_table(d)
     return list(table.nums), table.den
 

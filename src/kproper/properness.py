@@ -431,8 +431,9 @@ def check_properness(setup: KClassSetup) -> PropernessReport:
         mu=mu,
         notes=tuple(
             f"self-intersection safeguard is the deciding constraint for "
-            f"({format_rational(x)}) L + ({format_rational(Fraction(y))}) K"
+            f"({format_rational(x)}) L + ({format_rational(y)}) K"
             for (x, y), binding in (((eps, 1), binding2), ((factor, -(n - 1)), binding3))
+            # a slice's test curve may carry any name, the safeguard's included
             if binding == SAFEGUARD and isinstance(backend, PicardClass)
         ),
     )
@@ -537,17 +538,31 @@ def jflow_converges_surface(d, w) -> bool:
 # one-parameter families and feasibility in the scale
 
 
-class _FamilyData:
-    """Integer constraint data computed once per family object, so a probe
-    never rehashes the family's Fractions to find it."""
+def _family_pairing_data(family):
+    """Constraint labels and integer rows (B, S, K), one per constraint.
 
-    @functools.cached_property
-    def pairing_data(self):
-        return _family_pairing_data(self)
+    A row is (base.C, slope.C, K.C) times one positive common multiplier, so
+    L_lambda.C is proportional to B + lambda S and each probe of the sweep is
+    a handful of integer multiply-adds per constraint."""
+    base_cls = family.class_at(0)
+    if isinstance(base_cls, ToricDivisor):
+        fan = base_cls.fan
+        labels = tuple(f"wall at ray {i}" for i in range(fan.n_rays))
+        classes = (base_cls, ToricDivisor(fan, family.slope), canonical_divisor(fan))
+        _, flat = clear_denominators([x for c in classes for x in wall_pairings(c)])
+        columns = [flat[i * fan.n_rays : (i + 1) * fan.n_rays] for i in range(3)]
+    else:
+        surface = base_cls.surface
+        labels = _curve_labels(surface.r)
+        classes = (base_cls, PicardClass(surface, family.slope), surface.canonical())
+        tables = [curve_table(c) for c in classes]
+        den = math.lcm(*(t.den for t in tables))
+        columns = [[x * (den // t.den) for x in t.nums] for t in tables]
+    return labels, tuple(zip(*columns))
 
 
 @dataclass(frozen=True)
-class ToricFamily(_FamilyData):
+class ToricFamily:
     """lambda -> ToricDivisor(base + lambda * slope) with recomputed alpha."""
 
     name: str
@@ -555,6 +570,8 @@ class ToricFamily(_FamilyData):
     base: tuple[Fraction, ...]
     slope: tuple[Fraction, ...]
     group_mode: str = "full"
+
+    pairing_data = functools.cached_property(_family_pairing_data)
 
     def class_at(self, lam) -> ToricDivisor:
         lam = Fraction(lam)
@@ -580,7 +597,7 @@ class ToricFamily(_FamilyData):
 
 
 @dataclass(frozen=True)
-class PicardFamily(_FamilyData):
+class PicardFamily:
     """lambda -> PicardClass(base + lambda * slope) with a supplied alpha bound."""
 
     name: str
@@ -588,6 +605,8 @@ class PicardFamily(_FamilyData):
     base: tuple[Fraction, ...]
     slope: tuple[Fraction, ...]
     alpha_label: str = "supplied bound (Dervan)"
+
+    pairing_data = functools.cached_property(_family_pairing_data)
 
     def class_at(self, lam) -> PicardClass:
         lam = Fraction(lam)
@@ -658,30 +677,6 @@ class OpenInterval:
     def scaled(self, t) -> "OpenInterval":
         t = Fraction(t)
         return OpenInterval(self.lo * t, self.hi * t)
-
-
-def _family_pairing_data(family):
-    """Constraint labels and integer rows (B, S, K), one per constraint.
-
-    A row is (base.C, slope.C, K.C) times one positive common multiplier, so
-    L_lambda.C is proportional to B + lambda S and each probe of the sweep is
-    a handful of integer multiply-adds per constraint."""
-    base_cls = family.class_at(0)
-    if isinstance(base_cls, ToricDivisor):
-        fan = base_cls.fan
-        labels = tuple(f"wall at ray {i}" for i in range(fan.n_rays))
-        classes = (base_cls, ToricDivisor(fan, family.slope), canonical_divisor(fan))
-        columns = [wall_pairings(c) for c in classes]
-    else:
-        surface = base_cls.surface
-        labels = _curve_labels(surface.r)
-        classes = (base_cls, PicardClass(surface, family.slope), surface.canonical())
-        columns = [
-            [Fraction(x, t.den) for x in t.nums] for t in map(curve_table, classes)
-        ]
-    _, flat = clear_denominators([x for column in columns for x in column])
-    m = len(labels)
-    return labels, tuple(zip(flat[:m], flat[m : 2 * m], flat[2 * m :]))
 
 
 def _picard_family_forms(family):

@@ -166,6 +166,22 @@ def test_negative_c1_failing_slice():
     assert report.conditions[0].values["margin"] == "-1/5"
 
 
+def test_slice_curve_named_like_the_safeguard_adds_no_note():
+    # slice test curves carry free names; the safeguard note is for Picard classes
+    safeguard = properness.SAFEGUARD
+    backend = AbstractSlice(
+        n=2,
+        l_pow_n=F(5),
+        k_dot_l_nm1=F(-3),
+        k_pow_n=F(1),
+        test_curves=(SliceCurve(safeguard, F(1), F(-1)),),
+    )
+    setup = KClassSetup(backend=backend, epsilon=F(1), alpha_source=SuppliedAlpha(F(1), "bound"))
+    report = check_properness(setup)
+    assert [c.binding for c in report.conditions[1:]] == [safeguard, safeguard]
+    assert report.notes == ()
+
+
 def test_negative_c1_rejects_rational_surfaces():
     with pytest.raises(GeometryError, match="c1 < 0"):
         check_negative_c1(anticanonical_divisor(dp6_fan()))
