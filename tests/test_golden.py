@@ -53,6 +53,21 @@ SLICES = {
     },
 }
 
+# the dp6 fan blown up at five more cones; its 11 rays make label order
+# differ from ray order, and condition (2) has margin 0 on exactly the walls
+# at rays 3 and 10: ties go to the smaller label string, "wall at ray 10"
+FANS = {
+    "check_11ray_tie": (
+        {
+            "dim": 2,
+            "rays": [[1, 0], [2, 1], [1, 1], [1, 2], [0, 1], [-1, 1], [-1, 0], [-2, -1],
+                     [-1, -1], [0, -1], [1, -1]],
+            "max_cones": [[i, (i + 1) % 11] for i in range(11)],
+        },
+        "1,4,7,18,12,19,10,12,4,0,0",
+    ),
+}
+
 DP1_PROPER = "15/4,5/4,5/4,5/4,5/4,5/4,5/4,5/4,5/4"
 DP1_FAILING = "3,1,1,1,1,1,1,1,1/2"
 DP6_PROPER = "5/4,5/4,5/4,5/4,5/4,5/4"
@@ -113,6 +128,10 @@ def _cases(config_dir: Path):
         path = config_dir / f"{name}.slice.json"
         path.write_text(json.dumps(data))
         cases[f"{name}.json"] = ("check", "--mode", "negative-c1", "--slice", str(path))
+    for name, (fan, coeffs) in FANS.items():
+        path = config_dir / f"{name}.fan.json"
+        path.write_text(json.dumps(fan))
+        cases[f"{name}.json"] = ("check", "--fan", str(path), "--coeffs", coeffs, "--epsilon", "1")
     return cases
 
 
