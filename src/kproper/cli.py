@@ -428,8 +428,16 @@ def _cmd_picard_curves(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end like every other input error: one line, exit 1.
+    Subcommand parsers are built from the same class."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kproper",
         description="Exact properness checks for the K-energy on toric surfaces "
         "and blowups of the projective plane.",
@@ -495,8 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="certified lambda sweep from a JSON config")
     sw.add_argument("--config", required=True)
-    # kept so existing scripts still parse; probes always run in order
-    sw.add_argument("--parallel", action="store_true", help="no effect")
     sw.set_defaults(handler=_cmd_sweep)
 
     pc = sub.add_parser("picard", help="Picard lattice data")
@@ -509,9 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except KProperError as exc:
         sys.stderr.write(f"error: {exc}\n")

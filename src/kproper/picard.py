@@ -11,17 +11,17 @@ degree d = C.H through 3d - 1 = sum m_i, and C.C = -1 gives
 sum m_i^2 = d^2 + 1, which by Cauchy-Schwarz forces d <= 6 for r <= 8.
 The enumeration also probes d = 7 and raises if anything is found there.
 
-Every positivity question reads one integer curve table per class
-(curve_table, built at most once and kept on the class): the pairings
-D.C_i as integer numerators over curve_matrix(r), which holds one row
-(d, -m_1, ..., -m_r) per exceptional curve, their common denominator (the
-lcm of the coordinate denominators), their least and greatest numerators,
-D.D and K.D.  Ampleness, nefness, the Nakai safeguard D.D > 0 and the slope
-mu = -K.D / D.D are read off it, and so is every combination x D + y K:
-each curve has K.C = -1, so (x D + y K).C_i = x D.C_i - y, which is least
-at the least numerator when x > 0 and at the greatest when x < 0.  Margins
-are rebuilt as exact Fractions, so every verdict stays exact.  pairing()
-remains the reference form, used for D.D and K.D.
+Every positivity question reads one ConstraintTable per class
+(curve_table, built at most once and kept on the class), the same table
+type that holds the walls of a toric surface and the test curves of a
+slice: the pairings D.C_i as integer numerators over curve_matrix(r), which
+holds one row (d, -m_1, ..., -m_r) per exceptional curve, over the lcm of
+the coordinate denominators; K.C_i = -1 on the same denominator; D.D, K.D
+and K.K = 9 - r; and the safeguard flag, which only this table sets.
+Ampleness, nefness, the Nakai safeguard D.D > 0 and the slope
+mu = -K.D / D.D are read off it here, and the checker reads every
+combination x D + y K off its rows.  pairing() remains the reference form,
+used for D.D and K.D.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .rationals import (
+    ConstraintTable,
     GeometryError,
     InputError,
     ValidationError,
@@ -82,7 +83,7 @@ class PicardClass:
 
     surface: BlowupSurface
     coords: tuple[Fraction, ...]
-    # the class's CurveTable, filled by curve_table() on first use
+    # the class's ConstraintTable, filled by curve_table() on first use
     _table: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -184,53 +185,30 @@ def curve_matrix(r: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@dataclass(frozen=True)
-class CurveTable:
-    """A class D against the exceptional curves, in integers.
-
-    D.C_i = nums[i] / den in table order, with den > 0 the lcm of the
-    coordinate denominators; low and high are the least and greatest
-    numerators, self_int = D.D and canonical = K.D."""
-
-    r: int
-    nums: tuple[int, ...]
-    den: int
-    low: int
-    high: int
-    self_int: Fraction
-    canonical: Fraction
-
-    def combo(self, x, y) -> tuple[Fraction, int, Fraction]:
-        """(min_i (x D + y K).C_i, the first i in table order attaining it,
-        (x D + y K)^2), using K.C_i = -1 for every curve and K.K = 9 - r."""
-        x, y = Fraction(x), Fraction(y)
-        ext = self.low if x > 0 else self.high if x < 0 else self.nums[0]
-        margin = x * Fraction(ext, self.den) - y
-        self_int = x * x * self.self_int + 2 * x * y * self.canonical + y * y * (9 - self.r)
-        return margin, self.nums.index(ext), self_int
+@functools.lru_cache(maxsize=None)
+def curve_labels(r: int) -> tuple[str, ...]:
+    """The report label of each exceptional curve, in table order."""
+    return tuple(
+        "curve (" + ", ".join(format_rational(x) for x in c.coords) + ")"
+        for c in exceptional_curves(r)
+    )
 
 
-def curve_table(d: PicardClass) -> CurveTable:
-    """The class's CurveTable, computed once per class."""
+def curve_table(d: PicardClass) -> ConstraintTable:
+    """The class against the exceptional curves, computed once per class.
+
+    Rows stay in table order, which is the tie order.  Every exceptional
+    curve has K.C = -1 and K.K = 9 - r, and the table sets the safeguard."""
     if d._table is None:
         den, cleared = clear_denominators(d.coords)
         nums = tuple(sum(map(operator.mul, row, cleared)) for row in curve_matrix(d.surface.r))
-        table = CurveTable(
-            d.surface.r, nums, den, min(nums), max(nums),
-            pairing(d, d), pairing(d.surface.canonical(), d),
+        table = ConstraintTable(
+            curve_labels(d.surface.r), nums, (-den,) * len(nums), den,
+            pairing(d, d), pairing(d.surface.canonical(), d), Fraction(9 - d.surface.r),
+            safeguard=True,
         )
         object.__setattr__(d, "_table", table)
     return d._table
-
-
-def curve_pairings_cleared(d: PicardClass) -> tuple[list[int], int]:
-    """(numerators, den): D.C_i = numerators[i] / den over the exceptional
-    curves in table order, with den > 0 the lcm of the coordinate denominators.
-
-    Public API: a fresh list of curve_table(d).nums with curve_table(d).den,
-    for callers that want the cleared pairings without the table type."""
-    table = curve_table(d)
-    return list(table.nums), table.den
 
 
 def curve_census(r: int) -> dict[int, int]:
@@ -245,19 +223,19 @@ def curve_census(r: int) -> dict[int, int]:
 def is_ample_picard(d: PicardClass) -> bool:
     """Kleiman positivity against all exceptional curves plus D.D > 0."""
     table = curve_table(d)
-    return table.low > 0 and table.self_int > 0
+    return min(table.nums) > 0 and table.l_sq > 0
 
 
 def is_nef_picard(d: PicardClass) -> bool:
     table = curve_table(d)
-    return table.low >= 0 and table.self_int >= 0
+    return min(table.nums) >= 0 and table.l_sq >= 0
 
 
 def nakai_binding(d: PicardClass) -> bool:
     """True when the D.D > 0 safeguard is the deciding constraint (all curve
     pairings positive but the self-intersection is not)."""
     table = curve_table(d)
-    return table.low > 0 and table.self_int <= 0
+    return min(table.nums) > 0 and table.l_sq <= 0
 
 
 def slope_picard(d: PicardClass) -> Fraction:
@@ -265,9 +243,7 @@ def slope_picard(d: PicardClass) -> Fraction:
     if not is_ample_picard(d):
         raise GeometryError("slope requires an ample class")
     table = curve_table(d)
-    if table.self_int == 0:
-        raise GeometryError("slope undefined: D.D = 0")
-    return -table.canonical / table.self_int
+    return -table.k_dot_l / table.l_sq
 
 
 def dp1_surface() -> BlowupSurface:

@@ -21,17 +21,26 @@ affine in the scale a, so the feasible set of scales at fixed lambda is an
 exact open interval.  Sweeps refine the feasible lambda-window endpoints by
 bisection with exact feasibility probes.
 
+All three curve lists are one ConstraintTable per class (rationals.py),
+built by wall_table, curve_table or the slice, and _backend is the one
+dispatch on the backend type.  The checker decides x L + y K by one integer
+pass over the table's rows, where the first row at the minimum binds, plus
+the D.D safeguard where the table sets it; toric threefolds keep the
+cone-functional test.  Both family types share one body for their rows,
+their forms L_lambda^2 and K.L_lambda and their ampleness test, read off the
+tables of L_0, L_1 and L_1 - L_0.
+
 A failing criterion is reported as "criterion not satisfied", never as a
 properness disproof; the conditions are sufficient, not sharp.  A weaker
 historical variant of condition (3) (Song-Weinkove's inequality, tested
 against a wedge with the reference metric) is intentionally not implemented;
 only the stronger class form above is decided.
 
-Comparison-only constants from the literature, recorded for documentation
-tables and never used in computation: Zhou-Zhu prove properness of the same
-hexagonal family for 1/(1 + sqrt(10)/5) < lambda < 1 + sqrt(10)/5 (approx
-0.61..1.63), and Dervan proves K-stability of the degree-1 family for
-(10 - sqrt(10))/9 < lambda < sqrt(10) - 2 (approx 0.76..1.16).
+Comparison-only constants from the literature, never used in computation:
+Zhou-Zhu prove properness of the same hexagonal family for
+1/(1 + sqrt(10)/5) < lambda < 1 + sqrt(10)/5 (approx 0.61..1.63), and Dervan
+proves K-stability of the degree-1 family for (10 - sqrt(10))/9 < lambda <
+sqrt(10) - 2 (approx 0.76..1.16).
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .alpha import alpha_invariant, symmetry_context
 from .picard import (
@@ -47,16 +57,15 @@ from .picard import (
     PicardClass,
     curve_table,
     dp1_surface,
-    exceptional_curves,
-    is_ample_picard,
-    pairing,
     slope_picard,
 )
 from .rationals import (
+    ConstraintTable,
     GeometryError,
     InputError,
     ValidationError,
     clear_denominators,
+    constraint_table,
     format_rational,
     parse_rational,
 )
@@ -66,11 +75,10 @@ from .toric import (
     anticanonical_divisor,
     canonical_divisor,
     dp6_fan,
-    intersection_number,
     is_ample,
     is_nef,
     slope_quantities,
-    wall_pairings,
+    wall_table,
 )
 
 SCOPE_ALL = "all potentials"
@@ -80,11 +88,6 @@ SAFEGUARD = "self-intersection safeguard (D.D > 0)"
 
 VERDICT_PROPER = "proper"
 VERDICT_FAIL = "criterion not satisfied"
-
-DOCUMENTED_COMPARISON_INTERVALS = {
-    "zhou-zhu (dp6 family, G-invariant properness)": "1/(1+sqrt(10)/5) < lambda < 1+sqrt(10)/5",
-    "dervan (dp1 family, K-stability)": "(10-sqrt(10))/9 < lambda < sqrt(10)-2",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +183,19 @@ class AbstractSlice:
             raise ValidationError("slice needs at least one test curve")
         object.__setattr__(self, "test_curves", curves)
 
+    @functools.cached_property
+    def table(self) -> ConstraintTable:
+        """The test curves sorted by name, so ties go to the smaller name."""
+        curves = sorted(self.test_curves, key=lambda c: c.name)
+        return constraint_table(
+            [c.name for c in curves],
+            [c.l_pairing for c in curves],
+            [c.k_pairing for c in curves],
+            self.l_pow_n,
+            self.k_dot_l_nm1,
+            self.k_pow_n,
+        )
+
 
 def canonical_polarization_slice(n: int, volume=1) -> AbstractSlice:
     """The slice of (X, K) with K ample: L = K, so all pairings coincide."""
@@ -193,76 +209,84 @@ def canonical_polarization_slice(n: int, volume=1) -> AbstractSlice:
     )
 
 
-def backend_dim(backend) -> int:
+class _Backend(NamedTuple):
+    dim: int
+    # None on a toric threefold, which keeps the cone-functional test
+    table: ConstraintTable | None
+    describe: Callable[[], str]
+    # the slope mu = -K.L^{n-1} / L^n
+    mu: Callable[[], Fraction]
+
+
+def _backend(backend) -> _Backend:
+    """The one dispatch on the backend type."""
     if isinstance(backend, ToricDivisor):
-        return backend.fan.dim
+        fan = backend.fan
+        return _Backend(
+            fan.dim,
+            wall_table(backend) if fan.dim == 2 else None,
+            lambda: f"toric divisor ({_join(backend.coeffs)}) on a {fan.n_rays}-ray fan",
+            lambda: slope_quantities(backend).mu,
+        )
     if isinstance(backend, PicardClass):
-        return 2
+        return _Backend(
+            2,
+            curve_table(backend),
+            lambda: f"Picard class ({_join(backend.coords)}) on the blowup of P^2 at "
+            f"{backend.surface.r} points",
+            lambda: slope_picard(backend),
+        )
     if isinstance(backend, AbstractSlice):
-        return backend.n
+        return _Backend(
+            backend.n,
+            backend.table,
+            lambda: f"abstract intersection slice (n={backend.n})",
+            lambda: -backend.k_dot_l_nm1 / backend.l_pow_n,
+        )
     raise InputError(f"unknown backend {type(backend).__name__}")
+
+
+def _join(values) -> str:
+    return ", ".join(format_rational(c) for c in values)
+
+
+def backend_dim(backend) -> int:
+    return _backend(backend).dim
 
 
 def backend_describe(backend) -> str:
-    if isinstance(backend, ToricDivisor):
-        coeffs = ", ".join(format_rational(c) for c in backend.coeffs)
-        return f"toric divisor ({coeffs}) on a {backend.fan.n_rays}-ray fan"
-    if isinstance(backend, PicardClass):
-        coords = ", ".join(format_rational(c) for c in backend.coords)
-        return f"Picard class ({coords}) on the blowup of P^2 at {backend.surface.r} points"
-    if isinstance(backend, AbstractSlice):
-        return f"abstract intersection slice (n={backend.n})"
-    raise InputError(f"unknown backend {type(backend).__name__}")
-
-
-def _combo_positive(backend, x, y, strict: bool):
-    """Decide positivity of x L + y K; return (holds, binding label, margin)."""
-    x, y = Fraction(x), Fraction(y)
-    if isinstance(backend, ToricDivisor):
-        combo = x * backend + y * canonical_divisor(backend.fan)
-        if backend.fan.dim != 2:
-            return (is_ample(combo) if strict else is_nef(combo)), None, None
-        # toric Kleiman: one pass over the wall pairings decides positivity
-        # and names the binding wall (ties go to the smaller label string)
-        margin, binding = min(
-            (value, f"wall at ray {i}") for i, value in enumerate(wall_pairings(combo))
-        )
-        holds = margin > 0 if strict else margin >= 0
-        return holds, binding, margin
-    if isinstance(backend, PicardClass):
-        margin, index, self_int = curve_table(backend).combo(x, y)
-        binding = _curve_labels(backend.surface.r)[index]
-        holds = (margin > 0 and self_int > 0) if strict else (margin >= 0 and self_int >= 0)
-        if margin > 0 and self_int <= 0:
-            binding, margin = SAFEGUARD, self_int
-        return holds, binding, margin
-    if isinstance(backend, AbstractSlice):
-        slacks = [
-            (x * c.l_pairing + y * c.k_pairing, c.name) for c in backend.test_curves
-        ]
-        margin, binding = min(slacks)
-        holds = margin > 0 if strict else margin >= 0
-        return holds, binding, margin
-    raise InputError(f"unknown backend {type(backend).__name__}")
-
-
-@functools.lru_cache(maxsize=None)
-def _curve_labels(r: int) -> tuple[str, ...]:
-    return tuple(
-        "curve (" + ", ".join(format_rational(x) for x in c.coords) + ")"
-        for c in exceptional_curves(r)
-    )
+    return _backend(backend).describe()
 
 
 def backend_mu(backend) -> Fraction:
     """The slope mu = -K.L^{n-1} / L^n of the backend class."""
-    if isinstance(backend, ToricDivisor):
-        return slope_quantities(backend).mu
-    if isinstance(backend, PicardClass):
-        return slope_picard(backend)
-    if isinstance(backend, AbstractSlice):
-        return -backend.k_dot_l_nm1 / backend.l_pow_n
-    raise InputError(f"unknown backend {type(backend).__name__}")
+    return _backend(backend).mu()
+
+
+def _combo_positive(backend, x, y, strict: bool):
+    """Decide positivity of x L + y K; return (holds, binding label, margin).
+
+    One integer pass over the constraint table, where the first row at the
+    least pairing binds, plus (x L + y K)^2 > 0 where the table sets the
+    safeguard."""
+    x, y = Fraction(x), Fraction(y)
+    table = _backend(backend).table
+    if table is None:
+        combo = x * backend + y * canonical_divisor(backend.fan)
+        return (is_ample(combo) if strict else is_nef(combo)), None, None
+    # (x L + y K).C_i = (xl nums[i] + yk k_nums[i]) / (x.den y.den den)
+    xl, yk = x.numerator * y.denominator, y.numerator * x.denominator
+    values = [xl * a + yk * b for a, b in zip(table.nums, table.k_nums)]
+    low = min(values)
+    margin = Fraction(low, x.denominator * y.denominator * table.den)
+    binding = table.labels[values.index(low)]
+    holds = margin > 0 if strict else margin >= 0
+    if table.safeguard:
+        self_int = x * x * table.l_sq + 2 * x * y * table.k_dot_l + y * y * table.k_sq
+        holds = holds and (self_int > 0 if strict else self_int >= 0)
+        if margin > 0 and self_int <= 0:
+            binding, margin = SAFEGUARD, self_int
+    return holds, binding, margin
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +403,8 @@ def check_properness(setup: KClassSetup) -> PropernessReport:
     such requests are routed to check_negative_c1 on the same backend.
     """
     backend = setup.backend
-    n = backend_dim(backend)
+    view = _backend(backend)
+    n = view.dim
     eps = setup.epsilon
     if eps == 0:
         return check_negative_c1(backend)
@@ -407,7 +432,7 @@ def check_properness(setup: KClassSetup) -> PropernessReport:
         values=_margin_values(margin2),
         binding=binding2,
     )
-    mu = backend_mu(backend)
+    mu = view.mu()
     factor = eps - n * mu
     holds3, binding3, margin3 = _combo_positive(backend, factor, -(n - 1), strict=True)
     cond3 = ConditionCheck(
@@ -422,7 +447,7 @@ def check_properness(setup: KClassSetup) -> PropernessReport:
     verdict = VERDICT_PROPER if all(c.holds for c in conditions) else VERDICT_FAIL
     return PropernessReport(
         mode="epsilon-criterion",
-        backend=backend_describe(backend),
+        backend=view.describe(),
         verdict=verdict,
         scope=scope,
         conditions=conditions,
@@ -434,7 +459,7 @@ def check_properness(setup: KClassSetup) -> PropernessReport:
             f"({format_rational(x)}) L + ({format_rational(y)}) K"
             for (x, y), binding in (((eps, 1), binding2), ((factor, -(n - 1)), binding3))
             # a slice's test curve may carry any name, the safeguard's included
-            if binding == SAFEGUARD and isinstance(backend, PicardClass)
+            if binding == SAFEGUARD and view.table.safeguard
         ),
     )
 
@@ -477,11 +502,9 @@ def check_fano(backend, alpha_source) -> PropernessReport:
     antik_ample, _, _ = _combo_positive(backend, 0, -1, strict=True)
     if not antik_ample:
         raise GeometryError("Fano criterion requires an ample anticanonical class")
-    if isinstance(backend, ToricDivisor):
-        anticanonical = anticanonical_divisor(backend.fan)
-        alpha, label, scope = resolve_alpha(anticanonical, alpha_source)
-    else:
-        alpha, label, scope = resolve_alpha(backend, alpha_source)
+    # on a toric backend the stabilizer formula evaluates alpha on -K itself
+    target = anticanonical_divisor(backend.fan) if isinstance(backend, ToricDivisor) else backend
+    alpha, label, scope = resolve_alpha(target, alpha_source)
     threshold = Fraction(n, n + 1)
     cond = ConditionCheck(
         name="condition (1)",
@@ -509,56 +532,73 @@ def jflow_converges_surface(d, w) -> bool:
     smoothly iff 2c D - W is ample.  Both classes must be ample classes of
     the same surface backend.
     """
-    if isinstance(d, ToricDivisor) and isinstance(w, ToricDivisor):
-        if d.fan != w.fan:
-            raise ValidationError("classes live on different fans")
-        if d.fan.dim != 2:
-            raise GeometryError("the J-flow class condition is a surface statement")
-        if not (is_ample(d) and is_ample(w)):
-            raise GeometryError("both classes must be ample")
-        d_sq = intersection_number(d, d)
-        if d_sq <= 0:
-            raise GeometryError("D^2 must be positive")
-        c = intersection_number(w, d) / d_sq
-        return is_ample(2 * c * d - w)
-    if isinstance(d, PicardClass) and isinstance(w, PicardClass):
-        if d.surface != w.surface:
-            raise ValidationError("classes live on different surfaces")
-        if not (is_ample_picard(d) and is_ample_picard(w)):
-            raise GeometryError("both classes must be ample")
-        d_sq = pairing(d, d)
-        if d_sq <= 0:
-            raise GeometryError("D^2 must be positive")
-        c = pairing(w, d) / d_sq
-        return is_ample_picard(2 * c * d - w)
-    raise InputError("J-flow condition needs two toric divisors or two Picard classes")
+    if type(d) is not type(w) or not isinstance(d, (ToricDivisor, PicardClass)):
+        raise InputError("J-flow condition needs two toric divisors or two Picard classes")
+    # raises for classes on different fans or surfaces
+    total = d + w
+    if backend_dim(d) != 2:
+        raise GeometryError("the J-flow class condition is a surface statement")
+    if not (_combo_positive(d, 1, 0, True)[0] and _combo_positive(w, 1, 0, True)[0]):
+        raise GeometryError("both classes must be ample")
+    d_sq, w_sq, total_sq = (_backend(cls).table.l_sq for cls in (d, w, total))
+    c = (total_sq - d_sq - w_sq) / (2 * d_sq)
+    return _combo_positive(2 * c * d - w, 1, 0, True)[0]
 
 
 # ---------------------------------------------------------------------------
 # one-parameter families and feasibility in the scale
 
 
+def _family_tables(family):
+    """The constraint tables of L_0, L_1 and the slope class L_1 - L_0;
+    their rows and forms are cached on the family."""
+    l0, l1 = family.class_at(0), family.class_at(1)
+    tables = tuple(_backend(c).table for c in (l0, l1, l1 - l0))
+    if None in tables:
+        raise GeometryError("family feasibility is decided on surfaces only")
+    return tables
+
+
 def _family_pairing_data(family):
-    """Constraint labels and integer rows (B, S, K), one per constraint.
+    """Constraint labels and integer rows (B, S, K), one per distinct row.
 
     A row is (base.C, slope.C, K.C) times one positive common multiplier, so
     L_lambda.C is proportional to B + lambda S and each probe of the sweep is
-    a handful of integer multiply-adds per constraint."""
-    base_cls = family.class_at(0)
-    if isinstance(base_cls, ToricDivisor):
-        fan = base_cls.fan
-        labels = tuple(f"wall at ray {i}" for i in range(fan.n_rays))
-        classes = (base_cls, ToricDivisor(fan, family.slope), canonical_divisor(fan))
-        _, flat = clear_denominators([x for c in classes for x in wall_pairings(c)])
-        columns = [flat[i * fan.n_rays : (i + 1) * fan.n_rays] for i in range(3)]
-    else:
-        surface = base_cls.surface
-        labels = _curve_labels(surface.r)
-        classes = (base_cls, PicardClass(surface, family.slope), surface.canonical())
-        tables = [curve_table(c) for c in classes]
-        den = math.lcm(*(t.den for t in tables))
-        columns = [[x * (den // t.den) for x in t.nums] for t in tables]
-    return labels, tuple(zip(*columns))
+    a handful of integer multiply-adds per row.  Rows come in the tables'
+    tie order, and equal rows keep the first label: they give equal cuts,
+    and the cut loop keeps the first row on ties."""
+    base, _, slope = _family_tables(family)
+    den = math.lcm(base.den, slope.den)
+    columns = [
+        [x * (den // t.den) for x in nums]
+        for t, nums in ((base, base.nums), (slope, slope.nums), (base, base.k_nums))
+    ]
+    first = {}
+    for label, row in zip(base.labels, zip(*columns)):
+        first.setdefault(row, label)
+    return tuple(first.values()), tuple(first)
+
+
+def _family_forms(family):
+    """Integers (a0, a1, a2, k0, k1, kk) with, for one positive multiplier
+    M, M L_lambda^2 = a0 + a1 lambda + a2 lambda^2, M K.L_lambda = k0 + k1
+    lambda and M K^2 = kk.  On a toric surface the tables read them off the
+    walls: L^2 = sum a_i (L.D_i) and K.L = -sum L.D_i."""
+    base, top, slope = _family_tables(family)
+    _, forms = clear_denominators((
+        base.l_sq, top.l_sq - base.l_sq - slope.l_sq, slope.l_sq,
+        base.k_dot_l, slope.k_dot_l, base.k_sq,
+    ))
+    return forms
+
+
+def _family_is_ample_at(family, lam) -> bool:
+    """Kleiman on the family's integer rows, plus the safeguard
+    L_lambda^2 > 0 (which every toric class with positive walls passes)."""
+    lam = Fraction(lam)
+    p, q = lam.numerator, lam.denominator
+    _, rows = family.pairing_data
+    return min(b * q + s * p for b, s, _ in rows) > 0 and _forms_at(family, lam)[0] > 0
 
 
 @dataclass(frozen=True)
@@ -572,6 +612,8 @@ class ToricFamily:
     group_mode: str = "full"
 
     pairing_data = functools.cached_property(_family_pairing_data)
+    forms = functools.cached_property(_family_forms)
+    is_ample_at = _family_is_ample_at
 
     def class_at(self, lam) -> ToricDivisor:
         lam = Fraction(lam)
@@ -582,9 +624,6 @@ class ToricFamily:
     @property
     def dim(self) -> int:
         return self.fan.dim
-
-    def is_ample_at(self, lam) -> bool:
-        return is_ample(self.class_at(lam))
 
     def alpha_unscaled(self, lam):
         ctx = symmetry_context(self.class_at(lam), self.group_mode)
@@ -607,6 +646,8 @@ class PicardFamily:
     alpha_label: str = "supplied bound (Dervan)"
 
     pairing_data = functools.cached_property(_family_pairing_data)
+    forms = functools.cached_property(_family_forms)
+    is_ample_at = _family_is_ample_at
 
     def class_at(self, lam) -> PicardClass:
         lam = Fraction(lam)
@@ -617,17 +658,6 @@ class PicardFamily:
     @property
     def dim(self) -> int:
         return 2
-
-    @functools.cached_property
-    def forms(self):
-        return _picard_family_forms(self)
-
-    def is_ample_at(self, lam) -> bool:
-        """Kleiman on the family's integer curve rows, plus L_lambda^2 > 0."""
-        lam = Fraction(lam)
-        p, q = lam.numerator, lam.denominator
-        _, rows = self.pairing_data
-        return min(b * q + s * p for b, s, _ in rows) > 0 and _picard_forms_at(self, lam)[0] > 0
 
     def alpha_unscaled(self, lam):
         return dervan_alpha_bound(lam), self.alpha_label, SCOPE_ALL
@@ -679,21 +709,7 @@ class OpenInterval:
         return OpenInterval(self.lo * t, self.hi * t)
 
 
-def _picard_family_forms(family):
-    """Integers (a0, a1, a2, k0, k1, kk) for a Picard family, times one
-    positive multiplier M: M L_lambda^2 = a0 + a1 lambda + a2 lambda^2,
-    M K.L_lambda = k0 + k1 lambda and M K^2 = kk."""
-    surface = family.surface
-    base, slope = PicardClass(surface, family.base), PicardClass(surface, family.slope)
-    k = surface.canonical()
-    _, forms = clear_denominators((
-        pairing(base, base), 2 * pairing(base, slope), pairing(slope, slope),
-        pairing(k, base), pairing(k, slope), pairing(k, k),
-    ))
-    return forms
-
-
-def _picard_forms_at(family, lam: Fraction) -> tuple[int, int, int]:
+def _forms_at(family, lam: Fraction) -> tuple[int, int, int]:
     """(L_lambda^2, K.L_lambda, K^2) at lambda = p/q, all times M q^2."""
     a0, a1, a2, k0, k1, kk = family.forms
     p, q = lam.numerator, lam.denominator
@@ -701,13 +717,10 @@ def _picard_forms_at(family, lam: Fraction) -> tuple[int, int, int]:
 
 
 def _family_mu(family, lam) -> Fraction:
-    lam = Fraction(lam)
-    if isinstance(family, PicardFamily):
-        l_sq, lk, _ = _picard_forms_at(family, lam)
-        if l_sq <= 0:
-            raise GeometryError("slope requires an ample class")
-        return Fraction(-lk, l_sq)
-    return slope_quantities(family.class_at(lam)).mu
+    l_sq, lk, _ = _forms_at(family, Fraction(lam))
+    if l_sq <= 0:
+        raise GeometryError("slope requires an ample class")
+    return Fraction(-lk, l_sq)
 
 
 def feasible_scale_interval(family, lam, epsilon=Fraction(1)) -> OpenInterval:
@@ -717,9 +730,9 @@ def feasible_scale_interval(family, lam, epsilon=Fraction(1)) -> OpenInterval:
     Every constraint is affine in a: the alpha bound because alpha scales as
     1/a, the positivity conditions because pairings are linear.  The
     resulting half-line intersection is certified by a full checker run at
-    the midpoint whenever it is nonempty, and for Picard backends the
-    quadratic self-intersection safeguards are verified over the whole
-    interval (they never bind for the builtin families; if one ever did,
+    the midpoint whenever it is nonempty, and where the constraint table
+    sets the safeguard the quadratic self-intersection constraints are
+    verified over the whole interval (they never bind for the builtin families; if one ever did,
     this raises rather than returning a wrong interval).
     """
     interval, _, _ = _scale_interval_with_bindings(family, lam, epsilon)
@@ -783,11 +796,16 @@ def _verify_interval(family, lam, epsilon, interval, mu1, alpha1, alpha_label, a
         raise GeometryError(
             "internal inconsistency: checker rejects the feasible-interval midpoint"
         )
-    if isinstance(family, PicardFamily):
+    if report.mu != mu1 / mid:
+        raise GeometryError(
+            "internal inconsistency: the checker's mu at the midpoint differs from "
+            "the family forms"
+        )
+    if _backend(backend).table.safeguard:
         n = family.dim
         # L^2, K.L and K^2 share one positive multiplier, which scales both
         # quadratics without moving their signs
-        l_sq, lk, k_sq = _picard_forms_at(family, lam)
+        l_sq, lk, k_sq = _forms_at(family, lam)
         # (K + eps a L)^2 and ((eps a - n mu1) L - (n-1) K)^2 as quadratics in a
         for shift, kfac in ((0, -1), (-n * mu1, n - 1)):
             qa, qb, qc = _compose_quadratic(l_sq, lk, k_sq, epsilon, shift, kfac)
@@ -887,7 +905,6 @@ def sweep_lambda(
     refine_tol,
     epsilon=Fraction(1),
     conjectured_endpoints=(),
-    parallel=False,
 ) -> FeasibilityReport:
     """Scan the family parameter on an exact rational grid, then bisect each
     feasible/infeasible transition down to the requested bracket width.
@@ -900,10 +917,7 @@ def sweep_lambda(
 
     The grid may hold at most MAX_GRID_POINTS points, and one grid step may
     need at most MAX_BISECTION_STEPS halvings to reach refine_tol; larger
-    requests are rejected before any probe.  `parallel` is accepted and
-    ignored: the probes run in order in the calling thread (a thread pool
-    measured no faster, since the exact arithmetic holds the interpreter
-    lock).
+    requests are rejected before any probe.
     """
     lambda_min, lambda_max = Fraction(lambda_min), Fraction(lambda_max)
     step, refine_tol = Fraction(step), Fraction(refine_tol)

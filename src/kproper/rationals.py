@@ -5,7 +5,8 @@ sweeps) routes its arithmetic through the helpers here so that no floating
 point can leak into a verdict.  Scalars are `fractions.Fraction` values,
 which already normalize eagerly (gcd-reduced, positive denominator).  This
 module adds the canonical string format used in all JSON interfaces, lattice
-vector helpers, and the few dense exact solvers the geometry needs.
+vector helpers, the few dense exact solvers the geometry needs, and the
+integer ConstraintTable that every surface backend builds for a class.
 
 Vectors are plain tuples, matrices are tuples of rows.  All values are
 immutable and safe to share between threads.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence, Union
@@ -256,6 +258,35 @@ def clear_denominators(values: Sequence[Scalar]) -> tuple[int, tuple[int, ...]]:
     fracs = [Fraction(v) for v in values]
     c = lcm(*(f.denominator for f in fracs)) if fracs else 1
     return c, tuple(f.numerator * (c // f.denominator) for f in fracs)
+
+
+@dataclass(frozen=True)
+class ConstraintTable:
+    """A class L against the finite list of curves C_i that decides
+    positivity of x L + y K: the walls of a toric surface, the exceptional
+    curves of a blowup of P^2 or the test curves of a slice.
+
+    L.C_i = nums[i] / den and K.C_i = k_nums[i] / den with den > 0.  Rows
+    are sorted into the backend's tie order, so a binding constraint is the
+    first row at the minimum.  l_sq, k_dot_l and k_sq are L^n, K.L^{n-1}
+    and K^n.  With safeguard set, positivity also needs (x L + y K)^2 > 0
+    (the Nakai test on blowups of P^2)."""
+
+    labels: tuple[str, ...]
+    nums: tuple[int, ...]
+    k_nums: tuple[int, ...]
+    den: int
+    l_sq: Fraction
+    k_dot_l: Fraction
+    k_sq: Fraction
+    safeguard: bool = False
+
+
+def constraint_table(labels, l_pairings, k_pairings, *forms) -> ConstraintTable:
+    """The table of rational pairings over one denominator; forms are the
+    Fractions L^n, K.L^{n-1} and K^n."""
+    den, nums = clear_denominators((*l_pairings, *k_pairings))
+    return ConstraintTable(tuple(labels), nums[: len(labels)], nums[len(labels) :], den, *forms)
 
 
 def integer_vector(v: Sequence[Scalar]) -> tuple[int, ...]:

@@ -10,14 +10,15 @@ positivity notions reduce to exact linear algebra on that function:
   D_i . D_i = -c_i; the wall pairings are D . D_i = a_{i-1} + a_{i+1} - c_i a_i;
 * D is ample iff the support function is strictly concave.  On a surface
   this is the toric Kleiman criterion: every wall pairing D . D_i is
-  positive (nef: nonnegative).  In dimension 3 it is checked cone by cone
-  through the linear functional m_sigma with <m_sigma, u_i> = -a_i;
+  positive (nef: nonnegative).  wall_table keeps these pairings, and K's,
+  as the class's ConstraintTable.  In dimension 3 ampleness is checked cone
+  by cone through the linear functional m_sigma with <m_sigma, u_i> = -a_i;
 * the moment polytope is P_D = {m : <m, u_i> >= -a_i}.  For an ample class
   on a surface its vertices are the cone functionals, one per maximal cone,
   and they run counterclockwise in the angular order of the rays, so the
   polygon is built in boundary order without vertex enumeration.  The last
   few are memoized by divisor, so the alpha invariant and the slope of one
-  class (one feasibility probe) build a single polygon.
+  class build a single polygon.
 
 Mixed volumes of moment polytopes provide an independent route to
 intersection numbers for nef classes (n <= 3) and serve as a cross-check of
@@ -28,14 +29,17 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .polytope import Polytope, boundary_measure, make_polytope, volume, with_polygon_cycle
 from .rationals import (
+    ConstraintTable,
     GeometryError,
     InputError,
     ValidationError,
+    constraint_table,
     det,
     dot,
     format_rational,
@@ -250,6 +254,8 @@ class ToricDivisor:
 
     fan: Fan
     coeffs: tuple[Fraction, ...]
+    # the class's wall ConstraintTable, filled by wall_table() on first use
+    _table: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         coeffs = tuple(Fraction(c) for c in self.coeffs)
@@ -401,6 +407,28 @@ def wall_pairings(d: ToricDivisor) -> tuple[Fraction, ...]:
         a[prev_i] + a[next_i] - c * a[i]
         for i, (prev_i, next_i, c) in enumerate(_wall_data(d.fan))
     )
+
+
+def wall_table(d: ToricDivisor) -> ConstraintTable:
+    """The class against the walls of its surface fan, computed once per
+    class, rows sorted by label so that ties go to the smaller label string
+    ("wall at ray 10" before "wall at ray 2").  With K = -sum D_i,
+    K.D_i = c_i - 2, L^2 = sum a_i (L.D_i), K.L = -sum L.D_i and
+    K^2 = -sum K.D_i."""
+    if d._table is None:
+        pairings = wall_pairings(d)
+        k_pairings = tuple(c - 2 for _, _, c in _wall_data(d.fan))
+        labels, order = zip(*sorted((f"wall at ray {i}", i) for i in range(d.fan.n_rays)))
+        table = constraint_table(
+            labels,
+            (pairings[i] for i in order),
+            (k_pairings[i] for i in order),
+            sum(map(operator.mul, d.coeffs, pairings)),
+            -sum(pairings),
+            Fraction(-sum(k_pairings)),
+        )
+        object.__setattr__(d, "_table", table)
+    return d._table
 
 
 def intersection_number(d: ToricDivisor, e: ToricDivisor) -> Fraction:

@@ -219,24 +219,6 @@ def test_sweep_cli(capsys, tmp_path):
     assert render_report(report, "json") == out
 
 
-def test_sweep_env_var_overrides_parallel(capsys, tmp_path, monkeypatch):
-    config = tmp_path / "sweep.json"
-    config.write_text(json.dumps({
-        "family": "dp6",
-        "lambda_min": "19/20",
-        "lambda_max": "21/20",
-        "step": "1/20",
-        "refine_tol": "1/100",
-    }))
-    monkeypatch.setenv("KPROPER_PARALLEL", "1")
-    code, out, _ = run_cli(capsys, "sweep", "--config", str(config))
-    assert code == 0
-    monkeypatch.setenv("KPROPER_PARALLEL", "0")
-    code, out2, _ = run_cli(capsys, "sweep", "--config", str(config))
-    assert code == 0
-    assert out == out2
-
-
 def test_picard_curves_cli(capsys):
     code, out, _ = run_cli(capsys, "picard", "curves", "--r", "8")
     data = json.loads(out)
@@ -426,6 +408,33 @@ def test_malformed_group_json_is_input_error(capsys, tmp_path, payload, message)
                              "--group", "explicit", "--group-file", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sweep", "--config", "sweep.json", "--parallel"), "unrecognized arguments: --parallel"),
+        (("alpha", "dp6", "--coeffs", "1,1,1,1,1,1", "--oracle-depth", "x"),
+         "argument --oracle-depth: invalid int value: 'x'"),
+        (("frobnicate",), "invalid choice: 'frobnicate'"),
+        (("check", "--builtin", "dp7"), "invalid choice: 'dp7'"),
+        (("--format", "yaml", "fan", "validate", "dp6"), "invalid choice: 'yaml'"),
+        (("fan",), "required"),
+        ((), "required"),
+    ],
+)
+def test_usage_errors_end_in_one_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("sweep", "--help")])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: kproper")
 
 
 def test_cost_caps_reject_before_work(capsys, tmp_path):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 from kproper.picard import (  # noqa: E402
     BlowupSurface,
     curve_matrix,
-    curve_pairings_cleared,
+    curve_table,
     exceptional_curves,
     pairing,
 )
@@ -76,7 +76,7 @@ def test_curve_matrix_rows_are_the_curves():
 @settings(max_examples=150, deadline=None)
 @given(picard_classes())
 def test_cleared_pairings_match_reference(d):
-    nums, den = curve_pairings_cleared(d)
+    nums, den = curve_table(d).nums, curve_table(d).den
     assert den > 0
     assert all(isinstance(x, int) for x in nums)
     expected = [pairing(d, c) for c in exceptional_curves(d.surface.r)]

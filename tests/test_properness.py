@@ -388,15 +388,6 @@ def test_sweep_rejects_oversized_grid_before_building_it():
         sweep_lambda(dp6_family(), F(0), F(10**9), F(1, 10**9), F(1, 100))
 
 
-def test_sweep_parallel_matches_serial():
-    kwargs = dict(
-        lambda_min=F(9, 10), lambda_max=F(11, 10), step=F(1, 20), refine_tol=F(1, 100)
-    )
-    serial = sweep_lambda(dp6_family(), **kwargs)
-    parallel = sweep_lambda(dp6_family(), parallel=True, **kwargs)
-    assert serial == parallel
-
-
 # ---------------------------------------------------------------------------
 # report serialization
 
