@@ -15,9 +15,16 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from test_toric import p1_cubed_fan  # noqa: E402
 from test_wall_pairings import FANS  # noqa: E402
 
-from kproper.properness import ToricFamily, _family_mu, dp6_family  # noqa: E402
+from kproper.properness import (  # noqa: E402
+    ToricFamily,
+    _family_mu,
+    dp6_family,
+    feasible_scale_interval,
+)
+from kproper.rationals import GeometryError  # noqa: E402
 from kproper.toric import (  # noqa: E402
     ToricDivisor,
     canonical_divisor,
@@ -96,11 +103,6 @@ def test_family_rows_are_the_distinct_walls_under_their_first_label(family):
 
 
 def test_threefold_family_is_not_a_surface_family():
-    from test_toric import p1_cubed_fan
-
-    from kproper.properness import feasible_scale_interval
-    from kproper.rationals import GeometryError
-
     fan = p1_cubed_fan()
     family = ToricFamily("P1^3", fan, (F(1),) * fan.n_rays, (F(0),) * fan.n_rays)
     with pytest.raises(GeometryError, match="surfaces only"):
