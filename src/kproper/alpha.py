@@ -20,6 +20,14 @@ log-canonical thresholds
     lct = min_i  k N / (sum_{m in orbit} <m, u_i> + N k a_i),
 
 which is an upper bound for the invariant, decreasing in the search depth.
+The oracle runs in integers end to end: it clears the coefficient
+denominators (alpha scales by 1/t under D -> tD), reads the points of k P
+back as integer vectors, applies the stabilizer as integer matrices with
+an integer shift, sums each orbit into one integer vector s, so that the
+vanishing order along D_i is <s, u_i> + N k a_i, and keeps the best
+threshold as an integer pair until one Fraction is built at the end.  Its
+work is capped before any enumeration: the integer bounding boxes of k P
+for k = 1..depth may hold at most MAX_ORACLE_POINTS points in all.
 The two routes are kept separate on purpose; the tests play them against
 each other.
 """
@@ -28,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+from operator import mul
 
 from .polytope import (
     Polytope,
@@ -47,9 +57,7 @@ from .rationals import (
     identity_matrix,
     integer_vector,
     mat_mul,
-    mat_vec,
     transpose,
-    vec_sub,
 )
 from .toric import (
     ToricDivisor,
@@ -64,6 +72,10 @@ GROUP_MODES = ("full", "torus", "explicit")
 # depth^3 / 3 times the area of P in all, so the depth is capped before any
 # enumeration starts.
 MAX_ORACLE_DEPTH = 64
+# The class size is not bounded by the depth: the bounding boxes of k P for
+# k = 1..depth may hold at most this many integer points in all.  The
+# anticanonical dp6 class at depth 64 needs about 366k.
+MAX_ORACLE_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -190,7 +202,8 @@ def alpha_oracle(ctx: SymmetryContext, k_max: int = 12) -> Fraction:
     integral model, groups them into stabilizer orbits under the affine
     lattice action, and evaluates the exact lct of each orbit product
     section.  Nonincreasing in k_max and never below alpha_invariant.
-    The depth may be at most MAX_ORACLE_DEPTH.
+    The depth may be at most MAX_ORACLE_DEPTH, and the bounding boxes of
+    the dilates may hold at most MAX_ORACLE_POINTS points in all.
     """
     if not isinstance(k_max, int) or k_max < 1:
         raise InputError("oracle depth must be a positive integer")
@@ -201,6 +214,14 @@ def alpha_oracle(ctx: SymmetryContext, k_max: int = 12) -> Fraction:
     integral = ToricDivisor(d.fan, tuple(Fraction(c) for c in int_coeffs))
     p_int = moment_polytope(integral)
     verts = [integer_vector(v) for v in vertices(p_int)]
+    # the integer bounding box of k P has k * width + 1 points per axis
+    widths = [max(col) - min(col) for col in zip(*verts)]
+    work = sum(prod(k * w + 1 for w in widths) for k in range(1, k_max + 1))
+    if work > MAX_ORACLE_POINTS:
+        raise InputError(
+            f"the oracle would visit up to {work} lattice points to depth {k_max}, "
+            f"over the cap of {MAX_ORACLE_POINTS}"
+        )
     base_anchor = min(verts)
     group = ctx.stabilizer if ctx.group_mode != "torus" else ()
     if not group:
@@ -208,42 +229,48 @@ def alpha_oracle(ctx: SymmetryContext, k_max: int = 12) -> Fraction:
     actions = []
     for g in group:
         gt = transpose(g)
-        image_anchor = min(tuple(int(x) for x in mat_vec(gt, v)) for v in verts)
+        image_anchor = min(tuple(sum(map(mul, row, v)) for row in gt) for v in verts)
         # g^T P = P + tau with integral tau; the affine action on k P is
         # z -> g^T z - k tau
-        tau = integer_vector(vec_sub(image_anchor, base_anchor))
+        tau = tuple(a - b for a, b in zip(image_anchor, base_anchor))
         actions.append((gt, tau))
     rays = d.fan.rays
-    best: Fraction | None = None
+    # the least threshold k*size / worst so far is best_num / best_den; none while best_den is 0
+    best_num, best_den = 0, 0
     for k in range(1, k_max + 1):
-        points = {
-            tuple(int(x * k) for x in pt) for pt in lattice_points(p_int, k)
-        }
+        order = [
+            tuple([x.numerator * (k // x.denominator) for x in pt])
+            for pt in lattice_points(p_int, k)
+        ]
+        points = set(order)
+        shifted = [(gt, tuple(k * t for t in tau)) for gt, tau in actions]
+        offsets = [k * a for a in int_coeffs]
         seen: set = set()
-        for z in sorted(points):
+        for z in order:
             if z in seen:
                 continue
-            orbit = set()
-            for gt, tau in actions:
-                image = tuple(int(a) - k * t for a, t in zip(mat_vec(gt, z), tau))
-                if image not in points:
-                    raise GeometryError(
-                        "internal inconsistency: a stabilizer element moves a lattice point "
-                        "out of the dilated polytope"
-                    )
-                orbit.add(image)
+            orbit = {
+                tuple([sum(map(mul, row, z)) - t for row, t in zip(gt, ktau)])
+                for gt, ktau in shifted
+            }
+            if not orbit <= points:
+                raise GeometryError(
+                    "internal inconsistency: a stabilizer element moves a lattice point "
+                    "out of the dilated polytope"
+                )
             seen |= orbit
             size = len(orbit)
-            for i, ray in enumerate(rays):
-                denom = sum(dot(m, ray) for m in orbit) + size * k * int_coeffs[i]
-                if denom < 0:
-                    raise GeometryError(
-                        "internal inconsistency: an orbit section has a negative vanishing order"
-                    )
-                if denom > 0:
-                    value = Fraction(k * size, denom)
-                    if best is None or value < best:
-                        best = value
-    if best is None:
+            # the product section of the orbit vanishes to order
+            # <s, u_i> + size*k*a_i along D_i, with s the sum of its points
+            s = [sum(col) for col in zip(*orbit)]
+            denoms = [sum(map(mul, s, ray)) + size * offset for ray, offset in zip(rays, offsets)]
+            if min(denoms) < 0:
+                raise GeometryError(
+                    "internal inconsistency: an orbit section has a negative vanishing order"
+                )
+            worst = max(denoms)
+            if worst > 0 and (best_den == 0 or k * size * best_den < best_num * worst):
+                best_num, best_den = k * size, worst
+    if best_den == 0:
         raise GeometryError("internal inconsistency: no orbit section gives a finite threshold")
-    return multiplier * best
+    return multiplier * Fraction(best_num, best_den)

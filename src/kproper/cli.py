@@ -11,6 +11,7 @@ processing errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -436,7 +437,9 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing keeps no state between calls."""
     parser = _Parser(
         prog="kproper",
         description="Exact properness checks for the K-energy on toric surfaces "

@@ -625,14 +625,20 @@ def preserves_vertices(g, cleared: frozenset) -> bool:
 def lattice_points(p: Polytope, k: int = 1) -> tuple:
     """All points of p whose k-th multiple is a lattice point, sorted.
 
-    Enumerates integer points of the dilate k*p through its bounding box
-    with exact membership tests, then rescales.  Unbounded input raises.
+    Enumerates the integer points z of the dilate k*p by scanline: the
+    first dim - 1 coordinates run over the integer bounding box, and for
+    each prefix the last coordinate takes an interval read off the cleared
+    half-spaces den*<z, n> >= num by floor and ceiling division, pinned by
+    the equalities through a divisibility test.  Points come out in
+    lexicographic order, so nothing is sorted; each is returned as z / k.
+    Unbounded input raises.
     """
     if not isinstance(k, int) or k < 1:
         raise GeometryError("lattice refinement k must be a positive integer")
     verts = vertices(p)
     if not verts:
         return ()
+    last = p.dim - 1
     lo = [ceil(min(v[i] for v in verts) * k) for i in range(p.dim)]
     hi = [floor(max(v[i] for v in verts) * k) for i in range(p.dim)]
     # integer form of <z, n> >= k*c: den*<z, n> >= num with den > 0
@@ -644,14 +650,35 @@ def lattice_points(p: Polytope, k: int = 1) -> tuple:
     for e in p.equalities:
         rhs = e.rhs * k
         eqs.append((e.coeffs, rhs.numerator, rhs.denominator))
+    # the points share their coordinates, so each z_i / k is built once
+    frac = [[Fraction(x, k) for x in range(lo[i], hi[i] + 1)] for i in range(p.dim)]
     points = []
-    for z in itertools.product(*(range(lo[i], hi[i] + 1) for i in range(p.dim))):
-        ok = all(den * sum(a * b for a, b in zip(z, n)) >= num for n, num, den in ineqs)
-        if ok:
-            ok = all(den * sum(a * b for a, b in zip(z, c)) == num for c, num, den in eqs)
-        if ok:
-            points.append(tuple(Fraction(x, k) for x in z))
-    return tuple(sorted(points))
+    for prefix in itertools.product(*(range(lo[i], hi[i] + 1) for i in range(last))):
+        z_lo, z_hi = lo[last], hi[last]
+        for n, num, den in ineqs:
+            # den * n_last * z_last >= num - den * <prefix, n>
+            rest = num - den * sum(a * b for a, b in zip(prefix, n))
+            step = den * n[last]
+            if step > 0:
+                z_lo = max(z_lo, -(-rest // step))
+            elif step < 0:
+                z_hi = min(z_hi, rest // step)
+            elif rest > 0:
+                z_hi = z_lo - 1
+        for c, num, den in eqs:
+            rest = num - den * sum(a * b for a, b in zip(prefix, c))
+            step = den * c[last]
+            if step and not rest % step:
+                z_lo = max(z_lo, rest // step)
+                z_hi = min(z_hi, rest // step)
+            elif step or rest:
+                z_hi = z_lo - 1
+        if z_lo > z_hi:
+            continue
+        head = tuple(frac[i][x - lo[i]] for i, x in enumerate(prefix))
+        tail = frac[last]
+        points.extend(head + (tail[x - lo[last]],) for x in range(z_lo, z_hi + 1))
+    return tuple(points)
 
 
 def polygon_from_vertices(points) -> Polytope:

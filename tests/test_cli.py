@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -435,6 +436,48 @@ def test_help_exits_zero(capsys, argv):
         main(list(argv))
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: kproper")
+
+
+def test_repeated_requests_match_the_first(capsys, tmp_path):
+    """The parser is built once per process; every request parses afresh."""
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "family": "dp6", "lambda_min": "11/10", "lambda_max": "13/10",
+        "step": "1/20", "refine_tol": "1/1000",
+    }))
+    requests = [
+        ("check", "--builtin", "dp7"),
+        ("--help",),
+        ("check", "--builtin", "dp6", "--coeffs", "5/4,5/4,5/4,5/4,5/4,5/4"),
+        ("--format", "text", "alpha", "dp6", "--coeffs", "1,6/5,1,6/5,1,6/5",
+         "--oracle-depth", "2"),
+        ("sweep", "--config", str(config)),
+    ]
+
+    def run(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, [line for line in err.splitlines() if line.startswith("error:")]
+
+    first = [run(argv) for argv in requests]
+    assert [code for code, _, _ in first] == [1, 0, 0, 0, 0]
+    assert first[0][2] == ["error: argument --builtin: invalid choice: 'dp7' "
+                           "(choose from 'p2', 'dp6', 'dp1')"]
+    assert first[1][1].startswith("usage: kproper")
+    assert [run(argv) for argv in requests] == first
+
+
+def test_oracle_point_cap_rejects_before_work(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "alpha", "dp6", "--coeffs=300,300,300,300,300,300",
+                             "--oracle-depth", "2")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == ("error: the oracle would visit up to 1803602 lattice points to depth 2, "
+                   "over the cap of 1000000\n")
 
 
 def test_cost_caps_reject_before_work(capsys, tmp_path):

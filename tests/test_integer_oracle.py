@@ -1,0 +1,201 @@
+"""The scanline lattice points and the integer oracle against Fraction references.
+
+The references below are the bounding-box `lattice_points` that tests
+every point of the box against every half-plane, and the `alpha_oracle`
+that multiplies those points back by k and sums orbit products with
+Fraction dot products.  The integer paths must agree with them exactly:
+the same sorted point tuple, and the same threshold.
+"""
+
+import itertools
+from fractions import Fraction
+from math import ceil, floor
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from kproper.alpha import alpha_oracle, symmetry_context  # noqa: E402
+from kproper.polytope import (  # noqa: E402
+    fixed_subpolytope,
+    lattice_points,
+    make_polytope,
+    vertices,
+)
+from kproper.rationals import (  # noqa: E402
+    GeometryError,
+    clear_denominators,
+    dot,
+    identity_matrix,
+    integer_vector,
+    mat_vec,
+    transpose,
+    vec_sub,
+)
+from kproper.toric import ToricDivisor, dp6_fan, is_ample, moment_polytope  # noqa: E402
+
+F = Fraction
+
+
+def reference_lattice_points(p, k=1):
+    if not isinstance(k, int) or k < 1:
+        raise GeometryError("lattice refinement k must be a positive integer")
+    verts = vertices(p)
+    if not verts:
+        return ()
+    lo = [ceil(min(v[i] for v in verts) * k) for i in range(p.dim)]
+    hi = [floor(max(v[i] for v in verts) * k) for i in range(p.dim)]
+    ineqs = []
+    for hs in p.hrep:
+        bound = hs.offset * k
+        ineqs.append((hs.normal, bound.numerator, bound.denominator))
+    eqs = []
+    for e in p.equalities:
+        rhs = e.rhs * k
+        eqs.append((e.coeffs, rhs.numerator, rhs.denominator))
+    points = []
+    for z in itertools.product(*(range(lo[i], hi[i] + 1) for i in range(p.dim))):
+        ok = all(den * sum(a * b for a, b in zip(z, n)) >= num for n, num, den in ineqs)
+        if ok:
+            ok = all(den * sum(a * b for a, b in zip(z, c)) == num for c, num, den in eqs)
+        if ok:
+            points.append(tuple(Fraction(x, k) for x in z))
+    return tuple(sorted(points))
+
+
+def reference_alpha_oracle(ctx, k_max):
+    d = ctx.divisor
+    multiplier, int_coeffs = clear_denominators(d.coeffs)
+    integral = ToricDivisor(d.fan, tuple(Fraction(c) for c in int_coeffs))
+    p_int = moment_polytope(integral)
+    verts = [integer_vector(v) for v in vertices(p_int)]
+    base_anchor = min(verts)
+    group = ctx.stabilizer if ctx.group_mode != "torus" else ()
+    if not group:
+        group = (identity_matrix(d.fan.dim),)
+    actions = []
+    for g in group:
+        gt = transpose(g)
+        image_anchor = min(tuple(int(x) for x in mat_vec(gt, v)) for v in verts)
+        tau = integer_vector(vec_sub(image_anchor, base_anchor))
+        actions.append((gt, tau))
+    rays = d.fan.rays
+    best = None
+    for k in range(1, k_max + 1):
+        points = {
+            tuple(int(x * k) for x in pt) for pt in reference_lattice_points(p_int, k)
+        }
+        seen = set()
+        for z in sorted(points):
+            if z in seen:
+                continue
+            orbit = set()
+            for gt, tau in actions:
+                image = tuple(int(a) - k * t for a, t in zip(mat_vec(gt, z), tau))
+                assert image in points
+                orbit.add(image)
+            seen |= orbit
+            size = len(orbit)
+            for i, ray in enumerate(rays):
+                denom = sum(dot(m, ray) for m in orbit) + size * k * int_coeffs[i]
+                assert denom >= 0
+                if denom > 0:
+                    value = Fraction(k * size, denom)
+                    if best is None or value < best:
+                        best = value
+    assert best is not None
+    return multiplier * best
+
+
+offsets = st.fractions(min_value=-3, max_value=1, max_denominator=4)
+extents = st.fractions(min_value=0, max_value=3, max_denominator=4)
+
+
+@st.composite
+def polytopes(draw, dim):
+    """A box [-a_i, b_i] cut by up to three random half-spaces (maybe empty)."""
+    halfspaces = []
+    for i in range(dim):
+        unit = tuple(1 if j == i else 0 for j in range(dim))
+        halfspaces.append((unit, -draw(extents)))
+        halfspaces.append((tuple(-x for x in unit), -draw(extents)))
+    normals = st.tuples(*[st.integers(-3, 3)] * dim).filter(any)
+    for _ in range(draw(st.integers(0, 3))):
+        halfspaces.append((draw(normals), draw(offsets)))
+    return make_polytope(dim, halfspaces)
+
+
+@st.composite
+def sliced_polytopes(draw):
+    """A random polygon or 3-polytope with one random equation."""
+    p = draw(polytopes(draw(st.sampled_from((2, 3)))))
+    coeffs = draw(st.tuples(*[st.integers(-2, 2)] * p.dim).filter(any))
+    rhs = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    halfspaces = [(hs.normal, hs.offset) for hs in p.hrep]
+    return make_polytope(p.dim, halfspaces, [(coeffs, rhs)])
+
+
+SWAP_XY = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+
+
+@st.composite
+def fixed_polytopes(draw):
+    """fixed_subpolytope output: a dp6 class recentered, fixed by its
+    stabilizer, or a box symmetric in x and y fixed by their swap."""
+    if draw(st.booleans()):
+        coeffs = draw(st.tuples(*[st.integers(1, 4)] * 6))
+        d = ToricDivisor(dp6_fan(), tuple(F(c) for c in coeffs))
+        assume(is_ample(d))
+        ctx = symmetry_context(d)
+        assume(len(ctx.stabilizer) > 1)
+        return fixed_subpolytope(ctx.centered_polytope, ctx.stabilizer)
+    a, lo, hi = draw(extents), draw(extents), draw(extents)
+    box = make_polytope(3, [
+        ((1, 0, 0), -a), ((-1, 0, 0), -a), ((0, 1, 0), -a), ((0, -1, 0), -a),
+        ((0, 0, 1), -lo), ((0, 0, -1), -hi),
+    ])
+    return fixed_subpolytope(box, (identity_matrix(3), SWAP_XY))
+
+
+ks = st.integers(1, 6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polytopes(2), ks)
+def test_lattice_points_match_reference_on_polygons(p, k):
+    assert lattice_points(p, k) == reference_lattice_points(p, k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(polytopes(3), ks)
+def test_lattice_points_match_reference_on_3_polytopes(p, k):
+    assert lattice_points(p, k) == reference_lattice_points(p, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(sliced_polytopes(), fixed_polytopes()), ks)
+def test_lattice_points_match_reference_with_equalities(p, k):
+    assert p.equalities
+    assert lattice_points(p, k) == reference_lattice_points(p, k)
+
+
+@st.composite
+def non_integral_dp6_classes(draw):
+    """Ample dp6 classes n_i / q with q = 2 or 3 not dividing every n_i,
+    so the oracle clears a multiplier q."""
+    q = draw(st.sampled_from((2, 3)))
+    numerators = draw(st.tuples(*[st.integers(q // 2 + 1, 2 * q)] * 6))
+    assume(any(n % q for n in numerators))
+    d = ToricDivisor(dp6_fan(), tuple(F(n, q) for n in numerators))
+    assume(is_ample(d))
+    return d
+
+
+@settings(max_examples=30, deadline=None)
+@given(non_integral_dp6_classes(), st.sampled_from(("full", "torus")), st.integers(1, 4))
+def test_alpha_oracle_matches_reference(d, mode, depth):
+    ctx = symmetry_context(d, mode)
+    assert clear_denominators(d.coeffs)[0] > 1
+    assert alpha_oracle(ctx, depth) == reference_alpha_oracle(ctx, depth)
