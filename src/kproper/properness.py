@@ -19,7 +19,11 @@ surfaces), exceptional curves (blowups of P^2) or user-supplied test curves
 (abstract slices), and for a one-parameter family a L_lambda all of them are
 affine in the scale a, so the feasible set of scales at fixed lambda is an
 exact open interval.  Sweeps refine the feasible lambda-window endpoints by
-bisection with exact feasibility probes.
+bisection.  Every cut and the alpha cap are ratios of integer polynomials in
+lambda, so feasibility is constant between consecutive real roots of a
+finite list of them (isolated exactly, by rationals.real_roots); a sweep
+runs one exact probe per such cell that it touches, and probes every
+lambda only for families whose alpha has no closed form.
 
 All three curve lists are one ConstraintTable per class (rationals.py),
 built by wall_table, curve_table or the slice, and _backend is the one
@@ -46,6 +50,7 @@ sqrt(10) - 2 (approx 0.76..1.16).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -60,6 +65,7 @@ from .picard import (
     slope_picard,
 )
 from .rationals import (
+    AlgebraicRoot,
     ConstraintTable,
     GeometryError,
     InputError,
@@ -68,6 +74,10 @@ from .rationals import (
     constraint_table,
     format_rational,
     parse_rational,
+    poly_combine,
+    poly_mul,
+    real_roots,
+    simplest_between,
 )
 from .toric import (
     Fan,
@@ -75,9 +85,12 @@ from .toric import (
     anticanonical_divisor,
     canonical_divisor,
     dp6_fan,
+    fan_automorphisms,
     is_ample,
     is_nef,
+    ray_permutation,
     slope_quantities,
+    wall_pairings,
     wall_table,
 )
 
@@ -601,6 +614,93 @@ def _family_is_ample_at(family, lam) -> bool:
     return min(b * q + s * p for b, s, _ in rows) > 0 and _forms_at(family, lam)[0] > 0
 
 
+class _Cells(NamedTuple):
+    # the sorted real roots; each open cell between two of them has one
+    # probe point, points[k] below roots[k]
+    roots: tuple
+    points: tuple[Fraction, ...]
+    # alpha(L_lambda) = 1 / max(c + d lambda) over the (c, d) pieces
+    pieces: tuple[tuple[Fraction, Fraction], ...]
+
+
+def _family_cells(family):
+    """The ample range of lambda cut at the real roots of every integer
+    polynomial whose sign decides feasibility, or None where alpha has no
+    closed form.
+
+    With rows (b, s, k), M L^2 = A(lambda) and M K.L = k0 + k1 lambda, the
+    cuts in t = epsilon a are -k / (b + s lambda) (condition (2)) and
+    n mu + (n-1) k / (b + s lambda) (condition (3)), and the alpha bound
+    caps t at (n+1) / (n m) with m = max of the pieces; epsilon cancels.
+    The ample range is the open interval where every b + s lambda > 0: the
+    rows span the cone of curves, so A > 0 there too.  An ample lambda is
+    feasible iff every cut c has n c m < n + 1.  The verdict is constant
+    between consecutive roots of g = n c m_i - (n+1), cleared of its
+    positive denominator, for every cut and piece: where every g keeps its
+    sign no cut changes sign (g = -(n+1) at c = 0), and n c m < n + 1
+    holds iff c < 0 or every g < 0.  The roots of the pieces are added, so
+    the cap is defined on the whole cell (dervan_alpha_bound needs
+    lambda < 2)."""
+    pieces = family.alpha_pieces()
+    if pieces is None:
+        return None
+    n = family.dim
+    _, rows = family.pairing_data
+    a0, a1, a2, k0, k1, _ = family.forms
+    area = (a0, a1, a2)
+    # D m_i = e + f lambda
+    den, flat = clear_denominators([x for piece in pieces for x in piece])
+    caps = tuple(zip(flat[::2], flat[1::2]))
+    polys = list(caps)
+    for b, s, k in rows:
+        # the condition (3) cut times its positive denominator A (b + s lambda)
+        cut3 = poly_combine((-n, poly_mul((k0, k1), (b, s))), ((n - 1) * k, area))
+        for cap in caps:
+            polys.append(poly_combine((-n * k, cap), (-(n + 1) * den, (b, s))))
+            polys.append(poly_combine(
+                (n, poly_mul(cap, cut3)), (-(n + 1) * den, poly_mul((b, s), area))
+            ))
+    lo = max((Fraction(-b, s) for b, s, _ in rows if s > 0), default=None)
+    hi = min((Fraction(-b, s) for b, s, _ in rows if s < 0), default=None)
+    roots = real_roots(polys, lo, hi)
+    ends = (lo, *roots, hi)
+    return _Cells(roots, tuple(itertools.starmap(_point_between, zip(ends, ends[1:]))), pieces)
+
+
+def _point_between(left, right) -> Fraction:
+    """The simplest rational strictly between two consecutive roots or
+    ends of the ample range (None where it is unbounded)."""
+    while True:
+        lo = left.hi if isinstance(left, AlgebraicRoot) else left
+        hi = right.lo if isinstance(right, AlgebraicRoot) else right
+        if lo is None or hi is None or lo < hi:
+            break
+        # an interval end touches the neighbouring root or interval
+        left, right = (r.halved() if isinstance(r, AlgebraicRoot) else r for r in (left, right))
+    if lo is None:
+        return Fraction(0 if hi is None else math.ceil(hi) - 1)
+    return Fraction(math.floor(lo) + 1) if hi is None else simplest_between(lo, hi)
+
+
+def _probe_point(cells: _Cells, lam: Fraction) -> Fraction:
+    """lam itself when it is a root, else the probe point of its cell."""
+    lo, hi = 0, len(cells.roots)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        root = cells.roots[mid]
+        if isinstance(root, AlgebraicRoot):
+            above = root.exceeds(lam)
+        elif root == lam:
+            return lam
+        else:
+            above = root > lam
+        if above:
+            hi = mid
+        else:
+            lo = mid + 1
+    return cells.points[lo]
+
+
 @dataclass(frozen=True)
 class ToricFamily:
     """lambda -> ToricDivisor(base + lambda * slope) with recomputed alpha."""
@@ -613,6 +713,7 @@ class ToricFamily:
 
     pairing_data = functools.cached_property(_family_pairing_data)
     forms = functools.cached_property(_family_forms)
+    cells = functools.cached_property(_family_cells)
     is_ample_at = _family_is_ample_at
 
     def class_at(self, lam) -> ToricDivisor:
@@ -631,6 +732,37 @@ class ToricFamily:
         label = f"stabilizer formula ({self.group_mode} group, order {order})"
         return alpha_invariant(ctx), label, SCOPE_G
 
+    def alpha_pieces(self):
+        """Pieces (c_i, d_i) with alpha(L_lambda) = 1 / max(c_i + d_i lambda)
+        wherever L_lambda is ample, or None.
+
+        They exist when the group G of fan automorphisms that keep every wall
+        row (B, S) has fixed space {0}, i.e. its matrices sum to zero.  G fixes
+        each class L_lambda, so the stabilizer's fixed polytope is the
+        barycenter alone and alpha = 1 / max a_i', where the recentred
+        coefficients a' are the one G-invariant representative of the class:
+        the G-average of the coefficients, affine in lambda.  Torus mode and a
+        G that fixes a line get None."""
+        if self.group_mode != "full":
+            return None
+        walls = list(zip(
+            wall_pairings(ToricDivisor(self.fan, self.base)),
+            wall_pairings(ToricDivisor(self.fan, self.slope)),
+        ))
+        group = [
+            (g, perm)
+            for g in fan_automorphisms(self.fan)
+            for perm in (ray_permutation(self.fan, g),)
+            if all(walls[j] == walls[i] for i, j in enumerate(perm))
+        ]
+        # entrywise sum of the matrices
+        if any(map(sum, zip(*(sum(g, ()) for g, _ in group)))):
+            return None
+        return tuple(sorted({
+            tuple(sum(c[p[i]] for _, p in group) / len(group) for c in (self.base, self.slope))
+            for i in range(self.fan.n_rays)
+        }))
+
     def alpha_scope(self) -> str:
         return SCOPE_G
 
@@ -647,6 +779,7 @@ class PicardFamily:
 
     pairing_data = functools.cached_property(_family_pairing_data)
     forms = functools.cached_property(_family_forms)
+    cells = functools.cached_property(_family_cells)
     is_ample_at = _family_is_ample_at
 
     def class_at(self, lam) -> PicardClass:
@@ -661,6 +794,14 @@ class PicardFamily:
 
     def alpha_unscaled(self, lam):
         return dervan_alpha_bound(lam), self.alpha_label, SCOPE_ALL
+
+    def alpha_pieces(self):
+        """dervan_alpha_bound is 1 / max{1, 2 - lambda}.  None on one blowup,
+        where E_1 alone does not span the cone of curves (the fiber class
+        H - E_1 is missing), so the rows do not decide ampleness."""
+        if self.surface.r < 2:
+            return None
+        return ((Fraction(1), Fraction(0)), (Fraction(2), Fraction(-1)))
 
     def alpha_scope(self) -> str:
         return SCOPE_ALL
@@ -909,11 +1050,14 @@ def sweep_lambda(
     """Scan the family parameter on an exact rational grid, then bisect each
     feasible/infeasible transition down to the requested bracket width.
 
-    Grid points where the class is not ample count as infeasible.  Every
-    probe is an exact feasibility decision, so the emitted brackets are
-    certificates: the bracket interior contains the true endpoint of the
-    feasible window.  Conjectured exact endpoints are verified by probing
-    the endpoint itself and both sides at distance refine_tol.
+    Points where the class is not ample count as infeasible; any other
+    error of a probe propagates.  Each point is decided by an exact
+    feasibility probe: the probe of its cell between consecutive roots of
+    the family's polynomials (family.cells), or of the point itself where
+    the family has no cells.  So the emitted brackets are certificates: the
+    bracket interior contains the true endpoint of the feasible window.
+    Conjectured exact endpoints are verified at the endpoint itself and on
+    both sides at distance refine_tol.
 
     The grid may hold at most MAX_GRID_POINTS points, and one grid step may
     need at most MAX_BISECTION_STEPS halvings to reach refine_tol; larger
@@ -940,18 +1084,10 @@ def sweep_lambda(
             f"the cap is {MAX_BISECTION_STEPS} (raise refine_tol or lower step)"
         )
     grid = [lambda_min + k * step for k in range(points)]
-    cache: dict[Fraction, bool] = {}
-
-    def feasible(lam: Fraction) -> bool:
-        if lam not in cache:
-            try:
-                cache[lam] = not feasible_scale_interval(family, lam, epsilon).is_empty
-            except GeometryError:
-                cache[lam] = False
-        return cache[lam]
-
+    feasible = _feasibility(family, epsilon)
     flags = [feasible(lam) for lam in grid]
     windows = []
+    diagnostics = {"grid_points": str(len(grid)), "alpha_scope": family.alpha_scope()}
     i = 0
     while i < len(grid):
         if not flags[i]:
@@ -969,7 +1105,15 @@ def sweep_lambda(
             else (grid[-1], grid[-1])
         )
         witness_lambda = grid[(i + j) // 2]
-        interval = feasible_scale_interval(family, witness_lambda, epsilon)
+        interval, lo_label, hi_label = _scale_interval_with_bindings(
+            family, witness_lambda, epsilon
+        )
+        if not windows:
+            diagnostics["witness_scale_interval"] = (
+                f"({format_rational(interval.lo)}, {format_rational(interval.hi)})"
+            )
+            diagnostics["witness_binding_lower"] = lo_label
+            diagnostics["witness_binding_upper"] = hi_label
         windows.append(
             FeasibleWindow(
                 lo_bracket=lo_bracket,
@@ -994,17 +1138,6 @@ def sweep_lambda(
                 infeasible_outside=not feasible(outside),
             )
         )
-    diagnostics = {"grid_points": str(len(grid)), "alpha_scope": family.alpha_scope()}
-    if windows:
-        w = windows[0]
-        interval, lo_label, hi_label = _scale_interval_with_bindings(
-            family, w.witness_lambda, epsilon
-        )
-        diagnostics["witness_scale_interval"] = (
-            f"({format_rational(interval.lo)}, {format_rational(interval.hi)})"
-        )
-        diagnostics["witness_binding_lower"] = lo_label
-        diagnostics["witness_binding_upper"] = hi_label
     return FeasibilityReport(
         family=family.name,
         epsilon=epsilon,
@@ -1016,6 +1149,36 @@ def sweep_lambda(
         endpoint_checks=tuple(checks),
         diagnostics=diagnostics,
     )
+
+
+def _feasibility(family, epsilon):
+    """lambda -> whether some scale a passes all three conditions at
+    epsilon.  A lambda outside the ample range is infeasible; every other
+    error of a probe propagates.  Where the family has cells, one exact
+    probe decides each open cell (at its probe point) and each rational
+    root that is queried, and its alpha cap is checked against the closed
+    form; elsewhere every lambda is probed."""
+    cache: dict[Fraction, bool] = {}
+
+    def feasible(lam: Fraction) -> bool:
+        if not family.is_ample_at(lam):
+            return False
+        cells = family.cells
+        point = lam if cells is None else _probe_point(cells, lam)
+        if point not in cache:
+            interval = feasible_scale_interval(family, point, epsilon)
+            if cells is not None:
+                n = family.dim
+                cap = Fraction(n + 1, n) / (max(c + d * point for c, d in cells.pieces) * epsilon)
+                if interval.hi != cap:
+                    raise GeometryError(
+                        f"internal inconsistency: the alpha cap at lambda = "
+                        f"{format_rational(point)} differs from its closed form"
+                    )
+            cache[point] = not interval.is_empty
+        return cache[point]
+
+    return feasible
 
 
 def _bisect(bad, good, feasible, tol):

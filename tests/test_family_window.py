@@ -1,0 +1,345 @@
+"""Certified lambda-cells of family sweeps.
+
+`sweep_lambda` decides feasibility once per cell between consecutive real
+roots of the integer polynomials that carry the verdict, instead of once
+per grid and bisection point.  These tests hold it to:
+
+- the feasible windows of dp6 and dp1, derived here with sympy from the
+  geometry alone (no `kproper` code), which the sweep brackets must contain;
+- the per-point probe, on random Picard and toric pencils, at random
+  lambdas, at the rational roots and at those roots +- 1/10^6;
+- independence of epsilon, and byte-equal sweeps with the cells switched off.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+sp = pytest.importorskip("sympy")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from test_family_tables import AMPLE  # noqa: E402
+from test_wall_pairings import FANS  # noqa: E402
+
+from kproper import properness  # noqa: E402
+from kproper.picard import BlowupSurface, PicardClass, is_ample_picard  # noqa: E402
+from kproper.properness import (  # noqa: E402
+    PicardFamily,
+    ToricFamily,
+    _feasibility,
+    _scale_interval_with_bindings,
+    dp1_family,
+    dp6_family,
+    feasibility_report_to_json,
+    feasible_scale_interval,
+    sweep_lambda,
+)
+from kproper.rationals import AlgebraicRoot, GeometryError, real_roots, simplest_between  # noqa: E402
+
+F = Fraction
+LAM = sp.symbols("lam", real=True)
+WINDOWS = {"dp6": (F(5, 6), F(6, 5)), "dp1": (F(4, 5), F(10, 9))}
+SWEEPS = {"dp6": (dp6_family, F(1, 2), F(2)), "dp1": (dp1_family, F(0), F(4, 3))}
+
+
+# ---------------------------------------------------------------------------
+# the windows from the geometry, with sympy
+
+
+def _window(l_dot_c, k_dot_c, l_sq, k_dot_l, pieces, ample):
+    """{lambda in ample : every cut t > c lies below the cap 3/(2 m) for
+    each alpha piece m}, with mu = -K.L / L^2 and the cuts of conditions
+    (2) and (3), -K.C / L.C and 2 mu + K.C / L.C.  Every denominator is
+    positive on the ample range, so each inequality is cleared to a
+    polynomial one."""
+    mu = -k_dot_l / l_sq
+    cuts = {-k / c for c, k in zip(l_dot_c, k_dot_c)} | {2 * mu + k / c for c, k in zip(l_dot_c, k_dot_c)}
+    feasible = ample
+    for cut in cuts:
+        for m in pieces:
+            num, den = sp.fraction(sp.together(sp.Rational(3, 2) - cut * m))
+            positive = sp.solve_poly_inequality(sp.Poly(num * den, LAM), ">")
+            feasible = feasible.intersect(sp.Union(*positive))
+    return feasible
+
+
+def _dp6_window():
+    # hexagonal fan: u_{i-1} + u_{i+1} = u_i, so L.D_i = a_{i-1} + a_{i+1} - a_i
+    # and K.D_i = -1; L^2 = sum a_i L.D_i and K.L = -sum L.D_i.  The class
+    # a = (1, lam, 1, lam, 1, lam) is invariant under the rotation by 120
+    # degrees, so its polytope is centred and alpha = 1 / max(1, lam).
+    a = [sp.Integer(1), LAM] * 3
+    walls = [a[i - 1] + a[(i + 1) % 6] - a[i] for i in range(6)]
+    l_sq = sum(x * w for x, w in zip(a, walls))
+    return _window(walls, [-1] * 6, l_sq, -sum(walls), [sp.Integer(1), LAM],
+                   sp.Interval.open(sp.Rational(1, 2), 2))
+
+
+def _multiplicities(d, r=8):
+    """Nonincreasing (m_1, ..., m_r) with sum 3d - 1 and sum of squares d^2 + 1."""
+    out = []
+
+    def extend(prefix, total, squares):
+        if len(prefix) == r:
+            if total == 0 and squares == 0:
+                out.append(tuple(prefix))
+            return
+        top = prefix[-1] if prefix else d
+        for m in range(min(top, total + 1), -2, -1):
+            if m * m <= squares:
+                extend(prefix + [m], total - m, squares - m * m)
+
+    extend([], 3 * d - 1, d * d + 1)
+    return out
+
+
+def _dp1_window():
+    # L = 3H - E_1 - ... - E_7 - lam E_8 and a (-1)-curve C = dH - sum m_i E_i
+    # with sum m_i = 3d - 1: L.C = 3d - (3d - 1 - m_8) - lam m_8, K.C = -1,
+    # L^2 = 2 - lam^2, K.L = lam - 2.  m_8 takes every value any multiplicity
+    # takes; alpha is the supplied bound min{1, 1/(2 - lam)}.
+    eighth = {m for d in range(7) for ms in _multiplicities(d) for m in ms}
+    assert eighth == {-1, 0, 1, 2, 3}
+    rows = [1 + m - m * LAM for m in sorted(eighth)]
+    return _window(rows, [-1] * len(rows), 2 - LAM**2, LAM - 2, [sp.Integer(1), 2 - LAM],
+                   sp.Interval.open(0, sp.Rational(4, 3)))
+
+
+def test_sympy_windows_are_the_claimed_ones():
+    assert _dp6_window() == sp.Interval.open(sp.Rational(5, 6), sp.Rational(6, 5))
+    assert _dp1_window() == sp.Interval.open(sp.Rational(4, 5), sp.Rational(10, 9))
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_brackets_hold_the_derived_endpoints(name):
+    derived = {"dp6": _dp6_window, "dp1": _dp1_window}[name]()
+    lo, hi = F(str(derived.start)), F(str(derived.end))
+    assert (lo, hi) == WINDOWS[name]
+    make, lam_min, lam_max = SWEEPS[name]
+    report = sweep_lambda(make(), lam_min, lam_max, F(1, 100), F(1, 10**6), F(1), (lo, hi))
+    (window,) = report.windows
+    assert window.lo_bracket[0] <= lo <= window.lo_bracket[1]
+    assert window.hi_bracket[0] <= hi <= window.hi_bracket[1]
+    assert all(c.confirmed for c in report.endpoint_checks)
+    assert {lo, hi} <= set(make().cells.roots)
+
+
+# ---------------------------------------------------------------------------
+# exact root isolation against sympy
+
+coefficients = st.integers(-12, 12)
+# products of small factors give repeated, shared and rational roots; raw
+# coefficient lists give irrational ones
+polynomials = st.one_of(
+    st.lists(coefficients, min_size=2, max_size=4),
+    st.lists(st.lists(coefficients, min_size=2, max_size=3), min_size=1, max_size=3).map(
+        lambda fs: [c for c in sp.Poly(sp.prod(sp.Poly(f[::-1], LAM) for f in fs), LAM).all_coeffs()[::-1]]
+    ),
+).filter(lambda p: 2 <= len(p) <= 4 and any(p[1:]))
+bounds = st.one_of(st.none(), st.fractions(min_value=-6, max_value=6, max_denominator=8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(polynomials, min_size=1, max_size=4), bounds, bounds)
+def test_real_roots_match_sympy(polys, lo, hi):
+    polys = [tuple(int(c) for c in p) for p in polys]
+    roots = real_roots(polys, lo, hi)
+    expected = sorted({
+        r for p in polys for r in sp.Poly(p[::-1], LAM).real_roots()
+        if (lo is None or r > sp.Rational(lo.numerator, lo.denominator))
+        and (hi is None or r < sp.Rational(hi.numerator, hi.denominator))
+    })
+    assert len(roots) == len(expected)
+    for got, want in zip(roots, expected):
+        if isinstance(got, AlgebraicRoot):
+            assert not want.is_rational
+            assert sp.Rational(got.lo.numerator, got.lo.denominator) < want
+            assert want < sp.Rational(got.hi.numerator, got.hi.denominator)
+        else:
+            assert want.is_rational and got == Fraction(int(want.p), int(want.q))
+
+
+@given(st.fractions(min_value=-5, max_value=5, max_denominator=30),
+       st.fractions(min_value=0, max_value=3, max_denominator=30).filter(bool))
+def test_simplest_between_has_the_least_denominator(lo, width):
+    hi = lo + width
+    q = 1
+    # the k / q with lo < k / q < hi, for the least q that has one
+    while not (inside := [F(k, q) for k in range(math.floor(lo * q) + 1, math.ceil(hi * q))]):
+        q += 1
+    assert simplest_between(lo, hi) == min(inside, key=abs)
+
+
+# ---------------------------------------------------------------------------
+# the cell predicate against the per-point probe
+
+
+def _outcome(decide):
+    try:
+        return decide()
+    except GeometryError:
+        return "GeometryError"
+
+
+def _per_point(family, lam, epsilon):
+    return family.is_ample_at(lam) and not feasible_scale_interval(family, lam, epsilon).is_empty
+
+
+def _check_against_per_point(data, family, lams, epsilon):
+    cells = family.cells
+    rational = sorted(r for r in cells.roots if isinstance(r, Fraction)) if cells else []
+    roots = data.draw(st.lists(st.sampled_from(rational), max_size=5, unique=True)) if rational else []
+    nudge = F(1, 10**6)
+    queries = [*lams, *roots, *(r + nudge for r in roots), *(r - nudge for r in roots)]
+    feasible = _feasibility(family, epsilon)
+    for lam in queries:
+        assert _outcome(lambda: feasible(lam)) == _outcome(lambda: _per_point(family, lam, epsilon)), lam
+
+
+lambdas = st.lists(st.fractions(min_value=-2, max_value=3, max_denominator=40), min_size=4, max_size=8)
+epsilons = st.sampled_from((F(1, 3), F(1), F(7, 2)))
+offsets = st.fractions(min_value=-1, max_value=1, max_denominator=12)
+
+
+@st.composite
+def picard_pencils(draw):
+    """L_lambda = A + lambda (B - A) for two ample classes A and B on r
+    points, ample at least on [0, 1]; r = 1 is the per-point fallback."""
+    r = draw(st.integers(1, 8))
+    surface = BlowupSurface(r)
+    classes = []
+    for _ in range(2):
+        t = draw(st.fractions(min_value=1, max_value=3, max_denominator=6))
+        coords = (3 * t + draw(offsets) / 2, *(t + draw(offsets) / 4 for _ in range(r)))
+        classes.append(coords)
+    base, top = classes
+    if not all(is_ample_picard(PicardClass(surface, c)) for c in classes):
+        return None
+    return PicardFamily("random", surface, base, tuple(b - a for a, b in zip(base, top)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), picard_pencils(), lambdas, epsilons)
+def test_cells_match_per_point_on_picard_pencils(data, family, lams, epsilon):
+    if family is None:
+        return
+    assert (family.cells is None) == (family.surface.r == 1)
+    _check_against_per_point(data, family, lams, epsilon)
+
+
+@st.composite
+def toric_pencils(draw):
+    """Pencils near an ample class on the fans of test_wall_pairings.py.
+    Symmetric ones (constant on the orbits of a rotation: order 3 on p2,
+    order 3 or 6 on dp6) have cells in full mode; the rest, and torus mode,
+    are the per-point fallback."""
+    name = draw(st.sampled_from(sorted(FANS)))
+    n = FANS[name].n_rays
+    period = {"p2": 1, "dp6": draw(st.sampled_from((1, 2)))}.get(name) if draw(st.booleans()) else None
+    if period:
+        shift, slope = (draw(st.lists(offsets, min_size=period, max_size=period)) * (n // period)
+                        for _ in range(2))
+        base = tuple(F(2) + s / 4 for s in shift)
+    else:
+        shift = draw(st.lists(offsets, min_size=n, max_size=n))
+        slope = draw(st.lists(offsets, min_size=n, max_size=n))
+        base = tuple(F(a) + s / 4 for a, s in zip(AMPLE[name], shift))
+    mode = draw(st.sampled_from(("full", "torus")))
+    return ToricFamily("random", FANS[name], base, tuple(slope), mode), period is not None
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), toric_pencils(), lambdas, epsilons)
+def test_cells_match_per_point_on_toric_pencils(data, pencil, lams, epsilon):
+    family, symmetric = pencil
+    if family.group_mode == "torus":
+        assert family.cells is None
+    elif symmetric:
+        assert family.cells is not None
+    _check_against_per_point(data, family, lams, epsilon)
+
+
+def test_cells_follow_a_window_end_set_by_condition_three():
+    # on this pencil the feasible side of the lower window end binds at
+    # condition (3), which neither builtin family does
+    family = PicardFamily(
+        "r=2", BlowupSurface(2), (F(25, 6), F(7, 3), F(4, 3)), (F(9, 2), F(-1, 6), F(-1, 2))
+    )
+    args = (F(0), F(1, 2), F(1, 50), F(1, 10**4))
+    report = sweep_lambda(family, *args)
+    (window,) = report.windows
+    _, lower, _ = _scale_interval_with_bindings(family, window.lo_bracket[1], F(1))
+    assert lower.startswith("condition (3)")
+    per_point = PicardFamily(family.name, family.surface, family.base, family.slope)
+    per_point.__dict__["cells"] = None
+    assert report == sweep_lambda(per_point, *args)
+
+
+def test_cells_end_where_the_supplied_bound_ends():
+    # L_lambda = (1 + lambda)(3H - E_1 - E_2 - E_3) is ample for every lambda > -1;
+    # the dp1 bound, hence every probe, needs lambda < 2
+    family = PicardFamily("r=3", BlowupSurface(3), (F(3), F(1), F(1), F(1)), (F(3), F(1), F(1), F(1)))
+    assert F(2) in family.cells.roots
+    feasible = _feasibility(family, F(1))
+    assert feasible(F(19, 10)) == _per_point(family, F(19, 10), F(1))
+    with pytest.raises(GeometryError, match="lambda < 2"):
+        feasible(F(21, 10))
+
+
+def test_cell_probe_checks_the_closed_form_alpha(monkeypatch):
+    original = ToricFamily.alpha_unscaled
+
+    def doubled(self, lam):
+        alpha, label, scope = original(self, lam)
+        return 2 * alpha, label, scope
+
+    monkeypatch.setattr(ToricFamily, "alpha_unscaled", doubled)
+    with pytest.raises(GeometryError, match="internal inconsistency: the alpha cap"):
+        sweep_lambda(dp6_family(), F(1, 2), F(2), F(1, 10), F(1, 100))
+
+
+# ---------------------------------------------------------------------------
+# whole sweeps
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_windows_do_not_depend_on_epsilon(name):
+    make, lam_min, lam_max = SWEEPS[name]
+    reports = [
+        sweep_lambda(make(), lam_min, lam_max, F(1, 100), F(1, 10**6), eps, WINDOWS[name])
+        for eps in (F(1, 3), F(1), F(7, 2))
+    ]
+    first = reports[0]
+    for report in reports[1:]:
+        assert [(w.lo_bracket, w.hi_bracket, w.witness_lambda) for w in report.windows] == [
+            (w.lo_bracket, w.hi_bracket, w.witness_lambda) for w in first.windows
+        ]
+        # the witness scale moves as 1/epsilon, like the whole interval
+        assert [w.witness_a * report.epsilon for w in report.windows] == [
+            w.witness_a * first.epsilon for w in first.windows
+        ]
+        assert report.endpoint_checks == first.endpoint_checks
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+@pytest.mark.parametrize("offset", [F(0), F(37, 10000), F(1, 7)])
+def test_cell_sweep_equals_the_per_point_sweep(name, offset):
+    make, lam_min, lam_max = SWEEPS[name]
+    args = (lam_min + offset, lam_max, F(1, 20), F(1, 10**4), F(1), WINDOWS[name])
+    per_point = make()
+    # a family without cells probes every lambda
+    per_point.__dict__["cells"] = None
+    assert feasibility_report_to_json(sweep_lambda(make(), *args)) == feasibility_report_to_json(
+        sweep_lambda(per_point, *args)
+    )
+
+
+def test_cells_are_built_once_per_family(monkeypatch):
+    family = dp1_family()
+    sweep_lambda(family, F(0), F(4, 3), F(1, 10), F(1, 100))
+    cells = family.cells
+    monkeypatch.setattr(properness, "real_roots", None)
+    sweep_lambda(family, F(0), F(4, 3), F(1, 10), F(1, 100))
+    assert family.cells is cells

@@ -20,6 +20,7 @@ from kproper.properness import (
     SliceCurve,
     StabilizerAlpha,
     SuppliedAlpha,
+    ToricFamily,
     canonical_polarization_slice,
     check_fano,
     check_negative_c1,
@@ -37,6 +38,7 @@ from kproper.properness import (
 )
 from kproper.rationals import GeometryError, InputError
 from kproper.toric import ToricDivisor, anticanonical_divisor, dp6_fan, is_ample, p2_fan
+from test_toric import p1_cubed_fan
 
 F = Fraction
 
@@ -371,6 +373,22 @@ def test_sweep_outside_ample_cone_is_empty():
     )
     assert report.windows == ()
     assert report.endpoint_checks == ()
+
+
+def test_sweep_raises_on_a_threefold_family():
+    family = ToricFamily("P1^3", p1_cubed_fan(), (F(1),) * 6, (F(0), F(1)) * 3)
+    with pytest.raises(GeometryError, match="surfaces only"):
+        sweep_lambda(family, F(1), F(2), F(1, 2), F(1, 10))
+
+
+def test_sweep_raises_when_a_probe_is_inconsistent(monkeypatch):
+    # only a lambda outside the ample range counts as infeasible
+    def inconsistent(family, lam, epsilon=F(1)):
+        raise GeometryError("internal inconsistency: stubbed probe")
+
+    monkeypatch.setattr(properness, "feasible_scale_interval", inconsistent)
+    with pytest.raises(GeometryError, match="internal inconsistency: stubbed probe"):
+        sweep_lambda(dp6_family(), F(1, 2), F(2), F(1, 10), F(1, 100))
 
 
 def test_sweep_rejects_empty_grid():
