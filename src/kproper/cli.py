@@ -42,6 +42,10 @@ def _read_json(path: str):
         raise InputError(
             f"invalid JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, an integer with too many digits, or
+        # nesting too deep to parse
+        raise InputError(f"invalid JSON in {path}: {exc}") from None
 
 
 def _dump_json(data) -> str:

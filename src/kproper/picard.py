@@ -2,9 +2,10 @@
 
 Classes are written in the basis (H, E_1, ..., E_r) with intersection form
 diag(1, -1, ..., -1); the canonical class is K = -3H + sum E_i.  Ampleness
-is tested Kleiman-style against the exceptional curves (the classes with
-C.C = C.K = -1), which generate the cone of curves for del Pezzo surfaces,
-plus the Nakai safeguard D.D > 0.
+is tested Kleiman-style against the curves that span the cone of curves,
+plus the Nakai safeguard D.D > 0.  For r >= 2 these are the exceptional
+curves (the classes with C.C = C.K = -1); on one blowup E_1 alone does not
+span it, and the fiber class H - E_1 (C.C = 0, K.C = -2) joins it.
 
 The exceptional curves are found by bounded search: C.K = -1 pins the
 degree d = C.H through 3d - 1 = sum m_i, and C.C = -1 gives
@@ -15,9 +16,10 @@ Every positivity question reads one ConstraintTable per class
 (curve_table, built at most once and kept on the class), the same table
 type that holds the walls of a toric surface and the test curves of a
 slice: the pairings D.C_i as integer numerators over curve_matrix(r), which
-holds one row (d, -m_1, ..., -m_r) per exceptional curve, over the lcm of
-the coordinate denominators; K.C_i = -1 on the same denominator; D.D, K.D
-and K.K = 9 - r; and the safeguard flag, which only this table sets.
+holds one row (d, -m_1, ..., -m_r) per cone curve, over the lcm of the
+coordinate denominators; K.C_i (-1 on every exceptional curve, -2 on the
+fiber row) on the same denominator; D.D, K.D and K.K = 9 - r; and the
+safeguard flag, which only this table sets.
 Ampleness, nefness, the Nakai safeguard D.D > 0 and the slope
 mu = -K.D / D.D are read off it here, and the checker reads every
 combination x D + y K off its rows.  pairing() remains the reference form,
@@ -175,36 +177,54 @@ def exceptional_curves(r: int) -> tuple[PicardClass, ...]:
 
 
 @functools.lru_cache(maxsize=None)
+def cone_curves(r: int) -> tuple[PicardClass, ...]:
+    """The curves that span the cone of curves, lexicographically sorted:
+    the exceptional curves, and on one blowup also the fiber H - E_1,
+    which sorts after E_1."""
+    if r == 1:
+        return (*exceptional_curves(1), BlowupSurface(1).cls((1, 1)))
+    return exceptional_curves(r)
+
+
+@functools.lru_cache(maxsize=None)
 def curve_matrix(r: int) -> tuple[tuple[int, ...], ...]:
-    """Rows (d, -m_1, ..., -m_r) of the exceptional curves, in table order.
+    """Rows (d, -m_1, ..., -m_r) of the cone curves, in table order.
 
     The row dotted with a class's coordinates is its pairing with the curve."""
     return tuple(
         (int(c.coords[0]),) + tuple(-int(m) for m in c.coords[1:])
-        for c in exceptional_curves(r)
+        for c in cone_curves(r)
     )
 
 
 @functools.lru_cache(maxsize=None)
 def curve_labels(r: int) -> tuple[str, ...]:
-    """The report label of each exceptional curve, in table order."""
+    """The report label of each cone curve, in table order."""
     return tuple(
         "curve (" + ", ".join(format_rational(x) for x in c.coords) + ")"
-        for c in exceptional_curves(r)
+        for c in cone_curves(r)
     )
 
 
-def curve_table(d: PicardClass) -> ConstraintTable:
-    """The class against the exceptional curves, computed once per class.
+@functools.lru_cache(maxsize=None)
+def _canonical_pairings(r: int) -> tuple[int, ...]:
+    """K.C for each cone curve, in table order."""
+    k = BlowupSurface(r).canonical()
+    return tuple(int(pairing(k, c)) for c in cone_curves(r))
 
-    Rows stay in table order, which is the tie order.  Every exceptional
-    curve has K.C = -1 and K.K = 9 - r, and the table sets the safeguard."""
+
+def curve_table(d: PicardClass) -> ConstraintTable:
+    """The class against the cone curves, computed once per class.
+
+    Rows stay in table order, which is the tie order.  K.K = 9 - r, and the
+    table sets the safeguard."""
     if d._table is None:
+        r = d.surface.r
         den, cleared = clear_denominators(d.coords)
-        nums = tuple(sum(map(operator.mul, row, cleared)) for row in curve_matrix(d.surface.r))
+        nums = tuple(sum(map(operator.mul, row, cleared)) for row in curve_matrix(r))
         table = ConstraintTable(
-            curve_labels(d.surface.r), nums, (-den,) * len(nums), den,
-            pairing(d, d), pairing(d.surface.canonical(), d), Fraction(9 - d.surface.r),
+            curve_labels(r), nums, tuple(map(den.__mul__, _canonical_pairings(r))), den,
+            pairing(d, d), pairing(d.surface.canonical(), d), Fraction(9 - r),
             safeguard=True,
         )
         object.__setattr__(d, "_table", table)
@@ -221,7 +241,7 @@ def curve_census(r: int) -> dict[int, int]:
 
 
 def is_ample_picard(d: PicardClass) -> bool:
-    """Kleiman positivity against all exceptional curves plus D.D > 0."""
+    """Kleiman positivity against all cone curves plus D.D > 0."""
     table = curve_table(d)
     return min(table.nums) > 0 and table.l_sq > 0
 

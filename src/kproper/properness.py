@@ -19,11 +19,12 @@ surfaces), exceptional curves (blowups of P^2) or user-supplied test curves
 (abstract slices), and for a one-parameter family a L_lambda all of them are
 affine in the scale a, so the feasible set of scales at fixed lambda is an
 exact open interval.  Sweeps refine the feasible lambda-window endpoints by
-bisection.  Every cut and the alpha cap are ratios of integer polynomials in
-lambda, so feasibility is constant between consecutive real roots of a
-finite list of them (isolated exactly, by rationals.real_roots); a sweep
-runs one exact probe per such cell that it touches, and probes every
-lambda only for families whose alpha has no closed form.
+bisection.  Every cut and the alpha cap are exact at a given lambda, so
+where alpha(L_lambda) has a closed form (the supplied dp1 bound, or the
+G-averaged coefficients of a toric family) a sweep decides each grid and
+bisection point by the integer cut loop alone, and runs the certified probe
+only at both ends of every bracket, at the witness and at the endpoint
+checks.  Families whose alpha has no closed form are probed at every lambda.
 
 All three curve lists are one ConstraintTable per class (rationals.py),
 built by wall_table, curve_table or the slice, and _backend is the one
@@ -50,7 +51,6 @@ sqrt(10) - 2 (approx 0.76..1.16).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -65,7 +65,6 @@ from .picard import (
     slope_picard,
 )
 from .rationals import (
-    AlgebraicRoot,
     ConstraintTable,
     GeometryError,
     InputError,
@@ -74,10 +73,6 @@ from .rationals import (
     constraint_table,
     format_rational,
     parse_rational,
-    poly_combine,
-    poly_mul,
-    real_roots,
-    simplest_between,
 )
 from .toric import (
     Fan,
@@ -129,7 +124,7 @@ def dervan_alpha_bound(lam) -> Fraction:
     lam = Fraction(lam)
     if lam >= 2:
         raise GeometryError("the builtin dp1 alpha bound needs lambda < 2")
-    return min(Fraction(1), 1 / (2 - lam))
+    return 1 / (2 - lam) if lam < 1 else Fraction(1)
 
 
 def resolve_alpha(backend, source):
@@ -614,93 +609,6 @@ def _family_is_ample_at(family, lam) -> bool:
     return min(b * q + s * p for b, s, _ in rows) > 0 and _forms_at(family, lam)[0] > 0
 
 
-class _Cells(NamedTuple):
-    # the sorted real roots; each open cell between two of them has one
-    # probe point, points[k] below roots[k]
-    roots: tuple
-    points: tuple[Fraction, ...]
-    # alpha(L_lambda) = 1 / max(c + d lambda) over the (c, d) pieces
-    pieces: tuple[tuple[Fraction, Fraction], ...]
-
-
-def _family_cells(family):
-    """The ample range of lambda cut at the real roots of every integer
-    polynomial whose sign decides feasibility, or None where alpha has no
-    closed form.
-
-    With rows (b, s, k), M L^2 = A(lambda) and M K.L = k0 + k1 lambda, the
-    cuts in t = epsilon a are -k / (b + s lambda) (condition (2)) and
-    n mu + (n-1) k / (b + s lambda) (condition (3)), and the alpha bound
-    caps t at (n+1) / (n m) with m = max of the pieces; epsilon cancels.
-    The ample range is the open interval where every b + s lambda > 0: the
-    rows span the cone of curves, so A > 0 there too.  An ample lambda is
-    feasible iff every cut c has n c m < n + 1.  The verdict is constant
-    between consecutive roots of g = n c m_i - (n+1), cleared of its
-    positive denominator, for every cut and piece: where every g keeps its
-    sign no cut changes sign (g = -(n+1) at c = 0), and n c m < n + 1
-    holds iff c < 0 or every g < 0.  The roots of the pieces are added, so
-    the cap is defined on the whole cell (dervan_alpha_bound needs
-    lambda < 2)."""
-    pieces = family.alpha_pieces()
-    if pieces is None:
-        return None
-    n = family.dim
-    _, rows = family.pairing_data
-    a0, a1, a2, k0, k1, _ = family.forms
-    area = (a0, a1, a2)
-    # D m_i = e + f lambda
-    den, flat = clear_denominators([x for piece in pieces for x in piece])
-    caps = tuple(zip(flat[::2], flat[1::2]))
-    polys = list(caps)
-    for b, s, k in rows:
-        # the condition (3) cut times its positive denominator A (b + s lambda)
-        cut3 = poly_combine((-n, poly_mul((k0, k1), (b, s))), ((n - 1) * k, area))
-        for cap in caps:
-            polys.append(poly_combine((-n * k, cap), (-(n + 1) * den, (b, s))))
-            polys.append(poly_combine(
-                (n, poly_mul(cap, cut3)), (-(n + 1) * den, poly_mul((b, s), area))
-            ))
-    lo = max((Fraction(-b, s) for b, s, _ in rows if s > 0), default=None)
-    hi = min((Fraction(-b, s) for b, s, _ in rows if s < 0), default=None)
-    roots = real_roots(polys, lo, hi)
-    ends = (lo, *roots, hi)
-    return _Cells(roots, tuple(itertools.starmap(_point_between, zip(ends, ends[1:]))), pieces)
-
-
-def _point_between(left, right) -> Fraction:
-    """The simplest rational strictly between two consecutive roots or
-    ends of the ample range (None where it is unbounded)."""
-    while True:
-        lo = left.hi if isinstance(left, AlgebraicRoot) else left
-        hi = right.lo if isinstance(right, AlgebraicRoot) else right
-        if lo is None or hi is None or lo < hi:
-            break
-        # an interval end touches the neighbouring root or interval
-        left, right = (r.halved() if isinstance(r, AlgebraicRoot) else r for r in (left, right))
-    if lo is None:
-        return Fraction(0 if hi is None else math.ceil(hi) - 1)
-    return Fraction(math.floor(lo) + 1) if hi is None else simplest_between(lo, hi)
-
-
-def _probe_point(cells: _Cells, lam: Fraction) -> Fraction:
-    """lam itself when it is a root, else the probe point of its cell."""
-    lo, hi = 0, len(cells.roots)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        root = cells.roots[mid]
-        if isinstance(root, AlgebraicRoot):
-            above = root.exceeds(lam)
-        elif root == lam:
-            return lam
-        else:
-            above = root > lam
-        if above:
-            hi = mid
-        else:
-            lo = mid + 1
-    return cells.points[lo]
-
-
 @dataclass(frozen=True)
 class ToricFamily:
     """lambda -> ToricDivisor(base + lambda * slope) with recomputed alpha."""
@@ -713,7 +621,6 @@ class ToricFamily:
 
     pairing_data = functools.cached_property(_family_pairing_data)
     forms = functools.cached_property(_family_forms)
-    cells = functools.cached_property(_family_cells)
     is_ample_at = _family_is_ample_at
 
     def class_at(self, lam) -> ToricDivisor:
@@ -732,11 +639,10 @@ class ToricFamily:
         label = f"stabilizer formula ({self.group_mode} group, order {order})"
         return alpha_invariant(ctx), label, SCOPE_G
 
-    def alpha_pieces(self):
-        """Pieces (c_i, d_i) with alpha(L_lambda) = 1 / max(c_i + d_i lambda)
-        wherever L_lambda is ample, or None.
+    def alpha_closed_form(self):
+        """lambda -> alpha(L_lambda) wherever L_lambda is ample, or None.
 
-        They exist when the group G of fan automorphisms that keep every wall
+        It exists when the group G of fan automorphisms that keep every wall
         row (B, S) has fixed space {0}, i.e. its matrices sum to zero.  G fixes
         each class L_lambda, so the stabilizer's fixed polytope is the
         barycenter alone and alpha = 1 / max a_i', where the recentred
@@ -758,10 +664,17 @@ class ToricFamily:
         # entrywise sum of the matrices
         if any(map(sum, zip(*(sum(g, ()) for g, _ in group)))):
             return None
-        return tuple(sorted({
-            tuple(sum(c[p[i]] for _, p in group) / len(group) for c in (self.base, self.slope))
+        den, flat = clear_denominators([
+            sum(c[p[i]] for _, p in group) / len(group)
             for i in range(self.fan.n_rays)
-        }))
+            for c in (self.base, self.slope)
+        ])
+        # den a_i' = e + f lambda; at lambda = p/q, alpha = den q / max(e q + f p)
+        pieces = set(zip(flat[::2], flat[1::2]))
+        return lambda lam: Fraction(
+            den * lam.denominator,
+            max(e * lam.denominator + f * lam.numerator for e, f in pieces),
+        )
 
     def alpha_scope(self) -> str:
         return SCOPE_G
@@ -779,7 +692,6 @@ class PicardFamily:
 
     pairing_data = functools.cached_property(_family_pairing_data)
     forms = functools.cached_property(_family_forms)
-    cells = functools.cached_property(_family_cells)
     is_ample_at = _family_is_ample_at
 
     def class_at(self, lam) -> PicardClass:
@@ -795,13 +707,9 @@ class PicardFamily:
     def alpha_unscaled(self, lam):
         return dervan_alpha_bound(lam), self.alpha_label, SCOPE_ALL
 
-    def alpha_pieces(self):
-        """dervan_alpha_bound is 1 / max{1, 2 - lambda}.  None on one blowup,
-        where E_1 alone does not span the cone of curves (the fiber class
-        H - E_1 is missing), so the rows do not decide ampleness."""
-        if self.surface.r < 2:
-            return None
-        return ((Fraction(1), Fraction(0)), (Fraction(2), Fraction(-1)))
+    def alpha_closed_form(self):
+        """The supplied bound is its own closed form."""
+        return dervan_alpha_bound
 
     def alpha_scope(self) -> str:
         return SCOPE_ALL
@@ -882,26 +790,51 @@ def feasible_scale_interval(family, lam, epsilon=Fraction(1)) -> OpenInterval:
 
 def _scale_interval_with_bindings(family, lam, epsilon):
     """The interval plus the labels of the constraints attaining lo and hi."""
-    lam, epsilon = Fraction(lam), Fraction(epsilon)
-    if epsilon <= 0:
-        raise InputError("family feasibility needs epsilon > 0 (zero slack is the c1 < 0 mode)")
+    lam, epsilon = Fraction(lam), _positive_slack(epsilon)
     if not family.is_ample_at(lam):
         raise GeometryError(f"lambda = {format_rational(lam)} is outside the ample range")
     n = family.dim
     alpha1, alpha_label, alpha_scope = family.alpha_unscaled(lam)
     mu1 = _family_mu(family, lam)
+    lo_num, lo_den, lo_label = _lower_cut(family, lam)
+    interval = OpenInterval(
+        Fraction(lo_num * epsilon.denominator, lo_den * epsilon.numerator),
+        Fraction(n + 1, n) * alpha1 / epsilon,
+    )
+    hi_label = "condition (1): alpha bound"
+    if not interval.is_empty:
+        _verify_interval(family, lam, epsilon, interval, mu1, alpha1, alpha_label, alpha_scope)
+    return interval, lo_label, hi_label
+
+
+def _positive_slack(epsilon) -> Fraction:
+    epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise InputError("family feasibility needs epsilon > 0 (zero slack is the c1 < 0 mode)")
+    return epsilon
+
+
+def _lower_cut(family, lam: Fraction):
+    """(num, den, label) at an ample lambda: the least t = epsilon a that
+    conditions (2) and (3) allow, as integers with den > 0, and the
+    constraint attaining it.  The alpha bound caps t at (n+1)/n
+    alpha(L_lambda), whatever epsilon is."""
+    n = family.dim
     labels, rows = family.pairing_data
-    # Each constraint reads c0 + c1 * a > 0.  The alpha bound caps a from
-    # above.  Every positivity constraint has c1 = epsilon * L.C > 0, since
-    # the class is ample (Kleiman), so it bounds a from below by -c0 / c1.
-    # That cut is kept in t = epsilon * a as an integer pair (num, den > 0):
-    # at lambda = p/q, with lc = B q + S p a positive multiple of L.C,
+    # Each constraint reads c0 + c1 * a > 0.  Every positivity constraint
+    # has c1 = epsilon * L.C > 0, since the class is ample (Kleiman), so it
+    # bounds a from below by -c0 / c1.  That cut is kept in t = epsilon * a
+    # as an integer pair (num, den > 0): at lambda = p/q, with lc = B q + S p
+    # a positive multiple of L.C,
     #   condition (2):  -K q / lc,
-    #   condition (3):  (n mu1 lc + (n-1) K q) / lc,
-    # and cuts are compared by cross-multiplication.  The strict comparison
-    # keeps the first constraint in table order on ties.
+    #   condition (3):  (n mu lc + (n-1) K q) / lc,
+    # and cuts are compared by cross-multiplication, so mu = mu_n / mu_d
+    # need not be reduced.  The strict comparison keeps the first constraint
+    # in table order on ties.
     p, q = lam.numerator, lam.denominator
-    mu_n, mu_d = mu1.numerator, mu1.denominator
+    l_sq, lk, _ = _forms_at(family, lam)
+    # mu = -K.L / L^2, with L^2 > 0 on an ample class
+    mu_n, mu_d = -lk, l_sq
     lo_num, lo_den, lo_label = 0, 1, "positive scale"
     for label, (b, s, k) in zip(labels, rows):
         lc = b * q + s * p
@@ -914,14 +847,7 @@ def _scale_interval_with_bindings(family, lam, epsilon):
         for num, cond in ((-kq, 2), (n * mu_n * lc + (n - 1) * kq, 3)):
             if num * lo_den > lo_num * den:
                 lo_num, lo_den, lo_label = num, den, f"condition ({cond}): {label}"
-    interval = OpenInterval(
-        Fraction(lo_num * epsilon.denominator, lo_den * epsilon.numerator),
-        Fraction(n + 1, n) * alpha1 / epsilon,
-    )
-    hi_label = "condition (1): alpha bound"
-    if not interval.is_empty:
-        _verify_interval(family, lam, epsilon, interval, mu1, alpha1, alpha_label, alpha_scope)
-    return interval, lo_label, hi_label
+    return lo_num, lo_den, lo_label
 
 
 def _verify_interval(family, lam, epsilon, interval, mu1, alpha1, alpha_label, alpha_scope):
@@ -993,11 +919,13 @@ def _quadratic_positive_on_open(qa, qb, qc, lo, hi) -> bool:
 # ---------------------------------------------------------------------------
 # lambda sweeps
 
-# Each grid point is one exact feasibility probe (a few to tens of ms).
+# Each grid point is one decision: a pass over the family's distinct rows
+# (tens of microseconds) where alpha has a closed form, else one exact
+# feasibility probe (a few to tens of ms).
 MAX_GRID_POINTS = 100_000
-# Each bisection step is one more probe, and halving one grid step down to
-# refine_tol takes ceil(log2(step / refine_tol)) of them (about 14 at the
-# acceptance settings); the probes also slow down as the digits grow.
+# Each bisection step is one more decision, and halving one grid step down
+# to refine_tol takes ceil(log2(step / refine_tol)) of them (about 14 at the
+# acceptance settings); decisions also slow down as the digits grow.
 MAX_BISECTION_STEPS = 64
 
 
@@ -1051,17 +979,19 @@ def sweep_lambda(
     feasible/infeasible transition down to the requested bracket width.
 
     Points where the class is not ample count as infeasible; any other
-    error of a probe propagates.  Each point is decided by an exact
-    feasibility probe: the probe of its cell between consecutive roots of
-    the family's polynomials (family.cells), or of the point itself where
-    the family has no cells.  So the emitted brackets are certificates: the
-    bracket interior contains the true endpoint of the feasible window.
-    Conjectured exact endpoints are verified at the endpoint itself and on
-    both sides at distance refine_tol.
+    error propagates.  Grid and bisection points are decided by _feasibility:
+    the cut loop against the family's closed-form alpha, or an exact probe
+    where alpha has none.  Both ends of every bracket and the witness are
+    then run through the exact, certified feasible_scale_interval probe, and
+    a probe that disagrees with the decision raises.  So the emitted
+    brackets are certificates: the bracket interior contains the true
+    endpoint of the feasible window.  Conjectured exact endpoints are
+    verified by exact probes at the endpoint itself and on both sides at
+    distance refine_tol.
 
     The grid may hold at most MAX_GRID_POINTS points, and one grid step may
     need at most MAX_BISECTION_STEPS halvings to reach refine_tol; larger
-    requests are rejected before any probe.
+    requests, and epsilon <= 0, are rejected before any decision.
     """
     lambda_min, lambda_max = Fraction(lambda_min), Fraction(lambda_max)
     step, refine_tol = Fraction(step), Fraction(refine_tol)
@@ -1072,8 +1002,10 @@ def sweep_lambda(
         raise InputError("empty grid: lambda_min exceeds lambda_max")
     points = math.floor((lambda_max - lambda_min) / step) + 1
     if points > MAX_GRID_POINTS:
+        # str() refuses ints of more than a few thousand digits
+        size = points if points.bit_length() <= 64 else f"over 2^{points.bit_length() - 1}"
         raise InputError(
-            f"the grid would hold {points} points; the cap is {MAX_GRID_POINTS} "
+            f"the grid would hold {size} points; the cap is {MAX_GRID_POINTS} "
             "(raise step or narrow the lambda range)"
         )
     # the least k with step / 2**k <= refine_tol
@@ -1084,7 +1016,7 @@ def sweep_lambda(
             f"the cap is {MAX_BISECTION_STEPS} (raise refine_tol or lower step)"
         )
     grid = [lambda_min + k * step for k in range(points)]
-    feasible = _feasibility(family, epsilon)
+    feasible, probe = _feasibility(family, epsilon)
     flags = [feasible(lam) for lam in grid]
     windows = []
     diagnostics = {"grid_points": str(len(grid)), "alpha_scope": family.alpha_scope()}
@@ -1104,10 +1036,20 @@ def sweep_lambda(
             if j + 1 < len(grid)
             else (grid[-1], grid[-1])
         )
+        for lam in (*lo_bracket, *hi_bracket):
+            if probe(lam) != feasible(lam):
+                raise GeometryError(
+                    f"internal inconsistency: the exact probe at lambda = "
+                    f"{format_rational(lam)} disagrees with the sweep's decision"
+                )
         witness_lambda = grid[(i + j) // 2]
         interval, lo_label, hi_label = _scale_interval_with_bindings(
             family, witness_lambda, epsilon
         )
+        if interval.is_empty:
+            raise GeometryError(
+                "internal inconsistency: the exact probe at the witness is empty"
+            )
         if not windows:
             diagnostics["witness_scale_interval"] = (
                 f"({format_rational(interval.lo)}, {format_rational(interval.hi)})"
@@ -1133,9 +1075,9 @@ def sweep_lambda(
             EndpointCheck(
                 endpoint=e,
                 side=side,
-                empty_at_endpoint=not feasible(e),
-                feasible_inside=feasible(inside),
-                infeasible_outside=not feasible(outside),
+                empty_at_endpoint=not probe(e),
+                feasible_inside=probe(inside),
+                infeasible_outside=not probe(outside),
             )
         )
     return FeasibilityReport(
@@ -1152,33 +1094,44 @@ def sweep_lambda(
 
 
 def _feasibility(family, epsilon):
-    """lambda -> whether some scale a passes all three conditions at
-    epsilon.  A lambda outside the ample range is infeasible; every other
-    error of a probe propagates.  Where the family has cells, one exact
-    probe decides each open cell (at its probe point) and each rational
-    root that is queried, and its alpha cap is checked against the closed
-    form; elsewhere every lambda is probed."""
+    """(decide, probe): two maps lambda -> whether some scale a passes all
+    three conditions at epsilon > 0.  A lambda outside the ample range is
+    infeasible; every other error propagates, and decide raises wherever
+    probe does.
+
+    probe runs the certified feasible_scale_interval, once per lambda of
+    the sweep, and checks its alpha cap against the closed form where there
+    is one.  decide runs the same cut loop against the closed-form alpha,
+    with no certificate; where alpha has no closed form it is probe."""
+    # a threefold family fails here, before its alpha is looked at
+    family.pairing_data
+    epsilon = _positive_slack(epsilon)
+    alpha = family.alpha_closed_form()
+    n = family.dim
     cache: dict[Fraction, bool] = {}
 
-    def feasible(lam: Fraction) -> bool:
+    def probe(lam: Fraction) -> bool:
         if not family.is_ample_at(lam):
             return False
-        cells = family.cells
-        point = lam if cells is None else _probe_point(cells, lam)
-        if point not in cache:
-            interval = feasible_scale_interval(family, point, epsilon)
-            if cells is not None:
-                n = family.dim
-                cap = Fraction(n + 1, n) / (max(c + d * point for c, d in cells.pieces) * epsilon)
-                if interval.hi != cap:
-                    raise GeometryError(
-                        f"internal inconsistency: the alpha cap at lambda = "
-                        f"{format_rational(point)} differs from its closed form"
-                    )
-            cache[point] = not interval.is_empty
-        return cache[point]
+        if lam not in cache:
+            interval = feasible_scale_interval(family, lam, epsilon)
+            if alpha is not None and interval.hi != Fraction(n + 1, n) * alpha(lam) / epsilon:
+                raise GeometryError(
+                    f"internal inconsistency: the alpha cap at lambda = "
+                    f"{format_rational(lam)} differs from its closed form"
+                )
+            cache[lam] = not interval.is_empty
+        return cache[lam]
 
-    return feasible
+    def decide(lam: Fraction) -> bool:
+        if not family.is_ample_at(lam):
+            return False
+        num, den, _ = _lower_cut(family, lam)
+        a = alpha(lam)
+        # num / den < (n+1)/n * alpha, cleared of the positive denominators
+        return n * num * a.denominator < (n + 1) * a.numerator * den
+
+    return (probe if alpha is None else decide), probe
 
 
 def _bisect(bad, good, feasible, tol):

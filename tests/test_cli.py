@@ -171,6 +171,18 @@ def test_check_picard_backend(capsys):
     assert data["scope"] == "all potentials"
 
 
+def test_check_one_blowup_tests_the_fiber(capsys):
+    # L = (9/5) H - (6/5) E_1: K + L = -(6/5) H + (1/5) E_1 pairs to 1/5 with
+    # E_1 but to -7/5 with the fiber H - E_1, so it is not ample
+    code, out, _ = run_cli(
+        capsys, "--format", "text", "check", "--builtin", "dp1", "--coeffs=9/5,6/5",
+        "--alpha", "1", "--epsilon", "1",
+    )
+    assert code == 0
+    assert "condition (2): FAIL  K + epsilon L ample  [margin=-7/5]  binding: curve (1, 1)" in out
+    assert "verdict: criterion not satisfied" in out
+
+
 def test_check_fano_mode(capsys):
     code, out, _ = run_cli(
         capsys, "check", "--builtin", "dp6", "--coeffs", "1,1,1,1,1,1", "--mode", "fano",

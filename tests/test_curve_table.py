@@ -4,7 +4,8 @@ Every Picard positivity question reads one integer table per class:
 ampleness, nefness, the D.D > 0 safeguard, the slope, each combination
 x L + y K in the checker, and the family probes, which read integer rows
 and forms precomputed once per family.  The references below pair classes
-with the exceptional curves one Fraction at a time.
+with the exceptional curves, and on one blowup also with the fiber H - E_1,
+one Fraction at a time.
 
 The symmetry tests permute E_1..E_r and apply the Cremona involution
 d' = 2d - m_1 - m_2 - m_3, m_i' = d - m_j - m_k.  Both preserve the
@@ -19,6 +20,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from test_integer_table import reference_curves  # noqa: E402
 
 from kproper.picard import (  # noqa: E402
     BlowupSurface,
@@ -76,7 +78,7 @@ def curve_label(c):
 
 
 def reference_pairings(d):
-    return [pairing(d, c) for c in exceptional_curves(d.surface.r)]
+    return [pairing(d, c) for c in reference_curves(d.surface.r)]
 
 
 def reference_ample(d):
@@ -91,7 +93,7 @@ def reference_slope(d):
 
 def reference_combo(backend, x, y, strict):
     combo = F(x) * backend + F(y) * backend.surface.canonical()
-    curves = exceptional_curves(backend.surface.r)
+    curves = reference_curves(backend.surface.r)
     slacks = [pairing(combo, c) for c in curves]
     margin = min(slacks)
     binding = curve_label(curves[slacks.index(margin)])
@@ -147,7 +149,8 @@ lambdas = st.fractions(min_value=F(-1, 2), max_value=F(3, 2), max_denominator=10
 @example(dp1_family(), F(0))
 @example(dp1_family(), F(4, 5))
 # on the blowup at one point, (lambda + 1/2) H - E_1 pairs positively with
-# E_1 for every lambda but has D.D <= 0 up to lambda = 1/2
+# E_1 for every lambda, but with the fiber H - E_1 and with itself only
+# past lambda = 1/2
 @example(PicardFamily("r1", BlowupSurface(1), (F(1, 2), F(1)), (F(1), F(0))), F(0))
 @example(PicardFamily("r1", BlowupSurface(1), (F(1, 2), F(1)), (F(1), F(0))), F(1, 2))
 def test_family_probe_matches_reference(family, lam):

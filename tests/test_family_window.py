@@ -1,17 +1,18 @@
-"""Certified lambda-cells of family sweeps.
+"""Closed-form decisions in family sweeps.
 
-`sweep_lambda` decides feasibility once per cell between consecutive real
-roots of the integer polynomials that carry the verdict, instead of once
-per grid and bisection point.  These tests hold it to:
+Where alpha(L_lambda) has a closed form, `sweep_lambda` decides grid and
+bisection points by the integer cut loop against it, and runs the exact,
+certified probe only at both ends of every bracket, at the witness and at
+the endpoint checks.  These tests hold it to:
 
 - the feasible windows of dp6 and dp1, derived here with sympy from the
   geometry alone (no `kproper` code), which the sweep brackets must contain;
 - the per-point probe, on random Picard and toric pencils, at random
-  lambdas, at the rational roots and at those roots +- 1/10^6;
-- independence of epsilon, and byte-equal sweeps with the cells switched off.
+  lambdas and at bisection points near each change of verdict;
+- exact probes at every bracket end, independence of epsilon, and
+  byte-equal sweeps with the closed form switched off.
 """
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,7 @@ from kproper.properness import (  # noqa: E402
     feasible_scale_interval,
     sweep_lambda,
 )
-from kproper.rationals import AlgebraicRoot, GeometryError, real_roots, simplest_between  # noqa: E402
+from kproper.rationals import GeometryError  # noqa: E402
 
 F = Fraction
 LAM = sp.symbols("lam", real=True)
@@ -123,57 +124,10 @@ def test_sweep_brackets_hold_the_derived_endpoints(name):
     assert window.lo_bracket[0] <= lo <= window.lo_bracket[1]
     assert window.hi_bracket[0] <= hi <= window.hi_bracket[1]
     assert all(c.confirmed for c in report.endpoint_checks)
-    assert {lo, hi} <= set(make().cells.roots)
 
 
 # ---------------------------------------------------------------------------
-# exact root isolation against sympy
-
-coefficients = st.integers(-12, 12)
-# products of small factors give repeated, shared and rational roots; raw
-# coefficient lists give irrational ones
-polynomials = st.one_of(
-    st.lists(coefficients, min_size=2, max_size=4),
-    st.lists(st.lists(coefficients, min_size=2, max_size=3), min_size=1, max_size=3).map(
-        lambda fs: [c for c in sp.Poly(sp.prod(sp.Poly(f[::-1], LAM) for f in fs), LAM).all_coeffs()[::-1]]
-    ),
-).filter(lambda p: 2 <= len(p) <= 4 and any(p[1:]))
-bounds = st.one_of(st.none(), st.fractions(min_value=-6, max_value=6, max_denominator=8))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(polynomials, min_size=1, max_size=4), bounds, bounds)
-def test_real_roots_match_sympy(polys, lo, hi):
-    polys = [tuple(int(c) for c in p) for p in polys]
-    roots = real_roots(polys, lo, hi)
-    expected = sorted({
-        r for p in polys for r in sp.Poly(p[::-1], LAM).real_roots()
-        if (lo is None or r > sp.Rational(lo.numerator, lo.denominator))
-        and (hi is None or r < sp.Rational(hi.numerator, hi.denominator))
-    })
-    assert len(roots) == len(expected)
-    for got, want in zip(roots, expected):
-        if isinstance(got, AlgebraicRoot):
-            assert not want.is_rational
-            assert sp.Rational(got.lo.numerator, got.lo.denominator) < want
-            assert want < sp.Rational(got.hi.numerator, got.hi.denominator)
-        else:
-            assert want.is_rational and got == Fraction(int(want.p), int(want.q))
-
-
-@given(st.fractions(min_value=-5, max_value=5, max_denominator=30),
-       st.fractions(min_value=0, max_value=3, max_denominator=30).filter(bool))
-def test_simplest_between_has_the_least_denominator(lo, width):
-    hi = lo + width
-    q = 1
-    # the k / q with lo < k / q < hi, for the least q that has one
-    while not (inside := [F(k, q) for k in range(math.floor(lo * q) + 1, math.ceil(hi * q))]):
-        q += 1
-    assert simplest_between(lo, hi) == min(inside, key=abs)
-
-
-# ---------------------------------------------------------------------------
-# the cell predicate against the per-point probe
+# the closed-form decision against the per-point probe
 
 
 def _outcome(decide):
@@ -187,15 +141,27 @@ def _per_point(family, lam, epsilon):
     return family.is_ample_at(lam) and not feasible_scale_interval(family, lam, epsilon).is_empty
 
 
-def _check_against_per_point(data, family, lams, epsilon):
-    cells = family.cells
-    rational = sorted(r for r in cells.roots if isinstance(r, Fraction)) if cells else []
-    roots = data.draw(st.lists(st.sampled_from(rational), max_size=5, unique=True)) if rational else []
-    nudge = F(1, 10**6)
-    queries = [*lams, *roots, *(r + nudge for r in roots), *(r - nudge for r in roots)]
-    feasible = _feasibility(family, epsilon)
-    for lam in queries:
-        assert _outcome(lambda: feasible(lam)) == _outcome(lambda: _per_point(family, lam, epsilon)), lam
+def _check_against_per_point(family, lams, epsilon):
+    """decide against the probe at every lambda, and at eight bisection
+    points between each neighbouring pair where the probe's verdict flips."""
+    decide, _ = _feasibility(family, epsilon)
+
+    def agree(lam):
+        expected = _outcome(lambda: _per_point(family, lam, epsilon))
+        assert _outcome(lambda: decide(lam)) == expected, lam
+        return expected
+
+    lams = sorted(set(lams))
+    verdicts = [agree(lam) for lam in lams]
+    for (left, v_left), (right, v_right) in zip(zip(lams, verdicts), zip(lams[1:], verdicts[1:])):
+        if {v_left, v_right} != {True, False}:
+            continue
+        for _ in range(8):
+            mid = (left + right) / 2
+            if agree(mid) == v_left:
+                left = mid
+            else:
+                right = mid
 
 
 lambdas = st.lists(st.fractions(min_value=-2, max_value=3, max_denominator=40), min_size=4, max_size=8)
@@ -206,7 +172,7 @@ offsets = st.fractions(min_value=-1, max_value=1, max_denominator=12)
 @st.composite
 def picard_pencils(draw):
     """L_lambda = A + lambda (B - A) for two ample classes A and B on r
-    points, ample at least on [0, 1]; r = 1 is the per-point fallback."""
+    points, ample at least on [0, 1]."""
     r = draw(st.integers(1, 8))
     surface = BlowupSurface(r)
     classes = []
@@ -221,20 +187,19 @@ def picard_pencils(draw):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.data(), picard_pencils(), lambdas, epsilons)
-def test_cells_match_per_point_on_picard_pencils(data, family, lams, epsilon):
+@given(picard_pencils(), lambdas, epsilons)
+def test_decide_matches_probe_on_picard_pencils(family, lams, epsilon):
     if family is None:
         return
-    assert (family.cells is None) == (family.surface.r == 1)
-    _check_against_per_point(data, family, lams, epsilon)
+    _check_against_per_point(family, lams, epsilon)
 
 
 @st.composite
 def toric_pencils(draw):
     """Pencils near an ample class on the fans of test_wall_pairings.py.
     Symmetric ones (constant on the orbits of a rotation: order 3 on p2,
-    order 3 or 6 on dp6) have cells in full mode; the rest, and torus mode,
-    are the per-point fallback."""
+    order 3 or 6 on dp6) have a closed-form alpha in full mode; the rest,
+    and torus mode, are probed at every lambda."""
     name = draw(st.sampled_from(sorted(FANS)))
     n = FANS[name].n_rays
     period = {"p2": 1, "dp6": draw(st.sampled_from((1, 2)))}.get(name) if draw(st.booleans()) else None
@@ -251,14 +216,21 @@ def toric_pencils(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.data(), toric_pencils(), lambdas, epsilons)
-def test_cells_match_per_point_on_toric_pencils(data, pencil, lams, epsilon):
+@given(toric_pencils(), lambdas, epsilons)
+def test_decide_matches_probe_on_toric_pencils(pencil, lams, epsilon):
     family, symmetric = pencil
     if family.group_mode == "torus":
-        assert family.cells is None
+        assert family.alpha_closed_form() is None
     elif symmetric:
-        assert family.cells is not None
-    _check_against_per_point(data, family, lams, epsilon)
+        assert family.alpha_closed_form() is not None
+    _check_against_per_point(family, lams, epsilon)
+
+
+def _per_point_sweep(family, *args):
+    """The sweep with the closed form switched off, so every lambda is probed."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(type(family), "alpha_closed_form", lambda self: None)
+        return sweep_lambda(family, *args)
 
 
 def test_cells_follow_a_window_end_set_by_condition_three():
@@ -272,20 +244,18 @@ def test_cells_follow_a_window_end_set_by_condition_three():
     (window,) = report.windows
     _, lower, _ = _scale_interval_with_bindings(family, window.lo_bracket[1], F(1))
     assert lower.startswith("condition (3)")
-    per_point = PicardFamily(family.name, family.surface, family.base, family.slope)
-    per_point.__dict__["cells"] = None
-    assert report == sweep_lambda(per_point, *args)
+    assert report == _per_point_sweep(family, *args)
 
 
 def test_cells_end_where_the_supplied_bound_ends():
     # L_lambda = (1 + lambda)(3H - E_1 - E_2 - E_3) is ample for every lambda > -1;
-    # the dp1 bound, hence every probe, needs lambda < 2
+    # the dp1 bound, hence every probe and every decision, needs lambda < 2
     family = PicardFamily("r=3", BlowupSurface(3), (F(3), F(1), F(1), F(1)), (F(3), F(1), F(1), F(1)))
-    assert F(2) in family.cells.roots
-    feasible = _feasibility(family, F(1))
-    assert feasible(F(19, 10)) == _per_point(family, F(19, 10), F(1))
-    with pytest.raises(GeometryError, match="lambda < 2"):
-        feasible(F(21, 10))
+    decide, probe = _feasibility(family, F(1))
+    assert decide(F(19, 10)) == probe(F(19, 10)) == _per_point(family, F(19, 10), F(1))
+    for check in (decide, probe):
+        with pytest.raises(GeometryError, match="lambda < 2"):
+            check(F(2))
 
 
 def test_cell_probe_checks_the_closed_form_alpha(monkeypatch):
@@ -328,18 +298,42 @@ def test_windows_do_not_depend_on_epsilon(name):
 def test_cell_sweep_equals_the_per_point_sweep(name, offset):
     make, lam_min, lam_max = SWEEPS[name]
     args = (lam_min + offset, lam_max, F(1, 20), F(1, 10**4), F(1), WINDOWS[name])
-    per_point = make()
-    # a family without cells probes every lambda
-    per_point.__dict__["cells"] = None
     assert feasibility_report_to_json(sweep_lambda(make(), *args)) == feasibility_report_to_json(
-        sweep_lambda(per_point, *args)
+        _per_point_sweep(make(), *args)
     )
 
 
-def test_cells_are_built_once_per_family(monkeypatch):
-    family = dp1_family()
-    sweep_lambda(family, F(0), F(4, 3), F(1, 10), F(1, 100))
-    cells = family.cells
-    monkeypatch.setattr(properness, "real_roots", None)
-    sweep_lambda(family, F(0), F(4, 3), F(1, 10), F(1, 100))
-    assert family.cells is cells
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_every_bracket_end_is_an_exact_probe(monkeypatch, name):
+    probed = set()
+    original = properness.feasible_scale_interval
+
+    def recording(family, lam, epsilon=F(1)):
+        probed.add(lam)
+        return original(family, lam, epsilon)
+
+    monkeypatch.setattr(properness, "feasible_scale_interval", recording)
+    make, lam_min, lam_max = SWEEPS[name]
+    report = sweep_lambda(make(), lam_min + F(37, 10000), lam_max, F(1, 100), F(1, 10**6), F(1),
+                          WINDOWS[name])
+    (window,) = report.windows
+    ends = {*window.lo_bracket, *window.hi_bracket}
+    assert len(ends) == 4 and ends <= probed
+    checked = {c.endpoint + d for c in report.endpoint_checks for d in (0, report.refine_tol,
+                                                                       -report.refine_tol)}
+    assert checked <= probed
+
+
+def test_a_probe_that_contradicts_a_decision_raises(monkeypatch):
+    # an exact probe that finds every lambda infeasible (with the right
+    # alpha cap) must stop the sweep at the first bracket end the decisions
+    # call feasible
+    original = properness.feasible_scale_interval
+
+    def empty(family, lam, epsilon=F(1)):
+        hi = original(family, lam, epsilon).hi
+        return properness.OpenInterval(hi, hi)
+
+    monkeypatch.setattr(properness, "feasible_scale_interval", empty)
+    with pytest.raises(GeometryError, match="internal inconsistency: the exact probe"):
+        sweep_lambda(dp1_family(), F(0), F(4, 3), F(1, 10), F(1, 100))

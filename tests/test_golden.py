@@ -88,9 +88,9 @@ CHECKS = {
                       "--alpha", "1/3"),
     "check_dp1_fano.json": ("check", "--builtin", "dp1", "--coeffs", "3,1,1,1,1,1,1,1,1",
                             "--mode", "fano", "--alpha", "3/4"),
-    # on the blowup at one point, K + (3/2) L has every curve pairing
-    # positive but self-intersection -1/4: the safeguard binds condition (2)
-    # and the Nakai note is emitted
+    # on the blowup at one point, K + (3/2) L = -(1/2) E_1 pairs positively
+    # with E_1 and has self-intersection -1/4, but the fiber H - E_1 pairs
+    # to -1/2 with it and binds condition (2), so no Nakai note is emitted
     "check_r1_safeguard.json": ("check", "--builtin", "dp1", "--coeffs", "2,1",
                                 "--alpha", "1", "--epsilon", "3/2"),
     "check_r1_safeguard.txt": ("--format", "text", "check", "--builtin", "dp1",

@@ -1,7 +1,8 @@
 """The integer curve table and the integer cut loop against Fraction references.
 
 The references below are the plain Fraction computations: one pairing()
-call per curve, and the cut loop over c0 + c1 * a > 0 that compares cuts
+call per curve (the exceptional curves, and on one blowup also the fiber
+H - E_1, which with E_1 spans the cone of curves), and the cut loop over c0 + c1 * a > 0 that compares cuts
 as Fractions.  The integer paths must agree with them exactly, including
 which constraint is reported on ties.
 """
@@ -50,9 +51,15 @@ def curve_label(c):
     return "curve (" + ", ".join(format_rational(x) for x in c.coords) + ")"
 
 
+def reference_curves(r):
+    """The exceptional curves, plus the fiber H - E_1 on one blowup, sorted."""
+    extra = [BlowupSurface(1).cls((1, 1))] if r == 1 else []
+    return sorted([*exceptional_curves(r), *extra], key=lambda c: c.coords)
+
+
 def reference_combo_positive(backend, x, y, strict):
     combo = F(x) * backend + F(y) * backend.surface.canonical()
-    curves = exceptional_curves(backend.surface.r)
+    curves = reference_curves(backend.surface.r)
     slacks = [pairing(combo, c) for c in curves]
     margin = min(slacks)
     binding = curve_label(curves[slacks.index(margin)])
@@ -67,7 +74,7 @@ def reference_combo_positive(backend, x, y, strict):
 def test_curve_matrix_rows_are_the_curves():
     for r in range(1, 9):
         rows = curve_matrix(r)
-        curves = exceptional_curves(r)
+        curves = reference_curves(r)
         assert len(rows) == len(curves)
         for row, c in zip(rows, curves):
             assert row == (c.coords[0],) + tuple(-m for m in c.coords[1:])
@@ -79,7 +86,7 @@ def test_cleared_pairings_match_reference(d):
     nums, den = curve_table(d).nums, curve_table(d).den
     assert den > 0
     assert all(isinstance(x, int) for x in nums)
-    expected = [pairing(d, c) for c in exceptional_curves(d.surface.r)]
+    expected = [pairing(d, c) for c in reference_curves(d.surface.r)]
     assert [F(x, den) for x in nums] == expected
 
 
@@ -104,7 +111,7 @@ def reference_rows(family, lam):
     k = cls.surface.canonical()
     return [
         (curve_label(c), pairing(cls, c), pairing(k, c))
-        for c in exceptional_curves(cls.surface.r)
+        for c in reference_curves(cls.surface.r)
     ]
 
 
