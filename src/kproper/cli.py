@@ -84,10 +84,14 @@ def load_slice(path: str) -> prop_mod.AbstractSlice:
     json_int(n, 'slice "n"')
     if not isinstance(test_curves, list) or not all(isinstance(c, dict) for c in test_curves):
         raise InputError('slice "test_curves" must be a list of objects')
+    for i, c in enumerate(test_curves):
+        if not isinstance(c.get("name", ""), str):
+            name = json.dumps(c["name"])
+            raise InputError(f"test_curves[{i}].name must be a string, got {name}")
     try:
         curves = tuple(
             prop_mod.SliceCurve(
-                name=str(c.get("name", f"test curve {i}")),
+                name=c.get("name", f"test curve {i}"),
                 l_pairing=parse_rational(c["L"], where=f"test_curves[{i}].L"),
                 k_pairing=parse_rational(c["K"], where=f"test_curves[{i}].K"),
             )
@@ -140,8 +144,6 @@ def render_report(report, fmt: str = "json", approx: bool = False) -> str:
             if cond.binding and not cond.holds:
                 line += f"  binding: {cond.binding}"
             lines.append(line)
-        for note in report.notes:
-            lines.append(f"note: {note}")
         lines.append(f"verdict: {report.verdict}")
         lines.append(f"scope: {report.scope}")
         return "\n".join(lines) + "\n"

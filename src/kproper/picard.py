@@ -2,10 +2,10 @@
 
 Classes are written in the basis (H, E_1, ..., E_r) with intersection form
 diag(1, -1, ..., -1); the canonical class is K = -3H + sum E_i.  Ampleness
-is tested Kleiman-style against the curves that span the cone of curves,
-plus the Nakai safeguard D.D > 0.  For r >= 2 these are the exceptional
-curves (the classes with C.C = C.K = -1); on one blowup E_1 alone does not
-span it, and the fiber class H - E_1 (C.C = 0, K.C = -2) joins it.
+is Kleiman's test against the curves that span the cone of curves.  For
+r >= 2 these are the exceptional curves (the classes with C.C = C.K = -1);
+on one blowup E_1 alone does not span it, and the fiber class H - E_1
+(C.C = 0, K.C = -2) joins it.  A class positive on all of them has D.D > 0.
 
 The exceptional curves are found by bounded search: C.K = -1 pins the
 degree d = C.H through 3d - 1 = sum m_i, and C.C = -1 gives
@@ -18,12 +18,10 @@ type that holds the walls of a toric surface and the test curves of a
 slice: the pairings D.C_i as integer numerators over curve_matrix(r), which
 holds one row (d, -m_1, ..., -m_r) per cone curve, over the lcm of the
 coordinate denominators; K.C_i (-1 on every exceptional curve, -2 on the
-fiber row) on the same denominator; D.D, K.D and K.K = 9 - r; and the
-safeguard flag, which only this table sets.
-Ampleness, nefness, the Nakai safeguard D.D > 0 and the slope
-mu = -K.D / D.D are read off it here, and the checker reads every
-combination x D + y K off its rows.  pairing() remains the reference form,
-used for D.D and K.D.
+fiber row) on the same denominator; and D.D and K.D.  Ampleness, nefness
+and the slope mu = -K.D / D.D are read off it here, and the checker reads
+every combination x D + y K off its rows.  pairing() remains the reference
+form, used for D.D and K.D.
 """
 
 from __future__ import annotations
@@ -216,16 +214,14 @@ def _canonical_pairings(r: int) -> tuple[int, ...]:
 def curve_table(d: PicardClass) -> ConstraintTable:
     """The class against the cone curves, computed once per class.
 
-    Rows stay in table order, which is the tie order.  K.K = 9 - r, and the
-    table sets the safeguard."""
+    Rows stay in table order, which is the tie order."""
     if d._table is None:
         r = d.surface.r
         den, cleared = clear_denominators(d.coords)
         nums = tuple(sum(map(operator.mul, row, cleared)) for row in curve_matrix(r))
         table = ConstraintTable(
             curve_labels(r), nums, tuple(map(den.__mul__, _canonical_pairings(r))), den,
-            pairing(d, d), pairing(d.surface.canonical(), d), Fraction(9 - r),
-            safeguard=True,
+            pairing(d, d), pairing(d.surface.canonical(), d),
         )
         object.__setattr__(d, "_table", table)
     return d._table
@@ -241,21 +237,12 @@ def curve_census(r: int) -> dict[int, int]:
 
 
 def is_ample_picard(d: PicardClass) -> bool:
-    """Kleiman positivity against all cone curves plus D.D > 0."""
-    table = curve_table(d)
-    return min(table.nums) > 0 and table.l_sq > 0
+    """Kleiman positivity against all cone curves."""
+    return min(curve_table(d).nums) > 0
 
 
 def is_nef_picard(d: PicardClass) -> bool:
-    table = curve_table(d)
-    return min(table.nums) >= 0 and table.l_sq >= 0
-
-
-def nakai_binding(d: PicardClass) -> bool:
-    """True when the D.D > 0 safeguard is the deciding constraint (all curve
-    pairings positive but the self-intersection is not)."""
-    table = curve_table(d)
-    return min(table.nums) > 0 and table.l_sq <= 0
+    return min(curve_table(d).nums) >= 0
 
 
 def slope_picard(d: PicardClass) -> Fraction:
@@ -263,6 +250,8 @@ def slope_picard(d: PicardClass) -> Fraction:
     if not is_ample_picard(d):
         raise GeometryError("slope requires an ample class")
     table = curve_table(d)
+    if table.l_sq <= 0:
+        raise GeometryError("internal inconsistency: an ample class has D.D <= 0")
     return -table.k_dot_l / table.l_sq
 
 

@@ -28,12 +28,12 @@ checks.  Families whose alpha has no closed form are probed at every lambda.
 
 All three curve lists are one ConstraintTable per class (rationals.py),
 built by wall_table, curve_table or the slice, and _backend is the one
-dispatch on the backend type.  The checker decides x L + y K by one integer
-pass over the table's rows, where the first row at the minimum binds, plus
-the D.D safeguard where the table sets it; toric threefolds keep the
-cone-functional test.  Both family types share one body for their rows,
-their forms L_lambda^2 and K.L_lambda and their ampleness test, read off the
-tables of L_0, L_1 and L_1 - L_0.
+dispatch on the backend type.  Each table's rows span the cone of curves,
+so the checker decides x L + y K by Kleiman's criterion alone: one integer
+pass over the rows, where the first row at the least pairing binds; toric
+threefolds keep the cone-functional test.  Both family types share one body
+for their rows, their forms L_lambda^2 and K.L_lambda and their ampleness
+test, read off the tables of L_0, L_1 and L_1 - L_0.
 
 A failing criterion is reported as "criterion not satisfied", never as a
 properness disproof; the conditions are sufficient, not sharp.  A weaker
@@ -91,8 +91,6 @@ from .toric import (
 
 SCOPE_ALL = "all potentials"
 SCOPE_G = "G-invariant potentials"
-
-SAFEGUARD = "self-intersection safeguard (D.D > 0)"
 
 VERDICT_PROPER = "proper"
 VERDICT_FAIL = "criterion not satisfied"
@@ -201,7 +199,6 @@ class AbstractSlice:
             [c.k_pairing for c in curves],
             self.l_pow_n,
             self.k_dot_l_nm1,
-            self.k_pow_n,
         )
 
 
@@ -275,8 +272,8 @@ def _combo_positive(backend, x, y, strict: bool):
     """Decide positivity of x L + y K; return (holds, binding label, margin).
 
     One integer pass over the constraint table, where the first row at the
-    least pairing binds, plus (x L + y K)^2 > 0 where the table sets the
-    safeguard."""
+    least pairing binds.  The rows span the cone of curves, so by Kleiman
+    their signs alone decide, and a positive class has positive square."""
     x, y = Fraction(x), Fraction(y)
     table = _backend(backend).table
     if table is None:
@@ -288,13 +285,7 @@ def _combo_positive(backend, x, y, strict: bool):
     low = min(values)
     margin = Fraction(low, x.denominator * y.denominator * table.den)
     binding = table.labels[values.index(low)]
-    holds = margin > 0 if strict else margin >= 0
-    if table.safeguard:
-        self_int = x * x * table.l_sq + 2 * x * y * table.k_dot_l + y * y * table.k_sq
-        holds = holds and (self_int > 0 if strict else self_int >= 0)
-        if margin > 0 and self_int <= 0:
-            binding, margin = SAFEGUARD, self_int
-    return holds, binding, margin
+    return (margin > 0 if strict else margin >= 0), binding, margin
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +453,6 @@ def check_properness(setup: KClassSetup) -> PropernessReport:
         alpha=alpha,
         alpha_provenance=label,
         mu=mu,
-        notes=tuple(
-            f"self-intersection safeguard is the deciding constraint for "
-            f"({format_rational(x)}) L + ({format_rational(y)}) K"
-            for (x, y), binding in (((eps, 1), binding2), ((factor, -(n - 1)), binding3))
-            # a slice's test curve may carry any name, the safeguard's included
-            if binding == SAFEGUARD and view.table.safeguard
-        ),
     )
 
 
@@ -549,6 +533,8 @@ def jflow_converges_surface(d, w) -> bool:
     if not (_combo_positive(d, 1, 0, True)[0] and _combo_positive(w, 1, 0, True)[0]):
         raise GeometryError("both classes must be ample")
     d_sq, w_sq, total_sq = (_backend(cls).table.l_sq for cls in (d, w, total))
+    if d_sq <= 0:
+        raise GeometryError("internal inconsistency: an ample class has D.D <= 0")
     c = (total_sq - d_sq - w_sq) / (2 * d_sq)
     return _combo_positive(2 * c * d - w, 1, 0, True)[0]
 
@@ -588,25 +574,24 @@ def _family_pairing_data(family):
 
 
 def _family_forms(family):
-    """Integers (a0, a1, a2, k0, k1, kk) with, for one positive multiplier
-    M, M L_lambda^2 = a0 + a1 lambda + a2 lambda^2, M K.L_lambda = k0 + k1
-    lambda and M K^2 = kk.  On a toric surface the tables read them off the
-    walls: L^2 = sum a_i (L.D_i) and K.L = -sum L.D_i."""
+    """Integers (a0, a1, a2, k0, k1) with, for one positive multiplier M,
+    M L_lambda^2 = a0 + a1 lambda + a2 lambda^2 and M K.L_lambda = k0 + k1
+    lambda.  On a toric surface the tables read them off the walls:
+    L^2 = sum a_i (L.D_i) and K.L = -sum L.D_i."""
     base, top, slope = _family_tables(family)
     _, forms = clear_denominators((
         base.l_sq, top.l_sq - base.l_sq - slope.l_sq, slope.l_sq,
-        base.k_dot_l, slope.k_dot_l, base.k_sq,
+        base.k_dot_l, slope.k_dot_l,
     ))
     return forms
 
 
 def _family_is_ample_at(family, lam) -> bool:
-    """Kleiman on the family's integer rows, plus the safeguard
-    L_lambda^2 > 0 (which every toric class with positive walls passes)."""
+    """Kleiman on the family's integer rows, which span the cone of curves."""
     lam = Fraction(lam)
     p, q = lam.numerator, lam.denominator
     _, rows = family.pairing_data
-    return min(b * q + s * p for b, s, _ in rows) > 0 and _forms_at(family, lam)[0] > 0
+    return min(b * q + s * p for b, s, _ in rows) > 0
 
 
 @dataclass(frozen=True)
@@ -758,17 +743,22 @@ class OpenInterval:
         return OpenInterval(self.lo * t, self.hi * t)
 
 
-def _forms_at(family, lam: Fraction) -> tuple[int, int, int]:
-    """(L_lambda^2, K.L_lambda, K^2) at lambda = p/q, all times M q^2."""
-    a0, a1, a2, k0, k1, kk = family.forms
+def _forms_at(family, lam: Fraction) -> tuple[int, int]:
+    """(L_lambda^2, K.L_lambda) at an ample lambda = p/q, both times M q^2;
+    L^2 <= 0 there means the rows are wrong, and raises."""
+    a0, a1, a2, k0, k1 = family.forms
     p, q = lam.numerator, lam.denominator
-    return a0 * q * q + a1 * p * q + a2 * p * p, (k0 * q + k1 * p) * q, kk * q * q
+    l_sq = a0 * q * q + a1 * p * q + a2 * p * p
+    if l_sq <= 0:
+        raise GeometryError(
+            f"internal inconsistency: L^2 <= 0 at lambda = {format_rational(lam)}, "
+            "where the rows call the class ample"
+        )
+    return l_sq, (k0 * q + k1 * p) * q
 
 
 def _family_mu(family, lam) -> Fraction:
-    l_sq, lk, _ = _forms_at(family, Fraction(lam))
-    if l_sq <= 0:
-        raise GeometryError("slope requires an ample class")
+    l_sq, lk = _forms_at(family, Fraction(lam))
     return Fraction(-lk, l_sq)
 
 
@@ -777,12 +767,9 @@ def feasible_scale_interval(family, lam, epsilon=Fraction(1)) -> OpenInterval:
     three conditions at the given epsilon.
 
     Every constraint is affine in a: the alpha bound because alpha scales as
-    1/a, the positivity conditions because pairings are linear.  The
-    resulting half-line intersection is certified by a full checker run at
-    the midpoint whenever it is nonempty, and where the constraint table
-    sets the safeguard the quadratic self-intersection constraints are
-    verified over the whole interval (they never bind for the builtin families; if one ever did,
-    this raises rather than returning a wrong interval).
+    1/a, the positivity conditions because they are signs of pairings with
+    the rows (Kleiman).  The resulting half-line intersection is certified
+    by a full checker run at the midpoint whenever it is nonempty.
     """
     interval, _, _ = _scale_interval_with_bindings(family, lam, epsilon)
     return interval
@@ -828,13 +815,11 @@ def _lower_cut(family, lam: Fraction):
     # a positive multiple of L.C,
     #   condition (2):  -K q / lc,
     #   condition (3):  (n mu lc + (n-1) K q) / lc,
-    # and cuts are compared by cross-multiplication, so mu = mu_n / mu_d
+    # and cuts are compared by cross-multiplication, so mu = -lk / mu_d
     # need not be reduced.  The strict comparison keeps the first constraint
     # in table order on ties.
     p, q = lam.numerator, lam.denominator
-    l_sq, lk, _ = _forms_at(family, lam)
-    # mu = -K.L / L^2, with L^2 > 0 on an ample class
-    mu_n, mu_d = -lk, l_sq
+    mu_d, lk = _forms_at(family, lam)
     lo_num, lo_den, lo_label = 0, 1, "positive scale"
     for label, (b, s, k) in zip(labels, rows):
         lc = b * q + s * p
@@ -844,7 +829,7 @@ def _lower_cut(family, lam: Fraction):
             )
         den = mu_d * lc
         kq = k * q * mu_d
-        for num, cond in ((-kq, 2), (n * mu_n * lc + (n - 1) * kq, 3)):
+        for num, cond in ((-kq, 2), (-n * lk * lc + (n - 1) * kq, 3)):
             if num * lo_den > lo_num * den:
                 lo_num, lo_den, lo_label = num, den, f"condition ({cond}): {label}"
     return lo_num, lo_den, lo_label
@@ -868,52 +853,6 @@ def _verify_interval(family, lam, epsilon, interval, mu1, alpha1, alpha_label, a
             "internal inconsistency: the checker's mu at the midpoint differs from "
             "the family forms"
         )
-    if _backend(backend).table.safeguard:
-        n = family.dim
-        # L^2, K.L and K^2 share one positive multiplier, which scales both
-        # quadratics without moving their signs
-        l_sq, lk, k_sq = _forms_at(family, lam)
-        # (K + eps a L)^2 and ((eps a - n mu1) L - (n-1) K)^2 as quadratics in a
-        for shift, kfac in ((0, -1), (-n * mu1, n - 1)):
-            qa, qb, qc = _compose_quadratic(l_sq, lk, k_sq, epsilon, shift, kfac)
-            if not _quadratic_positive_on_open(qa, qb, qc, interval.lo, interval.hi):
-                raise GeometryError(
-                    "self-intersection safeguard binds inside the affine-feasible "
-                    "interval; the interval endpoints would not be exact"
-                )
-
-
-def _compose_quadratic(l_sq, lk, k_sq, eps, shift, kfac):
-    # ((eps a + shift) L - kfac K)^2 expanded in a
-    qa = eps**2 * l_sq
-    qb = 2 * eps * (shift * l_sq - kfac * lk)
-    qc = shift**2 * l_sq - 2 * shift * kfac * lk + kfac**2 * k_sq
-    return qa, qb, qc
-
-
-def _quadratic_positive_on_open(qa, qb, qc, lo, hi) -> bool:
-    """Exact test that qa a^2 + qb a + qc > 0 for every a in (lo, hi).
-
-    Vanishing at an endpoint is fine (the interval is open); an interior
-    nonpositive value is not."""
-
-    def q(a):
-        return qa * a * a + qb * a + qc
-
-    if q(lo) < 0 or q(hi) < 0:
-        return False
-    if qa > 0:
-        vertex = -qb / (2 * qa)
-        if lo < vertex < hi and q(vertex) <= 0:
-            return False
-    elif qa == 0:
-        if qb == 0 and qc <= 0:
-            return False
-        if q(lo) == 0 and q(hi) == 0:
-            return False
-    # concave case: nonnegative endpoints bound the interior from below,
-    # with interior equality impossible for a nonzero concave quadratic
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ point can leak into a verdict.  Scalars are `fractions.Fraction` values,
 which already normalize eagerly (gcd-reduced, positive denominator).  This
 module adds the canonical string format used in all JSON interfaces, lattice
 vector helpers, the few dense exact solvers the geometry needs, and the
-integer ConstraintTable that every surface backend builds for a class.
+integer ConstraintTable that every surface backend builds for a class: its
+pairings with a finite list of curves, whose signs alone decide positivity.
 
 Vectors are plain tuples, matrices are tuples of rows.  All values are
 immutable and safe to share between threads.
@@ -271,9 +272,9 @@ class ConstraintTable:
 
     L.C_i = nums[i] / den and K.C_i = k_nums[i] / den with den > 0.  Rows
     are sorted into the backend's tie order, so a binding constraint is the
-    first row at the minimum.  l_sq, k_dot_l and k_sq are L^n, K.L^{n-1}
-    and K^n.  With safeguard set, positivity also needs (x L + y K)^2 > 0
-    (the Nakai test on blowups of P^2)."""
+    first row at the minimum.  l_sq and k_dot_l are L^n and K.L^{n-1}.
+    The rows are taken to span the cone of curves, so x L + y K is ample
+    exactly when it pairs positively with every row (Kleiman)."""
 
     labels: tuple[str, ...]
     nums: tuple[int, ...]
@@ -281,13 +282,11 @@ class ConstraintTable:
     den: int
     l_sq: Fraction
     k_dot_l: Fraction
-    k_sq: Fraction
-    safeguard: bool = False
 
 
 def constraint_table(labels, l_pairings, k_pairings, *forms) -> ConstraintTable:
     """The table of rational pairings over one denominator; forms are the
-    Fractions L^n, K.L^{n-1} and K^n."""
+    Fractions L^n and K.L^{n-1}."""
     den, nums = clear_denominators((*l_pairings, *k_pairings))
     return ConstraintTable(tuple(labels), nums[: len(labels)], nums[len(labels) :], den, *forms)
 

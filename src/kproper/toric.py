@@ -54,6 +54,10 @@ from .rationals import (
     solve_exact,
 )
 
+# fan_automorphisms tries (#rays)^dim maps at 0.2-0.4 ms each in dimensions
+# 2 to 4, so a search takes at most about 1.5 s; no fan of dimension 5 passes.
+MAX_AUTOMORPHISM_CANDIDATES = 4096
+
 
 @dataclass(frozen=True)
 class Fan:
@@ -186,9 +190,18 @@ def fan_automorphisms(fan: Fan) -> tuple:
     Candidates are generated by sending one lattice basis chosen among the
     rays to every ordered tuple of rays, which bounds the search at
     (#rays)^n maps; each integral unimodular candidate is kept when it
-    permutes the rays and maps maximal cones to maximal cones.
+    permutes the rays and maps maximal cones to maximal cones.  Fans with
+    more than MAX_AUTOMORPHISM_CANDIDATES candidates are rejected first.
     """
     n, m = fan.dim, fan.n_rays
+    count = m**n
+    if count > MAX_AUTOMORPHISM_CANDIDATES:
+        # str() refuses ints of more than a few thousand digits
+        size = count if count.bit_length() <= 64 else f"over 2^{count.bit_length() - 1}"
+        raise InputError(
+            f"the fan automorphism search would try {size} candidate maps "
+            f"({m} rays to the power {n}); the cap is {MAX_AUTOMORPHISM_CANDIDATES}"
+        )
     base = next(
         (idx for idx in itertools.permutations(range(m), n)
          if abs(det(tuple(fan.rays[i] for i in idx))) == 1),
@@ -413,8 +426,7 @@ def wall_table(d: ToricDivisor) -> ConstraintTable:
     """The class against the walls of its surface fan, computed once per
     class, rows sorted by label so that ties go to the smaller label string
     ("wall at ray 10" before "wall at ray 2").  With K = -sum D_i,
-    K.D_i = c_i - 2, L^2 = sum a_i (L.D_i), K.L = -sum L.D_i and
-    K^2 = -sum K.D_i."""
+    K.D_i = c_i - 2, L^2 = sum a_i (L.D_i) and K.L = -sum L.D_i."""
     if d._table is None:
         pairings = wall_pairings(d)
         k_pairings = tuple(c - 2 for _, _, c in _wall_data(d.fan))
@@ -425,7 +437,6 @@ def wall_table(d: ToricDivisor) -> ConstraintTable:
             (k_pairings[i] for i in order),
             sum(map(operator.mul, d.coeffs, pairings)),
             -sum(pairings),
-            Fraction(-sum(k_pairings)),
         )
         object.__setattr__(d, "_table", table)
     return d._table

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -203,6 +204,17 @@ def test_check_negative_c1_slice_mode(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "check", "--mode", "negative-c1", "--slice", str(path))
     data = json.loads(out)
     assert code == 0 and data["verdict"] == "proper"
+
+
+def test_slice_curve_name_must_be_a_string(capsys, tmp_path):
+    path = tmp_path / "slice.json"
+    path.write_text(json.dumps({
+        "n": 2, "l_pow_n": "1", "k_dot_l_nm1": "1", "k_pow_n": "1",
+        "test_curves": [{"L": "1", "K": "1"}, {"name": {"a": 1}, "L": "1", "K": "1"}],
+    }))
+    code, out, err = run_cli(capsys, "check", "--mode", "negative-c1", "--slice", str(path))
+    assert (code, out) == (1, "")
+    assert err == 'error: test_curves[1].name must be a string, got {"a": 1}\n'
 
 
 def test_byte_identical_reruns(capsys):
@@ -513,6 +525,20 @@ def test_cost_caps_reject_before_work(capsys, tmp_path):
     code, out, err = run_cli(capsys, "sweep", "--config", str(config))
     assert (code, out) == (1, "")
     assert err.startswith("error: bisecting one grid step down to refine_tol would take 329 steps")
+
+
+def test_fan_automorphism_search_is_capped(capsys, tmp_path):
+    # P^6: 7 rays, so 7^6 candidate maps, far past the cap
+    rays = [[int(i == j) for j in range(6)] for i in range(6)] + [[-1] * 6]
+    cones = [list(c) for c in itertools.combinations(range(7), 6)]
+    path = tmp_path / "p6.json"
+    path.write_text(json.dumps({"dim": 6, "rays": rays, "max_cones": cones}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "fan", "autos", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == ("error: the fan automorphism search would try 117649 candidate maps "
+                   "(7 rays to the power 6); the cap is 4096\n")
 
 
 def test_optimized_mode_keeps_results_and_invariants():

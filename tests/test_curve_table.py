@@ -1,11 +1,12 @@
 """The cached integer curve table against Fraction reference loops.
 
 Every Picard positivity question reads one integer table per class:
-ampleness, nefness, the D.D > 0 safeguard, the slope, each combination
-x L + y K in the checker, and the family probes, which read integer rows
-and forms precomputed once per family.  The references below pair classes
-with the exceptional curves, and on one blowup also with the fiber H - E_1,
-one Fraction at a time.
+ampleness, nefness, the slope, each combination x L + y K in the checker,
+and the family probes, which read integer rows and forms precomputed once
+per family.  The references below pair classes with the exceptional curves,
+and on one blowup also with the fiber H - E_1, one Fraction at a time.
+They also test D.D > 0, which the table does not, so agreement shows
+that D.D never decides.
 
 The symmetry tests permute E_1..E_r and apply the Cremona involution
 d' = 2d - m_1 - m_2 - m_3, m_i' = d - m_j - m_k.  Both preserve the
@@ -27,7 +28,6 @@ from kproper.picard import (  # noqa: E402
     exceptional_curves,
     is_ample_picard,
     is_nef_picard,
-    nakai_binding,
     pairing,
     slope_picard,
 )
@@ -122,7 +122,8 @@ def test_positivity_predicates_match_reference(d):
     self_int = pairing(d, d)
     assert is_ample_picard(d) == (min(pairings) > 0 and self_int > 0)
     assert is_nef_picard(d) == (min(pairings) >= 0 and self_int >= 0)
-    assert nakai_binding(d) == (min(pairings) > 0 and self_int <= 0)
+    # Kleiman: rows that span the cone of curves leave D.D nothing to decide
+    assert not (min(pairings) > 0 and self_int <= 0)
     if reference_ample(d):
         assert slope_picard(d) == reference_slope(d)
     else:

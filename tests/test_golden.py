@@ -89,8 +89,8 @@ CHECKS = {
     "check_dp1_fano.json": ("check", "--builtin", "dp1", "--coeffs", "3,1,1,1,1,1,1,1,1",
                             "--mode", "fano", "--alpha", "3/4"),
     # on the blowup at one point, K + (3/2) L = -(1/2) E_1 pairs positively
-    # with E_1 and has self-intersection -1/4, but the fiber H - E_1 pairs
-    # to -1/2 with it and binds condition (2), so no Nakai note is emitted
+    # with E_1 and has self-intersection -1/4; the fiber H - E_1 pairs to
+    # -1/2 with it and binds condition (2), as Kleiman's criterion requires
     "check_r1_safeguard.json": ("check", "--builtin", "dp1", "--coeffs", "2,1",
                                 "--alpha", "1", "--epsilon", "3/2"),
     "check_r1_safeguard.txt": ("--format", "text", "check", "--builtin", "dp1",

@@ -7,12 +7,13 @@ import pytest
 from kproper.picard import (
     BlowupSurface,
     PicardClass,
+    cone_curves,
     curve_census,
+    curve_table,
     dp1_surface,
     exceptional_curves,
     is_ample_picard,
     is_nef_picard,
-    nakai_binding,
     pairing,
     picard_class_from_json,
     picard_class_to_json,
@@ -127,18 +128,39 @@ def test_ample_implies_nef_random():
             assert is_nef_picard(cls)
 
 
-def test_nakai_safeguard_never_binds_on_these_lattices():
-    # the exceptional curves generate the cone of curves of a del Pezzo
-    # surface, so positivity against all of them already forces D.D > 0;
-    # the safeguard stays in the ampleness test but must never be decisive
+def test_rows_of_the_curve_table_force_the_sign_of_the_square():
+    # the rows span the cone of curves, so by Kleiman a class positive on
+    # every row is ample (D.D > 0) and one nonnegative on every row is nef
+    # (D.D >= 0): the rows alone decide positivity.  Each random class is
+    # moved along -K until it pairs to an offset, mostly small, with a row,
+    # the one that binds first or a random one, so some rows pair close to
+    # zero and many classes sit on the boundary.
     rng = random.Random(11)
-    for r in (2, 8):
+    for r in range(1, 9):
         s = BlowupSurface(r)
-        for _ in range(60):
-            cls = s.cls([F(rng.randint(-3, 6), rng.randint(1, 2)) for _ in range(r + 1)])
-            assert not nakai_binding(cls)
-            if all(pairing(cls, c) > 0 for c in exceptional_curves(r)):
-                assert pairing(cls, cls) > 0 and is_ample_picard(cls)
+        rows = range(len(cone_curves(r)))
+        anti = s.anticanonical()
+        seen = {"positive": 0, "boundary": 0}
+        for _ in range(150):
+            x = s.cls([F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(r + 1)])
+            # x.C_i = nums[i] / den and -K.C_i = -k_nums[i] / den
+            tx = curve_table(x)
+            i = rng.choice([
+                rng.choice(rows),
+                min(rows, key=lambda i: F(tx.nums[i], -tx.k_nums[i])),
+            ])
+            offset = rng.choice([0, 0, F(1, 1000), F(-1, 1000), F(rng.randint(-3, 3), 7),
+                                 F(rng.randint(1, 24), 4)])
+            cls = x - F(tx.nums[i] - offset * tx.den, -tx.k_nums[i]) * anti
+            table = curve_table(cls)
+            low = min(table.nums)
+            if low > 0:
+                seen["positive"] += 1
+                assert table.l_sq > 0 and is_ample_picard(cls)
+            elif low == 0:
+                seen["boundary"] += 1
+                assert table.l_sq >= 0 and is_nef_picard(cls)
+        assert min(seen.values()) >= 10, (r, seen)
 
 
 def test_slope_picard():

@@ -169,8 +169,8 @@ def test_negative_c1_failing_slice():
 
 
 def test_slice_curve_named_like_the_safeguard_adds_no_note():
-    # slice test curves carry free names; the safeguard note is for Picard classes
-    safeguard = properness.SAFEGUARD
+    # slice test curves carry free names, the old safeguard label's included
+    safeguard = "self-intersection safeguard (D.D > 0)"
     backend = AbstractSlice(
         n=2,
         l_pow_n=F(5),
