@@ -88,6 +88,9 @@ def load_slice(path: str) -> prop_mod.AbstractSlice:
         if not isinstance(c.get("name", ""), str):
             name = json.dumps(c["name"])
             raise InputError(f"test_curves[{i}].name must be a string, got {name}")
+    # K^n is optional and read by no decision, but a value given must parse
+    if "k_pow_n" in data:
+        parse_rational(data["k_pow_n"], where="k_pow_n")
     try:
         curves = tuple(
             prop_mod.SliceCurve(
@@ -101,7 +104,6 @@ def load_slice(path: str) -> prop_mod.AbstractSlice:
             n=n,
             l_pow_n=parse_rational(data["l_pow_n"], where="l_pow_n"),
             k_dot_l_nm1=parse_rational(data["k_dot_l_nm1"], where="k_dot_l_nm1"),
-            k_pow_n=parse_rational(data["k_pow_n"], where="k_pow_n"),
             test_curves=curves,
         )
     except KeyError as exc:

@@ -260,10 +260,6 @@ def dp1_surface() -> BlowupSurface:
     return BlowupSurface(8)
 
 
-def picard_class_to_json(d: PicardClass) -> dict:
-    return {"r": d.surface.r, "coords": [format_rational(c) for c in d.coords]}
-
-
 def picard_class_from_json(data: dict) -> PicardClass:
     if not isinstance(data, dict) or "r" not in data or "coords" not in data:
         raise InputError('Picard class JSON must be an object with "r" and "coords"')

@@ -38,7 +38,6 @@ from .rationals import (
     ValidationError,
     det,
     dot,
-    format_rational,
     identity_matrix,
     is_unimodular,
     json_int,
@@ -552,29 +551,6 @@ def scale(p: Polytope, factor) -> Polytope:
     return Polytope(p.dim, hs, eqs)
 
 
-def apply_unimodular(p: Polytope, g) -> Polytope:
-    """The image g(p) of the polytope under a unimodular integer matrix."""
-    if not is_unimodular(g):
-        raise ValidationError("polytope transformations must be unimodular")
-    # <g m, n> >= c  iff  <m, g^T n> >= c, so the image has normals (g^{-1})^T n
-    inverse = _integer_inverse(g)
-    git = transpose(inverse)
-    hs = tuple(
-        _canonical_halfspace(mat_vec(git, h.normal), h.offset) for h in p.hrep
-    )
-    eqs = tuple(
-        LinearEquation(tuple(int(x) for x in mat_vec(git, e.coeffs)), e.rhs)
-        for e in p.equalities
-    )
-    return Polytope(p.dim, hs, eqs)
-
-
-def _integer_inverse(g):
-    n = len(g)
-    cols = [solve_exact(g, tuple(1 if i == j else 0 for i in range(n))) for j in range(n)]
-    return tuple(tuple(int(cols[j][i]) for j in range(n)) for i in range(n))
-
-
 def fixed_subpolytope(p: Polytope, group) -> Polytope:
     """Intersection of p with the fixed subspace of a finite linear group.
 
@@ -730,22 +706,6 @@ def _collinear(pts) -> bool:
 
 # ---------------------------------------------------------------------------
 # JSON form
-
-
-def polytope_to_json(p: Polytope, include_vrep: bool = False) -> dict:
-    data = {
-        "dim": p.dim,
-        "hrep": [
-            {"normal": list(h.normal), "offset": format_rational(h.offset)} for h in p.hrep
-        ],
-    }
-    if p.equalities:
-        data["equalities"] = [
-            {"coeffs": list(e.coeffs), "rhs": format_rational(e.rhs)} for e in p.equalities
-        ]
-    if include_vrep:
-        data["vrep"] = [[format_rational(x) for x in v] for v in vertices(p)]
-    return data
 
 
 def polytope_from_json(data: dict) -> Polytope:

@@ -19,12 +19,13 @@ surfaces), exceptional curves (blowups of P^2) or user-supplied test curves
 (abstract slices), and for a one-parameter family a L_lambda all of them are
 affine in the scale a, so the feasible set of scales at fixed lambda is an
 exact open interval.  Sweeps refine the feasible lambda-window endpoints by
-bisection.  Every cut and the alpha cap are exact at a given lambda, so
-where alpha(L_lambda) has a closed form (the supplied dp1 bound, or the
-G-averaged coefficients of a toric family) a sweep decides each grid and
-bisection point by the integer cut loop alone, and runs the certified probe
-only at both ends of every bracket, at the witness and at the endpoint
-checks.  Families whose alpha has no closed form are probed at every lambda.
+bisection.  Every sweep family carries its alpha as integer pieces, alpha
+(L_lambda) = den / max(e + f lambda): the supplied dp1 bound, or the
+G-averaged coefficients of a toric family whose symmetry group fixes no
+line.  A sweep decides each grid and bisection point by the integer cut
+loop against those pieces, and runs the certified probe only at both ends
+of every bracket, at the witness and at the endpoint checks.  A family
+without alpha pieces is rejected, not probed point by point.
 
 All three curve lists are one ConstraintTable per class (rationals.py),
 built by wall_table, curve_table or the slice, and _backend is the one
@@ -162,15 +163,14 @@ class SliceCurve:
 class AbstractSlice:
     """Intersection-slice model of a polarized manifold.
 
-    Carries just the numbers L^n, K.L^{n-1}, K^n and a list of test curves
-    used to decide positivity of classes x L + y K.  This is what lets the
+    Carries just the numbers L^n, K.L^{n-1} and a list of test curves used
+    to decide positivity of classes x L + y K.  This is what lets the
     c1 < 0 mode run on surfaces that have no toric or Picard model here.
     """
 
     n: int
     l_pow_n: Fraction
     k_dot_l_nm1: Fraction
-    k_pow_n: Fraction
     test_curves: tuple[SliceCurve, ...]
 
     def __post_init__(self):
@@ -178,7 +178,6 @@ class AbstractSlice:
             raise ValidationError("slice dimension must be positive")
         object.__setattr__(self, "l_pow_n", Fraction(self.l_pow_n))
         object.__setattr__(self, "k_dot_l_nm1", Fraction(self.k_dot_l_nm1))
-        object.__setattr__(self, "k_pow_n", Fraction(self.k_pow_n))
         if self.l_pow_n <= 0:
             raise ValidationError("slice needs L^n > 0")
         curves = tuple(
@@ -209,7 +208,6 @@ def canonical_polarization_slice(n: int, volume=1) -> AbstractSlice:
         n=n,
         l_pow_n=v,
         k_dot_l_nm1=v,
-        k_pow_n=v,
         test_curves=(SliceCurve("canonical test curve", Fraction(1), Fraction(1)),),
     )
 
@@ -253,19 +251,6 @@ def _backend(backend) -> _Backend:
 
 def _join(values) -> str:
     return ", ".join(format_rational(c) for c in values)
-
-
-def backend_dim(backend) -> int:
-    return _backend(backend).dim
-
-
-def backend_describe(backend) -> str:
-    return _backend(backend).describe()
-
-
-def backend_mu(backend) -> Fraction:
-    """The slope mu = -K.L^{n-1} / L^n of the backend class."""
-    return _backend(backend).mu()
 
 
 def _combo_positive(backend, x, y, strict: bool):
@@ -462,11 +447,12 @@ def _margin_values(margin) -> dict:
 
 def check_negative_c1(backend) -> PropernessReport:
     """The c1 < 0 criterion: (-n mu) L - (n-1) K nef suffices for properness."""
-    n = backend_dim(backend)
+    view = _backend(backend)
+    n = view.dim
     k_ample, _, _ = _combo_positive(backend, 0, 1, strict=True)
     if not k_ample:
         raise GeometryError("negative-c1 criterion requires c1 < 0 (ample canonical class)")
-    mu = backend_mu(backend)
+    mu = view.mu()
     factor = -n * mu
     holds, binding, margin = _combo_positive(backend, factor, -(n - 1), strict=False)
     cond = ConditionCheck(
@@ -480,7 +466,7 @@ def check_negative_c1(backend) -> PropernessReport:
     verdict = VERDICT_PROPER if holds else VERDICT_FAIL
     return PropernessReport(
         mode="negative-c1",
-        backend=backend_describe(backend),
+        backend=view.describe(),
         verdict=verdict,
         scope=SCOPE_ALL,
         conditions=(cond,),
@@ -490,7 +476,8 @@ def check_negative_c1(backend) -> PropernessReport:
 
 def check_fano(backend, alpha_source) -> PropernessReport:
     """The anticanonically polarized criterion: alpha(-K) > n/(n+1)."""
-    n = backend_dim(backend)
+    view = _backend(backend)
+    n = view.dim
     antik_ample, _, _ = _combo_positive(backend, 0, -1, strict=True)
     if not antik_ample:
         raise GeometryError("Fano criterion requires an ample anticanonical class")
@@ -508,7 +495,7 @@ def check_fano(backend, alpha_source) -> PropernessReport:
     verdict = VERDICT_PROPER if cond.holds else VERDICT_FAIL
     return PropernessReport(
         mode="fano",
-        backend=backend_describe(backend),
+        backend=view.describe(),
         verdict=verdict,
         scope=scope,
         conditions=(cond,),
@@ -528,11 +515,13 @@ def jflow_converges_surface(d, w) -> bool:
         raise InputError("J-flow condition needs two toric divisors or two Picard classes")
     # raises for classes on different fans or surfaces
     total = d + w
-    if backend_dim(d) != 2:
+    view = _backend(d)
+    if view.dim != 2:
         raise GeometryError("the J-flow class condition is a surface statement")
     if not (_combo_positive(d, 1, 0, True)[0] and _combo_positive(w, 1, 0, True)[0]):
         raise GeometryError("both classes must be ample")
-    d_sq, w_sq, total_sq = (_backend(cls).table.l_sq for cls in (d, w, total))
+    d_sq = view.table.l_sq
+    w_sq, total_sq = (_backend(cls).table.l_sq for cls in (w, total))
     if d_sq <= 0:
         raise GeometryError("internal inconsistency: an ample class has D.D <= 0")
     c = (total_sq - d_sq - w_sq) / (2 * d_sq)
@@ -602,11 +591,11 @@ class ToricFamily:
     fan: Fan
     base: tuple[Fraction, ...]
     slope: tuple[Fraction, ...]
-    group_mode: str = "full"
 
     pairing_data = functools.cached_property(_family_pairing_data)
     forms = functools.cached_property(_family_forms)
     is_ample_at = _family_is_ample_at
+    alpha_scope = SCOPE_G
 
     def class_at(self, lam) -> ToricDivisor:
         lam = Fraction(lam)
@@ -619,23 +608,22 @@ class ToricFamily:
         return self.fan.dim
 
     def alpha_unscaled(self, lam):
-        ctx = symmetry_context(self.class_at(lam), self.group_mode)
+        ctx = symmetry_context(self.class_at(lam), "full")
         order = len(ctx.stabilizer) if ctx.stabilizer else 1
-        label = f"stabilizer formula ({self.group_mode} group, order {order})"
-        return alpha_invariant(ctx), label, SCOPE_G
+        return alpha_invariant(ctx), f"stabilizer formula (full group, order {order})", SCOPE_G
 
-    def alpha_closed_form(self):
-        """lambda -> alpha(L_lambda) wherever L_lambda is ample, or None.
+    @functools.cached_property
+    def alpha_pieces(self):
+        """(den, ((e, f), ...)) with alpha(L_lambda) = den / max(e + f lambda)
+        wherever L_lambda is ample, or None.
 
-        It exists when the group G of fan automorphisms that keep every wall
+        They exist when the group G of fan automorphisms that keep every wall
         row (B, S) has fixed space {0}, i.e. its matrices sum to zero.  G fixes
         each class L_lambda, so the stabilizer's fixed polytope is the
         barycenter alone and alpha = 1 / max a_i', where the recentred
         coefficients a' are the one G-invariant representative of the class:
-        the G-average of the coefficients, affine in lambda.  Torus mode and a
-        G that fixes a line get None."""
-        if self.group_mode != "full":
-            return None
+        the G-average of the coefficients, den a_i' = e + f lambda.  A G that
+        fixes a line gets None."""
         walls = list(zip(
             wall_pairings(ToricDivisor(self.fan, self.base)),
             wall_pairings(ToricDivisor(self.fan, self.slope)),
@@ -654,15 +642,7 @@ class ToricFamily:
             for i in range(self.fan.n_rays)
             for c in (self.base, self.slope)
         ])
-        # den a_i' = e + f lambda; at lambda = p/q, alpha = den q / max(e q + f p)
-        pieces = set(zip(flat[::2], flat[1::2]))
-        return lambda lam: Fraction(
-            den * lam.denominator,
-            max(e * lam.denominator + f * lam.numerator for e, f in pieces),
-        )
-
-    def alpha_scope(self) -> str:
-        return SCOPE_G
+        return den, tuple(sorted(set(zip(flat[::2], flat[1::2]))))
 
 
 @dataclass(frozen=True)
@@ -673,11 +653,13 @@ class PicardFamily:
     surface: BlowupSurface
     base: tuple[Fraction, ...]
     slope: tuple[Fraction, ...]
-    alpha_label: str = "supplied bound (Dervan)"
 
     pairing_data = functools.cached_property(_family_pairing_data)
     forms = functools.cached_property(_family_forms)
     is_ample_at = _family_is_ample_at
+    alpha_scope = SCOPE_ALL
+    # the supplied bound min{1, 1/(2 - lambda)} = 1 / max(1, 2 - lambda)
+    alpha_pieces = (1, ((1, 0), (2, -1)))
 
     def class_at(self, lam) -> PicardClass:
         lam = Fraction(lam)
@@ -690,14 +672,7 @@ class PicardFamily:
         return 2
 
     def alpha_unscaled(self, lam):
-        return dervan_alpha_bound(lam), self.alpha_label, SCOPE_ALL
-
-    def alpha_closed_form(self):
-        """The supplied bound is its own closed form."""
-        return dervan_alpha_bound
-
-    def alpha_scope(self) -> str:
-        return SCOPE_ALL
+        return dervan_alpha_bound(lam), "supplied bound (Dervan)", SCOPE_ALL
 
 
 def dp6_family() -> ToricFamily:
@@ -859,8 +834,7 @@ def _verify_interval(family, lam, epsilon, interval, mu1, alpha1, alpha_label, a
 # lambda sweeps
 
 # Each grid point is one decision: a pass over the family's distinct rows
-# (tens of microseconds) where alpha has a closed form, else one exact
-# feasibility probe (a few to tens of ms).
+# (tens of microseconds).
 MAX_GRID_POINTS = 100_000
 # Each bisection step is one more decision, and halving one grid step down
 # to refine_tol takes ceil(log2(step / refine_tol)) of them (about 14 at the
@@ -919,18 +893,18 @@ def sweep_lambda(
 
     Points where the class is not ample count as infeasible; any other
     error propagates.  Grid and bisection points are decided by _feasibility:
-    the cut loop against the family's closed-form alpha, or an exact probe
-    where alpha has none.  Both ends of every bracket and the witness are
-    then run through the exact, certified feasible_scale_interval probe, and
-    a probe that disagrees with the decision raises.  So the emitted
-    brackets are certificates: the bracket interior contains the true
-    endpoint of the feasible window.  Conjectured exact endpoints are
-    verified by exact probes at the endpoint itself and on both sides at
-    distance refine_tol.
+    the cut loop against the family's alpha pieces.  Both ends of every
+    bracket and the witness are then run through the exact, certified
+    feasible_scale_interval probe, and a probe that disagrees with the
+    decision raises.  So the emitted brackets are certificates: the bracket
+    interior contains the true endpoint of the feasible window.  Conjectured
+    exact endpoints are verified by exact probes at the endpoint itself and
+    on both sides at distance refine_tol.
 
     The grid may hold at most MAX_GRID_POINTS points, and one grid step may
     need at most MAX_BISECTION_STEPS halvings to reach refine_tol; larger
-    requests, and epsilon <= 0, are rejected before any decision.
+    requests, epsilon <= 0 and families without alpha pieces are rejected
+    before any decision.
     """
     lambda_min, lambda_max = Fraction(lambda_min), Fraction(lambda_max)
     step, refine_tol = Fraction(step), Fraction(refine_tol)
@@ -958,7 +932,7 @@ def sweep_lambda(
     feasible, probe = _feasibility(family, epsilon)
     flags = [feasible(lam) for lam in grid]
     windows = []
-    diagnostics = {"grid_points": str(len(grid)), "alpha_scope": family.alpha_scope()}
+    diagnostics = {"grid_points": str(len(grid)), "alpha_scope": family.alpha_scope}
     i = 0
     while i < len(grid):
         if not flags[i]:
@@ -1039,25 +1013,42 @@ def _feasibility(family, epsilon):
     probe does.
 
     probe runs the certified feasible_scale_interval, once per lambda of
-    the sweep, and checks its alpha cap against the closed form where there
-    is one.  decide runs the same cut loop against the closed-form alpha,
-    with no certificate; where alpha has no closed form it is probe."""
+    the sweep, and checks its alpha cap against the family's alpha pieces.
+    decide runs the same cut loop against the pieces in integers, with no
+    certificate.  A family without alpha pieces is rejected."""
     # a threefold family fails here, before its alpha is looked at
     family.pairing_data
     epsilon = _positive_slack(epsilon)
-    alpha = family.alpha_closed_form()
+    if family.alpha_pieces is None:
+        raise InputError(
+            f"sweeps need a closed-form alpha; the symmetry group of family "
+            f'"{family.name}" fixes a line'
+        )
+    den, pieces = family.alpha_pieces
     n = family.dim
     cache: dict[Fraction, bool] = {}
+
+    def alpha_denominator(lam: Fraction) -> int:
+        """max(e q + f p) at lambda = p/q, where alpha = den q / max(e q + f p)."""
+        p, q = lam.numerator, lam.denominator
+        values = [e * q + f * p for e, f in pieces]
+        if min(values) <= 0:
+            raise GeometryError(
+                f"the alpha pieces e + f lambda are not all positive at lambda = "
+                f"{format_rational(lam)} (the dp1 bound needs lambda < 2)"
+            )
+        return max(values)
 
     def probe(lam: Fraction) -> bool:
         if not family.is_ample_at(lam):
             return False
         if lam not in cache:
             interval = feasible_scale_interval(family, lam, epsilon)
-            if alpha is not None and interval.hi != Fraction(n + 1, n) * alpha(lam) / epsilon:
+            cap = Fraction((n + 1) * den * lam.denominator, n * alpha_denominator(lam)) / epsilon
+            if interval.hi != cap:
                 raise GeometryError(
                     f"internal inconsistency: the alpha cap at lambda = "
-                    f"{format_rational(lam)} differs from its closed form"
+                    f"{format_rational(lam)} differs from the family's alpha pieces"
                 )
             cache[lam] = not interval.is_empty
         return cache[lam]
@@ -1065,12 +1056,11 @@ def _feasibility(family, epsilon):
     def decide(lam: Fraction) -> bool:
         if not family.is_ample_at(lam):
             return False
-        num, den, _ = _lower_cut(family, lam)
-        a = alpha(lam)
-        # num / den < (n+1)/n * alpha, cleared of the positive denominators
-        return n * num * a.denominator < (n + 1) * a.numerator * den
+        num, cut_den, _ = _lower_cut(family, lam)
+        # num / cut_den < (n+1)/n * alpha, cleared of the positive denominators
+        return n * num * alpha_denominator(lam) < (n + 1) * den * lam.denominator * cut_den
 
-    return (probe if alpha is None else decide), probe
+    return decide, probe
 
 
 def _bisect(bad, good, feasible, tol):

@@ -42,7 +42,6 @@ from .rationals import (
     constraint_table,
     det,
     dot,
-    format_rational,
     identity_matrix,
     is_primitive,
     is_unimodular,
@@ -551,14 +550,6 @@ BUILTIN_FANS = {"p2": p2_fan, "dp6": dp6_fan}
 # JSON forms
 
 
-def fan_to_json(fan: Fan) -> dict:
-    return {
-        "dim": fan.dim,
-        "rays": [list(r) for r in fan.rays],
-        "max_cones": [list(c) for c in fan.max_cones],
-    }
-
-
 def fan_from_json(data: dict) -> Fan:
     if not isinstance(data, dict) or not all(
         isinstance(data.get(key), list) for key in ("rays", "max_cones")
@@ -573,10 +564,6 @@ def fan_from_json(data: dict) -> Fan:
     else:
         dim = len(rays[0]) if rays else 0
     return Fan(dim, rays, cones)
-
-
-def divisor_to_json(d: ToricDivisor) -> dict:
-    return {"coeffs": [format_rational(c) for c in d.coeffs]}
 
 
 def divisor_from_json(fan: Fan, data: dict) -> ToricDivisor:

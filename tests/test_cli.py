@@ -206,6 +206,29 @@ def test_check_negative_c1_slice_mode(capsys, tmp_path):
     assert code == 0 and data["verdict"] == "proper"
 
 
+def test_slice_without_k_pow_n(capsys, tmp_path):
+    # no decision reads K^n, so the key may be left out
+    path = tmp_path / "slice.json"
+    path.write_text(json.dumps({
+        "n": 2, "l_pow_n": "1", "k_dot_l_nm1": "1",
+        "test_curves": [{"name": "canonical test curve", "L": "1", "K": "1"}],
+    }))
+    code, out, _ = run_cli(capsys, "check", "--mode", "negative-c1", "--slice", str(path))
+    assert code == 0 and json.loads(out)["verdict"] == "proper"
+
+
+@pytest.mark.parametrize("value", ["2/4", "x", 1, None])
+def test_slice_with_a_malformed_k_pow_n(capsys, tmp_path, value):
+    path = tmp_path / "slice.json"
+    path.write_text(json.dumps({
+        "n": 2, "l_pow_n": "1", "k_dot_l_nm1": "1", "k_pow_n": value,
+        "test_curves": [{"L": "1", "K": "1"}],
+    }))
+    code, out, err = run_cli(capsys, "check", "--mode", "negative-c1", "--slice", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "in k_pow_n" in err
+
+
 def test_slice_curve_name_must_be_a_string(capsys, tmp_path):
     path = tmp_path / "slice.json"
     path.write_text(json.dumps({

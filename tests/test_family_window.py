@@ -1,16 +1,18 @@
-"""Closed-form decisions in family sweeps.
+"""Decisions by integer alpha pieces in family sweeps.
 
-Where alpha(L_lambda) has a closed form, `sweep_lambda` decides grid and
-bisection points by the integer cut loop against it, and runs the exact,
-certified probe only at both ends of every bracket, at the witness and at
-the endpoint checks.  These tests hold it to:
+Every sweep family carries alpha(L_lambda) = den / max(e + f lambda) as
+integer pieces.  `sweep_lambda` decides grid and bisection points by the
+integer cut loop against them, and runs the exact, certified probe only at
+both ends of every bracket, at the witness and at the endpoint checks.
+These tests hold it to:
 
 - the feasible windows of dp6 and dp1, derived here with sympy from the
   geometry alone (no `kproper` code), which the sweep brackets must contain;
 - the per-point probe, on random Picard and toric pencils, at random
   lambdas and at bisection points near each change of verdict;
+- the probe's own alpha, which its cap must match;
 - exact probes at every bracket end, independence of epsilon, and
-  byte-equal sweeps with the closed form switched off.
+  byte-equal sweeps with every point probed.
 """
 
 from fractions import Fraction
@@ -37,7 +39,7 @@ from kproper.properness import (  # noqa: E402
     feasible_scale_interval,
     sweep_lambda,
 )
-from kproper.rationals import GeometryError  # noqa: E402
+from kproper.rationals import GeometryError, InputError  # noqa: E402
 
 F = Fraction
 LAM = sp.symbols("lam", real=True)
@@ -127,7 +129,7 @@ def test_sweep_brackets_hold_the_derived_endpoints(name):
 
 
 # ---------------------------------------------------------------------------
-# the closed-form decision against the per-point probe
+# the decision by alpha pieces against the per-point probe
 
 
 def _outcome(decide):
@@ -198,8 +200,7 @@ def test_decide_matches_probe_on_picard_pencils(family, lams, epsilon):
 def toric_pencils(draw):
     """Pencils near an ample class on the fans of test_wall_pairings.py.
     Symmetric ones (constant on the orbits of a rotation: order 3 on p2,
-    order 3 or 6 on dp6) have a closed-form alpha in full mode; the rest,
-    and torus mode, are probed at every lambda."""
+    order 3 or 6 on dp6) have alpha pieces; sweeps reject the ones without."""
     name = draw(st.sampled_from(sorted(FANS)))
     n = FANS[name].n_rays
     period = {"p2": 1, "dp6": draw(st.sampled_from((1, 2)))}.get(name) if draw(st.booleans()) else None
@@ -211,29 +212,36 @@ def toric_pencils(draw):
         shift = draw(st.lists(offsets, min_size=n, max_size=n))
         slope = draw(st.lists(offsets, min_size=n, max_size=n))
         base = tuple(F(a) + s / 4 for a, s in zip(AMPLE[name], shift))
-    mode = draw(st.sampled_from(("full", "torus")))
-    return ToricFamily("random", FANS[name], base, tuple(slope), mode), period is not None
+    return ToricFamily("random", FANS[name], base, tuple(slope)), period is not None
 
 
 @settings(max_examples=30, deadline=None)
 @given(toric_pencils(), lambdas, epsilons)
 def test_decide_matches_probe_on_toric_pencils(pencil, lams, epsilon):
     family, symmetric = pencil
-    if family.group_mode == "torus":
-        assert family.alpha_closed_form() is None
-    elif symmetric:
-        assert family.alpha_closed_form() is not None
+    if symmetric:
+        assert family.alpha_pieces is not None
+    if family.alpha_pieces is None:
+        with pytest.raises(InputError, match="sweeps need a closed-form alpha"):
+            _feasibility(family, epsilon)
+        return
     _check_against_per_point(family, lams, epsilon)
 
 
 def _per_point_sweep(family, *args):
-    """The sweep with the closed form switched off, so every lambda is probed."""
+    """The sweep with probe in place of decide, so every lambda is probed."""
+    original = properness._feasibility
+
+    def per_point(family, epsilon):
+        _, probe = original(family, epsilon)
+        return probe, probe
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(type(family), "alpha_closed_form", lambda self: None)
+        patch.setattr(properness, "_feasibility", per_point)
         return sweep_lambda(family, *args)
 
 
-def test_cells_follow_a_window_end_set_by_condition_three():
+def test_sweep_follows_a_window_end_set_by_condition_three():
     # on this pencil the feasible side of the lower window end binds at
     # condition (3), which neither builtin family does
     family = PicardFamily(
@@ -247,7 +255,7 @@ def test_cells_follow_a_window_end_set_by_condition_three():
     assert report == _per_point_sweep(family, *args)
 
 
-def test_cells_end_where_the_supplied_bound_ends():
+def test_decisions_end_where_the_supplied_bound_ends():
     # L_lambda = (1 + lambda)(3H - E_1 - E_2 - E_3) is ample for every lambda > -1;
     # the dp1 bound, hence every probe and every decision, needs lambda < 2
     family = PicardFamily("r=3", BlowupSurface(3), (F(3), F(1), F(1), F(1)), (F(3), F(1), F(1), F(1)))
@@ -258,7 +266,7 @@ def test_cells_end_where_the_supplied_bound_ends():
             check(F(2))
 
 
-def test_cell_probe_checks_the_closed_form_alpha(monkeypatch):
+def test_probe_checks_the_toric_alpha_pieces(monkeypatch):
     original = ToricFamily.alpha_unscaled
 
     def doubled(self, lam):
@@ -268,6 +276,26 @@ def test_cell_probe_checks_the_closed_form_alpha(monkeypatch):
     monkeypatch.setattr(ToricFamily, "alpha_unscaled", doubled)
     with pytest.raises(GeometryError, match="internal inconsistency: the alpha cap"):
         sweep_lambda(dp6_family(), F(1, 2), F(2), F(1, 10), F(1, 100))
+
+
+def test_probe_checks_the_picard_alpha_pieces(monkeypatch):
+    # the probe reads the supplied bound, the decisions read the pieces
+    original = properness.dervan_alpha_bound
+    monkeypatch.setattr(properness, "dervan_alpha_bound", lambda lam: 2 * original(lam))
+    with pytest.raises(GeometryError, match="internal inconsistency: the alpha cap"):
+        sweep_lambda(dp1_family(), F(0), F(4, 3), F(1, 10), F(1, 100))
+
+
+def test_a_family_without_alpha_pieces_is_rejected(monkeypatch):
+    # the only nontrivial symmetry this dp6 pencil keeps is the reflection
+    # in the diagonal (rays 0 <-> 2), which fixes a line, so its alpha has
+    # no pieces; the sweep stops before any probe
+    zero, one = F(0), F(1)
+    family = ToricFamily("line", FANS["dp6"], (F(2),) * 6, (one, zero, one, zero, zero, zero))
+    assert family.alpha_pieces is None
+    monkeypatch.setattr(properness, "feasible_scale_interval", None)
+    with pytest.raises(InputError, match="sweeps need a closed-form alpha"):
+        sweep_lambda(family, F(0), F(1), F(1, 10), F(1, 100))
 
 
 # ---------------------------------------------------------------------------

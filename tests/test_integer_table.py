@@ -23,9 +23,9 @@ from kproper.picard import (  # noqa: E402
     pairing,
 )
 from kproper.properness import (  # noqa: E402
+    _backend,
     _combo_positive,
     _scale_interval_with_bindings,
-    backend_mu,
     dp1_family,
     dp6_family,
 )
@@ -118,7 +118,7 @@ def reference_rows(family, lam):
 def reference_cut_loop(family, lam, epsilon):
     n = 2
     alpha1, _, _ = family.alpha_unscaled(lam)
-    mu1 = backend_mu(family.class_at(lam))
+    mu1 = _backend(family.class_at(lam)).mu()
     bounds = [
         (F(0), F(1), "positive scale"),
         (F(n + 1, n) * alpha1 / epsilon, F(-1), "condition (1): alpha bound"),

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from helpers import picard_class_to_json
 
 from kproper.picard import (
     BlowupSurface,
@@ -16,7 +17,6 @@ from kproper.picard import (
     is_nef_picard,
     pairing,
     picard_class_from_json,
-    picard_class_to_json,
     slope_picard,
 )
 from kproper.rationals import GeometryError, ValidationError

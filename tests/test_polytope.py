@@ -2,10 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import apply_unimodular, polytope_to_json
 
 from kproper.polytope import (
     Polytope,
-    apply_unimodular,
     affine_dimension,
     barycenter,
     boundary_measure,
@@ -14,7 +14,6 @@ from kproper.polytope import (
     make_polytope,
     polygon_from_vertices,
     polytope_from_json,
-    polytope_to_json,
     scale,
     translate,
     vertices,

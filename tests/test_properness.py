@@ -159,7 +159,6 @@ def test_negative_c1_failing_slice():
         n=2,
         l_pow_n=F(5),
         k_dot_l_nm1=F(2),
-        k_pow_n=F(1),
         test_curves=(SliceCurve("test curve", F(1), F(1)),),
     )
     report = check_negative_c1(backend)
@@ -175,7 +174,6 @@ def test_slice_curve_named_like_the_safeguard_adds_no_note():
         n=2,
         l_pow_n=F(5),
         k_dot_l_nm1=F(-3),
-        k_pow_n=F(1),
         test_curves=(SliceCurve(safeguard, F(1), F(-1)),),
     )
     setup = KClassSetup(backend=backend, epsilon=F(1), alpha_source=SuppliedAlpha(F(1), "bound"))

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import divisor_to_json, fan_to_json
 
 from kproper.polytope import boundary_measure, vertices, volume
 from kproper.rationals import GeometryError, ValidationError, det, mat_mul, mat_vec
@@ -12,11 +13,9 @@ from kproper.toric import (
     anticanonical_divisor,
     canonical_divisor,
     divisor_from_json,
-    divisor_to_json,
     dp6_fan,
     fan_automorphisms,
     fan_from_json,
-    fan_to_json,
     intersection_number,
     is_ample,
     is_nef,
