@@ -83,7 +83,6 @@ class SymmetryContext:
     """An ample divisor with its recentered polytope and class stabilizer."""
 
     divisor: ToricDivisor
-    group_mode: str
     stabilizer: tuple
     centered_polytope: Polytope
     centered_coeffs: tuple[Fraction, ...]
@@ -163,7 +162,6 @@ def symmetry_context(
         )
     return SymmetryContext(
         divisor=d,
-        group_mode=group_mode,
         stabilizer=stabilizer,
         centered_polytope=centered,
         centered_coeffs=shifted,
@@ -171,7 +169,7 @@ def symmetry_context(
 
 
 def fixed_polytope(ctx: SymmetryContext) -> Polytope:
-    if ctx.group_mode == "torus" or not ctx.stabilizer:
+    if not ctx.stabilizer:
         return ctx.centered_polytope
     return fixed_subpolytope(ctx.centered_polytope, ctx.stabilizer)
 
@@ -223,9 +221,7 @@ def alpha_oracle(ctx: SymmetryContext, k_max: int = 12) -> Fraction:
             f"over the cap of {MAX_ORACLE_POINTS}"
         )
     base_anchor = min(verts)
-    group = ctx.stabilizer if ctx.group_mode != "torus" else ()
-    if not group:
-        group = (identity_matrix(d.fan.dim),)
+    group = ctx.stabilizer or (identity_matrix(d.fan.dim),)
     actions = []
     for g in group:
         gt = transpose(g)

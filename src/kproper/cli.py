@@ -26,10 +26,14 @@ from .rationals import (
     InputError,
     KProperError,
     format_rational,
-    json_int,
-    json_int_vector,
     parse_rational,
 )
+
+
+# ---------------------------------------------------------------------------
+# input: every JSON file and inline value is read here, by the readers below.
+# A reader takes a value and its key path (like "rays[2][0]") and returns
+# the value, or raises InputError naming the path and what was expected.
 
 
 def _read_json(path: str):
@@ -38,14 +42,91 @@ def _read_json(path: str):
             return json.load(handle)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"invalid JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        )
+    except OSError as exc:
+        # a directory, or a file without read permission
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
     except (ValueError, RecursionError) as exc:
-        # bytes that are not UTF-8, an integer with too many digits, or
-        # nesting too deep to parse
+        # a syntax error (its message gives the line and column), bytes that
+        # are not UTF-8, an integer with too many digits, or nesting too deep
         raise InputError(f"invalid JSON in {path}: {exc}") from None
+
+
+def _describe(value) -> str:
+    """A JSON value as an error line shows it: arrays and objects by kind only."""
+    return {list: "a JSON array", dict: "a JSON object"}.get(type(value)) or json.dumps(value)
+
+
+def _fault(where: str, expected: str, value) -> InputError:
+    return InputError(f'"{where}" must be {expected}, got {_describe(value)}')
+
+
+def _int(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _fault(where, "an integer", value)
+    return value
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise _fault(where, "a string", value)
+    return value
+
+
+def _rational(value, where: str) -> Fraction:
+    if not isinstance(value, str):
+        raise _fault(where, 'a string like "p/q"', value)
+    return parse_rational(value, where=where)
+
+
+def _list(item):
+    """A reader of a list, each entry read by `item`."""
+
+    def read(value, where: str) -> tuple:
+        if not isinstance(value, list):
+            raise _fault(where, "a list", value)
+        return tuple(item(x, f"{where}[{i}]") for i, x in enumerate(value))
+
+    return read
+
+
+def _object(*keys):
+    """A reader of an object into the tuple of its values under `keys`, each
+    given as (key, reader) or, when the key may be left out, (key, reader,
+    default)."""
+
+    def read(value, where: str) -> tuple:
+        if not isinstance(value, dict):
+            raise _fault(where, "a JSON object", value)
+        values = []
+        for key, item, *default in keys:
+            path = f"{where}.{key}" if where else key
+            if key in value:
+                values.append(item(value[key], path))
+            elif default:
+                values.append(default[0])
+            else:
+                raise InputError(f'missing key "{path}"')
+        return tuple(values)
+
+    return read
+
+
+def _load(path: str, what: str, *keys) -> tuple:
+    """The values under `keys`, given as for `_object`, of the JSON object in
+    the file `path`."""
+    data = _read_json(path)
+    if not isinstance(data, dict):
+        raise InputError(f"{what} must be a JSON object, got {_describe(data)}")
+    return _object(*keys)(data, "")
+
+
+_INTEGER_VECTORS = _list(_list(_int))
+_RATIONALS = _list(_rational)
+
+
+def _inline(source: str, key: str) -> tuple:
+    """A comma-separated command-line list of rationals, read as the list under `key`."""
+    return _RATIONALS([s.strip() for s in source.split(",")], key)
 
 
 def _dump_json(data) -> str:
@@ -56,58 +137,66 @@ def load_fan(source: str) -> toric_mod.Fan:
     if source in toric_mod.BUILTIN_FANS:
         return toric_mod.BUILTIN_FANS[source]()
     if os.path.exists(source):
-        return toric_mod.fan_from_json(_read_json(source))
-    raise InputError(f'unknown fan "{source}": not a builtin (p2, dp6) and not a file')
+        rays, cones, dim = _load(
+            source, "fan JSON",
+            ("rays", _INTEGER_VECTORS), ("max_cones", _INTEGER_VECTORS), ("dim", _int, None),
+        )
+        if dim is None:
+            dim = len(rays[0]) if rays else 0
+        return toric_mod.Fan(dim, rays, cones)
+    raise InputError(f"unknown fan {_describe(source)}: not a builtin (p2, dp6) and not a file")
 
 
 def load_coeffs(fan: toric_mod.Fan, source: str) -> toric_mod.ToricDivisor:
     if os.path.exists(source):
-        return toric_mod.divisor_from_json(fan, _read_json(source))
-    parts = [s.strip() for s in source.split(",")]
-    coeffs = tuple(parse_rational(p, where=f"coeffs[{i}]") for i, p in enumerate(parts))
+        (coeffs,) = _load(source, "divisor JSON", ("coeffs", _RATIONALS))
+    else:
+        coeffs = _inline(source, "coeffs")
     return toric_mod.ToricDivisor(fan, coeffs)
 
 
 def load_picard_class(source: str) -> picard_mod.PicardClass:
     if os.path.exists(source):
-        return picard_mod.picard_class_from_json(_read_json(source))
-    parts = [s.strip() for s in source.split(",")]
-    coords = tuple(parse_rational(p, where=f"coords[{i}]") for i, p in enumerate(parts))
-    return picard_mod.PicardClass(picard_mod.BlowupSurface(len(coords) - 1), coords)
+        r, coords = _load(source, "Picard class JSON", ("r", _int), ("coords", _RATIONALS))
+    else:
+        coords = _inline(source, "coords")
+        r = len(coords) - 1
+    return picard_mod.PicardClass(picard_mod.BlowupSurface(r), coords)
+
+
+def load_polytope(path: str) -> polytope_mod.Polytope:
+    hrep, equalities, dim = _load(
+        path, "polytope JSON",
+        ("hrep", _list(_object(("normal", _list(_int)), ("offset", _rational)))),
+        ("equalities", _list(_object(("coeffs", _list(_int)), ("rhs", _rational))), ()),
+        ("dim", _int, None),
+    )
+    if dim is None:
+        dim = len(hrep[0][0]) if hrep else 0
+    return polytope_mod.make_polytope(dim, hrep, equalities)
 
 
 def load_slice(path: str) -> prop_mod.AbstractSlice:
-    data = _read_json(path)
-    if not isinstance(data, dict):
-        raise InputError("slice JSON must be an object")
-    n, test_curves = data.get("n"), data.get("test_curves")
-    json_int(n, 'slice "n"')
-    if not isinstance(test_curves, list) or not all(isinstance(c, dict) for c in test_curves):
-        raise InputError('slice "test_curves" must be a list of objects')
-    for i, c in enumerate(test_curves):
-        if not isinstance(c.get("name", ""), str):
-            name = json.dumps(c["name"])
-            raise InputError(f"test_curves[{i}].name must be a string, got {name}")
     # K^n is optional and read by no decision, but a value given must parse
-    if "k_pow_n" in data:
-        parse_rational(data["k_pow_n"], where="k_pow_n")
-    try:
-        curves = tuple(
-            prop_mod.SliceCurve(
-                name=c.get("name", f"test curve {i}"),
-                l_pairing=parse_rational(c["L"], where=f"test_curves[{i}].L"),
-                k_pairing=parse_rational(c["K"], where=f"test_curves[{i}].K"),
-            )
-            for i, c in enumerate(test_curves)
-        )
-        return prop_mod.AbstractSlice(
-            n=n,
-            l_pow_n=parse_rational(data["l_pow_n"], where="l_pow_n"),
-            k_dot_l_nm1=parse_rational(data["k_dot_l_nm1"], where="k_dot_l_nm1"),
-            test_curves=curves,
-        )
-    except KeyError as exc:
-        raise InputError(f"slice JSON is missing field {exc}")
+    n, l_pow_n, k_dot_l_nm1, _, curves = _load(
+        path, "slice JSON",
+        ("n", _int),
+        ("l_pow_n", _rational),
+        ("k_dot_l_nm1", _rational),
+        ("k_pow_n", _rational, None),
+        ("test_curves", _list(_object(
+            ("name", _string, None), ("L", _rational), ("K", _rational),
+        ))),
+    )
+    curves = tuple(
+        prop_mod.SliceCurve(f"test curve {i}" if name is None else name, l, k)
+        for i, (name, l, k) in enumerate(curves)
+    )
+    return prop_mod.AbstractSlice(n, l_pow_n, k_dot_l_nm1, curves)
+
+
+def load_group_matrices(path: str) -> tuple:
+    return _load(path, "group JSON", ("matrices", _list(_INTEGER_VECTORS)))[0]
 
 
 def _approx(value: Fraction) -> str:
@@ -229,11 +318,10 @@ def _cmd_divisor_ample(args) -> int:
 
 
 def _cmd_polytope_info(args) -> int:
-    if args.coeffs is not None:
-        fan = load_fan(args.source)
-        p = toric_mod.moment_polytope(load_coeffs(fan, args.coeffs))
+    if args.coeffs is None:
+        p = load_polytope(args.source)
     else:
-        p = polytope_mod.polytope_from_json(_read_json(args.source))
+        p = toric_mod.moment_polytope(load_coeffs(load_fan(args.source), args.coeffs))
     verts = polytope_mod.vertices(p)
     vol = polytope_mod.volume(p)
     data = {
@@ -256,18 +344,6 @@ def _cmd_polytope_info(args) -> int:
     ]
     _emit(args, data, lines)
     return 0
-
-
-def load_group_matrices(path: str):
-    data = _read_json(path)
-    if not isinstance(data, dict) or not isinstance(data.get("matrices"), list):
-        raise InputError('group JSON must be an object with a "matrices" list')
-    if not all(isinstance(g, list) for g in data["matrices"]):
-        raise InputError('group "matrices" must be a list of integer matrices')
-    return tuple(
-        tuple(json_int_vector(row, f"matrices[{k}][{i}]") for i, row in enumerate(g))
-        for k, g in enumerate(data["matrices"])
-    )
 
 
 def _cmd_alpha(args) -> int:
@@ -333,7 +409,7 @@ def _make_backend(args):
     source = args.builtin or args.fan
     if source is None:
         raise InputError("check needs --builtin or --fan")
-    if source == "dp1" or (args.builtin is None and args.picard):
+    if source == "dp1":
         if args.coeffs is None:
             raise InputError("check on a Picard backend needs --coeffs (d, m_1, ..., m_r)")
         return load_picard_class(args.coeffs)
@@ -353,10 +429,7 @@ def _alpha_source(args):
 
 def _cmd_check(args) -> int:
     if args.mode == "negative-c1":
-        if args.slice is None:
-            backend = _make_backend(args)
-        else:
-            backend = load_slice(args.slice)
+        backend = _make_backend(args) if args.slice is None else load_slice(args.slice)
         report = prop_mod.check_negative_c1(backend)
     elif args.mode == "fano":
         backend = _make_backend(args)
@@ -373,48 +446,27 @@ def _cmd_check(args) -> int:
     return 0
 
 
-_JSON_KINDS = {type(None): "null", bool: "boolean", int: "number", float: "number",
-               list: "array", dict: "object"}
-
-
-def _config_rational(config: dict, key: str, default: str | None = None) -> Fraction:
-    """The rational under `key`, given as a JSON string like "p/q"."""
-    if key not in config and default is None:
-        raise InputError(f'missing key "{key}"')
-    return _json_rational(config.get(key, default), key)
-
-
-def _json_rational(value, where: str) -> Fraction:
-    if not isinstance(value, str):
-        kind = _JSON_KINDS[type(value)]
-        raise InputError(f'"{where}" must be a string like "p/q", got a JSON {kind}')
-    return parse_rational(value, where=where)
+def _family(value, where: str):
+    if not isinstance(value, str) or value not in prop_mod.BUILTIN_FAMILIES:
+        names = sorted(prop_mod.BUILTIN_FAMILIES)
+        raise InputError(f"unknown family {_describe(value)}; expected one of {names}")
+    return prop_mod.BUILTIN_FAMILIES[value]()
 
 
 def _cmd_sweep(args) -> int:
-    config = _read_json(args.config)
-    if not isinstance(config, dict):
-        raise InputError("sweep config must be a JSON object")
-    endpoints = config.get("conjectured_endpoints", [])
-    if not isinstance(endpoints, list):
-        raise InputError('sweep "conjectured_endpoints" must be a list')
-    if "family" not in config:
-        raise InputError('missing key "family"')
-    name = config["family"]
-    if not isinstance(name, str) or name not in prop_mod.BUILTIN_FAMILIES:
-        raise InputError(f'unknown family "{name}"; expected one of {sorted(prop_mod.BUILTIN_FAMILIES)}')
-    family = prop_mod.BUILTIN_FAMILIES[name]()
-    report = prop_mod.sweep_lambda(
-        family,
-        lambda_min=_config_rational(config, "lambda_min"),
-        lambda_max=_config_rational(config, "lambda_max"),
-        step=_config_rational(config, "step"),
-        refine_tol=_config_rational(config, "refine_tol"),
-        epsilon=_config_rational(config, "epsilon", "1"),
-        conjectured_endpoints=tuple(
-            _json_rational(e, f"conjectured_endpoints[{i}]") for i, e in enumerate(endpoints)
-        ),
+    # a fault in conjectured_endpoints is named before a missing key; the
+    # other keys are the parameters of sweep_lambda, in its order
+    endpoints, *config = _load(
+        args.config, "sweep config",
+        ("conjectured_endpoints", _RATIONALS, ()),
+        ("family", _family),
+        ("lambda_min", _rational),
+        ("lambda_max", _rational),
+        ("step", _rational),
+        ("refine_tol", _rational),
+        ("epsilon", _rational, Fraction(1)),
     )
+    report = prop_mod.sweep_lambda(*config, conjectured_endpoints=endpoints)
     sys.stdout.write(render_report(report, args.format, args.approx))
     return 0
 
@@ -500,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     ck = sub.add_parser("check", help="properness criteria")
     ck.add_argument("--builtin", choices=("p2", "dp6", "dp1"))
     ck.add_argument("--fan", help="fan JSON file (toric backend)")
-    ck.add_argument("--picard", action="store_true", help="treat --coeffs as Picard coords")
     ck.add_argument("--coeffs")
     ck.add_argument("--slice", help="abstract slice JSON file (negative-c1 mode)")
     ck.add_argument("--epsilon", default="1")

@@ -27,7 +27,6 @@ form, used for D.D and K.D.
 from __future__ import annotations
 
 import functools
-import json
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,12 +35,9 @@ from math import isqrt
 from .rationals import (
     ConstraintTable,
     GeometryError,
-    InputError,
     ValidationError,
     clear_denominators,
     format_rational,
-    json_int,
-    parse_rational,
 )
 
 
@@ -258,16 +254,3 @@ def slope_picard(d: PicardClass) -> Fraction:
 def dp1_surface() -> BlowupSurface:
     """The degree 1 del Pezzo surface: P^2 blown up at eight general points."""
     return BlowupSurface(8)
-
-
-def picard_class_from_json(data: dict) -> PicardClass:
-    if not isinstance(data, dict) or "r" not in data or "coords" not in data:
-        raise InputError('Picard class JSON must be an object with "r" and "coords"')
-    r, coords = data["r"], data["coords"]
-    json_int(r, 'Picard class "r"')
-    if not isinstance(coords, list):
-        raise InputError(f'Picard class "coords" must be a list, got {json.dumps(coords)}')
-    surface = BlowupSurface(r)
-    return PicardClass(
-        surface, tuple(parse_rational(c, where=f"coords[{i}]") for i, c in enumerate(coords))
-    )

@@ -106,7 +106,6 @@ class StabilizerAlpha:
     """Compute alpha with the vertex formula (toric backends only)."""
 
     group_mode: str = "full"
-    explicit_group: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -139,9 +138,7 @@ def resolve_alpha(backend, source):
                 "alpha source 'stabilizer formula' is only available for toric "
                 "backends; supply a value for this backend"
             )
-        ctx = symmetry_context(
-            backend, source.group_mode, explicit_group=source.explicit_group or None
-        )
+        ctx = symmetry_context(backend, source.group_mode)
         order = len(ctx.stabilizer) if ctx.stabilizer else 1
         label = f"stabilizer formula ({source.group_mode} group, order {order})"
         return alpha_invariant(ctx), label, SCOPE_G

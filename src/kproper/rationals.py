@@ -15,7 +15,6 @@ immutable and safe to share between threads.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +42,7 @@ class GeometryError(KProperError):
     """An operation's mathematical precondition does not hold."""
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?\d+(/\d+)?")
 
 
 def parse_rational(text: str, where: str = "") -> Fraction:
@@ -54,8 +53,10 @@ def parse_rational(text: str, where: str = "") -> Fraction:
     rejected with a message naming the canonical form.
     """
     context = f" in {where}" if where else ""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
-        raise InputError(f'malformed rational "{text}"{context}; expected canonical "p/q" or "p"')
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
+        # escaped, so a newline in the text cannot split the error line
+        shown = str(text).encode("unicode_escape").decode("ascii")
+        raise InputError(f'malformed rational "{shown}"{context}; expected canonical "p/q" or "p"')
     num_s, _, den_s = text.partition("/")
     try:
         num, den = int(num_s), int(den_s or 1)
@@ -69,22 +70,6 @@ def parse_rational(text: str, where: str = "") -> Fraction:
     if canonical != text:
         raise InputError(f'non-canonical rational "{text}"{context}; expected "{canonical}"')
     return value
-
-
-def json_int(value, where: str) -> int:
-    """A JSON integer; booleans, floats and strings raise InputError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{where} must be an integer, got {json.dumps(value, default=repr)}")
-    return value
-
-
-def json_int_vector(value, where: str) -> tuple[int, ...]:
-    """A JSON list of integers, as an int tuple."""
-    if not isinstance(value, list):
-        raise InputError(
-            f"{where} must be a list of integers, got {json.dumps(value, default=repr)}"
-        )
-    return tuple(json_int(x, f"{where}[{i}]") for i, x in enumerate(value))
 
 
 def format_rational(q: Scalar) -> str:

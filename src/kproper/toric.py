@@ -45,11 +45,8 @@ from .rationals import (
     identity_matrix,
     is_primitive,
     is_unimodular,
-    json_int,
-    json_int_vector,
     mat_mul,
     mat_vec,
-    parse_rational,
     solve_exact,
 )
 
@@ -544,32 +541,3 @@ def dp6_fan() -> Fan:
 
 
 BUILTIN_FANS = {"p2": p2_fan, "dp6": dp6_fan}
-
-
-# ---------------------------------------------------------------------------
-# JSON forms
-
-
-def fan_from_json(data: dict) -> Fan:
-    if not isinstance(data, dict) or not all(
-        isinstance(data.get(key), list) for key in ("rays", "max_cones")
-    ):
-        raise InputError('fan JSON must be an object with "rays" and "max_cones" lists')
-    rays = tuple(json_int_vector(r, f"rays[{i}]") for i, r in enumerate(data["rays"]))
-    cones = tuple(
-        json_int_vector(c, f"max_cones[{i}]") for i, c in enumerate(data["max_cones"])
-    )
-    if "dim" in data:
-        dim = json_int(data["dim"], 'fan "dim"')
-    else:
-        dim = len(rays[0]) if rays else 0
-    return Fan(dim, rays, cones)
-
-
-def divisor_from_json(fan: Fan, data: dict) -> ToricDivisor:
-    if not isinstance(data, dict) or not isinstance(data.get("coeffs"), list):
-        raise InputError('divisor JSON must be an object with a "coeffs" list')
-    coeffs = tuple(
-        parse_rational(c, where=f"coeffs[{i}]") for i, c in enumerate(data["coeffs"])
-    )
-    return ToricDivisor(fan, coeffs)

@@ -1,6 +1,6 @@
 """Serializers and a polytope transform that only the tests use.
 
-The library reads fans, divisors, polytopes and Picard classes from JSON;
+The CLI reads fans, divisors, polytopes and Picard classes from JSON files;
 these write them back, so the tests can check the readers by round trips.
 """
 

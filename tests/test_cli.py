@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import subprocess
 import sys
 import time
@@ -226,7 +227,7 @@ def test_slice_with_a_malformed_k_pow_n(capsys, tmp_path, value):
     }))
     code, out, err = run_cli(capsys, "check", "--mode", "negative-c1", "--slice", str(path))
     assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1 and "in k_pow_n" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "k_pow_n" in err
 
 
 def test_slice_curve_name_must_be_a_string(capsys, tmp_path):
@@ -237,7 +238,7 @@ def test_slice_curve_name_must_be_a_string(capsys, tmp_path):
     }))
     code, out, err = run_cli(capsys, "check", "--mode", "negative-c1", "--slice", str(path))
     assert (code, out) == (1, "")
-    assert err == 'error: test_curves[1].name must be a string, got {"a": 1}\n'
+    assert err == 'error: "test_curves[1].name" must be a string, got a JSON object\n'
 
 
 def test_byte_identical_reruns(capsys):
@@ -336,7 +337,7 @@ def test_malformed_slice_dimension_is_input_error(capsys, tmp_path):
     }))
     code, _, err = run_cli(capsys, "check", "--mode", "negative-c1", "--slice", str(path))
     assert code == 1
-    assert err == 'error: slice "n" must be an integer, got "x"\n'
+    assert err == 'error: "n" must be an integer, got "x"\n'
 
 
 @pytest.mark.parametrize(
@@ -365,9 +366,9 @@ SWEEP_KEYS = {"family": "dp1", "lambda_min": "0", "lambda_max": "4/3", "step": "
         ({"lambda_min": None}, 'missing key "lambda_min"'),
         ({"refine_tol": None}, 'missing key "refine_tol"'),
         ({"family": None}, 'missing key "family"'),
-        ({"lambda_min": 0}, '"lambda_min" must be a string like "p/q", got a JSON number'),
-        ({"step": 0.1}, '"step" must be a string like "p/q", got a JSON number'),
-        ({"lambda_max": True}, '"lambda_max" must be a string like "p/q", got a JSON boolean'),
+        ({"lambda_min": 0}, '"lambda_min" must be a string like "p/q", got 0'),
+        ({"step": 0.1}, '"step" must be a string like "p/q", got 0.1'),
+        ({"lambda_max": True}, '"lambda_max" must be a string like "p/q", got true'),
         ({"epsilon": [1]}, '"epsilon" must be a string like "p/q", got a JSON array'),
         ({"epsilon": "null"}, 'malformed rational "null" in epsilon'),
         ({"conjectured_endpoints": [{}]},
@@ -388,7 +389,7 @@ def test_sweep_config_null_value_is_named(capsys, tmp_path):
     path.write_text(json.dumps({**SWEEP_KEYS, "lambda_min": None}))
     code, out, err = run_cli(capsys, "sweep", "--config", str(path))
     assert (code, out) == (1, "")
-    assert err == 'error: "lambda_min" must be a string like "p/q", got a JSON null\n'
+    assert err == 'error: "lambda_min" must be a string like "p/q", got null\n'
 
 
 def test_malformed_divisor_json_is_input_error(capsys, tmp_path):
@@ -396,7 +397,7 @@ def test_malformed_divisor_json_is_input_error(capsys, tmp_path):
     path.write_text(json.dumps({"coeffs": 5}))
     code, _, err = run_cli(capsys, "divisor", "ample", "dp6", "--coeffs", str(path))
     assert code == 1
-    assert '"coeffs" list' in err
+    assert '"coeffs" must be a list, got 5' in err
 
 
 SQUARE_HREP = [
@@ -410,10 +411,11 @@ SQUARE_HREP = [
 @pytest.mark.parametrize(
     "payload, message",
     [
-        ({"hrep": 5}, 'an "hrep" list'),
-        ({"dim": "x", "hrep": SQUARE_HREP}, 'polytope "dim" must be an integer, got "x"'),
+        ({"hrep": 5}, '"hrep" must be a list, got 5'),
+        ({"dim": "x", "hrep": SQUARE_HREP}, '"dim" must be an integer, got "x"'),
         ({"dim": 2, "hrep": SQUARE_HREP, "equalities": 5}, '"equalities" must be a list'),
-        ({"hrep": [{"normal": [1.5, 0], "offset": "0"}]}, "hrep[0].normal[0] must be an integer"),
+        ({"hrep": [{"normal": [1.5, 0], "offset": "0"}]},
+         '"hrep[0].normal[0]" must be an integer, got 1.5'),
     ],
 )
 def test_malformed_polytope_json_is_input_error(capsys, tmp_path, payload, message):
@@ -428,10 +430,10 @@ def test_malformed_polytope_json_is_input_error(capsys, tmp_path, payload, messa
     "payload, message",
     [
         ({"dim": 2.5, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]},
-         'fan "dim" must be an integer, got 2.5'),
+         '"dim" must be an integer, got 2.5'),
         ({"rays": [[1, 0], [0, 1], [-1.5, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]},
-         "rays[2][0] must be an integer, got -1.5"),
-        ({"rays": 5, "max_cones": []}, '"rays" and "max_cones" lists'),
+         '"rays[2][0]" must be an integer, got -1.5'),
+        ({"rays": 5, "max_cones": []}, '"rays" must be a list, got 5'),
     ],
 )
 def test_malformed_fan_json_is_input_error(capsys, tmp_path, payload, message):
@@ -445,8 +447,8 @@ def test_malformed_fan_json_is_input_error(capsys, tmp_path, payload, message):
 @pytest.mark.parametrize(
     "payload, message",
     [
-        ({"matrices": [[[0, -1.5], [1, -1]]]}, "matrices[0][0][1] must be an integer, got -1.5"),
-        ({"matrices": [5]}, "list of integer matrices"),
+        ({"matrices": [[[0, -1.5], [1, -1]]]}, '"matrices[0][0][1]" must be an integer, got -1.5'),
+        ({"matrices": [5]}, '"matrices[0]" must be a list, got 5'),
     ],
 )
 def test_malformed_group_json_is_input_error(capsys, tmp_path, payload, message):
@@ -548,6 +550,68 @@ def test_cost_caps_reject_before_work(capsys, tmp_path):
     code, out, err = run_cli(capsys, "sweep", "--config", str(config))
     assert (code, out) == (1, "")
     assert err.startswith("error: bisecting one grid step down to refine_tol would take 329 steps")
+
+
+# a 3D polytope with 60 half-spaces: C(60, 3) = 34220 candidate vertices
+SIXTY_NORMALS = [v for v in itertools.product(range(-2, 3), repeat=3) if math.gcd(*v) == 1][:60]
+
+
+def test_vertex_enumeration_is_capped(capsys, tmp_path):
+    path = tmp_path / "polytope.json"
+    path.write_text(json.dumps({"hrep": [
+        {"normal": list(n), "offset": str(-sum(map(abs, n)))} for n in SIXTY_NORMALS
+    ]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "polytope", "info", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == ("error: the vertex enumeration would try 34220 candidate vertices "
+                   "(60 half-spaces choose 3); the cap is 5000\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fan", "validate", "DIR"),
+        ("divisor", "ample", "p2", "--coeffs", "DIR"),
+        ("polytope", "info", "DIR"),
+        ("check", "--builtin", "dp1", "--coeffs", "DIR"),
+        ("check", "--mode", "negative-c1", "--slice", "DIR"),
+        ("alpha", "p2", "--coeffs", "1,1,1", "--group", "explicit", "--group-file", "DIR"),
+        ("sweep", "--config", "DIR"),
+    ],
+    ids=" ".join,
+)
+def test_a_directory_for_a_file_is_one_error_line(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *(str(tmp_path) if a == "DIR" else a for a in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {tmp_path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["1\n", "a\nb", "1/2\r\n"])
+def test_a_newline_in_a_rational_stays_on_the_error_line(capsys, tmp_path, text):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({**SWEEP_KEYS, "lambda_min": text}))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+    assert (code, out) == (1, "")
+    shown = text.replace("\r", "\\r").replace("\n", "\\n")
+    assert err == (f'error: malformed rational "{shown}" in lambda_min; '
+                   'expected canonical "p/q" or "p"\n')
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("fan", "validate", "dp\n7"), 'unknown fan "dp\\n7": not a builtin'),
+        (("divisor", "ample", "p2", "--coeffs", "1,1,a\nb"), 'malformed rational "a\\nb" in coeffs[2]'),
+        (("check", "--builtin", "dp6", "--coeffs", "1,1,1,1,1,1", "--alpha", "1\n2"),
+         'malformed rational "1\\n2" in --alpha'),
+    ],
+)
+def test_a_newline_in_an_argument_stays_on_the_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_fan_automorphism_search_is_capped(capsys, tmp_path):

@@ -323,7 +323,7 @@ def test_windows_do_not_depend_on_epsilon(name):
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 @pytest.mark.parametrize("offset", [F(0), F(37, 10000), F(1, 7)])
-def test_cell_sweep_equals_the_per_point_sweep(name, offset):
+def test_decided_sweep_equals_the_per_point_sweep(name, offset):
     make, lam_min, lam_max = SWEEPS[name]
     args = (lam_min + offset, lam_max, F(1, 20), F(1, 10**4), F(1), WINDOWS[name])
     assert feasibility_report_to_json(sweep_lambda(make(), *args)) == feasibility_report_to_json(

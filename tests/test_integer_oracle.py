@@ -72,7 +72,7 @@ def reference_alpha_oracle(ctx, k_max):
     p_int = moment_polytope(integral)
     verts = [integer_vector(v) for v in vertices(p_int)]
     base_anchor = min(verts)
-    group = ctx.stabilizer if ctx.group_mode != "torus" else ()
+    group = ctx.stabilizer
     if not group:
         group = (identity_matrix(d.fan.dim),)
     actions = []

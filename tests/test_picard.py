@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -5,6 +6,7 @@ from math import comb
 import pytest
 from helpers import picard_class_to_json
 
+from kproper.cli import load_picard_class
 from kproper.picard import (
     BlowupSurface,
     PicardClass,
@@ -16,7 +18,6 @@ from kproper.picard import (
     is_ample_picard,
     is_nef_picard,
     pairing,
-    picard_class_from_json,
     slope_picard,
 )
 from kproper.rationals import GeometryError, ValidationError
@@ -182,8 +183,10 @@ def test_surface_validation():
         pairing(dp1_lambda(1), BlowupSurface(3).hyperplane())
 
 
-def test_json_round_trip():
+def test_json_round_trip(tmp_path):
     cls = dp1_lambda(F(6, 5))
     data = picard_class_to_json(cls)
     assert data["r"] == 8
-    assert picard_class_from_json(data) == cls
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(data))
+    assert load_picard_class(str(path)) == cls

@@ -1,9 +1,13 @@
+import itertools
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from helpers import apply_unimodular, polytope_to_json
 
+from kproper.cli import load_polytope
 from kproper.polytope import (
     Polytope,
     affine_dimension,
@@ -13,13 +17,13 @@ from kproper.polytope import (
     lattice_points,
     make_polytope,
     polygon_from_vertices,
-    polytope_from_json,
     scale,
     translate,
     vertices,
     volume,
 )
-from kproper.rationals import GeometryError, solve_exact
+from kproper import polytope as polytope_mod
+from kproper.rationals import GeometryError, InputError, solve_exact
 
 F = Fraction
 
@@ -248,10 +252,25 @@ def test_affine_dimension_reporting():
     assert affine_dimension(fixed) == 1
 
 
-def test_json_round_trip():
+def test_json_round_trip(tmp_path):
+    path = tmp_path / "polytope.json"
     for p in (hexagon(F(7, 3)), fixed_subpolytope(hexagon(), [((0, 1), (1, 0))])):
-        data = polytope_to_json(p, include_vrep=True)
-        q = polytope_from_json(data)
+        path.write_text(json.dumps(polytope_to_json(p, include_vrep=True)))
+        q = load_polytope(str(path))
         assert q.hrep == p.hrep
         assert q.equalities == p.equalities
         assert vertices(q) == vertices(p)
+
+
+def test_vertex_enumeration_is_capped_before_it_starts(monkeypatch):
+    normals = [v for v in itertools.product(range(-2, 3), repeat=3) if math.gcd(*v) == 1][:60]
+    p = make_polytope(3, [(n, -sum(map(abs, n))) for n in normals])
+    assert len(p.hrep) == 60
+
+    def no_solve(*args):
+        raise AssertionError("the enumeration started")
+
+    monkeypatch.setattr(polytope_mod, "solve_exact", no_solve)
+    with pytest.raises(InputError, match=r"would try 34220 candidate vertices \(60 half-spaces "
+                                         r"choose 3\); the cap is 5000"):
+        vertices(p)

@@ -1,10 +1,12 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from helpers import divisor_to_json, fan_to_json
 
+from kproper.cli import load_coeffs, load_fan
 from kproper.polytope import boundary_measure, vertices, volume
 from kproper.rationals import GeometryError, ValidationError, det, mat_mul, mat_vec
 from kproper.toric import (
@@ -12,10 +14,8 @@ from kproper.toric import (
     ToricDivisor,
     anticanonical_divisor,
     canonical_divisor,
-    divisor_from_json,
     dp6_fan,
     fan_automorphisms,
-    fan_from_json,
     intersection_number,
     is_ample,
     is_nef,
@@ -347,8 +347,11 @@ def test_pullback_by_fan_automorphism_preserves_everything():
             assert slope_quantities(pullback) == slope_quantities(d)
 
 
-def test_fan_and_divisor_json_round_trip():
+def test_fan_and_divisor_json_round_trip(tmp_path):
     fan = dp6_fan()
-    assert fan_from_json(fan_to_json(fan)) == fan
+    fan_path, divisor_path = tmp_path / "fan.json", tmp_path / "divisor.json"
+    fan_path.write_text(json.dumps(fan_to_json(fan)))
+    assert load_fan(str(fan_path)) == fan
     d = lam_divisor(F(6, 5))
-    assert divisor_from_json(fan, divisor_to_json(d)) == d
+    divisor_path.write_text(json.dumps(divisor_to_json(d)))
+    assert load_coeffs(fan, str(divisor_path)) == d
