@@ -37,18 +37,20 @@ from .rationals import (
 
 
 def _read_json(path: str):
+    # escaped, so a newline in the path cannot split the error line
+    shown = path.encode("unicode_escape").decode("ascii")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except FileNotFoundError:
-        raise InputError(f"no such file: {path}")
+        raise InputError(f"no such file: {shown}")
     except OSError as exc:
         # a directory, or a file without read permission
-        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+        raise InputError(f"cannot read {shown}: {exc.strerror}") from None
     except (ValueError, RecursionError) as exc:
         # a syntax error (its message gives the line and column), bytes that
         # are not UTF-8, an integer with too many digits, or nesting too deep
-        raise InputError(f"invalid JSON in {path}: {exc}") from None
+        raise InputError(f"invalid JSON in {shown}: {exc}") from None
 
 
 def _describe(value) -> str:

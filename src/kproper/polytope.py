@@ -20,7 +20,9 @@ Otherwise the vertices come from the fallback enumeration, which is
 deliberately unsophisticated: candidate vertices are intersections of
 dim-many facet hyperplanes, filtered by feasibility.  Inputs here are
 desk-scale (a few dozen facets), where this is both fast and easy to trust;
-larger inputs are rejected before it starts (MAX_VERTEX_CANDIDATES).
+larger inputs are rejected before it starts (MAX_VERTEX_CANDIDATES).  The
+same enumeration, on polytopes with one more equality, decides emptiness
+and boundedness (see `vertices`).
 Symmetry tests (`fixed_subpolytope`, class stabilizers) compare integer
 images of the cleared vertex set.
 """
@@ -146,86 +148,11 @@ def make_polytope(dim, halfspaces, equalities=()) -> Polytope:
 
 
 # ---------------------------------------------------------------------------
-# feasibility and boundedness
-
-
-def _fm_feasible(dim: int, constraints) -> bool:
-    """Fourier-Motzkin feasibility for a system <x, n_i> >= c_i."""
-    if dim == 1:
-        lower = None
-        upper = None
-        for (n,), c in constraints:
-            if n > 0:
-                bound = Fraction(c, n)
-                lower = bound if lower is None else max(lower, bound)
-            elif n < 0:
-                bound = Fraction(c, n)
-                upper = bound if upper is None else min(upper, bound)
-            elif c > 0:
-                return False
-        return lower is None or upper is None or lower <= upper
-    pos, neg, zero = [], [], []
-    for n, c in constraints:
-        if n[-1] > 0:
-            pos.append((n, c))
-        elif n[-1] < 0:
-            neg.append((n, c))
-        else:
-            zero.append((n[:-1], c))
-    reduced = list(zero)
-    for (np_, cp), (nq, cq) in itertools.product(pos, neg):
-        # eliminate the last coordinate from the pair (x >= L from p, x <= U from q)
-        pk, qk = np_[-1], nq[-1]
-        normal = tuple(pk * b - qk * a for a, b in zip(np_[:-1], nq[:-1]))
-        offset = pk * cq - qk * cp
-        if all(x == 0 for x in normal):
-            if offset > 0:
-                return False
-        else:
-            reduced.append((normal, offset))
-    if not reduced:
-        return True
-    return _fm_feasible(dim - 1, reduced)
+# boundedness
 
 
 def _rot90(v):
     return (-v[1], v[0])
-
-
-def _cross3(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _recession_directions(dim: int, normals):
-    """Candidate extreme directions of {d : <d, n_i> >= 0 for all i}."""
-    candidates = []
-    if dim == 1:
-        candidates = [(1,), (-1,)]
-    elif dim == 2:
-        for n in normals:
-            candidates.append(_rot90(n))
-            candidates.append(_rot90(tuple(-x for x in n)))
-    else:
-        for a, b in itertools.combinations(normals, 2):
-            c = _cross3(a, b)
-            if any(x != 0 for x in c):
-                candidates.append(c)
-                candidates.append(tuple(-x for x in c))
-    # a lineality direction exists whenever the normals do not span
-    rows = [list(n) for n in normals]
-    if rows:
-        _, nullspace = solve_linear_system(rows, [0] * len(rows))
-        for v in nullspace:
-            scaled = _integerize(v)
-            candidates.append(scaled)
-            candidates.append(tuple(-x for x in scaled))
-    else:
-        candidates.append(tuple(1 if i == 0 else 0 for i in range(dim)))
-    return candidates
 
 
 def _integerize(v):
@@ -233,14 +160,18 @@ def _integerize(v):
     return tuple(int(Fraction(x) * denom) for x in v)
 
 
-def _is_bounded(dim: int, constraints) -> bool:
-    normals = [n for n, _ in constraints]
-    for d in _recession_directions(dim, normals):
-        if all(x == 0 for x in d):
-            continue
-        if all(dot(d, n) >= 0 for n in normals):
-            return False
-    return True
+def _is_bounded(p: Polytope) -> bool:
+    """Whether the recession cone C = {d : <d, n_i> >= 0} of p is {0}, for
+    normals n_i that span.
+
+    Every nonzero d in C then has <d, s> > 0 for the sum s of the normals,
+    so C is {0} exactly when its bounded section <d, s> = 1 has no vertex.
+    """
+    s = tuple(map(sum, zip(*(hs.normal for hs in p.hrep))))
+    if not any(s):
+        return True
+    cone = tuple(HalfSpace(hs.normal, Fraction(0)) for hs in p.hrep)
+    return not vertices(Polytope(p.dim, cone, (LinearEquation(s, Fraction(1)),)))
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +219,18 @@ def _reduce_by_equalities(p: Polytope):
             continue
         denom = lcm(*(x.denominator for x in coeffs), offset.denominator)
         sub_constraints.append((tuple(int(x * denom) for x in coeffs), offset * denom))
-    sub = make_polytope(len(basis), sub_constraints) if sub_constraints else None
-    if sub is None:
-        # affine subspace with no constraints: unbounded unless 0-dimensional
-        raise GeometryError("polytope is unbounded")
-    return origin, basis, sub
+    return origin, basis, make_polytope(len(basis), sub_constraints)
 
 
 def vertices(p: Polytope) -> tuple:
     """Exact vertex set, sorted lexicographically; () for an empty polytope.
 
     Raises GeometryError when the feasible region is unbounded, since an
-    unbounded region is not described by vertices alone.
+    unbounded region is not described by vertices alone.  A feasible
+    candidate vertex means the normals span, so p is pointed and bounded
+    exactly when a section of its recession cone is empty (`_is_bounded`).
+    With no candidate, p = (p & L^perp) + L for the null space L of the
+    normals: p is empty when p & L^perp has no vertex, else it holds lines.
     """
     if p._vertex_cache is not None:
         return p._vertex_cache
@@ -327,14 +258,20 @@ def vertices(p: Polytope) -> tuple:
             )
         constraints = [(hs.normal, hs.offset) for hs in p.hrep]
         cands = _candidate_vertices(p.dim, constraints)
-        if not cands:
-            if _fm_feasible(p.dim, constraints):
+        if cands:
+            if not _is_bounded(p):
+                raise GeometryError("polytope is unbounded")
+            result = tuple(sorted(cands))
+        else:
+            # with L = 0 the normals span, so a nonempty p would have a vertex
+            lines = (
+                solve_linear_system([hs.normal for hs in p.hrep], [0] * len(p.hrep))[1]
+                if p.hrep else identity_matrix(p.dim)
+            )
+            perp = tuple(LinearEquation(_integerize(v), Fraction(0)) for v in lines)
+            if perp and vertices(Polytope(p.dim, p.hrep, perp)):
                 raise GeometryError("polytope is unbounded")
             result = ()
-        elif not _is_bounded(p.dim, constraints):
-            raise GeometryError("polytope is unbounded")
-        else:
-            result = tuple(sorted(cands))
     object.__setattr__(p, "_vertex_cache", result)
     return result
 
@@ -387,24 +324,26 @@ def _cycle_edges(cycle):
     return zip(cycle, cycle[1:] + cycle[:1])
 
 
+def _angle_cmp(u, v) -> int:
+    """Order plane vectors counterclockwise by angle from the positive x-axis."""
+    hu = 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
+    hv = 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
+    if hu != hv:
+        return -1 if hu < hv else 1
+    cross = u[0] * v[1] - u[1] * v[0]
+    if cross > 0:
+        return -1
+    if cross < 0:
+        return 1
+    return 0
+
+
 def _order_ccw_2d(points):
     n = len(points)
     center = tuple(sum(v[i] for v in points) / n for i in range(2))
-
-    def cmp(a, b):
-        va, vb = vec_sub(a, center), vec_sub(b, center)
-        ha = 0 if (va[1] > 0 or (va[1] == 0 and va[0] > 0)) else 1
-        hb = 0 if (vb[1] > 0 or (vb[1] == 0 and vb[0] > 0)) else 1
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cross = va[0] * vb[1] - va[1] * vb[0]
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    return sorted(points, key=functools.cmp_to_key(cmp))
+    return sorted(points, key=functools.cmp_to_key(
+        lambda a, b: _angle_cmp(vec_sub(a, center), vec_sub(b, center))
+    ))
 
 
 def _facets_3d(p: Polytope, verts):

@@ -605,9 +605,7 @@ class ToricFamily:
         return self.fan.dim
 
     def alpha_unscaled(self, lam):
-        ctx = symmetry_context(self.class_at(lam), "full")
-        order = len(ctx.stabilizer) if ctx.stabilizer else 1
-        return alpha_invariant(ctx), f"stabilizer formula (full group, order {order})", SCOPE_G
+        return resolve_alpha(self.class_at(lam), StabilizerAlpha())
 
     @functools.cached_property
     def alpha_pieces(self):

@@ -179,19 +179,11 @@ def solve_exact(a: Matrix, b: Sequence[Scalar]):
         raise ValidationError("solve_exact requires a square matrix")
     if len(b) != n:
         raise ValidationError(f"solve_exact dimension mismatch: matrix {n}x{n}, rhs {len(b)}")
-    rows = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return tuple(rows[i][n] for i in range(n))
+    solution = solve_linear_system(a, b)
+    # A is singular exactly when the system is inconsistent or has a null space
+    if solution is None or solution[1]:
+        return None
+    return solution[0]
 
 
 def solve_linear_system(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]):

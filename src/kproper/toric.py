@@ -33,7 +33,9 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .polytope import Polytope, boundary_measure, make_polytope, volume, with_polygon_cycle
+from .polytope import (
+    Polytope, _angle_cmp, boundary_measure, make_polytope, volume, with_polygon_cycle,
+)
 from .rationals import (
     ConstraintTable,
     GeometryError,
@@ -104,19 +106,6 @@ class Fan:
 class FanValidation:
     smooth: bool
     complete: bool
-
-
-def _angle_cmp(u, v) -> int:
-    hu = 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
-    hv = 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-    if hu != hv:
-        return -1 if hu < hv else 1
-    cross = u[0] * v[1] - u[1] * v[0]
-    if cross > 0:
-        return -1
-    if cross < 0:
-        return 1
-    return 0
 
 
 @functools.lru_cache(maxsize=None)

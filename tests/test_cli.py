@@ -606,6 +606,7 @@ def test_a_newline_in_a_rational_stays_on_the_error_line(capsys, tmp_path, text)
         (("divisor", "ample", "p2", "--coeffs", "1,1,a\nb"), 'malformed rational "a\\nb" in coeffs[2]'),
         (("check", "--builtin", "dp6", "--coeffs", "1,1,1,1,1,1", "--alpha", "1\n2"),
          'malformed rational "1\\n2" in --alpha'),
+        (("check", "--mode", "negative-c1", "--slice", "no\nfile.json"), "no such file: no\\nfile.json"),
     ],
 )
 def test_a_newline_in_an_argument_stays_on_the_error_line(capsys, argv, message):
