@@ -74,21 +74,43 @@ def _string(value, where: str) -> str:
     return value
 
 
+def _bool(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise _fault(where, "true or false", value)
+    return value
+
+
 def _rational(value, where: str) -> Fraction:
     if not isinstance(value, str):
         raise _fault(where, 'a string like "p/q"', value)
     return parse_rational(value, where=where)
 
 
-def _list(item):
-    """A reader of a list, each entry read by `item`."""
+def _optional(item):
+    """A reader of null, or of a value read by `item`."""
+
+    def read(value, where: str):
+        return None if value is None else item(value, where)
+
+    return read
+
+
+def _list(item, size=None):
+    """A reader of a list, each entry read by `item`; of `size` entries, if given."""
 
     def read(value, where: str) -> tuple:
-        if not isinstance(value, list):
-            raise _fault(where, "a list", value)
+        if not isinstance(value, list) or size not in (None, len(value)):
+            raise _fault(where, "a list" if size is None else f"a list of {size}", value)
         return tuple(item(x, f"{where}[{i}]") for i, x in enumerate(value))
 
     return read
+
+
+def _strings(value, where: str) -> dict:
+    """A reader of an object whose values are strings."""
+    if not isinstance(value, dict):
+        raise _fault(where, "a JSON object", value)
+    return {key: _string(x, f"{where}.{key}") for key, x in value.items()}
 
 
 def _object(*keys):
@@ -113,10 +135,9 @@ def _object(*keys):
     return read
 
 
-def _load(path: str, what: str, *keys) -> tuple:
-    """The values under `keys`, given as for `_object`, of the JSON object in
-    the file `path`."""
-    data = _read_json(path)
+def _document(data, what: str, *keys) -> tuple:
+    """The values under `keys`, given as for `_object`, of the JSON document
+    `data`, which must be an object."""
     if not isinstance(data, dict):
         raise InputError(f"{what} must be a JSON object, got {_describe(data)}")
     return _object(*keys)(data, "")
@@ -139,8 +160,8 @@ def load_fan(source: str) -> toric_mod.Fan:
     if source in toric_mod.BUILTIN_FANS:
         return toric_mod.BUILTIN_FANS[source]()
     if os.path.exists(source):
-        rays, cones, dim = _load(
-            source, "fan JSON",
+        rays, cones, dim = _document(
+            _read_json(source), "fan JSON",
             ("rays", _INTEGER_VECTORS), ("max_cones", _INTEGER_VECTORS), ("dim", _int, None),
         )
         if dim is None:
@@ -151,7 +172,7 @@ def load_fan(source: str) -> toric_mod.Fan:
 
 def load_coeffs(fan: toric_mod.Fan, source: str) -> toric_mod.ToricDivisor:
     if os.path.exists(source):
-        (coeffs,) = _load(source, "divisor JSON", ("coeffs", _RATIONALS))
+        (coeffs,) = _document(_read_json(source), "divisor JSON", ("coeffs", _RATIONALS))
     else:
         coeffs = _inline(source, "coeffs")
     return toric_mod.ToricDivisor(fan, coeffs)
@@ -159,7 +180,9 @@ def load_coeffs(fan: toric_mod.Fan, source: str) -> toric_mod.ToricDivisor:
 
 def load_picard_class(source: str) -> picard_mod.PicardClass:
     if os.path.exists(source):
-        r, coords = _load(source, "Picard class JSON", ("r", _int), ("coords", _RATIONALS))
+        r, coords = _document(
+            _read_json(source), "Picard class JSON", ("r", _int), ("coords", _RATIONALS)
+        )
     else:
         coords = _inline(source, "coords")
         r = len(coords) - 1
@@ -167,8 +190,8 @@ def load_picard_class(source: str) -> picard_mod.PicardClass:
 
 
 def load_polytope(path: str) -> polytope_mod.Polytope:
-    hrep, equalities, dim = _load(
-        path, "polytope JSON",
+    hrep, equalities, dim = _document(
+        _read_json(path), "polytope JSON",
         ("hrep", _list(_object(("normal", _list(_int)), ("offset", _rational)))),
         ("equalities", _list(_object(("coeffs", _list(_int)), ("rhs", _rational))), ()),
         ("dim", _int, None),
@@ -180,8 +203,8 @@ def load_polytope(path: str) -> polytope_mod.Polytope:
 
 def load_slice(path: str) -> prop_mod.AbstractSlice:
     # K^n is optional and read by no decision, but a value given must parse
-    n, l_pow_n, k_dot_l_nm1, _, curves = _load(
-        path, "slice JSON",
+    n, l_pow_n, k_dot_l_nm1, _, curves = _document(
+        _read_json(path), "slice JSON",
         ("n", _int),
         ("l_pow_n", _rational),
         ("k_dot_l_nm1", _rational),
@@ -198,7 +221,7 @@ def load_slice(path: str) -> prop_mod.AbstractSlice:
 
 
 def load_group_matrices(path: str) -> tuple:
-    return _load(path, "group JSON", ("matrices", _list(_INTEGER_VECTORS)))[0]
+    return _document(_read_json(path), "group JSON", ("matrices", _list(_INTEGER_VECTORS)))[0]
 
 
 def _approx(value: Fraction) -> str:
@@ -215,70 +238,168 @@ def _fmt_value(text: str, approx: bool) -> str:
     return f"{text} (~{_approx(q)})"
 
 
-def render_report(report, fmt: str = "json", approx: bool = False) -> str:
-    """Render a properness or feasibility report; JSON output round-trips."""
+# ---------------------------------------------------------------------------
+# reports: render_report builds each report's JSON object once and prints
+# the text form from that object; parse_report reads the JSON back with the
+# readers above.
+
+
+def _report_json(report) -> dict:
     if isinstance(report, prop_mod.PropernessReport):
-        if fmt == "json":
-            return _dump_json(prop_mod.report_to_json(report))
-        lines = [f"mode: {report.mode}", f"backend: {report.backend}"]
-        if report.alpha is not None:
-            lines.append(
-                f"alpha: {_fmt_value(format_rational(report.alpha), approx)}"
-                f" [{report.alpha_provenance}]"
-            )
-        if report.mu is not None:
-            lines.append(f"mu: {_fmt_value(format_rational(report.mu), approx)}")
-        for cond in report.conditions:
-            status = "PASS" if cond.holds else "FAIL"
-            detail = ", ".join(f"{k}={_fmt_value(v, approx)}" for k, v in sorted(cond.values.items()))
-            line = f"{cond.name}: {status}  {cond.description}"
-            if detail:
-                line += f"  [{detail}]"
-            if cond.binding and not cond.holds:
-                line += f"  binding: {cond.binding}"
-            lines.append(line)
-        lines.append(f"verdict: {report.verdict}")
-        lines.append(f"scope: {report.scope}")
-        return "\n".join(lines) + "\n"
+        return {
+            "kind": "properness-report",
+            "mode": report.mode,
+            "backend": report.backend,
+            "verdict": report.verdict,
+            "scope": report.scope,
+            "alpha": None if report.alpha is None else format_rational(report.alpha),
+            "alpha_provenance": report.alpha_provenance,
+            "mu": None if report.mu is None else format_rational(report.mu),
+            "notes": list(report.notes),
+            "conditions": [
+                {"name": c.name, "description": c.description, "holds": c.holds,
+                 "values": dict(c.values), "binding": c.binding}
+                for c in report.conditions
+            ],
+        }
     if isinstance(report, prop_mod.FeasibilityReport):
-        if fmt == "json":
-            return _dump_json(prop_mod.feasibility_report_to_json(report))
-        lines = [
-            f"family: {report.family}  epsilon: {format_rational(report.epsilon)}",
-            f"grid: [{format_rational(report.lambda_min)}, {format_rational(report.lambda_max)}]"
-            f" step {format_rational(report.step)}"
-            f" refine_tol {format_rational(report.refine_tol)}",
-        ]
-        if not report.windows:
-            lines.append("no feasible lambda window found")
-        for w in report.windows:
-            lines.append(
-                "feasible window: lo in "
-                f"[{format_rational(w.lo_bracket[0])}, {format_rational(w.lo_bracket[1])}],"
-                " hi in "
-                f"[{format_rational(w.hi_bracket[0])}, {format_rational(w.hi_bracket[1])}],"
-                f" witness (lambda={format_rational(w.witness_lambda)},"
-                f" a={format_rational(w.witness_a)})"
-            )
-        for c in report.endpoint_checks:
-            status = "confirmed" if c.confirmed else "NOT confirmed"
-            lines.append(
-                f"conjectured {c.side} endpoint {format_rational(c.endpoint)}: {status}"
-            )
-        for key, value in sorted(report.diagnostics.items()):
-            lines.append(f"{key}: {value}")
-        return "\n".join(lines) + "\n"
+        return {
+            "kind": "feasibility-report",
+            "family": report.family,
+            "epsilon": format_rational(report.epsilon),
+            "lambda_min": format_rational(report.lambda_min),
+            "lambda_max": format_rational(report.lambda_max),
+            "step": format_rational(report.step),
+            "refine_tol": format_rational(report.refine_tol),
+            "intervals": [
+                {"lo_bracket": [format_rational(x) for x in w.lo_bracket],
+                 "hi_bracket": [format_rational(x) for x in w.hi_bracket],
+                 "witness": {"lambda": format_rational(w.witness_lambda),
+                             "a": format_rational(w.witness_a)}}
+                for w in report.windows
+            ],
+            "endpoint_checks": [
+                {"endpoint": format_rational(c.endpoint), "side": c.side,
+                 "empty_at_endpoint": c.empty_at_endpoint, "feasible_inside": c.feasible_inside,
+                 "infeasible_outside": c.infeasible_outside, "confirmed": c.confirmed}
+                for c in report.endpoint_checks
+            ],
+            "diagnostics": dict(report.diagnostics),
+        }
     raise InputError(f"cannot render {type(report).__name__}")
 
 
+def render_report(report, fmt: str = "json", approx: bool = False) -> str:
+    """Render a properness or feasibility report; JSON output round-trips
+    through parse_report."""
+    data = _report_json(report)
+    if fmt == "json":
+        return _dump_json(data)
+    if data["kind"] == "properness-report":
+        lines = [f"mode: {data['mode']}", f"backend: {data['backend']}"]
+        if data["alpha"] is not None:
+            lines.append(f"alpha: {_fmt_value(data['alpha'], approx)} [{data['alpha_provenance']}]")
+        if data["mu"] is not None:
+            lines.append(f"mu: {_fmt_value(data['mu'], approx)}")
+        for c in data["conditions"]:
+            line = f"{c['name']}: {'PASS' if c['holds'] else 'FAIL'}  {c['description']}"
+            if c["values"]:
+                values = sorted(c["values"].items())
+                line += f"  [{', '.join(f'{k}={_fmt_value(v, approx)}' for k, v in values)}]"
+            if c["binding"] and not c["holds"]:
+                line += f"  binding: {c['binding']}"
+            lines.append(line)
+        lines += [f"verdict: {data['verdict']}", f"scope: {data['scope']}"]
+    else:
+        lines = [
+            f"family: {data['family']}  epsilon: {data['epsilon']}",
+            f"grid: [{data['lambda_min']}, {data['lambda_max']}] step {data['step']}"
+            f" refine_tol {data['refine_tol']}",
+        ]
+        if not data["intervals"]:
+            lines.append("no feasible lambda window found")
+        for w in data["intervals"]:
+            (lo0, lo1), (hi0, hi1), witness = w["lo_bracket"], w["hi_bracket"], w["witness"]
+            lines.append(
+                f"feasible window: lo in [{lo0}, {lo1}], hi in [{hi0}, {hi1}],"
+                f" witness (lambda={witness['lambda']}, a={witness['a']})"
+            )
+        for c in data["endpoint_checks"]:
+            status = "confirmed" if c["confirmed"] else "NOT confirmed"
+            lines.append(f"conjectured {c['side']} endpoint {c['endpoint']}: {status}")
+        lines += [f"{key}: {value}" for key, value in sorted(data["diagnostics"].items())]
+    return "\n".join(lines) + "\n"
+
+
+# The keys of each report, in the order of its dataclass fields.
+_PROPERNESS_KEYS = _object(
+    ("mode", _string),
+    ("backend", _string),
+    ("verdict", _string),
+    ("scope", _string),
+    ("conditions", _list(_object(
+        ("name", _string),
+        ("description", _string),
+        ("holds", _bool),
+        ("values", _strings),
+        ("binding", _optional(_string), None),
+    ))),
+    ("alpha", _optional(_rational), None),
+    ("alpha_provenance", _optional(_string), None),
+    ("mu", _optional(_rational), None),
+    ("notes", _list(_string), ()),
+)
+_BRACKET = _list(_rational, size=2)
+_FEASIBILITY_KEYS = _object(
+    ("family", _string),
+    ("epsilon", _rational),
+    ("lambda_min", _rational),
+    ("lambda_max", _rational),
+    ("step", _rational),
+    ("refine_tol", _rational),
+    ("intervals", _list(_object(
+        ("lo_bracket", _BRACKET),
+        ("hi_bracket", _BRACKET),
+        ("witness", _object(("lambda", _rational), ("a", _rational))),
+    ))),
+    ("endpoint_checks", _list(_object(
+        ("endpoint", _rational),
+        ("side", _string),
+        ("empty_at_endpoint", _bool),
+        ("feasible_inside", _bool),
+        ("infeasible_outside", _bool),
+        ("confirmed", _bool, None),
+    ))),
+    ("diagnostics", _strings, {}),
+)
+
+
 def parse_report(text: str):
-    """Inverse of render_report for JSON output."""
-    data = json.loads(text)
-    if data.get("kind") == "properness-report":
-        return prop_mod.report_from_json(data)
-    if data.get("kind") == "feasibility-report":
-        return prop_mod.feasibility_report_from_json(data)
-    raise InputError("unrecognized report JSON")
+    """The report whose JSON render_report wrote as `text`.  A malformed
+    report raises one InputError that names the key path."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"invalid report JSON: {exc}") from None
+    (kind,) = _document(data, "report JSON", ("kind", _string))
+    if kind == "properness-report":
+        mode, backend, verdict, scope, conditions, *rest = _PROPERNESS_KEYS(data, "")
+        conditions = tuple(prop_mod.ConditionCheck(*c) for c in conditions)
+        proper = all(c.holds for c in conditions)
+        expected = prop_mod.VERDICT_PROPER if proper else prop_mod.VERDICT_FAIL
+        if verdict != expected:
+            raise _fault("verdict", f'"{expected}", the conjunction of the conditions', verdict)
+        return prop_mod.PropernessReport(mode, backend, verdict, scope, conditions, *rest)
+    if kind == "feasibility-report":
+        *head, windows, checks, diagnostics = _FEASIBILITY_KEYS(data, "")
+        endpoint_checks = tuple(prop_mod.EndpointCheck(*c[:-1]) for c in checks)
+        for i, (check, (*_, confirmed)) in enumerate(zip(endpoint_checks, checks)):
+            if confirmed not in (None, check.confirmed):
+                raise _fault(f"endpoint_checks[{i}].confirmed", f"{json.dumps(check.confirmed)}, "
+                             "the conjunction of the three checks", confirmed)
+        windows = tuple(prop_mod.FeasibleWindow(lo, hi, *witness) for lo, hi, witness in windows)
+        return prop_mod.FeasibilityReport(*head, windows, endpoint_checks, diagnostics)
+    raise _fault("kind", '"properness-report" or "feasibility-report"', kind)
 
 
 def _emit(args, data: dict, text_lines) -> None:
@@ -458,8 +579,8 @@ def _family(value, where: str):
 def _cmd_sweep(args) -> int:
     # a fault in conjectured_endpoints is named before a missing key; the
     # other keys are the parameters of sweep_lambda, in its order
-    endpoints, *config = _load(
-        args.config, "sweep config",
+    endpoints, *config = _document(
+        _read_json(args.config), "sweep config",
         ("conjectured_endpoints", _RATIONALS, ()),
         ("family", _family),
         ("lambda_min", _rational),

@@ -24,8 +24,9 @@ bisection.  Every sweep family carries its alpha as integer pieces, alpha
 G-averaged coefficients of a toric family whose symmetry group fixes no
 line.  A sweep decides each grid and bisection point by the integer cut
 loop against those pieces, and runs the certified probe only at both ends
-of every bracket, at the witness and at the endpoint checks.  A family
-without alpha pieces is rejected, not probed point by point.
+of every bracket, at the witness and at the endpoint checks; each probe's
+alpha cap must match the pieces.  A family without alpha pieces is
+rejected, not probed point by point.
 
 All three curve lists are one ConstraintTable per class (rationals.py),
 built by wall_table, curve_table or the slice, and _backend is the one
@@ -36,11 +37,13 @@ threefolds keep the cone-functional test.  Both family types share one body
 for their rows, their forms L_lambda^2 and K.L_lambda and their ampleness
 test, read off the tables of L_0, L_1 and L_1 - L_0.
 
-A failing criterion is reported as "criterion not satisfied", never as a
-properness disproof; the conditions are sufficient, not sharp.  A weaker
-historical variant of condition (3) (Song-Weinkove's inequality, tested
-against a wedge with the reference metric) is intentionally not implemented;
-only the stronger class form above is decided.
+The reports are plain dataclasses; their JSON form is written and read in
+cli.py alone.  A failing criterion is reported as "criterion not
+satisfied", never as a properness disproof; the conditions are sufficient,
+not sharp.  A weaker historical variant of condition (3) (Song-Weinkove's
+inequality, tested against a wedge with the reference metric) is
+intentionally not implemented; only the stronger class form above is
+decided.
 
 Comparison-only constants from the literature, never used in computation:
 Zhou-Zhu prove properness of the same hexagonal family for
@@ -73,7 +76,6 @@ from .rationals import (
     clear_denominators,
     constraint_table,
     format_rational,
-    parse_rational,
 )
 from .toric import (
     Fan,
@@ -309,56 +311,6 @@ class PropernessReport:
     @property
     def proper(self) -> bool:
         return self.verdict == VERDICT_PROPER
-
-
-def report_to_json(report: PropernessReport) -> dict:
-    return {
-        "kind": "properness-report",
-        "mode": report.mode,
-        "backend": report.backend,
-        "verdict": report.verdict,
-        "scope": report.scope,
-        "alpha": None if report.alpha is None else format_rational(report.alpha),
-        "alpha_provenance": report.alpha_provenance,
-        "mu": None if report.mu is None else format_rational(report.mu),
-        "notes": list(report.notes),
-        "conditions": [
-            {
-                "name": c.name,
-                "description": c.description,
-                "holds": c.holds,
-                "values": dict(c.values),
-                "binding": c.binding,
-            }
-            for c in report.conditions
-        ],
-    }
-
-
-def report_from_json(data: dict) -> PropernessReport:
-    if not isinstance(data, dict) or data.get("kind") != "properness-report":
-        raise InputError("not a properness report")
-    conditions = tuple(
-        ConditionCheck(
-            name=c["name"],
-            description=c["description"],
-            holds=bool(c["holds"]),
-            values=dict(c["values"]),
-            binding=c.get("binding"),
-        )
-        for c in data["conditions"]
-    )
-    return PropernessReport(
-        mode=data["mode"],
-        backend=data["backend"],
-        verdict=data["verdict"],
-        scope=data["scope"],
-        conditions=conditions,
-        alpha=None if data.get("alpha") is None else parse_rational(data["alpha"]),
-        alpha_provenance=data.get("alpha_provenance"),
-        mu=None if data.get("mu") is None else parse_rational(data["mu"]),
-        notes=tuple(data.get("notes", [])),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +691,8 @@ def feasible_scale_interval(family, lam, epsilon=Fraction(1)) -> OpenInterval:
     Every constraint is affine in a: the alpha bound because alpha scales as
     1/a, the positivity conditions because they are signs of pairings with
     the rows (Kleiman).  The resulting half-line intersection is certified
-    by a full checker run at the midpoint whenever it is nonempty.
+    by a full checker run at the midpoint whenever it is nonempty, and its
+    alpha cap must match the family's alpha pieces, when it has them.
     """
     interval, _, _ = _scale_interval_with_bindings(family, lam, epsilon)
     return interval
@@ -754,6 +707,13 @@ def _scale_interval_with_bindings(family, lam, epsilon):
     alpha1, alpha_label, alpha_scope = family.alpha_unscaled(lam)
     mu1 = _family_mu(family, lam)
     lo_num, lo_den, lo_label = _lower_cut(family, lam)
+    pieces = family.alpha_pieces
+    if pieces is not None and alpha1 != Fraction(pieces[0] * lam.denominator,
+                                                 _alpha_denominator(pieces, lam)):
+        raise GeometryError(
+            f"internal inconsistency: the alpha cap at lambda = "
+            f"{format_rational(lam)} differs from the family's alpha pieces"
+        )
     interval = OpenInterval(
         Fraction(lo_num * epsilon.denominator, lo_den * epsilon.numerator),
         Fraction(n + 1, n) * alpha1 / epsilon,
@@ -1007,55 +967,46 @@ def _feasibility(family, epsilon):
     infeasible; every other error propagates, and decide raises wherever
     probe does.
 
-    probe runs the certified feasible_scale_interval, once per lambda of
-    the sweep, and checks its alpha cap against the family's alpha pieces.
-    decide runs the same cut loop against the pieces in integers, with no
-    certificate.  A family without alpha pieces is rejected."""
+    probe runs the certified feasible_scale_interval, whose alpha cap is
+    checked against the family's alpha pieces.  decide runs the same cut
+    loop against the pieces in integers, with no certificate.  A family
+    without alpha pieces is rejected."""
     # a threefold family fails here, before its alpha is looked at
     family.pairing_data
     epsilon = _positive_slack(epsilon)
-    if family.alpha_pieces is None:
+    pieces = family.alpha_pieces
+    if pieces is None:
         raise InputError(
             f"sweeps need a closed-form alpha; the symmetry group of family "
             f'"{family.name}" fixes a line'
         )
-    den, pieces = family.alpha_pieces
-    n = family.dim
-    cache: dict[Fraction, bool] = {}
-
-    def alpha_denominator(lam: Fraction) -> int:
-        """max(e q + f p) at lambda = p/q, where alpha = den q / max(e q + f p)."""
-        p, q = lam.numerator, lam.denominator
-        values = [e * q + f * p for e, f in pieces]
-        if min(values) <= 0:
-            raise GeometryError(
-                f"the alpha pieces e + f lambda are not all positive at lambda = "
-                f"{format_rational(lam)} (the dp1 bound needs lambda < 2)"
-            )
-        return max(values)
+    den, n = pieces[0], family.dim
 
     def probe(lam: Fraction) -> bool:
-        if not family.is_ample_at(lam):
-            return False
-        if lam not in cache:
-            interval = feasible_scale_interval(family, lam, epsilon)
-            cap = Fraction((n + 1) * den * lam.denominator, n * alpha_denominator(lam)) / epsilon
-            if interval.hi != cap:
-                raise GeometryError(
-                    f"internal inconsistency: the alpha cap at lambda = "
-                    f"{format_rational(lam)} differs from the family's alpha pieces"
-                )
-            cache[lam] = not interval.is_empty
-        return cache[lam]
+        ample = family.is_ample_at(lam)
+        return ample and not feasible_scale_interval(family, lam, epsilon).is_empty
 
     def decide(lam: Fraction) -> bool:
         if not family.is_ample_at(lam):
             return False
         num, cut_den, _ = _lower_cut(family, lam)
         # num / cut_den < (n+1)/n * alpha, cleared of the positive denominators
-        return n * num * alpha_denominator(lam) < (n + 1) * den * lam.denominator * cut_den
+        return n * num * _alpha_denominator(pieces, lam) < (n + 1) * den * lam.denominator * cut_den
 
     return decide, probe
+
+
+def _alpha_denominator(pieces, lam: Fraction) -> int:
+    """max(e q + f p) at lambda = p/q, where alpha = den q / max(e q + f p)
+    for the alpha pieces (den, ((e, f), ...))."""
+    p, q = lam.numerator, lam.denominator
+    values = [e * q + f * p for e, f in pieces[1]]
+    if min(values) <= 0:
+        raise GeometryError(
+            f"the alpha pieces e + f lambda are not all positive at lambda = "
+            f"{format_rational(lam)} (the dp1 bound needs lambda < 2)"
+        )
+    return max(values)
 
 
 def _bisect(bad, good, feasible, tol):
@@ -1079,73 +1030,3 @@ def _endpoint_side(e, windows) -> str:
             if best is None or dist < best:
                 best, side = dist, candidate_side
     return side
-
-
-def feasibility_report_to_json(report: FeasibilityReport) -> dict:
-    return {
-        "kind": "feasibility-report",
-        "family": report.family,
-        "epsilon": format_rational(report.epsilon),
-        "lambda_min": format_rational(report.lambda_min),
-        "lambda_max": format_rational(report.lambda_max),
-        "step": format_rational(report.step),
-        "refine_tol": format_rational(report.refine_tol),
-        "intervals": [
-            {
-                "lo_bracket": [format_rational(x) for x in w.lo_bracket],
-                "hi_bracket": [format_rational(x) for x in w.hi_bracket],
-                "witness": {
-                    "lambda": format_rational(w.witness_lambda),
-                    "a": format_rational(w.witness_a),
-                },
-            }
-            for w in report.windows
-        ],
-        "endpoint_checks": [
-            {
-                "endpoint": format_rational(c.endpoint),
-                "side": c.side,
-                "empty_at_endpoint": c.empty_at_endpoint,
-                "feasible_inside": c.feasible_inside,
-                "infeasible_outside": c.infeasible_outside,
-                "confirmed": c.confirmed,
-            }
-            for c in report.endpoint_checks
-        ],
-        "diagnostics": dict(report.diagnostics),
-    }
-
-
-def feasibility_report_from_json(data: dict) -> FeasibilityReport:
-    if not isinstance(data, dict) or data.get("kind") != "feasibility-report":
-        raise InputError("not a feasibility report")
-    windows = tuple(
-        FeasibleWindow(
-            lo_bracket=tuple(parse_rational(x) for x in w["lo_bracket"]),
-            hi_bracket=tuple(parse_rational(x) for x in w["hi_bracket"]),
-            witness_lambda=parse_rational(w["witness"]["lambda"]),
-            witness_a=parse_rational(w["witness"]["a"]),
-        )
-        for w in data["intervals"]
-    )
-    checks = tuple(
-        EndpointCheck(
-            endpoint=parse_rational(c["endpoint"]),
-            side=c["side"],
-            empty_at_endpoint=bool(c["empty_at_endpoint"]),
-            feasible_inside=bool(c["feasible_inside"]),
-            infeasible_outside=bool(c["infeasible_outside"]),
-        )
-        for c in data["endpoint_checks"]
-    )
-    return FeasibilityReport(
-        family=data["family"],
-        epsilon=parse_rational(data["epsilon"]),
-        lambda_min=parse_rational(data["lambda_min"]),
-        lambda_max=parse_rational(data["lambda_max"]),
-        step=parse_rational(data["step"]),
-        refine_tol=parse_rational(data["refine_tol"]),
-        windows=windows,
-        endpoint_checks=checks,
-        diagnostics=dict(data.get("diagnostics", {})),
-    )

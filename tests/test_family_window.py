@@ -27,6 +27,7 @@ from test_family_tables import AMPLE  # noqa: E402
 from test_wall_pairings import FANS  # noqa: E402
 
 from kproper import properness  # noqa: E402
+from kproper.cli import render_report  # noqa: E402
 from kproper.picard import BlowupSurface, PicardClass, is_ample_picard  # noqa: E402
 from kproper.properness import (  # noqa: E402
     PicardFamily,
@@ -35,7 +36,6 @@ from kproper.properness import (  # noqa: E402
     _scale_interval_with_bindings,
     dp1_family,
     dp6_family,
-    feasibility_report_to_json,
     feasible_scale_interval,
     sweep_lambda,
 )
@@ -278,6 +278,19 @@ def test_probe_checks_the_toric_alpha_pieces(monkeypatch):
         sweep_lambda(dp6_family(), F(1, 2), F(2), F(1, 10), F(1, 100))
 
 
+def test_the_witness_probe_checks_the_alpha_pieces(monkeypatch):
+    # alpha skewed at the witness lambda = 1 alone, which no decision reads
+    original = ToricFamily.alpha_unscaled
+
+    def skewed(self, lam):
+        alpha, label, scope = original(self, lam)
+        return (2 * alpha if lam == 1 else alpha), label, scope
+
+    monkeypatch.setattr(ToricFamily, "alpha_unscaled", skewed)
+    with pytest.raises(GeometryError, match="internal inconsistency: the alpha cap"):
+        sweep_lambda(dp6_family(), F(1, 2), F(3, 2), F(1, 10), F(1, 100))
+
+
 def test_probe_checks_the_picard_alpha_pieces(monkeypatch):
     # the probe reads the supplied bound, the decisions read the pieces
     original = properness.dervan_alpha_bound
@@ -326,7 +339,7 @@ def test_windows_do_not_depend_on_epsilon(name):
 def test_decided_sweep_equals_the_per_point_sweep(name, offset):
     make, lam_min, lam_max = SWEEPS[name]
     args = (lam_min + offset, lam_max, F(1, 20), F(1, 10**4), F(1), WINDOWS[name])
-    assert feasibility_report_to_json(sweep_lambda(make(), *args)) == feasibility_report_to_json(
+    assert render_report(sweep_lambda(make(), *args)) == render_report(
         _per_point_sweep(make(), *args)
     )
 

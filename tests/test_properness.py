@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from kproper import properness
+from kproper.cli import parse_report, render_report
 from kproper.picard import dp1_surface, is_ample_picard, pairing
 from kproper.properness import (
     MAX_GRID_POINTS,
@@ -28,12 +29,8 @@ from kproper.properness import (
     dervan_alpha_bound,
     dp1_family,
     dp6_family,
-    feasibility_report_from_json,
-    feasibility_report_to_json,
     feasible_scale_interval,
     jflow_converges_surface,
-    report_from_json,
-    report_to_json,
     sweep_lambda,
 )
 from kproper.rationals import GeometryError, InputError
@@ -416,7 +413,9 @@ def test_properness_report_round_trip():
             alpha_source=StabilizerAlpha("full"),
         )
     )
-    assert report_from_json(report_to_json(report)) == report
+    text = render_report(report)
+    assert parse_report(text) == report
+    assert render_report(parse_report(text)) == text
 
 
 def test_feasibility_report_round_trip():
@@ -428,7 +427,9 @@ def test_feasibility_report_round_trip():
         refine_tol=F(1, 100),
         conjectured_endpoints=(F(6, 5),),
     )
-    assert feasibility_report_from_json(feasibility_report_to_json(report)) == report
+    text = render_report(report)
+    assert parse_report(text) == report
+    assert render_report(parse_report(text)) == text
 
 
 def test_verdict_is_conjunction_invariant():
