@@ -37,10 +37,10 @@ from .polytope import (
 from .properness import (
     AbstractSlice,
     FeasibilityReport,
-    KClassSetup,
     PropernessReport,
     StabilizerAlpha,
     SuppliedAlpha,
+    abstract_slice,
     canonical_polarization_slice,
     check_fano,
     check_negative_c1,

@@ -11,6 +11,7 @@ processing errors.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import os
@@ -213,19 +214,26 @@ def load_slice(path: str) -> prop_mod.AbstractSlice:
             ("name", _string, None), ("L", _rational), ("K", _rational),
         ))),
     )
-    curves = tuple(
-        prop_mod.SliceCurve(f"test curve {i}" if name is None else name, l, k)
-        for i, (name, l, k) in enumerate(curves)
-    )
-    return prop_mod.AbstractSlice(n, l_pow_n, k_dot_l_nm1, curves)
+    curves = [(f"test curve {i}" if name is None else name, l, k)
+              for i, (name, l, k) in enumerate(curves)]
+    return prop_mod.abstract_slice(n, l_pow_n, k_dot_l_nm1, curves)
 
 
 def load_group_matrices(path: str) -> tuple:
     return _document(_read_json(path), "group JSON", ("matrices", _list(_INTEGER_VECTORS)))[0]
 
 
+# six significant digits with an exponent of any size
+_WIDE = decimal.Context(prec=6, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
 def _approx(value: Fraction) -> str:
-    return f"{float(value):.6g}"
+    # a float loses digits below the normal range and fails above it; there,
+    # where exponents have three digits, decimal writes them as float would
+    if not value or sys.float_info.min <= abs(value) <= sys.float_info.max:
+        return f"{float(value):.6g}"
+    wide = _WIDE.divide(decimal.Decimal(value.numerator), decimal.Decimal(value.denominator))
+    return f"{wide.normalize(_WIDE):.6g}"
 
 
 def _fmt_value(text: str, approx: bool) -> str:
@@ -255,7 +263,6 @@ def _report_json(report) -> dict:
             "alpha": None if report.alpha is None else format_rational(report.alpha),
             "alpha_provenance": report.alpha_provenance,
             "mu": None if report.mu is None else format_rational(report.mu),
-            "notes": list(report.notes),
             "conditions": [
                 {"name": c.name, "description": c.description, "holds": c.holds,
                  "values": dict(c.values), "binding": c.binding}
@@ -331,7 +338,8 @@ def render_report(report, fmt: str = "json", approx: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The keys of each report, in the order of its dataclass fields.
+# The keys of each report, in the order of its dataclass fields; a check
+# report's verdict, read before its scope, is checked against its conditions.
 _PROPERNESS_KEYS = _object(
     ("mode", _string),
     ("backend", _string),
@@ -347,7 +355,6 @@ _PROPERNESS_KEYS = _object(
     ("alpha", _optional(_rational), None),
     ("alpha_provenance", _optional(_string), None),
     ("mu", _optional(_rational), None),
-    ("notes", _list(_string), ()),
 )
 _BRACKET = _list(_rational, size=2)
 _FEASIBILITY_KEYS = _object(
@@ -385,11 +392,11 @@ def parse_report(text: str):
     if kind == "properness-report":
         mode, backend, verdict, scope, conditions, *rest = _PROPERNESS_KEYS(data, "")
         conditions = tuple(prop_mod.ConditionCheck(*c) for c in conditions)
-        proper = all(c.holds for c in conditions)
-        expected = prop_mod.VERDICT_PROPER if proper else prop_mod.VERDICT_FAIL
-        if verdict != expected:
-            raise _fault("verdict", f'"{expected}", the conjunction of the conditions', verdict)
-        return prop_mod.PropernessReport(mode, backend, verdict, scope, conditions, *rest)
+        report = prop_mod.PropernessReport(mode, backend, scope, conditions, *rest)
+        if verdict != report.verdict:
+            raise _fault("verdict", f'"{report.verdict}", the conjunction of the conditions',
+                         verdict)
+        return report
     if kind == "feasibility-report":
         *head, windows, checks, diagnostics = _FEASIBILITY_KEYS(data, "")
         endpoint_checks = tuple(prop_mod.EndpointCheck(*c[:-1]) for c in checks)
@@ -558,13 +565,11 @@ def _cmd_check(args) -> int:
         backend = _make_backend(args)
         report = prop_mod.check_fano(backend, _alpha_source(args))
     else:
-        backend = _make_backend(args)
-        setup = prop_mod.KClassSetup(
-            backend=backend,
+        report = prop_mod.check_properness(
+            backend=_make_backend(args),
             epsilon=parse_rational(args.epsilon, where="--epsilon"),
             alpha_source=_alpha_source(args),
         )
-        report = prop_mod.check_properness(setup)
     sys.stdout.write(render_report(report, args.format, args.approx))
     return 0
 

@@ -29,7 +29,7 @@ alpha cap must match the pieces.  A family without alpha pieces is
 rejected, not probed point by point.
 
 All three curve lists are one ConstraintTable per class (rationals.py),
-built by wall_table, curve_table or the slice, and _backend is the one
+built by wall_table, curve_table or abstract_slice, and _backend is the one
 dispatch on the backend type.  Each table's rows span the cone of curves,
 so the checker decides x L + y K by Kleiman's criterion alone: one integer
 pass over the rows, where the first row at the least pairing binds; toric
@@ -38,12 +38,13 @@ for their rows, their forms L_lambda^2 and K.L_lambda and their ampleness
 test, read off the tables of L_0, L_1 and L_1 - L_0.
 
 The reports are plain dataclasses; their JSON form is written and read in
-cli.py alone.  A failing criterion is reported as "criterion not
-satisfied", never as a properness disproof; the conditions are sufficient,
-not sharp.  A weaker historical variant of condition (3) (Song-Weinkove's
-inequality, tested against a wedge with the reference metric) is
-intentionally not implemented; only the stronger class form above is
-decided.
+cli.py alone.  A check report's verdict is derived from its conditions, as
+their conjunction, and never stored.  A failing criterion is reported as
+"criterion not satisfied", never as a properness disproof; the conditions
+are sufficient, not sharp.  A weaker historical variant of condition (3)
+(Song-Weinkove's inequality, tested against a wedge with the reference
+metric) is intentionally not implemented; only the stronger class form
+above is decided.
 
 Comparison-only constants from the literature, never used in computation:
 Zhou-Zhu prove properness of the same hexagonal family for
@@ -152,63 +153,37 @@ def resolve_alpha(backend, source):
 
 
 @dataclass(frozen=True)
-class SliceCurve:
-    name: str
-    l_pairing: Fraction
-    k_pairing: Fraction
-
-
-@dataclass(frozen=True)
 class AbstractSlice:
-    """Intersection-slice model of a polarized manifold.
+    """Intersection-slice model of a polarized manifold, built by
+    abstract_slice.
 
-    Carries just the numbers L^n, K.L^{n-1} and a list of test curves used
-    to decide positivity of classes x L + y K.  This is what lets the
-    c1 < 0 mode run on surfaces that have no toric or Picard model here.
+    Carries just the dimension and a table of test curves, with L^n and
+    K.L^{n-1} as its forms, used to decide positivity of classes x L + y K.
+    This is what lets the c1 < 0 mode run on surfaces that have no toric or
+    Picard model here.
     """
 
     n: int
-    l_pow_n: Fraction
-    k_dot_l_nm1: Fraction
-    test_curves: tuple[SliceCurve, ...]
+    table: ConstraintTable
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("slice dimension must be positive")
-        object.__setattr__(self, "l_pow_n", Fraction(self.l_pow_n))
-        object.__setattr__(self, "k_dot_l_nm1", Fraction(self.k_dot_l_nm1))
-        if self.l_pow_n <= 0:
-            raise ValidationError("slice needs L^n > 0")
-        curves = tuple(
-            SliceCurve(c.name, Fraction(c.l_pairing), Fraction(c.k_pairing))
-            for c in self.test_curves
-        )
-        if not curves:
-            raise ValidationError("slice needs at least one test curve")
-        object.__setattr__(self, "test_curves", curves)
 
-    @functools.cached_property
-    def table(self) -> ConstraintTable:
-        """The test curves sorted by name, so ties go to the smaller name."""
-        curves = sorted(self.test_curves, key=lambda c: c.name)
-        return constraint_table(
-            [c.name for c in curves],
-            [c.l_pairing for c in curves],
-            [c.k_pairing for c in curves],
-            self.l_pow_n,
-            self.k_dot_l_nm1,
-        )
+def abstract_slice(n: int, l_pow_n, k_dot_l_nm1, curves) -> AbstractSlice:
+    """The slice with L^n, K.L^{n-1} and test curves (name, L.C, K.C); the
+    table sorts the curves by name, so ties go to the smaller name."""
+    if n < 1:
+        raise ValidationError("slice dimension must be positive")
+    if l_pow_n <= 0:
+        raise ValidationError("slice needs L^n > 0")
+    if not curves:
+        raise ValidationError("slice needs at least one test curve")
+    names, l_pairings, k_pairings = zip(*sorted(curves, key=lambda c: c[0]))
+    forms = Fraction(l_pow_n), Fraction(k_dot_l_nm1)
+    return AbstractSlice(n, constraint_table(names, l_pairings, k_pairings, *forms))
 
 
 def canonical_polarization_slice(n: int, volume=1) -> AbstractSlice:
     """The slice of (X, K) with K ample: L = K, so all pairings coincide."""
-    v = Fraction(volume)
-    return AbstractSlice(
-        n=n,
-        l_pow_n=v,
-        k_dot_l_nm1=v,
-        test_curves=(SliceCurve("canonical test curve", Fraction(1), Fraction(1)),),
-    )
+    return abstract_slice(n, volume, volume, [("canonical test curve", 1, 1)])
 
 
 class _Backend(NamedTuple):
@@ -243,7 +218,7 @@ def _backend(backend) -> _Backend:
             backend.n,
             backend.table,
             lambda: f"abstract intersection slice (n={backend.n})",
-            lambda: -backend.k_dot_l_nm1 / backend.l_pow_n,
+            lambda: -backend.table.k_dot_l / backend.table.l_sq,
         )
     raise InputError(f"unknown backend {type(backend).__name__}")
 
@@ -292,59 +267,43 @@ class ConditionCheck:
 class PropernessReport:
     mode: str
     backend: str
-    verdict: str
     scope: str
     conditions: tuple[ConditionCheck, ...]
     alpha: Fraction | None = None
     alpha_provenance: str | None = None
     mu: Fraction | None = None
-    notes: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        expected = VERDICT_PROPER if all(c.holds for c in self.conditions) else VERDICT_FAIL
-        if self.verdict != expected:
-            raise GeometryError(
-                f'internal inconsistency: verdict "{self.verdict}" is not the conjunction '
-                f'of the conditions ("{expected}")'
-            )
 
     @property
     def proper(self) -> bool:
-        return self.verdict == VERDICT_PROPER
+        """The criterion certifies properness exactly when all its conditions hold."""
+        return all(c.holds for c in self.conditions)
+
+    @property
+    def verdict(self) -> str:
+        return VERDICT_PROPER if self.proper else VERDICT_FAIL
 
 
 # ---------------------------------------------------------------------------
 # the checkers
 
 
-@dataclass(frozen=True)
-class KClassSetup:
-    backend: object
-    epsilon: Fraction
-    alpha_source: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
-        if self.epsilon < 0:
-            raise InputError("epsilon must be nonnegative")
-
-
-def check_properness(setup: KClassSetup) -> PropernessReport:
+def check_properness(backend, epsilon, alpha_source) -> PropernessReport:
     """Decide the three-condition properness criterion for an ample class.
 
     epsilon = 0 carries no alpha slack and is exactly the c1 < 0 regime, so
     such requests are routed to check_negative_c1 on the same backend.
     """
-    backend = setup.backend
+    eps = Fraction(epsilon)
+    if eps < 0:
+        raise InputError("epsilon must be nonnegative")
     view = _backend(backend)
     n = view.dim
-    eps = setup.epsilon
     if eps == 0:
         return check_negative_c1(backend)
     ample, _, _ = _combo_positive(backend, 1, 0, strict=True)
     if not ample:
         raise GeometryError("class not Kahler: the backend class is not ample")
-    alpha, label, scope = resolve_alpha(backend, setup.alpha_source)
+    alpha, label, scope = resolve_alpha(backend, alpha_source)
     bound = Fraction(n + 1, n) * alpha
     cond1 = ConditionCheck(
         name="condition (1)",
@@ -357,41 +316,34 @@ def check_properness(setup: KClassSetup) -> PropernessReport:
         },
         binding="alpha bound" if eps >= bound else None,
     )
-    holds2, binding2, margin2 = _combo_positive(backend, eps, 1, strict=True)
-    cond2 = ConditionCheck(
-        name="condition (2)",
-        description="K + epsilon L ample",
-        holds=holds2,
-        values=_margin_values(margin2),
-        binding=binding2,
-    )
+    cond2 = _positivity(backend, "condition (2)", "K + epsilon L ample", eps, 1, {})
     mu = view.mu()
     factor = eps - n * mu
-    holds3, binding3, margin3 = _combo_positive(backend, factor, -(n - 1), strict=True)
-    cond3 = ConditionCheck(
-        name="condition (3)",
-        description="(epsilon - n*mu) L - (n-1) K ample",
-        holds=holds3,
-        values={"mu": format_rational(mu), "L-coefficient": format_rational(factor),
-                **_margin_values(margin3)},
-        binding=binding3,
+    cond3 = _positivity(
+        backend, "condition (3)", "(epsilon - n*mu) L - (n-1) K ample", factor, -(n - 1),
+        {"mu": format_rational(mu), "L-coefficient": format_rational(factor)},
     )
-    conditions = (cond1, cond2, cond3)
-    verdict = VERDICT_PROPER if all(c.holds for c in conditions) else VERDICT_FAIL
     return PropernessReport(
         mode="epsilon-criterion",
         backend=view.describe(),
-        verdict=verdict,
         scope=scope,
-        conditions=conditions,
+        conditions=(cond1, cond2, cond3),
         alpha=alpha,
         alpha_provenance=label,
         mu=mu,
     )
 
 
-def _margin_values(margin) -> dict:
-    return {} if margin is None else {"margin": format_rational(margin)}
+def _positivity(backend, name, description, x, y, values, strict=True) -> ConditionCheck:
+    """The condition that x L + y K is ample (strict) or nef, decided by
+    _combo_positive, with its margin added to `values`.  An ample condition
+    names its binding row whether it holds or not; a nef condition names it
+    only when it fails."""
+    holds, binding, margin = _combo_positive(backend, x, y, strict)
+    if margin is not None:
+        values["margin"] = format_rational(margin)
+    return ConditionCheck(name, description, holds, values,
+                          binding if strict or not holds else None)
 
 
 def check_negative_c1(backend) -> PropernessReport:
@@ -403,20 +355,13 @@ def check_negative_c1(backend) -> PropernessReport:
         raise GeometryError("negative-c1 criterion requires c1 < 0 (ample canonical class)")
     mu = view.mu()
     factor = -n * mu
-    holds, binding, margin = _combo_positive(backend, factor, -(n - 1), strict=False)
-    cond = ConditionCheck(
-        name="condition (nef)",
-        description="(-n*mu) L - (n-1) K nef",
-        holds=holds,
-        values={"mu": format_rational(mu), "L-coefficient": format_rational(factor),
-                **_margin_values(margin)},
-        binding=binding if not holds else None,
+    cond = _positivity(
+        backend, "condition (nef)", "(-n*mu) L - (n-1) K nef", factor, -(n - 1),
+        {"mu": format_rational(mu), "L-coefficient": format_rational(factor)}, strict=False,
     )
-    verdict = VERDICT_PROPER if holds else VERDICT_FAIL
     return PropernessReport(
         mode="negative-c1",
         backend=view.describe(),
-        verdict=verdict,
         scope=SCOPE_ALL,
         conditions=(cond,),
         mu=mu,
@@ -441,11 +386,9 @@ def check_fano(backend, alpha_source) -> PropernessReport:
         values={"alpha": format_rational(alpha), "threshold": format_rational(threshold)},
         binding="alpha bound" if alpha <= threshold else None,
     )
-    verdict = VERDICT_PROPER if cond.holds else VERDICT_FAIL
     return PropernessReport(
         mode="fano",
         backend=view.describe(),
-        verdict=verdict,
         scope=scope,
         conditions=(cond,),
         alpha=alpha,
@@ -767,13 +710,11 @@ def _lower_cut(family, lam: Fraction):
 
 def _verify_interval(family, lam, epsilon, interval, mu1, alpha1, alpha_label, alpha_scope):
     mid = interval.midpoint
-    backend = family.class_at(lam) * mid
-    setup = KClassSetup(
-        backend=backend,
+    report = check_properness(
+        backend=family.class_at(lam) * mid,
         epsilon=epsilon,
         alpha_source=SuppliedAlpha(alpha1 / mid, alpha_label, alpha_scope),
     )
-    report = check_properness(setup)
     if not report.proper:
         raise GeometryError(
             "internal inconsistency: checker rejects the feasible-interval midpoint"

@@ -14,7 +14,6 @@ from kproper.properness import (
     SCOPE_ALL,
     SCOPE_G,
     VERDICT_PROPER,
-    KClassSetup,
     StabilizerAlpha,
     SuppliedAlpha,
     ToricFamily,
@@ -197,7 +196,7 @@ def test_criterion_7_metamorphic_equivariance():
         base_alpha = alpha_invariant(symmetry_context(d, "full"))
         base_mu = slope_quantities(d).mu
         base_report = check_properness(
-            KClassSetup(backend=d, epsilon=F(1), alpha_source=StabilizerAlpha("full"))
+            backend=d, epsilon=F(1), alpha_source=StabilizerAlpha("full")
         )
         base_interval = feasible_scale_interval(base_family, lam)
         for _ in range(20):
@@ -208,7 +207,7 @@ def test_criterion_7_metamorphic_equivariance():
             assert alpha_invariant(symmetry_context(image_d, "full")) == base_alpha
             assert slope_quantities(image_d).mu == base_mu
             image_report = check_properness(
-                KClassSetup(backend=image_d, epsilon=F(1), alpha_source=StabilizerAlpha("full"))
+                backend=image_d, epsilon=F(1), alpha_source=StabilizerAlpha("full")
             )
             assert image_report.verdict == base_report.verdict
             assert image_report.conditions == base_report.conditions

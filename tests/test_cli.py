@@ -9,7 +9,6 @@ import pytest
 
 from kproper.cli import main, parse_report, render_report
 from kproper.properness import (
-    KClassSetup,
     StabilizerAlpha,
     check_properness,
 )
@@ -194,6 +193,7 @@ def test_check_fano_mode(capsys):
 
 
 def test_check_negative_c1_slice_mode(capsys, tmp_path):
+    # the README slice
     path = tmp_path / "slice.json"
     path.write_text(json.dumps({
         "n": 2,
@@ -205,6 +205,8 @@ def test_check_negative_c1_slice_mode(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "check", "--mode", "negative-c1", "--slice", str(path))
     data = json.loads(out)
     assert code == 0 and data["verdict"] == "proper"
+    # a passing nef condition names no binding row
+    assert data["conditions"][0]["binding"] is None
 
 
 def test_slice_without_k_pow_n(capsys, tmp_path):
@@ -239,6 +241,45 @@ def test_slice_curve_name_must_be_a_string(capsys, tmp_path):
     code, out, err = run_cli(capsys, "check", "--mode", "negative-c1", "--slice", str(path))
     assert (code, out) == (1, "")
     assert err == 'error: "test_curves[1].name" must be a string, got a JSON object\n'
+
+
+def test_negative_epsilon_is_one_error_line(capsys):
+    code, out, err = run_cli(
+        capsys, "check", "--builtin", "dp6", "--coeffs", "1,1,1,1,1,1", "--epsilon", "-1",
+    )
+    assert (code, out, err) == (1, "", "error: epsilon must be nonnegative\n")
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"n": 0}, "slice dimension must be positive"),
+        ({"l_pow_n": "0"}, "slice needs L^n > 0"),
+        ({"test_curves": []}, "slice needs at least one test curve"),
+    ],
+    ids=["n", "l_pow_n", "test_curves"],
+)
+def test_an_invalid_slice_is_one_error_line(capsys, tmp_path, change, message):
+    path = tmp_path / "slice.json"
+    path.write_text(json.dumps({
+        "n": 2, "l_pow_n": "1", "k_dot_l_nm1": "1",
+        "test_curves": [{"name": "canonical test curve", "L": "1", "K": "1"}], **change,
+    }))
+    code, out, err = run_cli(capsys, "check", "--mode", "negative-c1", "--slice", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_a_passing_ample_condition_names_its_nearest_wall(capsys):
+    # K + L pairs to 1/5 with the walls at rays 2 and 4 and more with the
+    # rest; condition (3) is nearest to the wall at ray 3 alone
+    code, out, _ = run_cli(
+        capsys, "check", "--builtin", "dp6", "--coeffs", "5/4,5/4,5/4,6/5,5/4,5/4", "--alpha", "1",
+    )
+    data = json.loads(out)
+    assert code == 0 and data["verdict"] == "proper"
+    assert [(c["holds"], c["binding"]) for c in data["conditions"]] == [
+        (True, None), (True, "wall at ray 2"), (True, "wall at ray 3"),
+    ]
 
 
 def test_byte_identical_reruns(capsys):
@@ -285,15 +326,28 @@ def test_approx_flag_marks_decimals(capsys):
     assert "5/6 (~0.833333)" in out
 
 
+def test_approx_beyond_the_float_range(capsys):
+    coeffs = "1" + "0" * 400 + ",1,1"
+    code, out, err = run_cli(
+        capsys, "--format", "text", "--approx", "check", "--builtin", "p2", "--coeffs", coeffs,
+    )
+    assert (code, err) == (0, "")
+    assert "margin=" + "9" * 400 + " (~1e+400)]" in out
+    assert "mu: 1/" + "3" * 399 + "4 (~3e-400)\n" in out
+    code, out, err = run_cli(
+        capsys, "--format", "text", "--approx", "intersect", "p2", "--coeffs", coeffs,
+    )
+    assert (code, err) == (0, "")
+    assert "-K.D: 3" + "0" * 399 + "6 (~3e+400)\n" in out
+
+
 def test_text_report_renders_for_library_report():
     from fractions import Fraction
 
     report = check_properness(
-        KClassSetup(
-            backend=Fraction(5, 4) * anticanonical_divisor(dp6_fan()),
-            epsilon=1,
-            alpha_source=StabilizerAlpha("full"),
-        )
+        backend=Fraction(5, 4) * anticanonical_divisor(dp6_fan()),
+        epsilon=1,
+        alpha_source=StabilizerAlpha("full"),
     )
     text = render_report(report, "text")
     assert "condition (1)" in text and "verdict: proper" in text
@@ -656,13 +710,10 @@ def test_optimized_mode_keeps_results_and_invariants():
                  "--oracle-depth", "2")
     assert oracle.returncode == 0
     assert json.loads(oracle.stdout)["oracle"] == "5/6"
-    inconsistent = run("-c", (
+    derived = run("-c", (
         "from kproper.properness import ConditionCheck, PropernessReport\n"
-        "from kproper.rationals import GeometryError\n"
+        "holding = ConditionCheck('condition (2)', 'd', holds=True)\n"
         "failing = ConditionCheck('condition (1)', 'd', holds=False)\n"
-        "try:\n"
-        "    PropernessReport('m', 'b', 'proper', 's', (failing,))\n"
-        "except GeometryError:\n"
-        "    print('raised')\n"
+        "print(PropernessReport('m', 'b', 's', (holding, failing)).verdict)\n"
     ))
-    assert inconsistent.returncode == 0 and inconsistent.stdout == "raised\n"
+    assert derived.returncode == 0 and derived.stdout == "criterion not satisfied\n"

@@ -32,7 +32,6 @@ from kproper.picard import (  # noqa: E402
     slope_picard,
 )
 from kproper.properness import (  # noqa: E402
-    KClassSetup,
     PicardFamily,
     SuppliedAlpha,
     _combo_positive,
@@ -203,13 +202,12 @@ def verdict_summary(d, epsilon, alpha):
     """The report with binding labels dropped (they name curves, which the
     symmetry moves), or the error it raised."""
     try:
-        report = check_properness(KClassSetup(d, epsilon, SuppliedAlpha(alpha)))
+        report = check_properness(d, epsilon, SuppliedAlpha(alpha))
     except GeometryError as exc:
         return str(exc)
     return (
         report.verdict,
         report.mu,
-        report.notes,
         tuple((c.name, c.holds, tuple(sorted(c.values.items())), c.binding == SAFEGUARD)
               for c in report.conditions),
     )

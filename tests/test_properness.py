@@ -13,15 +13,13 @@ from kproper.properness import (
     SCOPE_G,
     VERDICT_FAIL,
     VERDICT_PROPER,
-    AbstractSlice,
     ConditionCheck,
-    KClassSetup,
     PicardFamily,
     PropernessReport,
-    SliceCurve,
     StabilizerAlpha,
     SuppliedAlpha,
     ToricFamily,
+    abstract_slice,
     canonical_polarization_slice,
     check_fano,
     check_negative_c1,
@@ -55,12 +53,11 @@ def dp1_lambda(lam, a=1):
 
 
 def test_checker_dp6_scaled_anticanonical_passes():
-    setup = KClassSetup(
+    report = check_properness(
         backend=F(5, 4) * anticanonical_divisor(dp6_fan()),
         epsilon=F(1),
         alpha_source=StabilizerAlpha("full"),
     )
-    report = check_properness(setup)
     assert report.verdict == VERDICT_PROPER
     assert report.scope == SCOPE_G
     assert report.alpha == F(4, 5)
@@ -72,23 +69,21 @@ def test_checker_dp1_supplied_alpha_passes():
     # at lambda = 1 the feasible scales are (1, 3/2); a = 5/4 with the
     # Dervan bound 1 scaled to the class gives alpha = 4/5
     backend = dp1_lambda(1, F(5, 4))
-    setup = KClassSetup(
+    report = check_properness(
         backend=backend,
         epsilon=F(1),
         alpha_source=SuppliedAlpha(F(4, 5), label="supplied bound (Dervan)"),
     )
-    report = check_properness(setup)
     assert report.verdict == VERDICT_PROPER
     assert report.scope == SCOPE_ALL
 
 
 def test_checker_condition_one_fails_at_double_scale():
-    setup = KClassSetup(
+    report = check_properness(
         backend=2 * anticanonical_divisor(dp6_fan()),
         epsilon=F(1),
         alpha_source=StabilizerAlpha("full"),
     )
-    report = check_properness(setup)
     assert report.verdict == VERDICT_FAIL
     assert report.alpha == F(1, 2)
     assert [c.holds for c in report.conditions] == [False, True, True]
@@ -98,41 +93,33 @@ def test_checker_condition_one_fails_at_double_scale():
 def test_checker_rejects_non_ample_class():
     with pytest.raises(GeometryError, match="not Kahler"):
         check_properness(
-            KClassSetup(
-                backend=lam_divisor(F(5, 2)),
-                epsilon=F(1),
-                alpha_source=StabilizerAlpha(),
-            )
+            backend=lam_divisor(F(5, 2)),
+            epsilon=F(1),
+            alpha_source=StabilizerAlpha(),
         )
 
 
 def test_checker_names_missing_alpha_source():
     with pytest.raises(GeometryError, match="stabilizer formula"):
         check_properness(
-            KClassSetup(
-                backend=dp1_lambda(1, F(5, 4)),
-                epsilon=F(1),
-                alpha_source=StabilizerAlpha(),
-            )
+            backend=dp1_lambda(1, F(5, 4)),
+            epsilon=F(1),
+            alpha_source=StabilizerAlpha(),
         )
 
 
 def test_epsilon_zero_routes_to_negative_c1():
     slice_backend = canonical_polarization_slice(2)
-    report = check_properness(
-        KClassSetup(backend=slice_backend, epsilon=0, alpha_source=SuppliedAlpha(F(1)))
-    )
+    report = check_properness(backend=slice_backend, epsilon=0, alpha_source=SuppliedAlpha(F(1)))
     assert report.mode == "negative-c1"
     assert report.verdict == VERDICT_PROPER
 
 
 def test_checker_epsilon_slightly_above_one_on_anticanonical():
     report = check_properness(
-        KClassSetup(
-            backend=anticanonical_divisor(dp6_fan()),
-            epsilon=F(101, 100),
-            alpha_source=SuppliedAlpha(F(1)),
-        )
+        backend=anticanonical_divisor(dp6_fan()),
+        epsilon=F(101, 100),
+        alpha_source=SuppliedAlpha(F(1)),
     )
     assert report.verdict == VERDICT_PROPER
 
@@ -152,12 +139,7 @@ def test_negative_c1_canonical_polarization_identity_collapse():
 
 
 def test_negative_c1_failing_slice():
-    backend = AbstractSlice(
-        n=2,
-        l_pow_n=F(5),
-        k_dot_l_nm1=F(2),
-        test_curves=(SliceCurve("test curve", F(1), F(1)),),
-    )
+    backend = abstract_slice(2, F(5), F(2), [("test curve", F(1), F(1))])
     report = check_negative_c1(backend)
     assert report.verdict == VERDICT_FAIL
     assert report.mu == F(-2, 5)
@@ -167,16 +149,11 @@ def test_negative_c1_failing_slice():
 def test_slice_curve_named_like_the_safeguard_adds_no_note():
     # slice test curves carry free names, the old safeguard label's included
     safeguard = "self-intersection safeguard (D.D > 0)"
-    backend = AbstractSlice(
-        n=2,
-        l_pow_n=F(5),
-        k_dot_l_nm1=F(-3),
-        test_curves=(SliceCurve(safeguard, F(1), F(-1)),),
+    backend = abstract_slice(2, F(5), F(-3), [(safeguard, F(1), F(-1))])
+    report = check_properness(
+        backend=backend, epsilon=F(1), alpha_source=SuppliedAlpha(F(1), "bound")
     )
-    setup = KClassSetup(backend=backend, epsilon=F(1), alpha_source=SuppliedAlpha(F(1), "bound"))
-    report = check_properness(setup)
     assert [c.binding for c in report.conditions[1:]] == [safeguard, safeguard]
-    assert report.notes == ()
 
 
 def test_negative_c1_rejects_rational_surfaces():
@@ -225,9 +202,7 @@ def test_jflow_boundary_class_with_proper_k_energy():
     w = lam_divisor(F(146, 241))
     assert is_ample(w)
     assert not jflow_converges_surface(d, w)
-    report = check_properness(
-        KClassSetup(backend=d, epsilon=F(1), alpha_source=StabilizerAlpha("full"))
-    )
+    report = check_properness(backend=d, epsilon=F(1), alpha_source=StabilizerAlpha("full"))
     assert report.verdict == VERDICT_PROPER
 
 
@@ -307,20 +282,16 @@ def test_feasible_interval_consistency_with_checker():
     interval = feasible_scale_interval(family, lam)
     for a in (interval.lo + (interval.hi - interval.lo) * t for t in (F(1, 4), F(1, 2), F(3, 4))):
         report = check_properness(
-            KClassSetup(
-                backend=lam_divisor(lam, a),
-                epsilon=F(1),
-                alpha_source=StabilizerAlpha("full"),
-            )
+            backend=lam_divisor(lam, a),
+            epsilon=F(1),
+            alpha_source=StabilizerAlpha("full"),
         )
         assert report.verdict == VERDICT_PROPER
     outside = interval.hi + F(1, 100)
     report = check_properness(
-        KClassSetup(
-            backend=lam_divisor(lam, outside),
-            epsilon=F(1),
-            alpha_source=StabilizerAlpha("full"),
-        )
+        backend=lam_divisor(lam, outside),
+        epsilon=F(1),
+        alpha_source=StabilizerAlpha("full"),
     )
     assert report.verdict == VERDICT_FAIL
 
@@ -407,15 +378,16 @@ def test_sweep_rejects_oversized_grid_before_building_it():
 
 def test_properness_report_round_trip():
     report = check_properness(
-        KClassSetup(
-            backend=F(5, 4) * anticanonical_divisor(dp6_fan()),
-            epsilon=F(1),
-            alpha_source=StabilizerAlpha("full"),
-        )
+        backend=F(5, 4) * anticanonical_divisor(dp6_fan()),
+        epsilon=F(1),
+        alpha_source=StabilizerAlpha("full"),
     )
     text = render_report(report)
     assert parse_report(text) == report
     assert render_report(parse_report(text)) == text
+    # a report written while check reports still carried notes reads the same
+    older = text.replace('  "mu": "4/5",\n', '  "mu": "4/5",\n  "notes": [],\n')
+    assert older != text and parse_report(older) == report
 
 
 def test_feasibility_report_round_trip():
@@ -434,11 +406,9 @@ def test_feasibility_report_round_trip():
 
 def test_verdict_is_conjunction_invariant():
     report = check_properness(
-        KClassSetup(
-            backend=2 * anticanonical_divisor(dp6_fan()),
-            epsilon=F(1),
-            alpha_source=StabilizerAlpha("full"),
-        )
+        backend=2 * anticanonical_divisor(dp6_fan()),
+        epsilon=F(1),
+        alpha_source=StabilizerAlpha("full"),
     )
     assert report.verdict == (
         VERDICT_PROPER if all(c.holds for c in report.conditions) else VERDICT_FAIL
@@ -447,19 +417,21 @@ def test_verdict_is_conjunction_invariant():
 
 def test_supplied_alpha_scope_is_all_potentials():
     report = check_properness(
-        KClassSetup(
-            backend=anticanonical_divisor(dp6_fan()),
-            epsilon=F(1),
-            alpha_source=SuppliedAlpha(F(1), label="supplied value"),
-        )
+        backend=anticanonical_divisor(dp6_fan()),
+        epsilon=F(1),
+        alpha_source=SuppliedAlpha(F(1), label="supplied value"),
     )
     assert report.scope == SCOPE_ALL
 
 
 def test_verdict_conjunction_is_enforced():
+    # the verdict is derived from the conditions, so it cannot disagree with them
+    holding = ConditionCheck("condition (2)", "K + epsilon L ample", holds=True)
     failing = ConditionCheck("condition (1)", "epsilon < (n+1)/n * alpha", holds=False)
-    with pytest.raises(GeometryError, match="conjunction"):
-        PropernessReport("epsilon-criterion", "b", VERDICT_PROPER, SCOPE_ALL, (failing,))
+    report = PropernessReport("epsilon-criterion", "b", SCOPE_ALL, (holding, failing))
+    assert (report.verdict, report.proper) == (VERDICT_FAIL, False)
+    report = PropernessReport("epsilon-criterion", "b", SCOPE_ALL, (holding, holding))
+    assert (report.verdict, report.proper) == (VERDICT_PROPER, True)
 
 
 def test_cut_loop_rejects_a_nonpositive_constraint(monkeypatch):

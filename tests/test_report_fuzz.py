@@ -25,7 +25,6 @@ from test_sweep_config_fuzz import json_values  # noqa: E402
 from kproper.cli import parse_report, render_report  # noqa: E402
 from kproper.picard import dp1_surface  # noqa: E402
 from kproper.properness import (  # noqa: E402
-    KClassSetup,
     StabilizerAlpha,
     SuppliedAlpha,
     canonical_polarization_slice,
@@ -47,9 +46,9 @@ def reports() -> tuple:
     and a dp6 and a dp1 sweep with their conjectured endpoints."""
     dp1 = dp1_surface().cls((F(15, 4),) + (F(5, 4),) * 8)
     checks = [
-        check_properness(KClassSetup(F(5, 4) * anticanonical_divisor(dp6_fan()), F(1),
-                                     StabilizerAlpha("full"))),
-        check_properness(KClassSetup(dp1, F(1, 10), SuppliedAlpha(F(4, 5)))),
+        check_properness(F(5, 4) * anticanonical_divisor(dp6_fan()), F(1),
+                         StabilizerAlpha("full")),
+        check_properness(dp1, F(1, 10), SuppliedAlpha(F(4, 5))),
         check_negative_c1(canonical_polarization_slice(2)),
     ]
     sweeps = [
