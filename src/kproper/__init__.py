@@ -36,6 +36,7 @@ from .polytope import (
 )
 from .properness import (
     AbstractSlice,
+    Family,
     FeasibilityReport,
     PropernessReport,
     StabilizerAlpha,
@@ -48,7 +49,6 @@ from .properness import (
     dp1_family,
     dp6_family,
     feasible_scale_interval,
-    jflow_converges_surface,
     sweep_lambda,
 )
 from .rationals import (

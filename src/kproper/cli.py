@@ -554,10 +554,39 @@ def _alpha_source(args):
         return prop_mod.SuppliedAlpha(
             parse_rational(args.alpha, where="--alpha"), label="supplied value (CLI)"
         )
-    return prop_mod.StabilizerAlpha(group_mode=args.group)
+    return prop_mod.StabilizerAlpha(group_mode=args.group or "full")
+
+
+# the flags each check mode reads besides the class, which is --builtin or
+# --fan with --coeffs, or a --slice in the negative-c1 mode
+_MODE_FLAGS = {
+    "epsilon-criterion": ("epsilon", "alpha", "group"),
+    "fano": ("alpha", "group"),
+    "negative-c1": (),
+}
+
+
+def _refuse_unread_flags(args) -> None:
+    """A flag that the request would not read ends in an error, not in a
+    report that looks as if it had been read."""
+    if args.builtin is not None and args.fan is not None:
+        raise InputError("check reads --builtin or --fan, not both")
+    if args.alpha is not None and args.group is not None:
+        raise InputError("check with --alpha does not read --group")
+    request = f"check --mode {args.mode}"
+    reads = ("builtin", "fan", "coeffs", *_MODE_FLAGS[args.mode])
+    if args.mode == "negative-c1" and args.slice is not None:
+        request, reads = f"{request} --slice", ("slice",)
+    unread = [
+        f"--{name}" for name in ("builtin", "fan", "coeffs", "slice", "epsilon", "alpha", "group")
+        if getattr(args, name) is not None and name not in reads
+    ]
+    if unread:
+        raise InputError(f"{request} does not read {', '.join(unread)}")
 
 
 def _cmd_check(args) -> int:
+    _refuse_unread_flags(args)
     if args.mode == "negative-c1":
         backend = _make_backend(args) if args.slice is None else load_slice(args.slice)
         report = prop_mod.check_negative_c1(backend)
@@ -565,9 +594,10 @@ def _cmd_check(args) -> int:
         backend = _make_backend(args)
         report = prop_mod.check_fano(backend, _alpha_source(args))
     else:
+        epsilon = "1" if args.epsilon is None else args.epsilon
         report = prop_mod.check_properness(
             backend=_make_backend(args),
-            epsilon=parse_rational(args.epsilon, where="--epsilon"),
+            epsilon=parse_rational(epsilon, where="--epsilon"),
             alpha_source=_alpha_source(args),
         )
     sys.stdout.write(render_report(report, args.format, args.approx))
@@ -682,9 +712,10 @@ def build_parser() -> argparse.ArgumentParser:
     ck.add_argument("--fan", help="fan JSON file (toric backend)")
     ck.add_argument("--coeffs")
     ck.add_argument("--slice", help="abstract slice JSON file (negative-c1 mode)")
-    ck.add_argument("--epsilon", default="1")
+    ck.add_argument("--epsilon", help="slack of the epsilon criterion (default 1)")
     ck.add_argument("--alpha", help="supplied alpha value for the class")
-    ck.add_argument("--group", choices=("full", "torus"), default="full")
+    ck.add_argument("--group", choices=("full", "torus"),
+                    help="symmetry group of the stabilizer formula (default full)")
     ck.add_argument(
         "--mode", choices=("epsilon-criterion", "fano", "negative-c1"),
         default="epsilon-criterion",

@@ -383,6 +383,26 @@ def _order_facet_cycle(normal, points):
     return sorted(points, key=functools.cmp_to_key(cmp))
 
 
+def _solid(p: Polytope, verts) -> bool:
+    """Whether p, not a polygon, has positive volume."""
+    return len(verts) > p.dim and affine_dimension(p) == p.dim
+
+
+def _tetrahedra(p: Polytope, verts):
+    """(six times the volume, the four corners) of each tetrahedron of one
+    triangulation of a solid 3D polytope: every facet that misses the first
+    vertex is fanned from its first cycle point and coned to that vertex."""
+    base = verts[0]
+    for normal, on in _facets_3d(p, verts):
+        if dot(base, normal) == dot(on[0], normal):
+            continue
+        cycle = _order_facet_cycle(normal, list(on))
+        anchor = cycle[0]
+        for a, b in zip(cycle[1:], cycle[2:]):
+            six = abs(det((vec_sub(anchor, base), vec_sub(a, base), vec_sub(b, base))))
+            yield six, (base, anchor, a, b)
+
+
 def volume(p: Polytope) -> Fraction:
     """Euclidean volume, exact; 0 for empty or lower-dimensional polytopes."""
     if p.dim == 2:
@@ -391,24 +411,11 @@ def volume(p: Polytope) -> Fraction:
         twice = sum(a[0] * b[1] - a[1] * b[0] for a, b in _cycle_edges(cycle))
         return Fraction(twice, 2 * denom * denom)
     verts = vertices(p)
-    if len(verts) <= p.dim:
-        return Fraction(0)
-    if affine_dimension(p) < p.dim:
+    if not _solid(p, verts):
         return Fraction(0)
     if p.dim == 1:
         return verts[-1][0] - verts[0][0]
-    base = verts[0]
-    total = Fraction(0)
-    for normal, on in _facets_3d(p, verts):
-        if dot(base, normal) == dot(on[0], normal):
-            continue
-        cycle = _order_facet_cycle(normal, list(on))
-        anchor = cycle[0]
-        for a, b in zip(cycle[1:], cycle[2:]):
-            total += abs(
-                det((vec_sub(anchor, base), vec_sub(a, base), vec_sub(b, base)))
-            )
-    return total / 6
+    return sum((six for six, _ in _tetrahedra(p, verts)), Fraction(0)) / 6
 
 
 def boundary_measure(p: Polytope) -> Fraction:
@@ -445,23 +452,17 @@ def barycenter(p: Polytope) -> tuple:
             sy += w * (a[1] + b[1])
         return (Fraction(sx, 3 * twice * denom), Fraction(sy, 3 * twice * denom))
     verts = vertices(p)
-    if volume(p) == 0:
+    if not _solid(p, verts):
         raise GeometryError("barycenter requires a polytope of positive volume")
     if p.dim == 1:
         return ((verts[0][0] + verts[-1][0]) / 2,)
-    base = verts[0]
     total = Fraction(0)
     acc = (Fraction(0), Fraction(0), Fraction(0))
-    for normal, on in _facets_3d(p, verts):
-        if dot(base, normal) == dot(on[0], normal):
-            continue
-        cycle = _order_facet_cycle(normal, list(on))
-        anchor = cycle[0]
-        for a, b in zip(cycle[1:], cycle[2:]):
-            vol = abs(det((vec_sub(anchor, base), vec_sub(a, base), vec_sub(b, base)))) / 6
-            centroid = tuple((base[i] + anchor[i] + a[i] + b[i]) / 4 for i in range(3))
-            acc = vec_add(acc, vec_scale(vol, centroid))
-            total += vol
+    for six, corners in _tetrahedra(p, verts):
+        vol = six / 6
+        centroid = tuple(sum(c[i] for c in corners) / 4 for i in range(3))
+        acc = vec_add(acc, vec_scale(vol, centroid))
+        total += vol
     return tuple(c / total for c in acc)
 
 

@@ -33,9 +33,10 @@ built by wall_table, curve_table or abstract_slice, and _backend is the one
 dispatch on the backend type.  Each table's rows span the cone of curves,
 so the checker decides x L + y K by Kleiman's criterion alone: one integer
 pass over the rows, where the first row at the least pairing binds; toric
-threefolds keep the cone-functional test.  Both family types share one body
-for their rows, their forms L_lambda^2 and K.L_lambda and their ampleness
-test, read off the tables of L_0, L_1 and L_1 - L_0.
+threefolds keep the cone-functional test.  A Family pairs two classes of
+one surface backend and reads its rows, its forms L_lambda^2 and K.L_lambda
+and its ampleness test off the tables of L_0, L_1 and the slope class; only
+its alpha depends on the backend.
 
 The reports are plain dataclasses; their JSON form is written and read in
 cli.py alone.  A check report's verdict is derived from its conditions, as
@@ -63,7 +64,6 @@ from typing import Callable, NamedTuple
 
 from .alpha import alpha_invariant, symmetry_context
 from .picard import (
-    BlowupSurface,
     PicardClass,
     curve_table,
     dp1_surface,
@@ -79,7 +79,6 @@ from .rationals import (
     format_rational,
 )
 from .toric import (
-    Fan,
     ToricDivisor,
     anticanonical_divisor,
     canonical_divisor,
@@ -396,132 +395,122 @@ def check_fano(backend, alpha_source) -> PropernessReport:
     )
 
 
-def jflow_converges_surface(d, w) -> bool:
-    """Smooth convergence of the surface J-flow as a class condition.
-
-    With c = (W.D)/D^2, the flow with target W on the class D converges
-    smoothly iff 2c D - W is ample.  Both classes must be ample classes of
-    the same surface backend.
-    """
-    if type(d) is not type(w) or not isinstance(d, (ToricDivisor, PicardClass)):
-        raise InputError("J-flow condition needs two toric divisors or two Picard classes")
-    # raises for classes on different fans or surfaces
-    total = d + w
-    view = _backend(d)
-    if view.dim != 2:
-        raise GeometryError("the J-flow class condition is a surface statement")
-    if not (_combo_positive(d, 1, 0, True)[0] and _combo_positive(w, 1, 0, True)[0]):
-        raise GeometryError("both classes must be ample")
-    d_sq = view.table.l_sq
-    w_sq, total_sq = (_backend(cls).table.l_sq for cls in (w, total))
-    if d_sq <= 0:
-        raise GeometryError("internal inconsistency: an ample class has D.D <= 0")
-    c = (total_sq - d_sq - w_sq) / (2 * d_sq)
-    return _combo_positive(2 * c * d - w, 1, 0, True)[0]
-
-
 # ---------------------------------------------------------------------------
 # one-parameter families and feasibility in the scale
 
 
-def _family_tables(family):
-    """The constraint tables of L_0, L_1 and the slope class L_1 - L_0;
-    their rows and forms are cached on the family."""
-    l0, l1 = family.class_at(0), family.class_at(1)
-    tables = tuple(_backend(c).table for c in (l0, l1, l1 - l0))
-    if None in tables:
-        raise GeometryError("family feasibility is decided on surfaces only")
-    return tables
-
-
-def _family_pairing_data(family):
-    """Constraint labels and integer rows (B, S, K), one per distinct row.
-
-    A row is (base.C, slope.C, K.C) times one positive common multiplier, so
-    L_lambda.C is proportional to B + lambda S and each probe of the sweep is
-    a handful of integer multiply-adds per row.  Rows come in the tables'
-    tie order, and equal rows keep the first label: they give equal cuts,
-    and the cut loop keeps the first row on ties."""
-    base, _, slope = _family_tables(family)
-    den = math.lcm(base.den, slope.den)
-    columns = [
-        [x * (den // t.den) for x in nums]
-        for t, nums in ((base, base.nums), (slope, slope.nums), (base, base.k_nums))
-    ]
-    first = {}
-    for label, row in zip(base.labels, zip(*columns)):
-        first.setdefault(row, label)
-    return tuple(first.values()), tuple(first)
-
-
-def _family_forms(family):
-    """Integers (a0, a1, a2, k0, k1) with, for one positive multiplier M,
-    M L_lambda^2 = a0 + a1 lambda + a2 lambda^2 and M K.L_lambda = k0 + k1
-    lambda.  On a toric surface the tables read them off the walls:
-    L^2 = sum a_i (L.D_i) and K.L = -sum L.D_i."""
-    base, top, slope = _family_tables(family)
-    _, forms = clear_denominators((
-        base.l_sq, top.l_sq - base.l_sq - slope.l_sq, slope.l_sq,
-        base.k_dot_l, slope.k_dot_l,
-    ))
-    return forms
-
-
-def _family_is_ample_at(family, lam) -> bool:
-    """Kleiman on the family's integer rows, which span the cone of curves."""
-    lam = Fraction(lam)
-    p, q = lam.numerator, lam.denominator
-    _, rows = family.pairing_data
-    return min(b * q + s * p for b, s, _ in rows) > 0
-
-
 @dataclass(frozen=True)
-class ToricFamily:
-    """lambda -> ToricDivisor(base + lambda * slope) with recomputed alpha."""
+class Family:
+    """lambda -> L_lambda = base + lambda * slope, for two classes of one
+    backend: ToricDivisors on one fan or PicardClasses on one blowup.
+
+    The rows and forms of every probe are read once off the tables of
+    L_0 = base, L_1 = base + slope and the slope class.  Alpha is the one
+    place where the backends differ: the stabilizer formula on a fan, with
+    the G-averaged pieces, or the supplied dp1 bound on a blowup."""
 
     name: str
-    fan: Fan
-    base: tuple[Fraction, ...]
-    slope: tuple[Fraction, ...]
+    base: ToricDivisor | PicardClass
+    slope: ToricDivisor | PicardClass
 
-    pairing_data = functools.cached_property(_family_pairing_data)
-    forms = functools.cached_property(_family_forms)
-    is_ample_at = _family_is_ample_at
-    alpha_scope = SCOPE_G
+    def __post_init__(self):
+        if type(self.base) is not type(self.slope):
+            raise ValidationError(
+                "a family needs two toric divisors or two Picard classes, got "
+                f"{type(self.base).__name__} and {type(self.slope).__name__}"
+            )
+        # raises for classes on different fans or surfaces
+        self.base + self.slope
 
-    def class_at(self, lam) -> ToricDivisor:
-        lam = Fraction(lam)
-        return ToricDivisor(
-            self.fan, tuple(b + lam * s for b, s in zip(self.base, self.slope))
-        )
+    def class_at(self, lam):
+        return self.base + Fraction(lam) * self.slope
 
-    @property
+    @functools.cached_property
     def dim(self) -> int:
-        return self.fan.dim
+        return _backend(self.base).dim
+
+    @functools.cached_property
+    def _tables(self):
+        """The constraint tables of L_0, L_1 and the slope class."""
+        classes = self.base, self.base + self.slope, self.slope
+        tables = tuple(_backend(c).table for c in classes)
+        if None in tables:
+            raise GeometryError("family feasibility is decided on surfaces only")
+        return tables
+
+    @functools.cached_property
+    def pairing_data(self):
+        """Constraint labels and integer rows (B, S, K), one per distinct row.
+
+        A row is (base.C, slope.C, K.C) times one positive common multiplier,
+        so L_lambda.C is proportional to B + lambda S and each probe of the
+        sweep is a handful of integer multiply-adds per row.  Rows come in
+        the tables' tie order, and equal rows keep the first label: they give
+        equal cuts, and the cut loop keeps the first row on ties."""
+        base, _, slope = self._tables
+        den = math.lcm(base.den, slope.den)
+        columns = [
+            [x * (den // t.den) for x in nums]
+            for t, nums in ((base, base.nums), (slope, slope.nums), (base, base.k_nums))
+        ]
+        first = {}
+        for label, row in zip(base.labels, zip(*columns)):
+            first.setdefault(row, label)
+        return tuple(first.values()), tuple(first)
+
+    @functools.cached_property
+    def forms(self):
+        """Integers (a0, a1, a2, k0, k1) with, for one positive multiplier M,
+        M L_lambda^2 = a0 + a1 lambda + a2 lambda^2 and M K.L_lambda = k0 + k1
+        lambda.  On a toric surface the tables read them off the walls:
+        L^2 = sum a_i (L.D_i) and K.L = -sum L.D_i."""
+        base, top, slope = self._tables
+        _, forms = clear_denominators((
+            base.l_sq, top.l_sq - base.l_sq - slope.l_sq, slope.l_sq,
+            base.k_dot_l, slope.k_dot_l,
+        ))
+        return forms
+
+    def is_ample_at(self, lam) -> bool:
+        """Kleiman on the family's integer rows, which span the cone of curves."""
+        lam = Fraction(lam)
+        p, q = lam.numerator, lam.denominator
+        _, rows = self.pairing_data
+        return min(b * q + s * p for b, s, _ in rows) > 0
+
+    @functools.cached_property
+    def alpha_scope(self) -> str:
+        """The one toric/Picard split: alpha comes from the stabilizer
+        formula on a fan (G-invariant potentials), from the supplied bound
+        min{1, 1/(2 - lambda)} on a blowup (all potentials)."""
+        return SCOPE_G if isinstance(self.base, ToricDivisor) else SCOPE_ALL
 
     def alpha_unscaled(self, lam):
-        return resolve_alpha(self.class_at(lam), StabilizerAlpha())
+        if self.alpha_scope == SCOPE_G:
+            return resolve_alpha(self.class_at(lam), StabilizerAlpha())
+        return dervan_alpha_bound(lam), "supplied bound (Dervan)", SCOPE_ALL
 
     @functools.cached_property
     def alpha_pieces(self):
         """(den, ((e, f), ...)) with alpha(L_lambda) = den / max(e + f lambda)
         wherever L_lambda is ample, or None.
 
-        They exist when the group G of fan automorphisms that keep every wall
-        row (B, S) has fixed space {0}, i.e. its matrices sum to zero.  G fixes
-        each class L_lambda, so the stabilizer's fixed polytope is the
+        The supplied bound is 1 / max(1, 2 - lambda).  A toric family has
+        pieces when the group G of fan automorphisms that keep every wall
+        row (B, S) has fixed space {0}, i.e. its matrices sum to zero.  G
+        fixes each class L_lambda, so the stabilizer's fixed polytope is the
         barycenter alone and alpha = 1 / max a_i', where the recentred
         coefficients a' are the one G-invariant representative of the class:
         the G-average of the coefficients, den a_i' = e + f lambda.  A G that
         fixes a line gets None."""
-        walls = list(zip(
-            wall_pairings(ToricDivisor(self.fan, self.base)),
-            wall_pairings(ToricDivisor(self.fan, self.slope)),
-        ))
+        if self.alpha_scope == SCOPE_ALL:
+            return 1, ((1, 0), (2, -1))
+        fan, base, slope = self.base.fan, self.base.coeffs, self.slope.coeffs
+        walls = list(zip(wall_pairings(self.base), wall_pairings(self.slope)))
         group = [
             (g, perm)
-            for g in fan_automorphisms(self.fan)
-            for perm in (ray_permutation(self.fan, g),)
+            for g in fan_automorphisms(fan)
+            for perm in (ray_permutation(fan, g),)
             if all(walls[j] == walls[i] for i, j in enumerate(perm))
         ]
         # entrywise sum of the matrices
@@ -529,62 +518,22 @@ class ToricFamily:
             return None
         den, flat = clear_denominators([
             sum(c[p[i]] for _, p in group) / len(group)
-            for i in range(self.fan.n_rays)
-            for c in (self.base, self.slope)
+            for i in range(fan.n_rays)
+            for c in (base, slope)
         ])
         return den, tuple(sorted(set(zip(flat[::2], flat[1::2]))))
 
 
-@dataclass(frozen=True)
-class PicardFamily:
-    """lambda -> PicardClass(base + lambda * slope) with a supplied alpha bound."""
-
-    name: str
-    surface: BlowupSurface
-    base: tuple[Fraction, ...]
-    slope: tuple[Fraction, ...]
-
-    pairing_data = functools.cached_property(_family_pairing_data)
-    forms = functools.cached_property(_family_forms)
-    is_ample_at = _family_is_ample_at
-    alpha_scope = SCOPE_ALL
-    # the supplied bound min{1, 1/(2 - lambda)} = 1 / max(1, 2 - lambda)
-    alpha_pieces = (1, ((1, 0), (2, -1)))
-
-    def class_at(self, lam) -> PicardClass:
-        lam = Fraction(lam)
-        return PicardClass(
-            self.surface, tuple(b + lam * s for b, s in zip(self.base, self.slope))
-        )
-
-    @property
-    def dim(self) -> int:
-        return 2
-
-    def alpha_unscaled(self, lam):
-        return dervan_alpha_bound(lam), "supplied bound (Dervan)", SCOPE_ALL
-
-
-def dp6_family() -> ToricFamily:
+def dp6_family() -> Family:
     """(D_1 + D_3 + D_5) + lambda (D_2 + D_4 + D_6) on the hexagonal fan."""
-    one, zero = Fraction(1), Fraction(0)
-    return ToricFamily(
-        name="dp6",
-        fan=dp6_fan(),
-        base=(one, zero, one, zero, one, zero),
-        slope=(zero, one, zero, one, zero, one),
-    )
+    fan = dp6_fan()
+    return Family("dp6", ToricDivisor(fan, (1, 0) * 3), ToricDivisor(fan, (0, 1) * 3))
 
 
-def dp1_family() -> PicardFamily:
+def dp1_family() -> Family:
     """3H - E_1 - ... - E_7 - lambda E_8 on the blowup of P^2 at 8 points."""
-    one, zero = Fraction(1), Fraction(0)
-    return PicardFamily(
-        name="dp1",
-        surface=dp1_surface(),
-        base=(Fraction(3),) + (one,) * 7 + (zero,),
-        slope=(zero,) * 8 + (one,),
-    )
+    surface = dp1_surface()
+    return Family("dp1", surface.cls((3,) + (1,) * 7 + (0,)), surface.cls((0,) * 8 + (1,)))
 
 
 BUILTIN_FAMILIES = {"dp6": dp6_family, "dp1": dp1_family}

@@ -14,9 +14,9 @@ from kproper.properness import (
     SCOPE_ALL,
     SCOPE_G,
     VERDICT_PROPER,
+    Family,
     StabilizerAlpha,
     SuppliedAlpha,
-    ToricFamily,
     canonical_polarization_slice,
     check_fano,
     check_negative_c1,
@@ -212,11 +212,10 @@ def test_criterion_7_metamorphic_equivariance():
             assert image_report.verdict == base_report.verdict
             assert image_report.conditions == base_report.conditions
             assert image_report.alpha == base_report.alpha
-            image_family = ToricFamily(
+            image_family = Family(
                 name="dp6",
-                fan=image_fan,
-                base=base_family.base,
-                slope=base_family.slope,
+                base=ToricDivisor(image_fan, base_family.base.coeffs),
+                slope=ToricDivisor(image_fan, base_family.slope.coeffs),
             )
             assert feasible_scale_interval(image_family, lam) == base_interval
 

@@ -209,6 +209,49 @@ def test_check_negative_c1_slice_mode(capsys, tmp_path):
     assert data["conditions"][0]["binding"] is None
 
 
+README_SLICE = {
+    "n": 2, "l_pow_n": "1", "k_dot_l_nm1": "1",
+    "test_curves": [{"name": "canonical test curve", "L": "1", "K": "1"}],
+}
+DP6_ONES = ("--builtin", "dp6", "--coeffs", "1,1,1,1,1,1")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((*DP6_ONES, "--slice", "nonexistent.json"),
+         "check --mode epsilon-criterion does not read --slice"),
+        (("--mode", "negative-c1", "--slice", "SLICE", *DP6_ONES, "--alpha", "1"),
+         "check --mode negative-c1 --slice does not read --builtin, --coeffs, --alpha"),
+        (("--mode", "negative-c1", "--slice", "SLICE", "--fan", "fan.json"),
+         "check --mode negative-c1 --slice does not read --fan"),
+        (("--mode", "negative-c1", "--builtin", "p2", "--coeffs", "1,1,1", "--epsilon", "1",
+          "--group", "full"), "check --mode negative-c1 does not read --epsilon, --group"),
+        (("--mode", "fano", *DP6_ONES, "--epsilon", "2"),
+         "check --mode fano does not read --epsilon"),
+        (("--mode", "fano", *DP6_ONES, "--slice", "SLICE"),
+         "check --mode fano does not read --slice"),
+        (("--builtin", "dp1", "--coeffs", "3,1", "--alpha", "1", "--group", "torus"),
+         "check with --alpha does not read --group"),
+        (("--builtin", "dp6", "--fan", "fan.json", "--coeffs", "1,1,1,1,1,1"),
+         "check reads --builtin or --fan, not both"),
+    ],
+)
+def test_check_refuses_a_flag_it_does_not_read(capsys, tmp_path, argv, message):
+    path = tmp_path / "slice.json"
+    path.write_text(json.dumps(README_SLICE))
+    argv = [str(path) if a == "SLICE" else a for a in argv]
+    code, out, err = run_cli(capsys, "check", *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_check_reads_its_defaults_when_given(capsys):
+    _, plain, _ = run_cli(capsys, "check", *DP6_ONES)
+    _, given, _ = run_cli(capsys, "check", *DP6_ONES, "--epsilon", "1", "--group", "full",
+                          "--mode", "epsilon-criterion")
+    assert given == plain and json.loads(plain)["alpha"] == "1"
+
+
 def test_slice_without_k_pow_n(capsys, tmp_path):
     # no decision reads K^n, so the key may be left out
     path = tmp_path / "slice.json"

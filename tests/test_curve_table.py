@@ -32,7 +32,7 @@ from kproper.picard import (  # noqa: E402
     slope_picard,
 )
 from kproper.properness import (  # noqa: E402
-    PicardFamily,
+    Family,
     SuppliedAlpha,
     _combo_positive,
     _family_mu,
@@ -137,7 +137,7 @@ def picard_families(draw):
     d = draw(picard_classes)
     r = d.surface.r
     slope = tuple(draw(st.lists(small, min_size=r + 1, max_size=r + 1)))
-    return PicardFamily("random", d.surface, d.coords, slope)
+    return Family("random", d, d.surface.cls(slope))
 
 
 lambdas = st.fractions(min_value=F(-1, 2), max_value=F(3, 2), max_denominator=1000)
@@ -151,8 +151,8 @@ lambdas = st.fractions(min_value=F(-1, 2), max_value=F(3, 2), max_denominator=10
 # on the blowup at one point, (lambda + 1/2) H - E_1 pairs positively with
 # E_1 for every lambda, but with the fiber H - E_1 and with itself only
 # past lambda = 1/2
-@example(PicardFamily("r1", BlowupSurface(1), (F(1, 2), F(1)), (F(1), F(0))), F(0))
-@example(PicardFamily("r1", BlowupSurface(1), (F(1, 2), F(1)), (F(1), F(0))), F(1, 2))
+@example(Family("r1", BlowupSurface(1).cls((F(1, 2), 1)), BlowupSurface(1).cls((1, 0))), F(0))
+@example(Family("r1", BlowupSurface(1).cls((F(1, 2), 1)), BlowupSurface(1).cls((1, 0))), F(1, 2))
 def test_family_probe_matches_reference(family, lam):
     cls = family.class_at(lam)
     ample = reference_ample(cls)

@@ -1,11 +1,13 @@
-"""The shared family body on toric pencils against the class-by-class path.
+"""The family body on toric pencils against the class-by-class path.
 
-`ToricFamily` and `PicardFamily` share one `is_ample_at`, one `_family_mu`
-and one set of integer forms, all read off the constraint tables of L_0,
-L_1 and L_1 - L_0.  On random pencils L_lambda = B + lambda S over the
-fans of test_wall_pairings.py they must agree with `is_ample` and
-`slope_quantities` on the class itself, and the forms must be one positive
-multiple of (B^2, 2 B.S, S^2, K.B, K.S) from `intersection_number`.
+A `Family` of either backend has one `is_ample_at`, one `_family_mu` and
+one set of integer forms, all read off the constraint tables of L_0 = base,
+L_1 = base + slope and the slope class.  On random pencils L_lambda = B +
+lambda S over the fans of test_wall_pairings.py they must agree with
+`is_ample` and `slope_quantities` on the class itself, and the forms must
+be one positive multiple of (B^2, 2 B.S, S^2, K.B, K.S) from
+`intersection_number`.  A pair of classes from two backends, fans or
+surfaces is no family.
 """
 
 from fractions import Fraction
@@ -19,12 +21,13 @@ from test_toric import p1_cubed_fan  # noqa: E402
 from test_wall_pairings import FANS  # noqa: E402
 
 from kproper.properness import (  # noqa: E402
-    ToricFamily,
+    Family,
     _family_mu,
     dp6_family,
     feasible_scale_interval,
 )
-from kproper.rationals import GeometryError  # noqa: E402
+from kproper.picard import BlowupSurface  # noqa: E402
+from kproper.rationals import GeometryError, ValidationError  # noqa: E402
 from kproper.toric import (  # noqa: E402
     ToricDivisor,
     canonical_divisor,
@@ -50,12 +53,11 @@ def toric_pencils(draw):
     shift = draw(st.lists(small, min_size=fan.n_rays, max_size=fan.n_rays))
     base = tuple(F(a) + s / 4 for a, s in zip(AMPLE[name], shift))
     slope = tuple(draw(st.lists(small, min_size=fan.n_rays, max_size=fan.n_rays)))
-    return ToricFamily("random", fan, base, slope)
+    return Family("random", ToricDivisor(fan, base), ToricDivisor(fan, slope))
 
 
 def reference_forms(family):
-    fan = family.fan
-    b, s, k = ToricDivisor(fan, family.base), ToricDivisor(fan, family.slope), canonical_divisor(fan)
+    b, s, k = family.base, family.slope, canonical_divisor(family.base.fan)
     return (
         intersection_number(b, b), 2 * intersection_number(b, s), intersection_number(s, s),
         intersection_number(k, b), intersection_number(k, s),
@@ -66,7 +68,8 @@ def reference_forms(family):
 @given(toric_pencils(), lambdas)
 @example(dp6_family(), F(1))
 @example(dp6_family(), F(1, 2))
-@example(ToricFamily("F2", FANS["F2"], (F(0), F(0), F(1), F(1)), (F(0), F(0), F(0), F(-1))), F(1))
+@example(Family("F2", ToricDivisor(FANS["F2"], (0, 0, 1, 1)),
+                ToricDivisor(FANS["F2"], (0, 0, 0, -1))), F(1))
 def test_shared_family_body_matches_the_class(family, lam):
     cls = family.class_at(lam)
     ample = is_ample(cls)
@@ -84,9 +87,8 @@ def test_shared_family_body_matches_the_class(family, lam):
 @settings(max_examples=60, deadline=None)
 @given(toric_pencils())
 def test_family_rows_are_the_distinct_walls_under_their_first_label(family):
-    fan = family.fan
-    classes = (ToricDivisor(fan, family.base), ToricDivisor(fan, family.slope),
-               canonical_divisor(fan))
+    fan = family.base.fan
+    classes = (family.base, family.slope, canonical_divisor(fan))
     walls = {}
     for i in range(fan.n_rays):
         wall = ToricDivisor(fan, tuple(F(int(j == i)) for j in range(fan.n_rays)))
@@ -105,6 +107,15 @@ def test_family_rows_are_the_distinct_walls_under_their_first_label(family):
 
 def test_threefold_family_is_not_a_surface_family():
     fan = p1_cubed_fan()
-    family = ToricFamily("P1^3", fan, (F(1),) * fan.n_rays, (F(0),) * fan.n_rays)
+    family = Family("P1^3", ToricDivisor(fan, (1,) * 6), ToricDivisor(fan, (0,) * 6))
     with pytest.raises(GeometryError, match="surfaces only"):
         feasible_scale_interval(family, F(1))
+
+
+def test_a_family_needs_two_classes_of_one_backend():
+    hexagon = ToricDivisor(FANS["dp6"], (1,) * 6)
+    triangle = ToricDivisor(FANS["p2"], (1,) * 3)
+    dp1, dp3 = BlowupSurface(8).anticanonical(), BlowupSurface(6).anticanonical()
+    for base, slope in ((hexagon, dp1), (dp1, hexagon), (hexagon, triangle), (dp1, dp3)):
+        with pytest.raises(ValidationError):
+            Family("mixed", base, slope)

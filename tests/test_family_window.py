@@ -30,8 +30,7 @@ from kproper import properness  # noqa: E402
 from kproper.cli import render_report  # noqa: E402
 from kproper.picard import BlowupSurface, PicardClass, is_ample_picard  # noqa: E402
 from kproper.properness import (  # noqa: E402
-    PicardFamily,
-    ToricFamily,
+    Family,
     _feasibility,
     _scale_interval_with_bindings,
     dp1_family,
@@ -40,6 +39,7 @@ from kproper.properness import (  # noqa: E402
     sweep_lambda,
 )
 from kproper.rationals import GeometryError, InputError  # noqa: E402
+from kproper.toric import ToricDivisor  # noqa: E402
 
 F = Fraction
 LAM = sp.symbols("lam", real=True)
@@ -185,7 +185,7 @@ def picard_pencils(draw):
     base, top = classes
     if not all(is_ample_picard(PicardClass(surface, c)) for c in classes):
         return None
-    return PicardFamily("random", surface, base, tuple(b - a for a, b in zip(base, top)))
+    return Family("random", surface.cls(base), surface.cls(tuple(b - a for a, b in zip(base, top))))
 
 
 @settings(max_examples=25, deadline=None)
@@ -212,7 +212,8 @@ def toric_pencils(draw):
         shift = draw(st.lists(offsets, min_size=n, max_size=n))
         slope = draw(st.lists(offsets, min_size=n, max_size=n))
         base = tuple(F(a) + s / 4 for a, s in zip(AMPLE[name], shift))
-    return ToricFamily("random", FANS[name], base, tuple(slope)), period is not None
+    family = Family("random", ToricDivisor(FANS[name], base), ToricDivisor(FANS[name], slope))
+    return family, period is not None
 
 
 @settings(max_examples=30, deadline=None)
@@ -244,8 +245,9 @@ def _per_point_sweep(family, *args):
 def test_sweep_follows_a_window_end_set_by_condition_three():
     # on this pencil the feasible side of the lower window end binds at
     # condition (3), which neither builtin family does
-    family = PicardFamily(
-        "r=2", BlowupSurface(2), (F(25, 6), F(7, 3), F(4, 3)), (F(9, 2), F(-1, 6), F(-1, 2))
+    surface = BlowupSurface(2)
+    family = Family(
+        "r=2", surface.cls((F(25, 6), F(7, 3), F(4, 3))), surface.cls((F(9, 2), F(-1, 6), F(-1, 2)))
     )
     args = (F(0), F(1, 2), F(1, 50), F(1, 10**4))
     report = sweep_lambda(family, *args)
@@ -258,7 +260,8 @@ def test_sweep_follows_a_window_end_set_by_condition_three():
 def test_decisions_end_where_the_supplied_bound_ends():
     # L_lambda = (1 + lambda)(3H - E_1 - E_2 - E_3) is ample for every lambda > -1;
     # the dp1 bound, hence every probe and every decision, needs lambda < 2
-    family = PicardFamily("r=3", BlowupSurface(3), (F(3), F(1), F(1), F(1)), (F(3), F(1), F(1), F(1)))
+    surface = BlowupSurface(3)
+    family = Family("r=3", surface.cls((3, 1, 1, 1)), surface.cls((3, 1, 1, 1)))
     decide, probe = _feasibility(family, F(1))
     assert decide(F(19, 10)) == probe(F(19, 10)) == _per_point(family, F(19, 10), F(1))
     for check in (decide, probe):
@@ -267,26 +270,26 @@ def test_decisions_end_where_the_supplied_bound_ends():
 
 
 def test_probe_checks_the_toric_alpha_pieces(monkeypatch):
-    original = ToricFamily.alpha_unscaled
+    original = Family.alpha_unscaled
 
     def doubled(self, lam):
         alpha, label, scope = original(self, lam)
         return 2 * alpha, label, scope
 
-    monkeypatch.setattr(ToricFamily, "alpha_unscaled", doubled)
+    monkeypatch.setattr(Family, "alpha_unscaled", doubled)
     with pytest.raises(GeometryError, match="internal inconsistency: the alpha cap"):
         sweep_lambda(dp6_family(), F(1, 2), F(2), F(1, 10), F(1, 100))
 
 
 def test_the_witness_probe_checks_the_alpha_pieces(monkeypatch):
     # alpha skewed at the witness lambda = 1 alone, which no decision reads
-    original = ToricFamily.alpha_unscaled
+    original = Family.alpha_unscaled
 
     def skewed(self, lam):
         alpha, label, scope = original(self, lam)
         return (2 * alpha if lam == 1 else alpha), label, scope
 
-    monkeypatch.setattr(ToricFamily, "alpha_unscaled", skewed)
+    monkeypatch.setattr(Family, "alpha_unscaled", skewed)
     with pytest.raises(GeometryError, match="internal inconsistency: the alpha cap"):
         sweep_lambda(dp6_family(), F(1, 2), F(3, 2), F(1, 10), F(1, 100))
 
@@ -303,8 +306,9 @@ def test_a_family_without_alpha_pieces_is_rejected(monkeypatch):
     # the only nontrivial symmetry this dp6 pencil keeps is the reflection
     # in the diagonal (rays 0 <-> 2), which fixes a line, so its alpha has
     # no pieces; the sweep stops before any probe
-    zero, one = F(0), F(1)
-    family = ToricFamily("line", FANS["dp6"], (F(2),) * 6, (one, zero, one, zero, zero, zero))
+    family = Family(
+        "line", ToricDivisor(FANS["dp6"], (2,) * 6), ToricDivisor(FANS["dp6"], (1, 0, 1, 0, 0, 0))
+    )
     assert family.alpha_pieces is None
     monkeypatch.setattr(properness, "feasible_scale_interval", None)
     with pytest.raises(InputError, match="sweeps need a closed-form alpha"):

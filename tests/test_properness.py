@@ -14,11 +14,10 @@ from kproper.properness import (
     VERDICT_FAIL,
     VERDICT_PROPER,
     ConditionCheck,
-    PicardFamily,
+    Family,
     PropernessReport,
     StabilizerAlpha,
     SuppliedAlpha,
-    ToricFamily,
     abstract_slice,
     canonical_polarization_slice,
     check_fano,
@@ -28,11 +27,10 @@ from kproper.properness import (
     dp1_family,
     dp6_family,
     feasible_scale_interval,
-    jflow_converges_surface,
     sweep_lambda,
 )
 from kproper.rationals import GeometryError, InputError
-from kproper.toric import ToricDivisor, anticanonical_divisor, dp6_fan, is_ample, p2_fan
+from kproper.toric import ToricDivisor, anticanonical_divisor, dp6_fan, p2_fan
 from test_toric import p1_cubed_fan
 
 F = Fraction
@@ -178,47 +176,6 @@ def test_fano_mode():
 
 
 # ---------------------------------------------------------------------------
-# the J-flow class condition
-
-
-def test_jflow_self_slope():
-    d = lam_divisor(F(3, 2))
-    assert jflow_converges_surface(d, d)
-
-
-def test_jflow_anticanonical_target():
-    # c = (-K . L_{3/2}) / K^2 = (15/2)/6 = 5/4; the test class is
-    # (5/2)(-K) - L_{3/2}, which is ample (coefficients 3/2 and 1)
-    minus_k = anticanonical_divisor(dp6_fan())
-    w = lam_divisor(F(3, 2))
-    assert jflow_converges_surface(minus_k, w)
-
-
-def test_jflow_boundary_class_with_proper_k_energy():
-    # derived boundary pair: D = (5/4) L_{9/8} passes the properness
-    # criterion, while W = L_{146/241} makes 2cD - W exactly nef (the even
-    # walls vanish), so the flow does not converge smoothly
-    d = lam_divisor(F(9, 8), F(5, 4))
-    w = lam_divisor(F(146, 241))
-    assert is_ample(w)
-    assert not jflow_converges_surface(d, w)
-    report = check_properness(backend=d, epsilon=F(1), alpha_source=StabilizerAlpha("full"))
-    assert report.verdict == VERDICT_PROPER
-
-
-def test_jflow_picard_backend():
-    k8 = dp1_surface().anticanonical()
-    assert jflow_converges_surface(k8, k8)
-
-
-def test_jflow_input_validation():
-    with pytest.raises(GeometryError):
-        jflow_converges_surface(lam_divisor(F(5, 2)), lam_divisor(1))
-    with pytest.raises(InputError):
-        jflow_converges_surface(lam_divisor(1), dp1_lambda(1))
-
-
-# ---------------------------------------------------------------------------
 # feasibility in the scale
 
 
@@ -342,7 +299,8 @@ def test_sweep_outside_ample_cone_is_empty():
 
 
 def test_sweep_raises_on_a_threefold_family():
-    family = ToricFamily("P1^3", p1_cubed_fan(), (F(1),) * 6, (F(0), F(1)) * 3)
+    fan = p1_cubed_fan()
+    family = Family("P1^3", ToricDivisor(fan, (1,) * 6), ToricDivisor(fan, (0, 1) * 3))
     with pytest.raises(GeometryError, match="surfaces only"):
         sweep_lambda(family, F(1), F(2), F(1, 2), F(1, 10))
 
@@ -438,12 +396,12 @@ def test_cut_loop_rejects_a_nonpositive_constraint(monkeypatch):
     # past lambda = 4/3 the sextic pairs negatively with L_lambda; a family
     # that wrongly claims ampleness there must not yield an interval
     @dataclass(frozen=True)
-    class ClaimsAmple(PicardFamily):
+    class ClaimsAmple(Family):
         def is_ample_at(self, lam):
             return True
 
     base = dp1_family()
-    family = ClaimsAmple(base.name, base.surface, base.base, base.slope)
+    family = ClaimsAmple(base.name, base.base, base.slope)
     monkeypatch.setattr(properness, "_family_mu", lambda family, lam: F(1))
     with pytest.raises(GeometryError, match="internal inconsistency"):
         feasible_scale_interval(family, F(3, 2))
