@@ -1,6 +1,6 @@
 """Exact-arithmetic properness checks for the K-energy.
 
-Backends: smooth complete toric surfaces (fans, support functions, moment
+Backends: smooth complete toric surfaces (fans, wall pairings, moment
 polytopes) and blowups of the projective plane at general points (Picard
 lattices, exceptional curves).  All verdicts are decided in rational
 arithmetic; see the README for the library tour and the CLI.
@@ -10,7 +10,6 @@ from .alpha import (
     SymmetryContext,
     alpha_invariant,
     alpha_oracle,
-    class_stabilizer,
     symmetry_context,
 )
 from .picard import (
@@ -20,7 +19,6 @@ from .picard import (
     dp1_surface,
     exceptional_curves,
     is_ample_picard,
-    is_nef_picard,
     pairing,
 )
 from .polytope import (
@@ -42,7 +40,6 @@ from .properness import (
     StabilizerAlpha,
     SuppliedAlpha,
     abstract_slice,
-    canonical_polarization_slice,
     check_fano,
     check_negative_c1,
     check_properness,
@@ -76,8 +73,6 @@ from .toric import (
     moment_polytope,
     p2_fan,
     slope_quantities,
-    support_value,
-    transform_fan,
     validate_fan,
 )
 

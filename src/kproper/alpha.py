@@ -88,16 +88,6 @@ class SymmetryContext:
     centered_coeffs: tuple[Fraction, ...]
 
 
-def class_stabilizer(d: ToricDivisor) -> tuple:
-    """Fan automorphisms whose transpose maps the recentered moment polytope
-    onto itself (equivalently, which preserve the divisor class up to linear
-    equivalence)."""
-    if not is_ample(d):
-        raise GeometryError("class stabilizer requires an ample divisor")
-    centered, _ = _centered(d)
-    return _stabilizer_of(d.fan, centered)
-
-
 def _stabilizer_of(fan, centered: Polytope) -> tuple:
     """The fan automorphisms that preserve the centered polytope."""
     cleared = cleared_vertices(centered)

@@ -477,6 +477,8 @@ def _cmd_polytope_info(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
+    if args.group != "explicit" and args.group_file is not None:
+        raise InputError(f"alpha --group {args.group} does not read --group-file")
     fan = load_fan(args.fan)
     d = load_coeffs(fan, args.coeffs)
     explicit = None

@@ -237,10 +237,6 @@ def is_ample_picard(d: PicardClass) -> bool:
     return min(curve_table(d).nums) > 0
 
 
-def is_nef_picard(d: PicardClass) -> bool:
-    return min(curve_table(d).nums) >= 0
-
-
 def slope_picard(d: PicardClass) -> Fraction:
     """mu = -K.D / D.D for an ample class on the blowup surface."""
     if not is_ample_picard(d):

@@ -22,9 +22,11 @@ dim-many facet hyperplanes, filtered by feasibility.  Inputs here are
 desk-scale (a few dozen facets), where this is both fast and easy to trust;
 larger inputs are rejected before it starts (MAX_VERTEX_CANDIDATES).  The
 same enumeration, on polytopes with one more equality, decides emptiness
-and boundedness (see `vertices`).
-Symmetry tests (`fixed_subpolytope`, class stabilizers) compare integer
-images of the cleared vertex set.
+and boundedness (see `vertices`).  A solid 3D polytope is cut into
+tetrahedra facet by facet; each facet's vertices are put in cyclic order by
+the polygon sort, applied to their projection onto a coordinate plane.
+Symmetry tests (`fixed_subpolytope`, the stabilizer of a class) compare
+integer images of the cleared vertex set.
 """
 
 from __future__ import annotations
@@ -39,12 +41,12 @@ from .rationals import (
     GeometryError,
     InputError,
     ValidationError,
+    clear_denominators,
     det,
     dot,
     identity_matrix,
     is_unimodular,
     mat_vec,
-    primitive,
     solve_exact,
     solve_linear_system,
     transpose,
@@ -134,11 +136,6 @@ class Polytope:
                 eqs.append(canon)
         object.__setattr__(self, "equalities", tuple(sorted(eqs, key=lambda e: (e.coeffs, e.rhs))))
 
-    def contains(self, point) -> bool:
-        return all(dot(point, hs.normal) >= hs.offset for hs in self.hrep) and all(
-            dot(point, eq.coeffs) == eq.rhs for eq in self.equalities
-        )
-
 
 def make_polytope(dim, halfspaces, equalities=()) -> Polytope:
     """Build a polytope from (normal, offset) pairs and (coeffs, rhs) pairs."""
@@ -149,15 +146,6 @@ def make_polytope(dim, halfspaces, equalities=()) -> Polytope:
 
 # ---------------------------------------------------------------------------
 # boundedness
-
-
-def _rot90(v):
-    return (-v[1], v[0])
-
-
-def _integerize(v):
-    denom = lcm(*(Fraction(x).denominator for x in v)) if v else 1
-    return tuple(int(Fraction(x) * denom) for x in v)
 
 
 def _is_bounded(p: Polytope) -> bool:
@@ -268,7 +256,7 @@ def vertices(p: Polytope) -> tuple:
                 solve_linear_system([hs.normal for hs in p.hrep], [0] * len(p.hrep))[1]
                 if p.hrep else identity_matrix(p.dim)
             )
-            perp = tuple(LinearEquation(_integerize(v), Fraction(0)) for v in lines)
+            perp = tuple(LinearEquation(clear_denominators(v)[1], Fraction(0)) for v in lines)
             if perp and vertices(Polytope(p.dim, p.hrep, perp)):
                 raise GeometryError("polytope is unbounded")
             result = ()
@@ -357,30 +345,14 @@ def _facets_3d(p: Polytope, verts):
     return facets
 
 
-def _order_facet_cycle(normal, points):
-    n = len(points)
-    center = tuple(sum(v[i] for v in points) / n for i in range(3))
-    ref = vec_sub(points[0], center)
-
-    def half(v):
-        s = det((normal, ref, v))
-        if s != 0:
-            return 0 if s > 0 else 1
-        return 0 if dot(ref, v) > 0 else 1
-
-    def cmp(a, b):
-        va, vb = vec_sub(a, center), vec_sub(b, center)
-        ha, hb = half(va), half(vb)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        s = det((normal, va, vb))
-        if s > 0:
-            return -1
-        if s < 0:
-            return 1
-        return 0
-
-    return sorted(points, key=functools.cmp_to_key(cmp))
+def _facet_cycle(normal, points):
+    """The vertices of a facet in cyclic order: dropping a coordinate where
+    the normal is nonzero maps the facet plane injectively to a plane, so
+    the angular order of the projections is a cycle of the facet, up to
+    orientation."""
+    k = next(i for i, x in enumerate(normal) if x)
+    lift = {v[:k] + v[k + 1:]: v for v in points}
+    return [lift[q] for q in _order_ccw_2d(list(lift))]
 
 
 def _solid(p: Polytope, verts) -> bool:
@@ -396,7 +368,7 @@ def _tetrahedra(p: Polytope, verts):
     for normal, on in _facets_3d(p, verts):
         if dot(base, normal) == dot(on[0], normal):
             continue
-        cycle = _order_facet_cycle(normal, list(on))
+        cycle = _facet_cycle(normal, on)
         anchor = cycle[0]
         for a, b in zip(cycle[1:], cycle[2:]):
             six = abs(det((vec_sub(anchor, base), vec_sub(a, base), vec_sub(b, base))))
@@ -488,16 +460,6 @@ def translate(p: Polytope, t) -> Polytope:
     if p._cycle_cache is not None:
         object.__setattr__(moved, "_cycle_cache", tuple(vec_add(v, t) for v in p._cycle_cache))
     return moved
-
-
-def scale(p: Polytope, factor) -> Polytope:
-    """The dilate factor * p for a positive rational factor."""
-    factor = Fraction(factor)
-    if factor <= 0:
-        raise GeometryError("scale factor must be positive")
-    hs = tuple(HalfSpace(h.normal, h.offset * factor) for h in p.hrep)
-    eqs = tuple(LinearEquation(e.coeffs, e.rhs * factor) for e in p.equalities)
-    return Polytope(p.dim, hs, eqs)
 
 
 def fixed_subpolytope(p: Polytope, group) -> Polytope:
@@ -604,50 +566,3 @@ def lattice_points(p: Polytope, k: int = 1) -> tuple:
         tail = frac[last]
         points.extend(head + (tail[x - lo[last]],) for x in range(z_lo, z_hi + 1))
     return tuple(points)
-
-
-def polygon_from_vertices(points) -> Polytope:
-    """Rebuild an H-representation from a planar vertex set.
-
-    Used for round-trip checks; input points must all be extreme (they are
-    whenever they came from vertices()).
-    """
-    pts = sorted({tuple(Fraction(x) for x in pt) for pt in points})
-    if not pts:
-        raise GeometryError("cannot rebuild a polygon from no vertices")
-    if any(len(pt) != 2 for pt in pts):
-        raise ValidationError("polygon_from_vertices expects planar points")
-    if len(pts) == 1:
-        (x, y), = pts
-        return make_polytope(2, [((1, 0), x), ((-1, 0), -x), ((0, 1), y), ((0, -1), -y)])
-    if len(pts) == 2 or _collinear(pts):
-        a, b = pts[0], pts[-1]
-        d = primitive(_integerize(vec_sub(b, a)))
-        n = _rot90(d)
-        return make_polytope(
-            2,
-            [
-                (n, dot(a, n)),
-                (tuple(-x for x in n), -dot(a, n)),
-                (d, dot(a, d)),
-                (tuple(-x for x in d), -dot(b, d)),
-            ],
-        )
-    ordered = _order_ccw_2d(pts)
-    halfspaces = []
-    for a, b in zip(ordered, ordered[1:] + ordered[:1]):
-        n = primitive(_integerize(_rot90(vec_sub(b, a))))
-        halfspaces.append((n, dot(a, n)))
-    return make_polytope(2, halfspaces)
-
-
-def _collinear(pts) -> bool:
-    a = pts[0]
-    base = None
-    for b in pts[1:]:
-        d = vec_sub(b, a)
-        if base is None:
-            base = d
-        elif base[0] * d[1] - base[1] * d[0] != 0:
-            return False
-    return True

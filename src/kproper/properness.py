@@ -180,11 +180,6 @@ def abstract_slice(n: int, l_pow_n, k_dot_l_nm1, curves) -> AbstractSlice:
     return AbstractSlice(n, constraint_table(names, l_pairings, k_pairings, *forms))
 
 
-def canonical_polarization_slice(n: int, volume=1) -> AbstractSlice:
-    """The slice of (X, K) with K ample: L = K, so all pairings coincide."""
-    return abstract_slice(n, volume, volume, [("canonical test curve", 1, 1)])
-
-
 class _Backend(NamedTuple):
     dim: int
     # None on a toric threefold, which keeps the cone-functional test

@@ -16,6 +16,7 @@ immutable and safe to share between threads.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -75,9 +76,15 @@ def parse_rational(text: str, where: str = "") -> Fraction:
 def format_rational(q: Scalar) -> str:
     """Canonical string form: "p/q" with q >= 2, or "p" when q = 1."""
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise InputError(
+            f"a result has more than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's limit for writing an integer"
+        ) from None
 
 
 def primitive(v: Sequence[int]) -> tuple[int, ...]:
@@ -92,11 +99,6 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
     if g == 0:
         raise GeometryError("zero vector has no primitive representative")
     return tuple(x // g for x in entries)
-
-
-def is_primitive(v: Sequence[int]) -> bool:
-    entries = tuple(v)
-    return bool(entries) and all(isinstance(x, int) for x in entries) and gcd(*entries) == 1
 
 
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Fraction:

@@ -45,8 +45,7 @@ from .rationals import (
     det,
     dot,
     identity_matrix,
-    is_primitive,
-    is_unimodular,
+    primitive,
     solve_exact,
 )
 
@@ -75,7 +74,7 @@ class Fan:
                 raise ValidationError(f"ray {r} has wrong dimension (expected {self.dim})")
             if all(x == 0 for x in r):
                 raise ValidationError("zero vector is not a valid ray")
-            if not is_primitive(r):
+            if primitive(r) != r:
                 raise ValidationError(f"ray {r} is not primitive")
         if len(set(rays)) != len(rays):
             raise ValidationError("duplicate rays in fan")
@@ -229,14 +228,6 @@ def ray_permutation(fan: Fan, g) -> tuple[int, ...]:
     return tuple(ray_index[_apply(g, r)] for r in fan.rays)
 
 
-def transform_fan(fan: Fan, g) -> Fan:
-    """The fan with rays g(u_i) for a unimodular g, same cone combinatorics."""
-    if not is_unimodular(g):
-        raise ValidationError("fan transformations must be unimodular")
-    rays = tuple(_apply(g, r) for r in fan.rays)
-    return Fan(fan.dim, rays, fan.max_cones)
-
-
 # ---------------------------------------------------------------------------
 # divisors
 
@@ -282,19 +273,6 @@ def canonical_divisor(fan: Fan) -> ToricDivisor:
 
 def anticanonical_divisor(fan: Fan) -> ToricDivisor:
     return ToricDivisor(fan, (Fraction(1),) * fan.n_rays)
-
-
-def support_value(d: ToricDivisor, v) -> Fraction:
-    """The support function at v: locate a cone containing v, evaluate linearly."""
-    fan = d.fan
-    if len(v) != fan.dim:
-        raise ValidationError("point dimension mismatch")
-    for cone in fan.max_cones:
-        cols = tuple(zip(*fan.cone_matrix(cone)))
-        coords = solve_exact(cols, v)
-        if coords is not None and all(c >= 0 for c in coords):
-            return sum((c * -d.coeffs[i] for c, i in zip(coords, cone)), Fraction(0))
-    raise GeometryError("no maximal cone contains the given point; fan is not complete")
 
 
 def _cone_functionals(d: ToricDivisor):

@@ -1,4 +1,4 @@
-"""Serializers and a polytope transform that only the tests use.
+"""Serializers, lattice transforms and a slice that only the tests use.
 
 The CLI reads fans, divisors, polytopes and Picard classes from JSON files;
 these write them back, so the tests can check the readers by round trips.
@@ -11,6 +11,7 @@ from kproper.polytope import (
     _canonical_halfspace,
     vertices,
 )
+from kproper.properness import AbstractSlice, abstract_slice
 from kproper.rationals import (
     ValidationError,
     format_rational,
@@ -68,3 +69,15 @@ def apply_unimodular(p: Polytope, g) -> Polytope:
         for e in p.equalities
     )
     return Polytope(p.dim, hs, eqs)
+
+
+def transform_fan(fan: Fan, g) -> Fan:
+    """The fan with rays g(u_i) for a unimodular g, same cone combinatorics."""
+    if not is_unimodular(g):
+        raise ValidationError("fan transformations must be unimodular")
+    return Fan(fan.dim, tuple(mat_vec(g, r) for r in fan.rays), fan.max_cones)
+
+
+def canonical_polarization_slice(n: int, volume=1) -> AbstractSlice:
+    """The slice of (X, K) with K ample: L = K, so all pairings coincide."""
+    return abstract_slice(n, volume, volume, [("canonical test curve", 1, 1)])

@@ -7,6 +7,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from helpers import canonical_polarization_slice, transform_fan
+
 from kproper.alpha import alpha_invariant, alpha_oracle, symmetry_context
 from kproper.picard import curve_census, dp1_surface, exceptional_curves, is_ample_picard, pairing
 from kproper.polytope import boundary_measure, volume
@@ -17,7 +19,6 @@ from kproper.properness import (
     Family,
     StabilizerAlpha,
     SuppliedAlpha,
-    canonical_polarization_slice,
     check_fano,
     check_negative_c1,
     check_properness,
@@ -36,7 +37,6 @@ from kproper.toric import (
     is_nef,
     moment_polytope,
     slope_quantities,
-    transform_fan,
 )
 
 F = Fraction

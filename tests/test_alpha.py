@@ -7,7 +7,6 @@ from kproper.alpha import (
     MAX_ORACLE_DEPTH,
     alpha_invariant,
     alpha_oracle,
-    class_stabilizer,
     fixed_polytope,
     symmetry_context,
 )
@@ -34,14 +33,14 @@ def random_ample_dp6(rng, lo=1, hi=6):
 
 
 def test_stabilizer_orders():
-    assert len(class_stabilizer(lam_divisor(F(6, 5)))) == 6
-    assert len(class_stabilizer(anticanonical_divisor(dp6_fan()))) == 12
-    assert len(class_stabilizer(anticanonical_divisor(p2_fan()))) == 6
+    assert len(symmetry_context(lam_divisor(F(6, 5))).stabilizer) == 6
+    assert len(symmetry_context(anticanonical_divisor(dp6_fan())).stabilizer) == 12
+    assert len(symmetry_context(anticanonical_divisor(p2_fan())).stabilizer) == 6
 
 
 def test_stabilizer_requires_ample():
     with pytest.raises(GeometryError):
-        class_stabilizer(lam_divisor(F(5, 2)))
+        symmetry_context(lam_divisor(F(5, 2)))
 
 
 def test_alpha_formula_on_lambda_family():

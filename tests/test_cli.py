@@ -129,6 +129,23 @@ def test_alpha_explicit_group(capsys, tmp_path):
     assert code == 1 and "--group-file" in err
 
 
+# 2,501 digits parse, but a square has more digits than str() writes
+LONG = "1" * 2501
+
+
+@pytest.mark.parametrize("argv", [
+    ("intersect", "dp6", "--coeffs", ",".join([LONG] + ["1"] * 5)),
+    ("polytope", "info", "dp6", "--coeffs", ",".join([LONG] * 6)),
+    ("check", "--builtin", "dp1", "--coeffs", ",".join([str(3 * int(LONG) + 1)] + [LONG] * 8),
+     "--alpha", "1"),
+])
+def test_a_result_beyond_the_digit_limit_is_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (f"error: a result has more than {sys.get_int_max_str_digits()} digits, "
+                   "the interpreter's limit for writing an integer\n")
+
+
 def test_intersect_command(capsys):
     code, out, _ = run_cli(capsys, "intersect", "dp6", "--coeffs", "1,1,1,1,1,1")
     data = json.loads(out)
@@ -568,6 +585,10 @@ def test_malformed_group_json_is_input_error(capsys, tmp_path, payload, message)
         (("--format", "yaml", "fan", "validate", "dp6"), "invalid choice: 'yaml'"),
         (("fan",), "required"),
         ((), "required"),
+        (("alpha", "p2", "--coeffs", "1,1,1", "--group-file", "nonexistent.json"),
+         "alpha --group full does not read --group-file"),
+        (("alpha", "p2", "--coeffs", "1,1,1", "--group", "torus", "--group-file", "g.json"),
+         "alpha --group torus does not read --group-file"),
     ],
 )
 def test_usage_errors_end_in_one_error_line(capsys, argv, message):

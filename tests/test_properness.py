@@ -3,6 +3,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from helpers import canonical_polarization_slice
 
 from kproper import properness
 from kproper.cli import parse_report, render_report
@@ -19,7 +20,6 @@ from kproper.properness import (
     StabilizerAlpha,
     SuppliedAlpha,
     abstract_slice,
-    canonical_polarization_slice,
     check_fano,
     check_negative_c1,
     check_properness,

@@ -20,6 +20,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from helpers import canonical_polarization_slice  # noqa: E402
 from test_sweep_config_fuzz import json_values  # noqa: E402
 
 from kproper.cli import parse_report, render_report  # noqa: E402
@@ -27,7 +28,6 @@ from kproper.picard import dp1_surface  # noqa: E402
 from kproper.properness import (  # noqa: E402
     StabilizerAlpha,
     SuppliedAlpha,
-    canonical_polarization_slice,
     check_negative_c1,
     check_properness,
     dp1_family,

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import divisor_to_json, fan_to_json
+from helpers import divisor_to_json, fan_to_json, transform_fan
 
 from kproper.cli import load_coeffs, load_fan
 from kproper.polytope import boundary_measure, vertices, volume
@@ -23,8 +23,6 @@ from kproper.toric import (
     moment_polytope,
     p2_fan,
     slope_quantities,
-    support_value,
-    transform_fan,
     validate_fan,
 )
 
@@ -109,22 +107,6 @@ def test_automorphisms_form_a_group():
             tuple(tuple(int(x) for x in row) for row in mat_mul(g, h)) == identity
             for h in autos
         )
-
-
-def test_support_value_examples():
-    minus_k = anticanonical_divisor(dp6_fan())
-    assert support_value(minus_k, (1, 1)) == -1
-    assert support_value(minus_k, (2, 1)) == -2
-    assert support_value(minus_k, (0, 0)) == 0
-
-
-def test_support_value_positive_homogeneity():
-    rng = random.Random(3)
-    for _ in range(30):
-        d = random_ample_dp6(rng)
-        v = (rng.randint(-5, 5), rng.randint(-5, 5))
-        k = rng.randint(1, 6)
-        assert support_value(d, tuple(k * x for x in v)) == k * support_value(d, v)
 
 
 @pytest.mark.parametrize("lam,ample,nef", [
