@@ -10,7 +10,12 @@ invariant is a finite minimization over polytope data:
 
 where a_i' are the recentered coefficients and P^K is the subpolytope fixed
 by the stabilizer (the full centered polytope in torus-only mode).  The
-inner quantity is linear in y, so only vertices of P^K matter.
+inner quantity is linear in y, so only vertices of P^K matter.  The route
+runs in integers: the moment polygon's vertices are integer points over
+one denominator, the recentering shifts them and the coefficients over the
+lcm of that denominator and the barycenter's, the stabilizer test maps the
+integer vertex set, and the vertex formula is one integer maximum, so a
+Fraction is built only for the barycenter and for alpha.
 
 `alpha_oracle` is the independent brute-force route: it enumerates
 stabilizer orbits of lattice points of dilates of the polytope, forms the
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from operator import mul
 
 from .polytope import (
@@ -53,7 +58,6 @@ from .rationals import (
     GeometryError,
     InputError,
     clear_denominators,
-    dot,
     identity_matrix,
     integer_vector,
     mat_mul,
@@ -80,12 +84,20 @@ MAX_ORACLE_POINTS = 1_000_000
 
 @dataclass(frozen=True)
 class SymmetryContext:
-    """An ample divisor with its recentered polytope and class stabilizer."""
+    """An ample divisor with its recentered polytope and class stabilizer.
+
+    The recentered coefficients are kept as integers over one positive
+    denominator."""
 
     divisor: ToricDivisor
     stabilizer: tuple
     centered_polytope: Polytope
-    centered_coeffs: tuple[Fraction, ...]
+    coeff_den: int
+    coeff_nums: tuple[int, ...]
+
+    @property
+    def centered_coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.coeff_den) for a in self.coeff_nums)
 
 
 def _stabilizer_of(fan, centered: Polytope) -> tuple:
@@ -95,11 +107,19 @@ def _stabilizer_of(fan, centered: Polytope) -> tuple:
 
 
 def _centered(d: ToricDivisor):
+    """(P - beta, (M, M a')) for the moment polytope P with barycenter beta:
+    the recentered coefficients a_i' = a_i + <beta, u_i> as integers over
+    M, the lcm of the denominators of a and beta, which is also the
+    denominator that `translate` gives the centered polygon's cycle."""
     p = moment_polytope(d)
     beta = barycenter(p)
     centered = translate(p, tuple(-x for x in beta))
-    shifted = tuple(a + dot(beta, u) for a, u in zip(d.coeffs, d.fan.rays))
-    return centered, shifted
+    den, nums = clear_denominators(d.coeffs)
+    bden, bnums = clear_denominators(beta)
+    m = lcm(den, bden)
+    a, b = m // den, m // bden
+    shifted = tuple(x * a + sum(map(mul, bnums, u)) * b for x, u in zip(nums, d.fan.rays))
+    return centered, (m, shifted)
 
 
 def _close_under_products(generators, bound: int):
@@ -126,7 +146,7 @@ def symmetry_context(
         raise InputError(f'unknown group mode "{group_mode}"; expected one of {GROUP_MODES}')
     if not is_ample(d):
         raise GeometryError("alpha invariant requires an ample class")
-    centered, shifted = _centered(d)
+    centered, (den, shifted) = _centered(d)
     if group_mode == "full":
         stabilizer = _stabilizer_of(d.fan, centered)
     elif group_mode == "torus":
@@ -154,7 +174,8 @@ def symmetry_context(
         divisor=d,
         stabilizer=stabilizer,
         centered_polytope=centered,
-        centered_coeffs=shifted,
+        coeff_den=den,
+        coeff_nums=shifted,
     )
 
 
@@ -165,21 +186,28 @@ def fixed_polytope(ctx: SymmetryContext) -> Polytope:
 
 
 def alpha_invariant(ctx: SymmetryContext) -> Fraction:
-    """The invariant via the vertex formula on the fixed subpolytope."""
+    """The invariant via the vertex formula on the fixed subpolytope,
+    evaluated in integers: the vertices and the recentered coefficients
+    over one common denominator m, so alpha = m / max(<v, u_i> + a_i')."""
     fixed = fixed_polytope(ctx)
     verts = vertices(fixed)
     if not verts:
         raise GeometryError("fixed subpolytope is empty")
+    dim, cden = len(verts[0]), ctx.coeff_den
+    vden, flat = clear_denominators([x for v in verts for x in v])
+    m = lcm(vden, cden)
+    a, b = m // vden, m // cden
+    rows = [(ray, x * b) for ray, x in zip(ctx.divisor.fan.rays, ctx.coeff_nums)]
     worst = max(
-        dot(v, ray) + a
-        for v in verts
-        for ray, a in zip(ctx.divisor.fan.rays, ctx.centered_coeffs)
+        sum(map(mul, flat[k:k + dim], ray)) * a + x
+        for k in range(0, len(flat), dim)
+        for ray, x in rows
     )
     if worst <= 0:
         raise GeometryError(
             "internal inconsistency: the alpha vertex formula has no positive denominator"
         )
-    return 1 / worst
+    return Fraction(m, worst)
 
 
 def alpha_oracle(ctx: SymmetryContext, k_max: int = 12) -> Fraction:
@@ -211,9 +239,8 @@ def alpha_oracle(ctx: SymmetryContext, k_max: int = 12) -> Fraction:
             f"over the cap of {MAX_ORACLE_POINTS}"
         )
     base_anchor = min(verts)
-    group = ctx.stabilizer or (identity_matrix(d.fan.dim),)
     actions = []
-    for g in group:
+    for g in ctx.stabilizer:
         gt = transpose(g)
         image_anchor = min(tuple(sum(map(mul, row, v)) for row in gt) for v in verts)
         # g^T P = P + tau with integral tau; the affine action on k P is
@@ -228,27 +255,31 @@ def alpha_oracle(ctx: SymmetryContext, k_max: int = 12) -> Fraction:
             tuple([x.numerator * (k // x.denominator) for x in pt])
             for pt in lattice_points(p_int, k)
         ]
-        points = set(order)
+        points = set(order) if actions else None
         shifted = [(gt, tuple(k * t for t in tau)) for gt, tau in actions]
         offsets = [k * a for a in int_coeffs]
         seen: set = set()
         for z in order:
-            if z in seen:
+            if not actions:
+                # under the torus alone every orbit is one point
+                size, s = 1, z
+            elif z in seen:
                 continue
-            orbit = {
-                tuple([sum(map(mul, row, z)) - t for row, t in zip(gt, ktau)])
-                for gt, ktau in shifted
-            }
-            if not orbit <= points:
-                raise GeometryError(
-                    "internal inconsistency: a stabilizer element moves a lattice point "
-                    "out of the dilated polytope"
-                )
-            seen |= orbit
-            size = len(orbit)
+            else:
+                orbit = {
+                    tuple([sum(map(mul, row, z)) - t for row, t in zip(gt, ktau)])
+                    for gt, ktau in shifted
+                }
+                if not orbit <= points:
+                    raise GeometryError(
+                        "internal inconsistency: a stabilizer element moves a lattice point "
+                        "out of the dilated polytope"
+                    )
+                seen |= orbit
+                size = len(orbit)
+                s = [sum(col) for col in zip(*orbit)]
             # the product section of the orbit vanishes to order
             # <s, u_i> + size*k*a_i along D_i, with s the sum of its points
-            s = [sum(col) for col in zip(*orbit)]
             denoms = [sum(map(mul, s, ray)) + size * offset for ray, offset in zip(rays, offsets)]
             if min(denoms) < 0:
                 raise GeometryError(

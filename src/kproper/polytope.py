@@ -8,13 +8,18 @@ volumes, the lattice boundary measure, barycenters and lattice points are
 all computed in exact rational arithmetic; no square root or float is ever
 taken.
 
-A polygon keeps its vertices twice: sorted (the public vertex list) and
-as a counterclockwise cycle.  Areas, centroids and boundary measures read
-the cycle, on the vertices cleared to one common denominator, so each
+A polygon keeps its vertices as a counterclockwise cycle of integer
+points over one positive denominator; the public vertex list (sorted
+Fraction tuples) is built from it only when asked for.  Areas, centroids,
+boundary measures and symmetry tests read the integer cycle, so each
 polygon is put in boundary order at most once.  Callers that already know
-the cycle supply it (`with_polygon_cycle`): the moment polygon of an ample
+the cycle supply it (`polygon_from_cycle`): the moment polygon of an ample
 class on a smooth toric surface has the cone functionals as its vertices,
-in the angular order of the rays, and a translate carries the cycle over.
+in the angular order of the rays, and a translate carries the cycle over
+in integers.  Such polygons, translates and fixed subpolytopes are
+assembled from parts already in canonical form, so their half-planes are
+not canonicalized again; the fixed subpolytope of a group that fixes only
+the origin is that point, without enumeration.
 
 Otherwise the vertices come from the fallback enumeration, which is
 deliberately unsophisticated: candidate vertices are intersections of
@@ -36,6 +41,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, comb, floor, gcd, lcm
+from operator import mul
 
 from .rationals import (
     GeometryError,
@@ -82,6 +88,8 @@ def _canonical_halfspace(normal, offset) -> HalfSpace:
     if all(x == 0 for x in normal):
         raise ValidationError("half-space normal must be nonzero")
     g = gcd(*normal)
+    if g == 1:
+        return HalfSpace(normal, Fraction(offset))
     return HalfSpace(tuple(x // g for x in normal), Fraction(offset) / g)
 
 
@@ -109,7 +117,9 @@ class Polytope:
     hrep: tuple[HalfSpace, ...]
     equalities: tuple[LinearEquation, ...] = ()
     _vertex_cache: object = field(default=None, compare=False, repr=False)
-    # polygons only: the counterclockwise vertex cycle, () when not full-dimensional
+    # polygons only: (den, cycle), the vertices counterclockwise as integer
+    # points over the positive integer den; the cycle is () when the polygon
+    # is not full-dimensional
     _cycle_cache: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -142,6 +152,17 @@ def make_polytope(dim, halfspaces, equalities=()) -> Polytope:
     hs = tuple(HalfSpace(tuple(n), Fraction(c)) for n, c in halfspaces)
     eqs = tuple(LinearEquation(tuple(a), Fraction(r)) for a, r in equalities)
     return Polytope(dim, hs, eqs)
+
+
+def _assembled(dim, hrep, equalities=(), vertex_cache=None, cycle_cache=None) -> Polytope:
+    """A Polytope from parts that are already canonical (primitive, distinct
+    normals in sorted order; canonical equations, sorted), built without the
+    canonicalizing pass of __post_init__."""
+    p = object.__new__(Polytope)
+    for name, value in (("dim", dim), ("hrep", hrep), ("equalities", equalities),
+                        ("_vertex_cache", vertex_cache), ("_cycle_cache", cycle_cache)):
+        object.__setattr__(p, name, value)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +243,10 @@ def vertices(p: Polytope) -> tuple:
     """
     if p._vertex_cache is not None:
         return p._vertex_cache
-    if p.equalities:
+    if p._cycle_cache is not None and p._cycle_cache[1]:
+        den, cycle = p._cycle_cache
+        result = tuple(tuple(Fraction(x, den) for x in v) for v in sorted(cycle))
+    elif p.equalities:
         reduced = _reduce_by_equalities(p)
         if reduced is None:
             result = ()
@@ -280,24 +304,26 @@ def affine_dimension(p: Polytope) -> int:
 # measures
 
 
-def with_polygon_cycle(p: Polytope, cycle) -> Polytope:
-    """Record the vertices of a full-dimensional polygon p, listed
-    counterclockwise, so it is never enumerated or sorted; returns p.
+def polygon_from_cycle(halfspaces, den: int, cycle) -> Polytope:
+    """The full-dimensional polygon cut out by canonical half-spaces
+    (primitive, distinct normals in sorted order) whose vertices are the
+    integer points of `cycle` over den > 0, listed counterclockwise.
 
-    The caller vouches for the cycle: it must be exactly the vertex set of
-    p, in positive orientation."""
-    object.__setattr__(p, "_vertex_cache", tuple(sorted(cycle)))
-    object.__setattr__(p, "_cycle_cache", tuple(cycle))
-    return p
+    The caller vouches for all of it, so nothing is canonicalized,
+    enumerated or sorted; the vertices become Fractions only when
+    `vertices` is asked for them."""
+    return _assembled(2, tuple(halfspaces), (), None, (den, tuple(cycle)))
 
 
 def _polygon_cycle(p: Polytope) -> tuple:
-    """The vertices of a polygon counterclockwise; () when it is empty or not
+    """(den, cycle): the vertices of a polygon counterclockwise, as integer
+    points over den; the cycle is () when p is empty or not
     full-dimensional.  Sorted at most once per polygon."""
     if p._cycle_cache is None:
         verts = vertices(p)
         full = len(verts) >= 3 and affine_dimension(p) == 2
-        object.__setattr__(p, "_cycle_cache", tuple(_order_ccw_2d(list(verts))) if full else ())
+        denom, points = _cleared(verts) if full else (1, [])
+        object.__setattr__(p, "_cycle_cache", (denom, tuple(_order_ccw_2d(points))))
     return p._cycle_cache
 
 
@@ -327,10 +353,12 @@ def _angle_cmp(u, v) -> int:
 
 
 def _order_ccw_2d(points):
+    """The points sorted counterclockwise by angle about their centroid
+    s / n; the angles are read off n v - s, so integer points stay integers."""
     n = len(points)
-    center = tuple(sum(v[i] for v in points) / n for i in range(2))
+    sx, sy = (sum(v[i] for v in points) for i in range(2))
     return sorted(points, key=functools.cmp_to_key(
-        lambda a, b: _angle_cmp(vec_sub(a, center), vec_sub(b, center))
+        lambda a, b: _angle_cmp((n * a[0] - sx, n * a[1] - sy), (n * b[0] - sx, n * b[1] - sy))
     ))
 
 
@@ -379,7 +407,7 @@ def volume(p: Polytope) -> Fraction:
     """Euclidean volume, exact; 0 for empty or lower-dimensional polytopes."""
     if p.dim == 2:
         # shoelace on the cleared cycle: twice the area, times denom^2
-        denom, cycle = _cleared(_polygon_cycle(p))
+        denom, cycle = _polygon_cycle(p)
         twice = sum(a[0] * b[1] - a[1] * b[0] for a, b in _cycle_edges(cycle))
         return Fraction(twice, 2 * denom * denom)
     verts = vertices(p)
@@ -399,23 +427,21 @@ def boundary_measure(p: Polytope) -> Fraction:
     """
     if p.dim != 2:
         raise GeometryError("boundary measure is defined for polygons only")
-    cycle = _polygon_cycle(p)
+    denom, cycle = _polygon_cycle(p)
     if not cycle:
         raise GeometryError("boundary measure requires a full-dimensional polygon")
     # an edge b - a = (x, y) / denom has lattice length gcd(x, y) / denom
-    denom, cycle = _cleared(cycle)
     return Fraction(sum(gcd(b[0] - a[0], b[1] - a[1]) for a, b in _cycle_edges(cycle)), denom)
 
 
 def barycenter(p: Polytope) -> tuple:
     """Exact centroid via triangulation; requires positive volume."""
     if p.dim == 2:
-        cycle = _polygon_cycle(p)
+        denom, cycle = _polygon_cycle(p)
         if not cycle:
             raise GeometryError("barycenter requires a polytope of positive volume")
         # fan the cleared cycle from the origin: the triangle (0, a, b) has
         # signed double area w = a x b and centroid (a + b) / 3
-        denom, cycle = _cleared(cycle)
         twice = sx = sy = 0
         for a, b in _cycle_edges(cycle):
             w = a[0] * b[1] - a[1] * b[0]
@@ -443,23 +469,37 @@ def barycenter(p: Polytope) -> tuple:
 
 
 def translate(p: Polytope, t) -> Polytope:
-    """The polytope p + t, exactly.
+    """The polytope p + t, exactly, in the canonical form of p.
 
-    When the vertices of p (and, for a polygon, its counterclockwise cycle)
-    are already known they are carried over as v + t, so the translate
-    never enumerates or sorts its vertices again.
+    t is cleared to integers over one denominator, so each offset takes one
+    Fraction.  A known polygon cycle is carried over in integers, over the
+    lcm of the two denominators, and other known vertices as v + t, so the
+    translate never enumerates or sorts its vertices again.
     """
     if len(t) != p.dim:
         raise ValidationError("translation vector dimension mismatch")
-    hs = tuple(HalfSpace(h.normal, h.offset + dot(t, h.normal)) for h in p.hrep)
-    eqs = tuple(LinearEquation(e.coeffs, e.rhs + dot(t, e.coeffs)) for e in p.equalities)
-    moved = Polytope(p.dim, hs, eqs)
+    tden, tnum = clear_denominators(t)
+
+    def moved(c, normal):
+        # c + <t, normal>, as one Fraction
+        return Fraction(
+            c.numerator * tden + c.denominator * sum(map(mul, tnum, normal)), c.denominator * tden
+        )
+
+    hs = tuple(HalfSpace(h.normal, moved(h.offset, h.normal)) for h in p.hrep)
+    eqs = tuple(LinearEquation(e.coeffs, moved(e.rhs, e.coeffs)) for e in p.equalities)
     # a translation keeps the lexicographic order and the orientation
-    if p._vertex_cache is not None:
-        object.__setattr__(moved, "_vertex_cache", tuple(vec_add(v, t) for v in p._vertex_cache))
-    if p._cycle_cache is not None:
-        object.__setattr__(moved, "_cycle_cache", tuple(vec_add(v, t) for v in p._cycle_cache))
-    return moved
+    cycle = p._cycle_cache
+    if cycle is not None and cycle[1]:
+        den, points = cycle
+        m = lcm(den, tden)
+        a, b = m // den, m // tden
+        cycle = (m, tuple(tuple([x * a + y * b for x, y in zip(v, tnum)]) for v in points))
+        return _assembled(p.dim, hs, eqs, None, cycle)
+    verts = p._vertex_cache
+    if verts is not None:
+        verts = tuple(vec_add(v, t) for v in verts)
+    return _assembled(p.dim, hs, eqs, verts, cycle)
 
 
 def fixed_subpolytope(p: Polytope, group) -> Polytope:
@@ -472,19 +512,29 @@ def fixed_subpolytope(p: Polytope, group) -> Polytope:
     otherwise this raises.
     """
     group = tuple(tuple(tuple(row) for row in g) for g in group)
-    fixed = _fixed_space_equations(group, p.dim)
+    fixed, fixed_dim = _fixed_space(group, p.dim)
     cleared = cleared_vertices(p)
     for g in group:
         if not preserves_vertices(g, cleared):
             raise GeometryError("group does not preserve polytope")
-    return Polytope(p.dim, p.hrep, tuple(p.equalities) + fixed)
+    if fixed_dim == p.dim:
+        return p
+    if p.equalities:
+        return Polytope(p.dim, p.hrep, p.equalities + fixed)
+    if fixed_dim:
+        return _assembled(p.dim, p.hrep, fixed)
+    # the group fixes the average of the vertex set, which lies in p; with
+    # no other fixed point, the fixed subpolytope is that point, the origin
+    origin = ((Fraction(0),) * p.dim,) if cleared else ()
+    return _assembled(p.dim, p.hrep, fixed, origin, (1, ()) if p.dim == 2 else None)
 
 
 @functools.lru_cache(maxsize=64)
-def _fixed_space_equations(group: tuple, dim: int) -> tuple[LinearEquation, ...]:
-    """The nonzero rows of g^T - I over the group, checked unimodular once
-    per group."""
-    eqs = []
+def _fixed_space(group: tuple, dim: int) -> tuple[tuple[LinearEquation, ...], int]:
+    """(equations, dimension) of the fixed space of the group: the nonzero
+    rows of g^T - I over the group in canonical form, with the group checked
+    unimodular, once per group."""
+    rows = []
     eye = identity_matrix(dim)
     for g in group:
         if not is_unimodular(g):
@@ -492,21 +542,37 @@ def _fixed_space_equations(group: tuple, dim: int) -> tuple[LinearEquation, ...]
         for row_g, row_i in zip(transpose(g), eye):
             coeffs = tuple(int(a - b) for a, b in zip(row_g, row_i))
             if any(coeffs):
-                eqs.append(LinearEquation(coeffs, Fraction(0)))
-    return tuple(eqs)
+                rows.append(coeffs)
+    if not rows:
+        return (), dim
+    eqs = {_canonical_equation(row, 0) for row in rows}
+    _, basis = solve_linear_system(rows, [0] * len(rows))
+    return tuple(sorted(eqs, key=lambda e: (e.coeffs, e.rhs))), len(basis)
 
 
 def cleared_vertices(p: Polytope) -> frozenset:
-    """The vertices of p times the lcm of their denominators, as integer
-    tuples.  A linear map preserves the vertex set exactly when it preserves
-    this integer copy, so symmetry tests never multiply fractions."""
+    """The vertices of p times one positive common denominator, as integer
+    tuples: the polygon's integer cycle when it is known, else the lcm of
+    the vertex denominators.  A linear map preserves the vertex set exactly
+    when it preserves this integer copy, so symmetry tests never multiply
+    fractions."""
+    cycle = p._cycle_cache
+    if cycle is not None and cycle[1]:
+        return frozenset(cycle[1])
     return frozenset(_cleared(vertices(p))[1])
 
 
 def preserves_vertices(g, cleared: frozenset) -> bool:
-    """Whether g^T maps a cleared vertex set (see cleared_vertices) onto itself."""
+    """Whether g^T maps a cleared vertex set (see cleared_vertices) onto
+    itself; stops at the first vertex mapped outside it."""
     gt = tuple(zip(*g))
-    return {tuple(sum(a * b for a, b in zip(row, w)) for row in gt) for w in cleared} == cleared
+    images = set()
+    for w in cleared:
+        image = tuple([sum(map(mul, row, w)) for row in gt])
+        if image not in cleared:
+            return False
+        images.add(image)
+    return len(images) == len(cleared)
 
 
 def lattice_points(p: Polytope, k: int = 1) -> tuple:

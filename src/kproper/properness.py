@@ -36,7 +36,9 @@ pass over the rows, where the first row at the least pairing binds; toric
 threefolds keep the cone-functional test.  A Family pairs two classes of
 one surface backend and reads its rows, its forms L_lambda^2 and K.L_lambda
 and its ampleness test off the tables of L_0, L_1 and the slope class; only
-its alpha depends on the backend.
+its alpha depends on the backend.  The builtin families dp6 and dp1 are
+built once per process, on first use, and keep that lambda-independent
+data.
 
 The reports are plain dataclasses; their JSON form is written and read in
 cli.py alone.  A check report's verdict is derived from its conditions, as
@@ -56,6 +58,7 @@ sqrt(10) - 2 (approx 0.76..1.16).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -417,8 +420,28 @@ class Family:
         # raises for classes on different fans or surfaces
         self.base + self.slope
 
-    def class_at(self, lam):
-        return self.base + Fraction(lam) * self.slope
+    def class_at(self, lam, scale=1):
+        """scale * L_lambda, built in one step: at lambda = p/q and scale =
+        r/s its coordinates are r (B_i q + S_i p) / (M q s) for the
+        family's coordinates cleared to integers B_i / M and S_i / M."""
+        lam, scale = Fraction(lam), Fraction(scale)
+        p, q = lam.numerator, lam.denominator
+        r, s = scale.numerator, scale.denominator
+        build, den, base, slope = self._pencil
+        den *= q * s
+        return build(tuple(Fraction(r * (b * q + t * p), den) for b, t in zip(base, slope)))
+
+    @functools.cached_property
+    def _pencil(self):
+        """(build, M, B, S): the base and slope coordinates cleared to
+        integers over M, and build(coordinates), a class of the backend on
+        the family's fan or surface.  Both backends are frozen dataclasses
+        whose two init fields are the fan or surface and the coordinates."""
+        where, coords = (f.name for f in dataclasses.fields(self.base) if f.init)
+        build = functools.partial(type(self.base), getattr(self.base, where))
+        den, flat = clear_denominators(getattr(self.base, coords) + getattr(self.slope, coords))
+        half = len(flat) // 2
+        return build, den, flat[:half], flat[half:]
 
     @functools.cached_property
     def dim(self) -> int:
@@ -519,14 +542,21 @@ class Family:
         return den, tuple(sorted(set(zip(flat[::2], flat[1::2]))))
 
 
+@functools.cache
 def dp6_family() -> Family:
-    """(D_1 + D_3 + D_5) + lambda (D_2 + D_4 + D_6) on the hexagonal fan."""
+    """(D_1 + D_3 + D_5) + lambda (D_2 + D_4 + D_6) on the hexagonal fan.
+
+    Built on first use and shared by every later call in the process, with
+    the lambda-independent data it caches: its tables, rows, forms and
+    alpha pieces."""
     fan = dp6_fan()
     return Family("dp6", ToricDivisor(fan, (1, 0) * 3), ToricDivisor(fan, (0, 1) * 3))
 
 
+@functools.cache
 def dp1_family() -> Family:
-    """3H - E_1 - ... - E_7 - lambda E_8 on the blowup of P^2 at 8 points."""
+    """3H - E_1 - ... - E_7 - lambda E_8 on the blowup of P^2 at 8 points;
+    built on first use and shared, like dp6_family."""
     surface = dp1_surface()
     return Family("dp1", surface.cls((3,) + (1,) * 7 + (0,)), surface.cls((0,) * 8 + (1,)))
 
@@ -655,7 +685,7 @@ def _lower_cut(family, lam: Fraction):
 def _verify_interval(family, lam, epsilon, interval, mu1, alpha1, alpha_label, alpha_scope):
     mid = interval.midpoint
     report = check_properness(
-        backend=family.class_at(lam) * mid,
+        backend=family.class_at(lam, mid),
         epsilon=epsilon,
         alpha_source=SuppliedAlpha(alpha1 / mid, alpha_label, alpha_scope),
     )

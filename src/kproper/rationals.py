@@ -175,12 +175,26 @@ def is_unimodular(m: Matrix) -> bool:
 
 
 def solve_exact(a: Matrix, b: Sequence[Scalar]):
-    """Solve A x = b exactly for square A; return None when A is singular."""
+    """Solve A x = b exactly for square A; return None when A is singular.
+
+    A 2x2 system is solved by Cramer's rule.  When its entries and b are
+    ints and det A = +-1 the solution is a tuple of ints (the cone
+    functionals of a smooth surface fan); every other solution is a tuple
+    of Fractions."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValidationError("solve_exact requires a square matrix")
     if len(b) != n:
         raise ValidationError(f"solve_exact dimension mismatch: matrix {n}x{n}, rhs {len(b)}")
+    if n == 2:
+        (p, q), (r, s) = a
+        d = p * s - q * r
+        if d == 0:
+            return None
+        x, y = s * b[0] - q * b[1], p * b[1] - r * b[0]
+        if (d == 1 or d == -1) and all(type(v) is int for v in (p, q, r, s, *b)):
+            return (x * d, y * d)
+        return (Fraction(x) / d, Fraction(y) / d)
     solution = solve_linear_system(a, b)
     # A is singular exactly when the system is inconsistent or has a null space
     if solution is None or solution[1]:
@@ -237,7 +251,7 @@ def solve_linear_system(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar])
 
 def clear_denominators(values: Sequence[Scalar]) -> tuple[int, tuple[int, ...]]:
     """Return (c, (c*v as ints)) with c the least positive common multiplier."""
-    fracs = [Fraction(v) for v in values]
+    fracs = [v if type(v) in (int, Fraction) else Fraction(v) for v in values]
     c = lcm(*(f.denominator for f in fracs)) if fracs else 1
     return c, tuple(f.numerator * (c // f.denominator) for f in fracs)
 

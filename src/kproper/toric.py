@@ -14,11 +14,16 @@ positivity notions reduce to exact linear algebra on that function:
   as the class's ConstraintTable.  In dimension 3 ampleness is checked cone
   by cone through the linear functional m_sigma with <m_sigma, u_i> = -a_i;
 * the moment polytope is P_D = {m : <m, u_i> >= -a_i}.  For an ample class
-  on a surface its vertices are the cone functionals, one per maximal cone,
-  and they run counterclockwise in the angular order of the rays, so the
-  polygon is built in boundary order without vertex enumeration.  The last
-  few are memoized by divisor, so the alpha invariant and the slope of one
-  class build a single polygon.
+  on a smooth surface its vertices are the cone functionals, one per
+  maximal cone, and they run counterclockwise in the angular order of the
+  rays, so the polygon is built in boundary order without vertex
+  enumeration.  It is built in integers: D is cleared once to N D with
+  integer coefficients, each N m_sigma solves a unimodular 2x2 system over
+  the integers, and the polygon keeps its vertices as integer points over
+  N, with the primitive rays as its half-plane normals, taken as they are.
+  The last few are memoized by divisor, so the alpha invariant and the
+  slope of one class build a single polygon.  Ampleness and intersection
+  numbers on a surface read the wall pairings as integers over N too.
 
 Mixed volumes of moment polytopes provide an independent route to
 intersection numbers for nef classes (n <= 3) and serve as a cross-check of
@@ -34,13 +39,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .polytope import (
-    Polytope, _angle_cmp, boundary_measure, make_polytope, volume, with_polygon_cycle,
+    HalfSpace, Polytope, _angle_cmp, boundary_measure, make_polytope, polygon_from_cycle, volume,
 )
 from .rationals import (
     ConstraintTable,
     GeometryError,
     InputError,
     ValidationError,
+    clear_denominators,
     constraint_table,
     det,
     dot,
@@ -291,8 +297,8 @@ def _cone_functionals(d: ToricDivisor):
 def _positivity(d: ToricDivisor, strict: bool) -> bool:
     _require_valid(d.fan)
     if d.fan.dim == 2:
-        pairings = wall_pairings(d)
-        return all(p > 0 for p in pairings) if strict else all(p >= 0 for p in pairings)
+        _, _, walls = _cleared_walls(d)
+        return all(x > 0 for x in walls) if strict else all(x >= 0 for x in walls)
     for cone, m in _cone_functionals(d):
         inside = set(cone)
         for j, ray in enumerate(d.fan.rays):
@@ -327,20 +333,28 @@ def moment_polytope(d: ToricDivisor) -> Polytope:
     Memoized by divisor, so callers share one polytope and its vertex list.
     For an ample class on a smooth surface the vertices are the cone
     functionals m_sigma, and the cones taken in the angular order of their
-    rays list them counterclockwise (Cox-Little-Schenck, ch. 6); nef-only
+    rays list them counterclockwise (Cox-Little-Schenck, ch. 6).  The
+    divisor is cleared once to N D = sum a_i D_i with integer a_i, so each
+    cone functional N m_sigma is the integer solution of a unimodular 2x2
+    system and the polygon keeps its vertices as integers over N; its
+    half-planes are the primitive rays, taken in sorted order.  Nef-only
     classes and threefolds fall back to vertex enumeration.
     """
     fan = d.fan
     check = validate_fan(fan)
     if not check.complete:
         raise GeometryError("moment polytope requires a complete fan")
-    p = make_polytope(fan.dim, [(r, -a) for r, a in zip(fan.rays, d.coeffs)])
-    if fan.dim == 2 and check.smooth and all(x > 0 for x in wall_pairings(d)):
-        functionals = dict(_cone_functionals(d))
-        order = angular_order(fan)
-        cones = (tuple(sorted(pair)) for pair in zip(order, order[1:] + order[:1]))
-        p = with_polygon_cycle(p, tuple(functionals[cone] for cone in cones))
-    return p
+    if fan.dim == 2 and check.smooth:
+        den, a, walls = _cleared_walls(d)
+        if all(x > 0 for x in walls):
+            rays, order = fan.rays, angular_order(fan)
+            cycle = [
+                solve_exact((rays[i], rays[j]), (-a[i], -a[j]))
+                for i, j in zip(order, order[1:] + order[:1])
+            ]
+            hrep = [HalfSpace(r, Fraction(-x, den)) for r, x in sorted(zip(rays, a))]
+            return polygon_from_cycle(hrep, den, cycle)
+    return make_polytope(fan.dim, [(r, -a) for r, a in zip(fan.rays, d.coeffs)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -369,15 +383,20 @@ def _wall_data(fan: Fan) -> tuple[tuple[int, int, int], ...]:
     return tuple(data[i] for i in range(m))
 
 
+def _cleared_walls(d: ToricDivisor) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(N, (N a_i), (N D.D_i)) for a class on a surface fan, with N the lcm
+    of the coefficient denominators."""
+    den, a = clear_denominators(d.coeffs)
+    walls = tuple(a[p] + a[n] - c * a[i] for i, (p, n, c) in enumerate(_wall_data(d.fan)))
+    return den, a, walls
+
+
 def wall_pairings(d: ToricDivisor) -> tuple[Fraction, ...]:
     """D . D_i = a_{i-1} + a_{i+1} - c_i a_i for every ray i of a surface
     fan, in ray order.  Every surface positivity question reads their
     signs: D is ample (nef) iff all are positive (nonnegative)."""
-    a = d.coeffs
-    return tuple(
-        a[prev_i] + a[next_i] - c * a[i]
-        for i, (prev_i, next_i, c) in enumerate(_wall_data(d.fan))
-    )
+    den, _, walls = _cleared_walls(d)
+    return tuple(Fraction(x, den) for x in walls)
 
 
 def wall_table(d: ToricDivisor) -> ConstraintTable:
@@ -408,7 +427,9 @@ def intersection_number(d: ToricDivisor, e: ToricDivisor) -> Fraction:
     """
     if d.fan != e.fan:
         raise ValidationError("divisors live on different fans")
-    return sum((b * p for b, p in zip(e.coeffs, wall_pairings(d))), Fraction(0))
+    den, _, walls = _cleared_walls(d)
+    e_den, b = clear_denominators(e.coeffs)
+    return Fraction(sum(map(operator.mul, b, walls)), den * e_den)
 
 
 def mixed_volume_intersection(divisors) -> Fraction:

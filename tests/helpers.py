@@ -1,26 +1,37 @@
-"""Serializers, lattice transforms and a slice that only the tests use.
+"""Serializers, lattice transforms, a slice and a Fraction reference that
+only the tests use.
 
 The CLI reads fans, divisors, polytopes and Picard classes from JSON files;
 these write them back, so the tests can check the readers by round trips.
+`reference_symmetry` is the Fraction route to the alpha invariant that the
+integer path in `alpha.py` replaced; the tests play the two against each
+other.
 """
+
+from fractions import Fraction
 
 from kproper.picard import PicardClass
 from kproper.polytope import (
     LinearEquation,
     Polytope,
     _canonical_halfspace,
+    make_polytope,
     vertices,
 )
 from kproper.properness import AbstractSlice, abstract_slice
 from kproper.rationals import (
     ValidationError,
+    dot,
     format_rational,
+    identity_matrix,
     is_unimodular,
     mat_vec,
     solve_exact,
+    solve_linear_system,
     transpose,
+    vec_sub,
 )
-from kproper.toric import Fan, ToricDivisor
+from kproper.toric import Fan, ToricDivisor, angular_order, fan_automorphisms
 
 
 def fan_to_json(fan: Fan) -> dict:
@@ -81,3 +92,69 @@ def transform_fan(fan: Fan, g) -> Fan:
 def canonical_polarization_slice(n: int, volume=1) -> AbstractSlice:
     """The slice of (X, K) with K ample: L = K, so all pairings coincide."""
     return abstract_slice(n, volume, volume, [("canonical test curve", 1, 1)])
+
+
+def reference_symmetry(d: ToricDivisor, mode: str = "full", explicit_group=()):
+    """(alpha, stabilizer, centered coefficients, centered vertex cycle) of an
+    ample class on a smooth surface fan, all in Fractions.
+
+    The vertices are the cone functionals by Fraction elimination, in the
+    angular order of the rays; the barycenter is the triangle-fan formula
+    from the first vertex; the stabilizer is tested by Fraction
+    matrix-vector products; the fixed subpolytope is enumerated from its
+    half-planes and the equations (g^T - I) y = 0; alpha is 1 over the
+    largest <v, u_i> + a_i' on its vertices."""
+    fan = d.fan
+    order = angular_order(fan)
+    cycle = []
+    for i, j in zip(order, order[1:] + order[:1]):
+        point, null = solve_linear_system([fan.rays[i], fan.rays[j]], [-d.coeffs[i], -d.coeffs[j]])
+        assert not null
+        cycle.append(point)
+    base = cycle[0]
+    area, acc = Fraction(0), [Fraction(0), Fraction(0)]
+    for a, b in zip(cycle[1:], cycle[2:]):
+        u, v = vec_sub(a, base), vec_sub(b, base)
+        part = (u[0] * v[1] - u[1] * v[0]) / 2
+        area += part
+        for k in range(2):
+            acc[k] += part * (base[k] + a[k] + b[k]) / 3
+    beta = (acc[0] / area, acc[1] / area)
+    centered = tuple(vec_sub(v, beta) for v in cycle)
+    coeffs = tuple(a + dot(beta, u) for a, u in zip(d.coeffs, fan.rays))
+    if mode == "torus":
+        group = ()
+    elif mode == "full":
+        group = tuple(g for g in fan_automorphisms(fan) if _preserves(g, centered))
+    else:
+        group = group_closure(explicit_group)
+    eye = identity_matrix(fan.dim)
+    equations = [
+        (tuple(a - b for a, b in zip(row_g, row_i)), 0)
+        for g in group
+        for row_g, row_i in zip(transpose(g), eye)
+        if row_g != row_i
+    ]
+    fixed = make_polytope(fan.dim, [(u, -a) for u, a in zip(fan.rays, coeffs)], equations)
+    worst = max(dot(v, u) + a for v in vertices(fixed) for u, a in zip(fan.rays, coeffs))
+    return 1 / worst, group, coeffs, centered
+
+
+def _preserves(g, points) -> bool:
+    gt = transpose(g)
+    return {tuple(mat_vec(gt, v)) for v in points} == set(points)
+
+
+def group_closure(generators) -> tuple:
+    """The finite matrix group generated by integer matrices, sorted."""
+    gens = [tuple(tuple(int(x) for x in row) for row in g) for g in generators]
+    group = {identity_matrix(len(gens[0]))} | set(gens)
+    while True:
+        products = {
+            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*h)) for row in g)
+            for g in group
+            for h in group
+        }
+        if products <= group:
+            return tuple(sorted(group))
+        group |= products

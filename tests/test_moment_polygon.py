@@ -91,6 +91,12 @@ def reference_area_and_centroid(cycle):
     return area, (acc[0] / area, acc[1] / area)
 
 
+def fraction_cycle(p):
+    """The polygon's recorded counterclockwise cycle, as Fraction points."""
+    den, cycle = p._cycle_cache
+    return tuple(tuple(F(x, den) for x in v) for v in cycle)
+
+
 def lattice_length(d):
     """|d| over the primitive integer vector in its direction, read off one
     nonzero coordinate."""
@@ -114,7 +120,7 @@ def test_ample_polygon_from_cones_matches_enumeration(d, t):
         volume(fresh), barycenter(fresh), boundary_measure(fresh)
     )
 
-    cycle = p._cycle_cache
+    cycle = fraction_cycle(p)
     n = len(cycle)
     assert n == d.fan.n_rays and set(cycle) == set(vertices(p))
     # positive orientation: every turn is a strict left turn
@@ -132,7 +138,7 @@ def test_ample_polygon_from_cones_matches_enumeration(d, t):
     assert (volume(p), barycenter(p), boundary_measure(p)) == (area, centroid, length)
 
     moved = translate(p, t)
-    assert moved._cycle_cache == tuple(tuple(x + y for x, y in zip(v, t)) for v in cycle)
+    assert fraction_cycle(moved) == tuple(tuple(x + y for x, y in zip(v, t)) for v in cycle)
     moved_fresh = make_polytope(2, [(h.normal, h.offset) for h in moved.hrep])
     assert vertices(moved) == vertices(moved_fresh)
     assert volume(moved) == volume(p)
