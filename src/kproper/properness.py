@@ -22,11 +22,16 @@ exact open interval.  Sweeps refine the feasible lambda-window endpoints by
 bisection.  Every sweep family carries its alpha as integer pieces, alpha
 (L_lambda) = den / max(e + f lambda): the supplied dp1 bound, or the
 G-averaged coefficients of a toric family whose symmetry group fixes no
-line.  A sweep decides each grid and bisection point by the integer cut
-loop against those pieces, and runs the certified probe only at both ends
-of every bracket, at the witness and at the endpoint checks; each probe's
-alpha cap must match the pieces.  A family without alpha pieces is
-rejected, not probed point by point.
+line.  Cleared of positive denominators, the cut loop's comparisons
+against those pieces are signs of linear and cubic integer polynomials in
+lambda, so each family certifies its whole lambda range once, by Descartes
+bisection, into feasible, infeasible, endpoint and uncertified pieces; the
+certificate does not depend on epsilon.  A sweep decides each grid and
+bisection point by a lookup in it (the cut loop where it decides nothing),
+and runs the certified probe only at both ends of every bracket, at the
+witness and at the endpoint checks; each probe's alpha cap must match the
+pieces.  A family without alpha pieces is rejected, not probed point by
+point.
 
 All three curve lists are one ConstraintTable per class (rationals.py),
 built by wall_table, curve_table or abstract_slice, and _backend is the one
@@ -38,7 +43,7 @@ one surface backend and reads its rows, its forms L_lambda^2 and K.L_lambda
 and its ampleness test off the tables of L_0, L_1 and the slope class; only
 its alpha depends on the backend.  The builtin families dp6 and dp1 are
 built once per process, on first use, and keep that lambda-independent
-data.
+data; the certificate is built on their first sweep.
 
 The reports are plain dataclasses; their JSON form is written and read in
 cli.py alone.  A check report's verdict is derived from its conditions, as
@@ -541,6 +546,14 @@ class Family:
         ])
         return den, tuple(sorted(set(zip(flat[::2], flat[1::2]))))
 
+    @functools.cached_property
+    def certificate(self) -> "LambdaCertificate":
+        """The exact partition of the lambda range into feasible, infeasible,
+        endpoint and uncertified pieces; it does not depend on epsilon, so
+        every sweep of the family reads the one built on its first sweep.
+        It needs the alpha pieces."""
+        return _certify(self)
+
 
 @functools.cache
 def dp6_family() -> Family:
@@ -701,15 +714,305 @@ def _verify_interval(family, lam, epsilon, interval, mu1, alpha1, alpha_label, a
 
 
 # ---------------------------------------------------------------------------
+# the lambda certificate
+
+# Subdivisions of the certified range after which an undecided piece is left
+# uncertified; both builtin ranges are decided at depth 5 or less.
+CERTIFICATE_MAX_DEPTH = 24
+
+
+class CertifiedPiece(NamedTuple):
+    """An open piece (lo, hi) of the certified lambda range (None is an
+    unbounded end) with its verdict: "feasible", "infeasible", "endpoint"
+    (its polynomial has one simple root inside and every other one is
+    positive) or "uncertified".  An infeasible or endpoint piece names the
+    (row label, condition, alpha piece) of its polynomial, whose integer
+    coefficients come lowest degree first."""
+
+    lo: Fraction | None
+    hi: Fraction | None
+    verdict: str
+    triple: tuple | None = None
+    poly: tuple | None = None
+
+
+@dataclass(frozen=True)
+class LambdaCertificate:
+    """An exact partition of the lambda range on which every row and every
+    alpha piece of a family is positive, built by Family.certificate."""
+
+    pieces: tuple[CertifiedPiece, ...]
+
+    @functools.cached_property
+    def _lookup(self):
+        """(nums, dens, slots): the finite piece ends as integer pairs, in
+        order, and for each gap between them the polynomial whose sign
+        decides it, or None where the certificate decides nothing."""
+        ends, slots = [], []
+        for piece in self.pieces:
+            if piece.lo is not None:
+                ends.append(piece.lo)
+                if not slots:
+                    slots.append(None)
+            slots.append({"feasible": (1,), "infeasible": (0,),
+                          "endpoint": piece.poly}.get(piece.verdict))
+        if self.pieces and self.pieces[-1].hi is not None:
+            ends.append(self.pieces[-1].hi)
+            slots.append(None)
+        return (tuple(e.numerator for e in ends), tuple(e.denominator for e in ends),
+                tuple(slots) or (None,))
+
+    def feasible_at(self, lam: Fraction) -> bool | None:
+        """The verdict at lambda = p/q, found by a binary search that compares
+        by cross-multiplication, or None at a piece end, in an uncertified
+        piece and outside the range."""
+        p, q = lam.numerator, lam.denominator
+        nums, dens, slots = self._lookup
+        lo, hi = 0, len(nums)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if nums[mid] * q < p * dens[mid]:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo < len(nums) and nums[lo] * q == p * dens[lo]:
+            return None
+        poly = slots[lo]
+        return None if poly is None else _value(poly, p, q) > 0
+
+
+def _value(c, p, q) -> int:
+    """q^d P(p/q) for P = c[0] + c[1] x + ... + c[d] x^d and q > 0, which has
+    the sign of P(p/q)."""
+    v, qk = c[-1], 1
+    for ci in c[-2::-1]:
+        qk *= q
+        v = v * p + ci * qk
+    return v
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _cut_polynomials(family):
+    """[(coefficients, (row label, condition, alpha piece)), ...], one per
+    distinct primitive polynomial, in the rows' tie order.
+
+    At an ample lambda where every alpha piece is positive, the cut loop
+    calls lambda feasible exactly when every cut c of conditions (2) and (3)
+    and every alpha piece e + f lambda have n c (e + f lambda) < (n+1) den.
+    With l = B + S lambda > 0, Q = M L^2 > 0 and K = M K.L, the cuts are
+    -k / l and (-n K l + (n-1) k Q) / (Q l); cleared of those positive
+    denominators, the comparisons are P > 0 for the linear and cubic
+      condition (2):  (n+1) den l + n k (e + f lambda),
+      condition (3):  (n+1) den Q l + n (e + f lambda)(n K l - (n-1) k Q)."""
+    n = family.dim
+    labels, rows = family.pairing_data
+    a0, a1, a2, k0, k1 = family.forms
+    den, pieces = family.alpha_pieces
+    l_sq, k_dot_l = (a0, a1, a2), (k0, k1)
+    polys = {}
+    for label, (b, s, k) in zip(labels, rows):
+        row = (b, s)
+        q_l = _poly_mul(l_sq, row)
+        inner = [n * x - (n - 1) * k * y for x, y in zip(_poly_mul(k_dot_l, row), l_sq)]
+        for e, f in pieces:
+            cond2 = [(n + 1) * den * x + n * k * y for x, y in zip(row, (e, f))]
+            cond3 = [(n + 1) * den * x + n * y for x, y in zip(q_l, _poly_mul((e, f), inner))]
+            for cond, poly in ((2, cond2), (3, cond3)):
+                polys.setdefault(_primitive_poly(poly), (label, cond, (e, f)))
+    return list(polys.items())
+
+
+def _primitive_poly(c) -> tuple:
+    """c without its trailing zeros, divided by the gcd of its coefficients."""
+    c = list(c)
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    g = math.gcd(*c) or 1
+    return tuple(x // g for x in c)
+
+
+def _certified_range(family):
+    """(lo, hi) of the open set where every row B + S lambda and every alpha
+    piece e + f lambda is positive, None for an unbounded end, or None when
+    the set is empty."""
+    _, rows = family.pairing_data
+    lo = hi = None
+    for b, s in [row[:2] for row in rows] + list(family.alpha_pieces[1]):
+        if s == 0:
+            if b <= 0:
+                return None
+        elif s > 0:
+            lo = Fraction(-b, s) if lo is None else max(lo, Fraction(-b, s))
+        else:
+            hi = Fraction(-b, s) if hi is None else min(hi, Fraction(-b, s))
+    if lo is not None and hi is not None and lo >= hi:
+        return None
+    return lo, hi
+
+
+def _certify(family) -> LambdaCertificate:
+    """The certificate over the family's certified range, by Descartes
+    bisection (Vincent's theorem, as in Collins-Akritas): a polynomial whose
+    Moebius transform to (0, oo) has no sign variation has no root on the
+    piece and the sign of its coefficients there.  M L^2 leads the list of
+    polynomials to prove positive, and a piece where it is negative
+    raises."""
+    bounds = _certified_range(family)
+    if bounds is None:
+        return LambdaCertificate(())
+    a0, a1, a2, _, _ = family.forms
+    active = [(_primitive_poly((a0, a1, a2)), None)] + _cut_polynomials(family)
+    active = [_Poly(poly, triple, poly + (0,) * (4 - len(poly))) for poly, triple in active]
+    out = []
+    _certify_piece(family, active, *bounds, 0, out)
+    return LambdaCertificate(tuple(out))
+
+
+class _Poly(NamedTuple):
+    poly: tuple
+    # the triple it comes from; None for M L^2
+    triple: tuple | None
+    # poly padded to a cubic, which leaves its sign variations as they are
+    padded: tuple
+
+
+def _certify_piece(family, active, lo, hi, depth, out):
+    """Append the pieces of (lo, hi) to out: active holds the polynomials
+    not yet proved positive on it, M L^2 first while it is one of them."""
+    if lo is None and hi is None:
+        # no Moebius map covers the whole line; split it at 0
+        signs = [(1, 0)] * len(active)
+    else:
+        signs = _descartes(active, lo, hi)
+    negative, rest = None, []
+    for p, (variations, sign) in zip(active, signs):
+        if variations:
+            rest.append((p, variations))
+        elif sign <= 0:
+            if p.triple is None:
+                _forms_at(family, _split_point(lo, hi))
+            negative = negative or p
+    open_l_sq = bool(rest) and rest[0][0].triple is None
+    if negative and not open_l_sq:
+        out.append(CertifiedPiece(lo, hi, "infeasible", negative.triple, negative.poly))
+        return
+    if not rest:
+        out.append(CertifiedPiece(lo, hi, "feasible"))
+        return
+    root = None
+    if depth < CERTIFICATE_MAX_DEPTH:
+        roots = (_rational_root(p.poly, lo, hi) for p, _ in rest)
+        root = next((r for r in roots if r is not None), None)
+    if root is None and not negative and len(rest) == 1 and rest[0][1] == 1 and not open_l_sq:
+        p = rest[0][0]
+        out.append(CertifiedPiece(lo, hi, "endpoint", p.triple, p.poly))
+        return
+    if depth == CERTIFICATE_MAX_DEPTH:
+        out.append(CertifiedPiece(lo, hi, "uncertified"))
+        return
+    cut = _split_point(lo, hi) if root is None else root
+    active = [p for p, _ in rest] + ([negative] if negative else [])
+    _certify_piece(family, active, lo, cut, depth + 1, out)
+    _certify_piece(family, active, cut, hi, depth + 1, out)
+
+
+def _split_point(lo, hi) -> Fraction:
+    """A point of (lo, hi): the midpoint of a bounded piece; an unbounded end
+    doubles the distance from the finite one (or from 0)."""
+    if lo is not None and hi is not None:
+        return (lo + hi) / 2
+    if lo is not None:
+        return lo + max(1, abs(lo))
+    if hi is not None:
+        return hi - max(1, abs(hi))
+    return Fraction(0)
+
+
+def _descartes(active, lo, hi):
+    """(sign variations, sign of the last nonzero coefficient) of each cubic
+    P's Moebius transform for (lo, hi), in integers: (1 + x)^3 P((lo + hi x)
+    / (1 + x)) on a bounded piece, P(lo + x) or P(hi - x) on an unbounded
+    one, each times a positive integer."""
+    a, w = (lo, 1) if hi is None else (hi, -1) if lo is None else (lo, hi - lo)
+    an, ad = a.numerator, a.denominator
+    w = Fraction(w)
+    wn, wd = ad * w.numerator, w.denominator
+    # P(a + w x) = P((an + wn x / wd) / ad), cleared: shift ad^3 P(y / ad) by an
+    a_scale = (ad**3, ad**2, ad, 1)
+    w_scale = (wd**3, wn * wd**2, wn * wn * wd, wn**3)
+    bounded = lo is not None and hi is not None
+    out = []
+    for p in active:
+        c = _taylor_shift([x * s for x, s in zip(p.padded, a_scale)], an)
+        c = [x * s for x, s in zip(c, w_scale)]
+        if bounded:
+            c = _taylor_shift(c[::-1], 1)
+        out.append(_variations(c))
+    return out
+
+
+def _taylor_shift(c, s):
+    """The coefficients of P(x + s), by repeated synthetic division."""
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += s * c[j + 1]
+    return c
+
+
+def _variations(c):
+    """(sign changes along c, its last nonzero entry), zeros skipped."""
+    variations, last = 0, 0
+    for x in c:
+        if x:
+            if (x > 0) != (last > 0) and last:
+                variations += 1
+            last = x
+    return variations, last
+
+
+def _rational_root(poly, lo, hi) -> Fraction | None:
+    """A rational root of poly inside (lo, hi), when one is cheap to find.
+
+    By the rational root theorem a root p/q in lowest terms has q dividing
+    the leading coefficient c, so c times the root is an integer: a linear
+    poly's root is read off, and a higher one's candidates m / c are tried
+    once the bounded piece holds at most two of them."""
+    if len(poly) == 2:
+        root = Fraction(-poly[0], poly[1])
+    elif lo is None or hi is None:
+        return None
+    else:
+        lead = abs(poly[-1])
+        first = (lead * lo.numerator) // lo.denominator + 1
+        last = -((-lead * hi.numerator) // hi.denominator) - 1
+        if last - first > 1:
+            return None
+        root = next((Fraction(m, lead) for m in range(first, last + 1)
+                     if _value(poly, m, lead) == 0), None)
+    inside = root is not None and (lo is None or lo < root) and (hi is None or root < hi)
+    return root if inside else None
+
+
+# ---------------------------------------------------------------------------
 # lambda sweeps
 
-# Each grid point is one decision: a pass over the family's distinct rows
-# (tens of microseconds).
+# Each grid point is one decision: a lookup in the family's certificate
+# (about a microsecond), or the cut loop over its distinct rows where the
+# certificate decides nothing.
 MAX_GRID_POINTS = 100_000
 # Each bisection step is one more decision, and halving one grid step down
 # to refine_tol takes ceil(log2(step / refine_tol)) of them (about 14 at the
-# acceptance settings); decisions also slow down as the digits grow.
+# acceptance settings); each step also adds a bit to the bracket ends.
 MAX_BISECTION_STEPS = 64
+# Each conjectured endpoint costs three exact probes.
+MAX_CONJECTURED_ENDPOINTS = 100
 
 
 @dataclass(frozen=True)
@@ -763,7 +1066,8 @@ def sweep_lambda(
 
     Points where the class is not ample count as infeasible; any other
     error propagates.  Grid and bisection points are decided by _feasibility:
-    the cut loop against the family's alpha pieces.  Both ends of every
+    a lookup in the family's certificate, or the cut loop against its alpha
+    pieces where the certificate decides nothing.  Both ends of every
     bracket and the witness are then run through the exact, certified
     feasible_scale_interval probe, and a probe that disagrees with the
     decision raises.  So the emitted brackets are certificates: the bracket
@@ -771,8 +1075,9 @@ def sweep_lambda(
     exact endpoints are verified by exact probes at the endpoint itself and
     on both sides at distance refine_tol.
 
-    The grid may hold at most MAX_GRID_POINTS points, and one grid step may
-    need at most MAX_BISECTION_STEPS halvings to reach refine_tol; larger
+    The grid may hold at most MAX_GRID_POINTS points, one grid step may
+    need at most MAX_BISECTION_STEPS halvings to reach refine_tol, and at
+    most MAX_CONJECTURED_ENDPOINTS endpoints may be conjectured; larger
     requests, epsilon <= 0 and families without alpha pieces are rejected
     before any decision.
     """
@@ -797,6 +1102,12 @@ def sweep_lambda(
         raise InputError(
             f"bisecting one grid step down to refine_tol would take {halvings} steps; "
             f"the cap is {MAX_BISECTION_STEPS} (raise refine_tol or lower step)"
+        )
+    conjectured_endpoints = tuple(conjectured_endpoints)
+    if len(conjectured_endpoints) > MAX_CONJECTURED_ENDPOINTS:
+        raise InputError(
+            f"{len(conjectured_endpoints)} conjectured endpoints, at three exact probes "
+            f"each; the cap is {MAX_CONJECTURED_ENDPOINTS}"
         )
     grid = [lambda_min + k * step for k in range(points)]
     feasible, probe = _feasibility(family, epsilon)
@@ -883,8 +1194,11 @@ def _feasibility(family, epsilon):
     probe does.
 
     probe runs the certified feasible_scale_interval, whose alpha cap is
-    checked against the family's alpha pieces.  decide runs the same cut
-    loop against the pieces in integers, with no certificate.  A family
+    checked against the family's alpha pieces.  decide looks lambda up in
+    the family's certificate: a feasible or infeasible piece answers, an
+    endpoint piece costs one evaluation of its polynomial.  At a piece end,
+    in an uncertified piece and outside the certified range it runs the
+    probe's cut loop against the pieces in integers instead.  A family
     without alpha pieces is rejected."""
     # a threefold family fails here, before its alpha is looked at
     family.pairing_data
@@ -895,20 +1209,29 @@ def _feasibility(family, epsilon):
             f"sweeps need a closed-form alpha; the symmetry group of family "
             f'"{family.name}" fixes a line'
         )
-    den, n = pieces[0], family.dim
+    certificate = family.certificate
 
     def probe(lam: Fraction) -> bool:
         ample = family.is_ample_at(lam)
         return ample and not feasible_scale_interval(family, lam, epsilon).is_empty
 
     def decide(lam: Fraction) -> bool:
-        if not family.is_ample_at(lam):
-            return False
-        num, cut_den, _ = _lower_cut(family, lam)
-        # num / cut_den < (n+1)/n * alpha, cleared of the positive denominators
-        return n * num * _alpha_denominator(pieces, lam) < (n + 1) * den * lam.denominator * cut_den
+        verdict = certificate.feasible_at(lam)
+        return _decide_by_cuts(family, lam) if verdict is None else verdict
 
     return decide, probe
+
+
+def _decide_by_cuts(family, lam: Fraction) -> bool:
+    """The cut loop against the alpha pieces, in integers, with no
+    certificate."""
+    if not family.is_ample_at(lam):
+        return False
+    den, n = family.alpha_pieces[0], family.dim
+    num, cut_den, _ = _lower_cut(family, lam)
+    # num / cut_den < (n+1)/n * alpha, cleared of the positive denominators
+    return (n * num * _alpha_denominator(family.alpha_pieces, lam)
+            < (n + 1) * den * lam.denominator * cut_den)
 
 
 def _alpha_denominator(pieces, lam: Fraction) -> int:

@@ -1,0 +1,204 @@
+"""The exact lambda certificate of a family, and sweep decisions read from it.
+
+`Family.certificate` partitions the range where every row and every alpha
+piece is positive into feasible, infeasible, endpoint and uncertified
+pieces, by Descartes bisection on the linear and cubic polynomials that the
+cut loop's comparisons clear to.  These tests hold it to:
+
+- the windows of dp6 and dp1 derived with sympy from the geometry alone;
+- the sympy root of the cubic that ends the window of an r = 2 pencil;
+- the cut loop, on random Picard and toric pencils, at random lambdas, at
+  every piece end and next to each end;
+- byte-identical acceptance sweeps with every decision made by the cut loop;
+- one build per family and process, never at import.
+"""
+
+import json
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+sp = pytest.importorskip("sympy")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from test_family_window import (  # noqa: E402
+    LAM,
+    _dp1_window,
+    _dp6_window,
+    _outcome,
+    lambdas,
+    picard_pencils,
+    toric_pencils,
+)
+from test_golden import GOLDEN, SWEEPS  # noqa: E402
+
+from kproper import properness  # noqa: E402
+from kproper.cli import render_report  # noqa: E402
+from kproper.picard import BlowupSurface  # noqa: E402
+from kproper.rationals import GeometryError  # noqa: E402
+from kproper.properness import (  # noqa: E402
+    Family,
+    _decide_by_cuts,
+    dp1_family,
+    dp6_family,
+    sweep_lambda,
+)
+
+F = Fraction
+BUILTIN = {"dp6": (dp6_family, _dp6_window, (F(1, 2), F(2))),
+           "dp1": (dp1_family, _dp1_window, (F(0), F(4, 3)))}
+
+
+def fresh(family) -> Family:
+    """The same pencil with no certificate built yet."""
+    return Family(family.name, family.base, family.slope)
+
+
+def ends(certificate):
+    return sorted({e for p in certificate.pieces for e in (p.lo, p.hi) if e is not None})
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_builtin_certificates_match_the_sympy_windows(name):
+    make, window, ample = BUILTIN[name]
+    pieces = make().certificate.pieces
+    # the pieces tile the ample range, which the alpha pieces do not cut
+    assert (pieces[0].lo, pieces[-1].hi) == ample
+    assert all(a.hi == b.lo for a, b in zip(pieces, pieces[1:]))
+    (feasible,) = [p for p in pieces if p.verdict == "feasible"]
+    assert sp.Interval.open(feasible.lo, feasible.hi) == window()
+    assert {p.verdict for p in pieces if p is not feasible} == {"infeasible"}
+    for piece in pieces:
+        # the named polynomial is negative on an infeasible piece
+        if piece.verdict == "infeasible":
+            poly = sp.Poly(list(reversed(piece.poly)), LAM)
+            mid = sp.Rational((piece.lo + piece.hi) / 2)
+            assert poly.eval(mid) <= 0
+            assert piece.triple[1] in (2, 3)
+
+
+def test_a_cubic_window_end_is_an_endpoint_piece():
+    # the r = 2 pencil of test_sweep_follows_a_window_end_set_by_condition_three
+    surface = BlowupSurface(2)
+    family = Family(
+        "r=2", surface.cls((F(25, 6), F(7, 3), F(4, 3))), surface.cls((F(9, 2), F(-1, 6), F(-1, 2)))
+    )
+    cubic = sp.Poly(4275 * LAM**3 - 19144 * LAM**2 - 17291 * LAM + 3842, LAM)
+    (root,) = [r for r in sp.real_roots(cubic) if F(5, 32) < r < F(3, 16)]
+    assert not root.is_rational
+    # rational a < root < b, 1e-20 apart
+    ((a, b),) = [(F(str(a)), F(str(b))) for (a, b), _ in cubic.intervals(eps=F(1, 10**20))
+                 if a <= root <= b]
+    (piece,) = [p for p in family.certificate.pieces if p.lo < a and b < p.hi]
+    assert piece.verdict == "endpoint"
+    assert piece.triple == ("curve (0, -1, 0)", 3, (2, -1))
+    # the piece's polynomial is the cubic up to a constant, with one root there
+    assert sp.Poly(list(reversed(piece.poly)), LAM).monic() == cubic.monic()
+    assert cubic.count_roots(sp.Rational(str(piece.lo)), sp.Rational(str(piece.hi))) == 1
+    # feasible on the right of the root: one evaluation of the cubic each side
+    assert family.certificate.feasible_at(a) is False
+    assert family.certificate.feasible_at(b) is True
+    assert _decide_by_cuts(family, a) is False and _decide_by_cuts(family, b) is True
+
+
+def _check_lookup_against_cut_loop(family, lams):
+    """The certificate answers like the cut loop wherever it answers, and
+    answers nothing at its piece ends."""
+    certificate = family.certificate
+    points = set(lams)
+    for end in ends(certificate):
+        assert certificate.feasible_at(end) is None
+        points |= {end, end - F(1, 10**9), end + F(1, 10**9)}
+    for lam in sorted(points):
+        verdict = certificate.feasible_at(lam)
+        if verdict is not None:
+            assert verdict == _outcome(lambda: _decide_by_cuts(family, lam)), lam
+
+
+@settings(max_examples=25, deadline=None)
+@given(picard_pencils(), lambdas)
+def test_lookup_matches_the_cut_loop_on_picard_pencils(family, lams):
+    if family is None:
+        return
+    _check_lookup_against_cut_loop(family, lams)
+
+
+@settings(max_examples=30, deadline=None)
+@given(toric_pencils(), lambdas)
+def test_lookup_matches_the_cut_loop_on_toric_pencils(pencil, lams):
+    family, _ = pencil
+    if family.alpha_pieces is None:
+        return
+    _check_lookup_against_cut_loop(family, lams)
+
+
+def _acceptance_sweep(family, name) -> str:
+    config = SWEEPS[f"sweep_{name}_acceptance"]
+    args = [F(config[key]) for key in ("lambda_min", "lambda_max", "step", "refine_tol",
+                                       "epsilon")]
+    ends = [F(e) for e in config["conjectured_endpoints"]]
+    return render_report(sweep_lambda(family, *args, ends))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_acceptance_sweeps_fall_back_to_the_cut_loop_at_piece_ends(name, monkeypatch):
+    # the grid points at the piece ends: dp6 at 1/2, 3/4, 6/5 and 2, dp1 at 0,
+    # 1/2 and 4/5; every bisection point lies inside a piece
+    calls = []
+    monkeypatch.setattr(properness, "_decide_by_cuts",
+                        lambda family, lam: calls.append(lam) or _decide_by_cuts(family, lam))
+    golden = (GOLDEN / f"sweep_{name}_acceptance.json").read_text(encoding="utf-8")
+    assert _acceptance_sweep(fresh(BUILTIN[name][0]()), name) == golden
+    assert set(calls) == {"dp6": {F(1, 2), F(3, 4), F(6, 5), F(2)},
+                         "dp1": {F(0), F(1, 2), F(4, 5)}}[name]
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_acceptance_sweeps_are_byte_identical_through_the_fallback(name, monkeypatch):
+    monkeypatch.setattr(properness, "CERTIFICATE_MAX_DEPTH", 0)
+    family = fresh(BUILTIN[name][0]())
+    assert {p.verdict for p in family.certificate.pieces} == {"uncertified"}
+    golden = (GOLDEN / f"sweep_{name}_acceptance.json").read_text(encoding="utf-8")
+    assert _acceptance_sweep(family, name) == golden
+
+
+def test_the_dp1_certificate_is_built_once_and_not_at_import():
+    code = """
+import json
+from fractions import Fraction as F
+import kproper.cli
+from kproper import properness
+built = [properness.dp1_family.cache_info().currsize, "certificate" in vars(properness.dp1_family())]
+calls = []
+original = properness._certify
+properness._certify = lambda family: calls.append(family.name) or original(family)
+for _ in range(2):
+    properness.sweep_lambda(properness.dp1_family(), F(0), F(4, 3), F(1, 10), F(1, 100))
+print(json.dumps([built, calls]))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={"PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[0, False], ["dp1"]]
+
+
+@pytest.mark.parametrize("l_sq", [(-1, 0, 0), (-1, 1, 0)], ids=["everywhere", "below 1"])
+def test_the_certificate_raises_where_l_squared_is_not_positive(l_sq):
+    # dp6 with its form M L^2 replaced: -1, or lambda - 1, negative on part of (1/2, 2)
+    family = fresh(dp6_family())
+    vars(family)["forms"] = l_sq + dp6_family().forms[3:]
+    with pytest.raises(GeometryError, match=r"internal inconsistency: L\^2 <= 0 at lambda"):
+        family.certificate
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(min_value=0, max_value=F(4, 3), max_denominator=10**6))
+def test_builtin_lookups_match_the_cut_loop(lam):
+    for make, _, _ in BUILTIN.values():
+        verdict = make().certificate.feasible_at(lam)
+        assert verdict in (None, _decide_by_cuts(make(), lam))

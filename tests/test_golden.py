@@ -35,6 +35,26 @@ SWEEPS = {
         "refine_tol": "1/1000",
         "conjectured_endpoints": ["4/5", "10/9"],
     },
+    # the acceptance settings of the CI smoke configs; their grids hit the
+    # window ends 6/5 and 4/5 exactly
+    "sweep_dp6_acceptance": {
+        "family": "dp6",
+        "epsilon": "1",
+        "lambda_min": "1/2",
+        "lambda_max": "2",
+        "step": "1/100",
+        "refine_tol": "1/1000000",
+        "conjectured_endpoints": ["5/6", "6/5"],
+    },
+    "sweep_dp1_acceptance": {
+        "family": "dp1",
+        "epsilon": "1",
+        "lambda_min": "0",
+        "lambda_max": "4/3",
+        "step": "1/100",
+        "refine_tol": "1/1000000",
+        "conjectured_endpoints": ["4/5", "10/9"],
+    },
 }
 
 # negative-c1 slice whose nef test fails on two curves with equal margin -1;

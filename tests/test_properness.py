@@ -9,6 +9,7 @@ from kproper import properness
 from kproper.cli import parse_report, render_report
 from kproper.picard import dp1_surface, is_ample_picard, pairing
 from kproper.properness import (
+    MAX_CONJECTURED_ENDPOINTS,
     MAX_GRID_POINTS,
     SCOPE_ALL,
     SCOPE_G,
@@ -328,6 +329,14 @@ def test_sweep_rejects_oversized_grid_before_building_it():
         sweep_lambda(dp6_family(), F(0), F(1), F(1, MAX_GRID_POINTS), F(1, 100))
     with pytest.raises(InputError, match="cap"):
         sweep_lambda(dp6_family(), F(0), F(10**9), F(1, 10**9), F(1, 100))
+
+
+def test_sweep_rejects_too_many_conjectured_endpoints_before_any_decision(monkeypatch):
+    # one endpoint more than the cap, handed over as a generator; nothing is decided
+    monkeypatch.setattr(properness, "_feasibility", None)
+    ends = (F(6, 5) for _ in range(MAX_CONJECTURED_ENDPOINTS + 1))
+    with pytest.raises(InputError, match=f"the cap is {MAX_CONJECTURED_ENDPOINTS}"):
+        sweep_lambda(dp6_family(), F(1, 2), F(2), F(1, 10), F(1, 100), F(1), ends)
 
 
 # ---------------------------------------------------------------------------
