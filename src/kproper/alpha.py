@@ -26,11 +26,12 @@ log-canonical thresholds
 
 which is an upper bound for the invariant, decreasing in the search depth.
 The oracle runs in integers end to end: it clears the coefficient
-denominators (alpha scales by 1/t under D -> tD), reads the points of k P
-back as integer vectors, applies the stabilizer as integer matrices with
-an integer shift, sums each orbit into one integer vector s, so that the
-vanishing order along D_i is <s, u_i> + N k a_i, and keeps the best
-threshold as an integer pair until one Fraction is built at the end.  Its
+denominators (alpha scales by 1/t under D -> tD), takes the integer points
+of k P from the scanline, applies the stabilizer as affine integer maps
+(each element's rows paired with its shift, built once per dilate), sums
+each orbit into one integer vector s, so that the vanishing order along
+D_i is <s, u_i> + N k a_i, and keeps the best threshold as an integer
+pair until one Fraction is built at the end.  Its
 work is capped before any enumeration: the integer bounding boxes of k P
 for k = 1..depth may hold at most MAX_ORACLE_POINTS points in all.
 The two routes are kept separate on purpose; the tests play them against
@@ -251,13 +252,11 @@ def alpha_oracle(ctx: SymmetryContext, k_max: int = 12) -> Fraction:
     # the least threshold k*size / worst so far is best_num / best_den; none while best_den is 0
     best_num, best_den = 0, 0
     for k in range(1, k_max + 1):
-        order = [
-            tuple([x.numerator * (k // x.denominator) for x in pt])
-            for pt in lattice_points(p_int, k)
-        ]
+        order = lattice_points(p_int, k)
         points = set(order) if actions else None
-        shifted = [(gt, tuple(k * t for t in tau)) for gt, tau in actions]
-        offsets = [k * a for a in int_coeffs]
+        # the affine map of each element on k P: its rows paired with k tau
+        maps = [tuple(zip(gt, [k * t for t in tau])) for gt, tau in actions]
+        ray_offsets = [(ray, k * a) for ray, a in zip(rays, int_coeffs)]
         seen: set = set()
         for z in order:
             if not actions:
@@ -266,10 +265,7 @@ def alpha_oracle(ctx: SymmetryContext, k_max: int = 12) -> Fraction:
             elif z in seen:
                 continue
             else:
-                orbit = {
-                    tuple([sum(map(mul, row, z)) - t for row, t in zip(gt, ktau)])
-                    for gt, ktau in shifted
-                }
+                orbit = {tuple([sum(map(mul, row, z)) - t for row, t in m]) for m in maps}
                 if not orbit <= points:
                     raise GeometryError(
                         "internal inconsistency: a stabilizer element moves a lattice point "
@@ -277,10 +273,10 @@ def alpha_oracle(ctx: SymmetryContext, k_max: int = 12) -> Fraction:
                     )
                 seen |= orbit
                 size = len(orbit)
-                s = [sum(col) for col in zip(*orbit)]
+                s = tuple(map(sum, zip(*orbit)))
             # the product section of the orbit vanishes to order
             # <s, u_i> + size*k*a_i along D_i, with s the sum of its points
-            denoms = [sum(map(mul, s, ray)) + size * offset for ray, offset in zip(rays, offsets)]
+            denoms = [sum(map(mul, s, ray)) + size * offset for ray, offset in ray_offsets]
             if min(denoms) < 0:
                 raise GeometryError(
                     "internal inconsistency: an orbit section has a negative vanishing order"

@@ -576,15 +576,14 @@ def preserves_vertices(g, cleared: frozenset) -> bool:
 
 
 def lattice_points(p: Polytope, k: int = 1) -> tuple:
-    """All points of p whose k-th multiple is a lattice point, sorted.
+    """The integer points of the dilate k*p as int tuples, sorted.
 
-    Enumerates the integer points z of the dilate k*p by scanline: the
-    first dim - 1 coordinates run over the integer bounding box, and for
-    each prefix the last coordinate takes an interval read off the cleared
-    half-spaces den*<z, n> >= num by floor and ceiling division, pinned by
-    the equalities through a divisibility test.  Points come out in
-    lexicographic order, so nothing is sorted; each is returned as z / k.
-    Unbounded input raises.
+    Scanline: the first dim - 1 coordinates run over the integer bounding
+    box of k*p, and for each prefix the last coordinate takes an interval
+    read off the half-spaces <z, den*n> >= k*num, whose offsets are cleared
+    to one denominator den once per call, by floor and ceiling division,
+    pinned by the equalities through a divisibility test.  Points come out
+    in lexicographic order, so nothing is sorted.  Unbounded input raises.
     """
     if not isinstance(k, int) or k < 1:
         raise GeometryError("lattice refinement k must be a positive integer")
@@ -594,41 +593,31 @@ def lattice_points(p: Polytope, k: int = 1) -> tuple:
     last = p.dim - 1
     lo = [ceil(min(v[i] for v in verts) * k) for i in range(p.dim)]
     hi = [floor(max(v[i] for v in verts) * k) for i in range(p.dim)]
-    # integer form of <z, n> >= k*c: den*<z, n> >= num with den > 0
-    ineqs = []
-    for hs in p.hrep:
-        bound = hs.offset * k
-        ineqs.append((hs.normal, bound.numerator, bound.denominator))
-    eqs = []
-    for e in p.equalities:
-        rhs = e.rhs * k
-        eqs.append((e.coeffs, rhs.numerator, rhs.denominator))
-    # the points share their coordinates, so each z_i / k is built once
-    frac = [[Fraction(x, k) for x in range(lo[i], hi[i] + 1)] for i in range(p.dim)]
+    normals = [hs.normal for hs in p.hrep] + [e.coeffs for e in p.equalities]
+    den, nums = clear_denominators([hs.offset for hs in p.hrep] + [e.rhs for e in p.equalities])
+    # <z, den*n> >= k*num for a half-space, = for an equality
+    rows = [(tuple(den * x for x in n), k * num) for n, num in zip(normals, nums)]
+    ineqs, eqs = rows[:len(p.hrep)], rows[len(p.hrep):]
     points = []
     for prefix in itertools.product(*(range(lo[i], hi[i] + 1) for i in range(last))):
         z_lo, z_hi = lo[last], hi[last]
-        for n, num, den in ineqs:
-            # den * n_last * z_last >= num - den * <prefix, n>
-            rest = num - den * sum(a * b for a, b in zip(prefix, n))
-            step = den * n[last]
+        for n, num in ineqs:
+            # n_last * z_last >= num - <prefix, n>
+            rest = num - sum(map(mul, prefix, n))
+            step = n[last]
             if step > 0:
                 z_lo = max(z_lo, -(-rest // step))
             elif step < 0:
                 z_hi = min(z_hi, rest // step)
             elif rest > 0:
                 z_hi = z_lo - 1
-        for c, num, den in eqs:
-            rest = num - den * sum(a * b for a, b in zip(prefix, c))
-            step = den * c[last]
+        for c, num in eqs:
+            rest = num - sum(map(mul, prefix, c))
+            step = c[last]
             if step and not rest % step:
                 z_lo = max(z_lo, rest // step)
                 z_hi = min(z_hi, rest // step)
             elif step or rest:
                 z_hi = z_lo - 1
-        if z_lo > z_hi:
-            continue
-        head = tuple(frac[i][x - lo[i]] for i, x in enumerate(prefix))
-        tail = frac[last]
-        points.extend(head + (tail[x - lo[last]],) for x in range(z_lo, z_hi + 1))
+        points.extend(prefix + (x,) for x in range(z_lo, z_hi + 1))
     return tuple(points)

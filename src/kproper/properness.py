@@ -1109,7 +1109,9 @@ def sweep_lambda(
             f"{len(conjectured_endpoints)} conjectured endpoints, at three exact probes "
             f"each; the cap is {MAX_CONJECTURED_ENDPOINTS}"
         )
-    grid = [lambda_min + k * step for k in range(points)]
+    # lambda_min = a/d and step = b/d over one denominator: one Fraction per point
+    d, (a, b) = clear_denominators((lambda_min, step))
+    grid = [Fraction(a + k * b, d) for k in range(points)]
     feasible, probe = _feasibility(family, epsilon)
     flags = [feasible(lam) for lam in grid]
     windows = []

@@ -23,13 +23,16 @@ import pytest
 
 pytest.importorskip("hypothesis")
 sp = pytest.importorskip("sympy")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_family_window import (  # noqa: E402
+    CUBIC_END_LAMBDAS,
     LAM,
     _dp1_window,
     _dp6_window,
     _outcome,
+    cubic_end_picard_pencil,
+    cubic_end_toric_pencil,
     lambdas,
     picard_pencils,
     toric_pencils,
@@ -38,7 +41,6 @@ from test_golden import GOLDEN, SWEEPS  # noqa: E402
 
 from kproper import properness  # noqa: E402
 from kproper.cli import render_report  # noqa: E402
-from kproper.picard import BlowupSurface  # noqa: E402
 from kproper.rationals import GeometryError  # noqa: E402
 from kproper.properness import (  # noqa: E402
     Family,
@@ -83,10 +85,7 @@ def test_builtin_certificates_match_the_sympy_windows(name):
 
 def test_a_cubic_window_end_is_an_endpoint_piece():
     # the r = 2 pencil of test_sweep_follows_a_window_end_set_by_condition_three
-    surface = BlowupSurface(2)
-    family = Family(
-        "r=2", surface.cls((F(25, 6), F(7, 3), F(4, 3))), surface.cls((F(9, 2), F(-1, 6), F(-1, 2)))
-    )
+    family = cubic_end_picard_pencil()
     cubic = sp.Poly(4275 * LAM**3 - 19144 * LAM**2 - 17291 * LAM + 3842, LAM)
     (root,) = [r for r in sp.real_roots(cubic) if F(5, 32) < r < F(3, 16)]
     assert not root.is_rational
@@ -121,6 +120,7 @@ def _check_lookup_against_cut_loop(family, lams):
 
 @settings(max_examples=25, deadline=None)
 @given(picard_pencils(), lambdas)
+@example(cubic_end_picard_pencil(), CUBIC_END_LAMBDAS["picard"])
 def test_lookup_matches_the_cut_loop_on_picard_pencils(family, lams):
     if family is None:
         return
@@ -129,6 +129,7 @@ def test_lookup_matches_the_cut_loop_on_picard_pencils(family, lams):
 
 @settings(max_examples=30, deadline=None)
 @given(toric_pencils(), lambdas)
+@example((cubic_end_toric_pencil(), True), CUBIC_END_LAMBDAS["toric"])
 def test_lookup_matches_the_cut_loop_on_toric_pencils(pencil, lams):
     family, _ = pencil
     if family.alpha_pieces is None:

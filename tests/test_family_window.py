@@ -21,7 +21,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 sp = pytest.importorskip("sympy")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_family_tables import AMPLE  # noqa: E402
 from test_wall_pairings import FANS  # noqa: E402
@@ -39,7 +39,7 @@ from kproper.properness import (  # noqa: E402
     sweep_lambda,
 )
 from kproper.rationals import GeometryError, InputError  # noqa: E402
-from kproper.toric import ToricDivisor  # noqa: E402
+from kproper.toric import ToricDivisor, dp6_fan  # noqa: E402
 
 F = Fraction
 LAM = sp.symbols("lam", real=True)
@@ -167,6 +167,28 @@ def _check_against_per_point(family, lams, epsilon):
 
 
 lambdas = st.lists(st.fractions(min_value=-2, max_value=3, max_denominator=40), min_size=4, max_size=8)
+
+
+def cubic_end_picard_pencil():
+    """An r = 2 pencil whose window ends at an irrational root of a cubic
+    condition-(3) polynomial, near 0.185628; feasible on its right."""
+    surface = BlowupSurface(2)
+    return Family(
+        "r=2", surface.cls((F(25, 6), F(7, 3), F(4, 3))), surface.cls((F(9, 2), F(-1, 6), F(-1, 2)))
+    )
+
+
+def cubic_end_toric_pencil():
+    """A centrally symmetric dp6 pencil (-I keeps every wall row, so it has
+    alpha pieces) whose window, about (-0.26310, 0.59644), ends at a root of
+    a cubic condition-(3) polynomial on either side."""
+    base, slope = (F(9, 4), F(35, 16), F(31, 16)) * 2, (F(0), F(-3, 4), F(3, 4)) * 2
+    return Family("symmetric", ToricDivisor(dp6_fan(), base), ToricDivisor(dp6_fan(), slope))
+
+
+# lambdas on both sides of each of those window ends
+CUBIC_END_LAMBDAS = {"picard": [F(0), F(9, 50), F(19, 100), F(1, 2)],
+                     "toric": [F(-27, 100), F(-13, 50), F(59, 100), F(3, 5)]}
 epsilons = st.sampled_from((F(1, 3), F(1), F(7, 2)))
 offsets = st.fractions(min_value=-1, max_value=1, max_denominator=12)
 
@@ -190,6 +212,7 @@ def picard_pencils(draw):
 
 @settings(max_examples=25, deadline=None)
 @given(picard_pencils(), lambdas, epsilons)
+@example(cubic_end_picard_pencil(), CUBIC_END_LAMBDAS["picard"], F(1))
 def test_decide_matches_probe_on_picard_pencils(family, lams, epsilon):
     if family is None:
         return
@@ -218,6 +241,7 @@ def toric_pencils(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(toric_pencils(), lambdas, epsilons)
+@example((cubic_end_toric_pencil(), True), CUBIC_END_LAMBDAS["toric"], F(1))
 def test_decide_matches_probe_on_toric_pencils(pencil, lams, epsilon):
     family, symmetric = pencil
     if symmetric:
@@ -245,10 +269,7 @@ def _per_point_sweep(family, *args):
 def test_sweep_follows_a_window_end_set_by_condition_three():
     # on this pencil the feasible side of the lower window end binds at
     # condition (3), which neither builtin family does
-    surface = BlowupSurface(2)
-    family = Family(
-        "r=2", surface.cls((F(25, 6), F(7, 3), F(4, 3))), surface.cls((F(9, 2), F(-1, 6), F(-1, 2)))
-    )
+    family = cubic_end_picard_pencil()
     args = (F(0), F(1, 2), F(1, 50), F(1, 10**4))
     report = sweep_lambda(family, *args)
     (window,) = report.windows

@@ -1,10 +1,11 @@
 """The scanline lattice points and the integer oracle against Fraction references.
 
 The references below are the bounding-box `lattice_points` that tests
-every point of the box against every half-plane, and the `alpha_oracle`
-that multiplies those points back by k and sums orbit products with
-Fraction dot products.  The integer paths must agree with them exactly:
-the same sorted point tuple, and the same threshold.
+every point of the box against every half-plane and returns the points
+z / k as Fractions, and the `alpha_oracle` that multiplies those points
+back by k and sums orbit products with Fraction dot products.  The integer
+paths must agree with them exactly: the same sorted points z, and the same
+threshold.
 """
 
 import itertools
@@ -34,7 +35,7 @@ from kproper.rationals import (  # noqa: E402
     transpose,
     vec_sub,
 )
-from kproper.toric import ToricDivisor, dp6_fan, is_ample, moment_polytope  # noqa: E402
+from kproper.toric import Fan, ToricDivisor, dp6_fan, is_ample, moment_polytope  # noqa: E402
 
 F = Fraction
 
@@ -63,6 +64,11 @@ def reference_lattice_points(p, k=1):
         if ok:
             points.append(tuple(Fraction(x, k) for x in z))
     return tuple(sorted(points))
+
+
+def reference_dilate_points(p, k):
+    """The reference points z / k times k, each checked to be integral."""
+    return tuple(integer_vector([x * k for x in pt]) for pt in reference_lattice_points(p, k))
 
 
 def reference_alpha_oracle(ctx, k_max):
@@ -165,20 +171,20 @@ ks = st.integers(1, 6)
 @settings(max_examples=100, deadline=None)
 @given(polytopes(2), ks)
 def test_lattice_points_match_reference_on_polygons(p, k):
-    assert lattice_points(p, k) == reference_lattice_points(p, k)
+    assert lattice_points(p, k) == reference_dilate_points(p, k)
 
 
 @settings(max_examples=30, deadline=None)
 @given(polytopes(3), ks)
 def test_lattice_points_match_reference_on_3_polytopes(p, k):
-    assert lattice_points(p, k) == reference_lattice_points(p, k)
+    assert lattice_points(p, k) == reference_dilate_points(p, k)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(sliced_polytopes(), fixed_polytopes()), ks)
 def test_lattice_points_match_reference_with_equalities(p, k):
     assert p.equalities
-    assert lattice_points(p, k) == reference_lattice_points(p, k)
+    assert lattice_points(p, k) == reference_dilate_points(p, k)
 
 
 @st.composite
@@ -198,4 +204,35 @@ def non_integral_dp6_classes(draw):
 def test_alpha_oracle_matches_reference(d, mode, depth):
     ctx = symmetry_context(d, mode)
     assert clear_denominators(d.coeffs)[0] > 1
+    assert alpha_oracle(ctx, depth) == reference_alpha_oracle(ctx, depth)
+
+
+THREEFOLD_FANS = (
+    # P^3
+    Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
+        ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
+    # P^1 x P^1 x P^1
+    Fan(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)),
+        tuple((i, j, k) for i in (0, 1) for j in (2, 3) for k in (4, 5))),
+)
+
+
+@st.composite
+def threefold_classes(draw):
+    """Ample classes n_i / q on P^3 and P^1 x P^1 x P^1 with q = 1 or 2.
+    Their stabilizers are never trivial: every centred simplex has the
+    symmetric group S_4, every centred box its reflections."""
+    fan = draw(st.sampled_from(THREEFOLD_FANS))
+    q = draw(st.sampled_from((1, 2)))
+    numerators = draw(st.tuples(*[st.integers(-1, 2)] * fan.n_rays))
+    d = ToricDivisor(fan, tuple(F(n, q) for n in numerators))
+    assume(is_ample(d))
+    return d
+
+
+@settings(max_examples=30, deadline=None)
+@given(threefold_classes(), st.sampled_from(("full", "torus")), st.integers(1, 3))
+def test_alpha_oracle_matches_reference_on_threefolds(d, mode, depth):
+    ctx = symmetry_context(d, mode)
+    assert (len(ctx.stabilizer) > 1) == (mode == "full")
     assert alpha_oracle(ctx, depth) == reference_alpha_oracle(ctx, depth)
