@@ -22,15 +22,16 @@ exact open interval.  Sweeps refine the feasible lambda-window endpoints by
 bisection.  Every sweep family carries its alpha as integer pieces, alpha
 (L_lambda) = den / max(e + f lambda): the supplied dp1 bound, or the
 G-averaged coefficients of a toric family whose symmetry group fixes no
-line.  Cleared of positive denominators, the cut loop's comparisons
+line.  Cleared of positive denominators, the probe's cut loop comparisons
 against those pieces are signs of linear and cubic integer polynomials in
 lambda, so each family certifies its whole lambda range once, by Descartes
-bisection, into feasible, infeasible, endpoint and uncertified pieces; the
-certificate does not depend on epsilon.  A sweep decides each grid and
-bisection point by a lookup in it (the cut loop where it decides nothing),
-and runs the certified probe only at both ends of every bracket, at the
-witness and at the endpoint checks; each probe's alpha cap must match the
-pieces.  A family without alpha pieces is rejected, not probed point by
+bisection, into feasible, infeasible, endpoint and uncertified pieces, and
+probes one point of each feasible and infeasible piece; the certificate
+does not depend on epsilon.  It decides every grid and bisection point of a
+sweep: by a lookup inside a piece, by the signs of the polynomials at lambda
+elsewhere.  The certified probe runs only at both ends of every bracket, at
+the witness and at the endpoint checks; each probe's alpha cap must match
+the pieces.  A family without alpha pieces is rejected, not probed point by
 point.
 
 All three curve lists are one ConstraintTable per class (rationals.py),
@@ -595,10 +596,10 @@ class OpenInterval:
         return OpenInterval(self.lo * t, self.hi * t)
 
 
-def _forms_at(family, lam: Fraction) -> tuple[int, int]:
-    """(L_lambda^2, K.L_lambda) at an ample lambda = p/q, both times M q^2;
-    L^2 <= 0 there means the rows are wrong, and raises."""
-    a0, a1, a2, k0, k1 = family.forms
+def _forms_at(forms, lam: Fraction) -> tuple[int, int]:
+    """(L_lambda^2, K.L_lambda) from a family's forms at an ample lambda = p/q,
+    both times M q^2; L^2 <= 0 there means the rows are wrong, and raises."""
+    a0, a1, a2, k0, k1 = forms
     p, q = lam.numerator, lam.denominator
     l_sq = a0 * q * q + a1 * p * q + a2 * p * p
     if l_sq <= 0:
@@ -610,7 +611,7 @@ def _forms_at(family, lam: Fraction) -> tuple[int, int]:
 
 
 def _family_mu(family, lam) -> Fraction:
-    l_sq, lk = _forms_at(family, Fraction(lam))
+    l_sq, lk = _forms_at(family.forms, Fraction(lam))
     return Fraction(-lk, l_sq)
 
 
@@ -679,7 +680,7 @@ def _lower_cut(family, lam: Fraction):
     # need not be reduced.  The strict comparison keeps the first constraint
     # in table order on ties.
     p, q = lam.numerator, lam.denominator
-    mu_d, lk = _forms_at(family, lam)
+    mu_d, lk = _forms_at(family.forms, lam)
     lo_num, lo_den, lo_label = 0, 1, "positive scale"
     for label, (b, s, k) in zip(labels, rows):
         lc = b * q + s * p
@@ -739,15 +740,20 @@ class CertifiedPiece(NamedTuple):
 @dataclass(frozen=True)
 class LambdaCertificate:
     """An exact partition of the lambda range on which every row and every
-    alpha piece of a family is positive, built by Family.certificate."""
+    alpha piece of a family is positive, built by Family.certificate, and
+    the family's rows, alpha pieces, forms and cut polynomials."""
 
     pieces: tuple[CertifiedPiece, ...]
+    rows: tuple
+    alpha_pieces: tuple
+    forms: tuple
+    cuts: tuple
 
     @functools.cached_property
     def _lookup(self):
         """(nums, dens, slots): the finite piece ends as integer pairs, in
         order, and for each gap between them the polynomial whose sign
-        decides it, or None where the certificate decides nothing."""
+        decides it, or None where no piece decides."""
         ends, slots = [], []
         for piece in self.pieces:
             if piece.lo is not None:
@@ -762,10 +768,10 @@ class LambdaCertificate:
         return (tuple(e.numerator for e in ends), tuple(e.denominator for e in ends),
                 tuple(slots) or (None,))
 
-    def feasible_at(self, lam: Fraction) -> bool | None:
-        """The verdict at lambda = p/q, found by a binary search that compares
-        by cross-multiplication, or None at a piece end, in an uncertified
-        piece and outside the range."""
+    def feasible_at(self, lam: Fraction) -> bool:
+        """Whether some scale passes all three conditions at lambda = p/q:
+        the polynomial of its piece, found by a binary search that compares
+        by cross-multiplication, or the pointwise rule where none decides."""
         p, q = lam.numerator, lam.denominator
         nums, dens, slots = self._lookup
         lo, hi = 0, len(nums)
@@ -775,10 +781,19 @@ class LambdaCertificate:
                 lo = mid + 1
             else:
                 hi = mid
-        if lo < len(nums) and nums[lo] * q == p * dens[lo]:
-            return None
-        poly = slots[lo]
-        return None if poly is None else _value(poly, p, q) > 0
+        poly = None if lo < len(nums) and nums[lo] * q == p * dens[lo] else slots[lo]
+        return self._pointwise(lam) if poly is None else _value(poly, p, q) > 0
+
+    def _pointwise(self, lam: Fraction) -> bool:
+        """A row B q + S p <= 0 makes lambda = p/q infeasible, an alpha piece
+        <= 0 or M L^2 <= 0 raises, and otherwise lambda is feasible when
+        every cut polynomial is positive there."""
+        p, q = lam.numerator, lam.denominator
+        if min(b * q + s * p for b, s, _ in self.rows) <= 0:
+            return False
+        _alpha_denominator(self.alpha_pieces, lam)
+        _forms_at(self.forms, lam)
+        return all(_value(c, p, q) > 0 for c in self.cuts)
 
 
 def _value(c, p, q) -> int:
@@ -803,9 +818,10 @@ def _cut_polynomials(family):
     """[(coefficients, (row label, condition, alpha piece)), ...], one per
     distinct primitive polynomial, in the rows' tie order.
 
-    At an ample lambda where every alpha piece is positive, the cut loop
-    calls lambda feasible exactly when every cut c of conditions (2) and (3)
-    and every alpha piece e + f lambda have n c (e + f lambda) < (n+1) den.
+    At an ample lambda where every alpha piece is positive, the probe's cut
+    loop (_lower_cut against the alpha cap) calls lambda feasible exactly
+    when every cut c of conditions (2) and (3) and every alpha piece
+    e + f lambda have n c (e + f lambda) < (n+1) den.
     With l = B + S lambda > 0, Q = M L^2 > 0 and K = M K.L, the cuts are
     -k / l and (-n K l + (n-1) k Q) / (Q l); cleared of those positive
     denominators, the comparisons are P > 0 for the linear and cubic
@@ -863,16 +879,33 @@ def _certify(family) -> LambdaCertificate:
     Moebius transform to (0, oo) has no sign variation has no root on the
     piece and the sign of its coefficients there.  M L^2 leads the list of
     polynomials to prove positive, and a piece where it is negative
-    raises."""
+    raises.  The pieces are then held to the checker by _check_pieces."""
+    cuts = _cut_polynomials(family)
     bounds = _certified_range(family)
-    if bounds is None:
-        return LambdaCertificate(())
-    a0, a1, a2, _, _ = family.forms
-    active = [(_primitive_poly((a0, a1, a2)), None)] + _cut_polynomials(family)
-    active = [_Poly(poly, triple, poly + (0,) * (4 - len(poly))) for poly, triple in active]
     out = []
-    _certify_piece(family, active, *bounds, 0, out)
-    return LambdaCertificate(tuple(out))
+    if bounds is not None:
+        a0, a1, a2, _, _ = family.forms
+        active = [(_primitive_poly((a0, a1, a2)), None)] + cuts
+        active = [_Poly(poly, triple, poly + (0,) * (4 - len(poly))) for poly, triple in active]
+        _certify_piece(family, active, *bounds, 0, out)
+        _check_pieces(family, out)
+    return LambdaCertificate(tuple(out), family.pairing_data[1], family.alpha_pieces,
+                             family.forms, tuple(poly for poly, _ in cuts))
+
+
+def _check_pieces(family, pieces):
+    """Probe one point inside each feasible and infeasible piece at epsilon
+    = 1 (the verdicts do not depend on it) with feasible_scale_interval,
+    which reads no cut polynomial; a probe that disagrees raises."""
+    for piece in pieces:
+        if piece.verdict in ("feasible", "infeasible"):
+            lam = _split_point(piece.lo, piece.hi)
+            if feasible_scale_interval(family, lam).is_empty == (piece.verdict == "feasible"):
+                raise GeometryError(
+                    f"internal inconsistency: the exact probe at lambda = "
+                    f"{format_rational(lam)} disagrees with the certificate's "
+                    f"{piece.verdict} piece"
+                )
 
 
 class _Poly(NamedTuple):
@@ -897,7 +930,7 @@ def _certify_piece(family, active, lo, hi, depth, out):
             rest.append((p, variations))
         elif sign <= 0:
             if p.triple is None:
-                _forms_at(family, _split_point(lo, hi))
+                _forms_at(family.forms, _split_point(lo, hi))
             negative = negative or p
     open_l_sq = bool(rest) and rest[0][0].triple is None
     if negative and not open_l_sq:
@@ -1003,9 +1036,9 @@ def _rational_root(poly, lo, hi) -> Fraction | None:
 # ---------------------------------------------------------------------------
 # lambda sweeps
 
-# Each grid point is one decision: a lookup in the family's certificate
-# (about a microsecond), or the cut loop over its distinct rows where the
-# certificate decides nothing.
+# Each grid point is one decision by the family's certificate: a lookup
+# inside a piece (about a microsecond), or the signs of its rows and cut
+# polynomials at a piece end (a few microseconds).
 MAX_GRID_POINTS = 100_000
 # Each bisection step is one more decision, and halving one grid step down
 # to refine_tol takes ceil(log2(step / refine_tol)) of them (about 14 at the
@@ -1065,12 +1098,12 @@ def sweep_lambda(
     feasible/infeasible transition down to the requested bracket width.
 
     Points where the class is not ample count as infeasible; any other
-    error propagates.  Grid and bisection points are decided by _feasibility:
-    a lookup in the family's certificate, or the cut loop against its alpha
-    pieces where the certificate decides nothing.  Both ends of every
-    bracket and the witness are then run through the exact, certified
-    feasible_scale_interval probe, and a probe that disagrees with the
-    decision raises.  So the emitted brackets are certificates: the bracket
+    error propagates.  Grid and bisection points are decided by _feasibility,
+    which reads the family's certificate alone: a lookup inside a piece, and
+    the signs of the family's integer polynomials at lambda elsewhere.  Both
+    ends of every bracket and the witness are then run through the exact,
+    certified feasible_scale_interval probe, and a probe that disagrees with
+    the decision raises.  So the emitted brackets are certificates: the bracket
     interior contains the true endpoint of the feasible window.  Conjectured
     exact endpoints are verified by exact probes at the endpoint itself and
     on both sides at distance refine_tol.
@@ -1196,44 +1229,25 @@ def _feasibility(family, epsilon):
     probe does.
 
     probe runs the certified feasible_scale_interval, whose alpha cap is
-    checked against the family's alpha pieces.  decide looks lambda up in
-    the family's certificate: a feasible or infeasible piece answers, an
-    endpoint piece costs one evaluation of its polynomial.  At a piece end,
-    in an uncertified piece and outside the certified range it runs the
-    probe's cut loop against the pieces in integers instead.  A family
-    without alpha pieces is rejected."""
+    checked against the family's alpha pieces.  decide is the family's
+    LambdaCertificate.feasible_at, which never runs the probe's cut loop,
+    so a probe at a bracket end checks the decision there: a lookup inside a
+    piece, the signs of the family's rows, alpha pieces and cut polynomials
+    elsewhere.  A family without alpha pieces is rejected."""
     # a threefold family fails here, before its alpha is looked at
     family.pairing_data
     epsilon = _positive_slack(epsilon)
-    pieces = family.alpha_pieces
-    if pieces is None:
+    if family.alpha_pieces is None:
         raise InputError(
             f"sweeps need a closed-form alpha; the symmetry group of family "
             f'"{family.name}" fixes a line'
         )
-    certificate = family.certificate
 
     def probe(lam: Fraction) -> bool:
         ample = family.is_ample_at(lam)
         return ample and not feasible_scale_interval(family, lam, epsilon).is_empty
 
-    def decide(lam: Fraction) -> bool:
-        verdict = certificate.feasible_at(lam)
-        return _decide_by_cuts(family, lam) if verdict is None else verdict
-
-    return decide, probe
-
-
-def _decide_by_cuts(family, lam: Fraction) -> bool:
-    """The cut loop against the alpha pieces, in integers, with no
-    certificate."""
-    if not family.is_ample_at(lam):
-        return False
-    den, n = family.alpha_pieces[0], family.dim
-    num, cut_den, _ = _lower_cut(family, lam)
-    # num / cut_den < (n+1)/n * alpha, cleared of the positive denominators
-    return (n * num * _alpha_denominator(family.alpha_pieces, lam)
-            < (n + 1) * den * lam.denominator * cut_den)
+    return family.certificate.feasible_at, probe
 
 
 def _alpha_denominator(pieces, lam: Fraction) -> int:

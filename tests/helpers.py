@@ -4,8 +4,9 @@ only the tests use.
 The CLI reads fans, divisors, polytopes and Picard classes from JSON files;
 these write them back, so the tests can check the readers by round trips.
 `reference_symmetry` is the Fraction route to the alpha invariant that the
-integer path in `alpha.py` replaced; the tests play the two against each
-other.
+integer path in `alpha.py` replaced, and `decide_by_cuts` is the cut loop
+that sweeps once ran where the lambda certificate had no piece; the tests
+play each against the code that replaced it.
 """
 
 from fractions import Fraction
@@ -18,7 +19,7 @@ from kproper.polytope import (
     make_polytope,
     vertices,
 )
-from kproper.properness import AbstractSlice, abstract_slice
+from kproper.properness import AbstractSlice, _alpha_denominator, _lower_cut, abstract_slice
 from kproper.rationals import (
     ValidationError,
     dot,
@@ -158,3 +159,15 @@ def group_closure(generators) -> tuple:
         if products <= group:
             return tuple(sorted(group))
         group |= products
+
+
+def decide_by_cuts(family, lam: Fraction) -> bool:
+    """The cut loop against the alpha pieces, in integers, with no
+    certificate."""
+    if not family.is_ample_at(lam):
+        return False
+    den, n = family.alpha_pieces[0], family.dim
+    num, cut_den, _ = _lower_cut(family, lam)
+    # num / cut_den < (n+1)/n * alpha, cleared of the positive denominators
+    return (n * num * _alpha_denominator(family.alpha_pieces, lam)
+            < (n + 1) * den * lam.denominator * cut_den)

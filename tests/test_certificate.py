@@ -3,13 +3,21 @@
 `Family.certificate` partitions the range where every row and every alpha
 piece is positive into feasible, infeasible, endpoint and uncertified
 pieces, by Descartes bisection on the linear and cubic polynomials that the
-cut loop's comparisons clear to.  These tests hold it to:
+cut loop's comparisons clear to.  Its `feasible_at` is the one decision
+route of a sweep: a lookup inside a piece, and the pointwise rule (the
+signs of the rows, the alpha pieces, M L^2 and the cut polynomials at
+lambda) at a piece end, in an uncertified piece and outside the range.
+These tests hold it to:
 
 - the windows of dp6 and dp1 derived with sympy from the geometry alone;
 - the sympy root of the cubic that ends the window of an r = 2 pencil;
-- the cut loop, on random Picard and toric pencils, at random lambdas, at
-  every piece end and next to each end;
-- byte-identical acceptance sweeps with every decision made by the cut loop;
+- the cut loop of `tests/helpers.py`, on random Picard and toric pencils,
+  at random lambdas, at every piece end and next to each end, raises
+  included;
+- the pointwise rule at exactly the piece ends that the acceptance sweeps
+  reach, and byte-identical acceptance sweeps with every piece uncertified;
+- the checker, which probes one point of each feasible and infeasible
+  piece when the certificate is built;
 - one build per family and process, never at import.
 """
 
@@ -25,6 +33,7 @@ pytest.importorskip("hypothesis")
 sp = pytest.importorskip("sympy")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from helpers import decide_by_cuts  # noqa: E402
 from test_family_window import (  # noqa: E402
     CUBIC_END_LAMBDAS,
     LAM,
@@ -44,7 +53,7 @@ from kproper.cli import render_report  # noqa: E402
 from kproper.rationals import GeometryError  # noqa: E402
 from kproper.properness import (  # noqa: E402
     Family,
-    _decide_by_cuts,
+    LambdaCertificate,
     dp1_family,
     dp6_family,
     sweep_lambda,
@@ -101,21 +110,19 @@ def test_a_cubic_window_end_is_an_endpoint_piece():
     # feasible on the right of the root: one evaluation of the cubic each side
     assert family.certificate.feasible_at(a) is False
     assert family.certificate.feasible_at(b) is True
-    assert _decide_by_cuts(family, a) is False and _decide_by_cuts(family, b) is True
+    assert decide_by_cuts(family, a) is False and decide_by_cuts(family, b) is True
 
 
 def _check_lookup_against_cut_loop(family, lams):
-    """The certificate answers like the cut loop wherever it answers, and
-    answers nothing at its piece ends."""
+    """The certificate answers like the cut loop, raises included, at every
+    lambda, at every piece end and next to each end."""
     certificate = family.certificate
     points = set(lams)
     for end in ends(certificate):
-        assert certificate.feasible_at(end) is None
         points |= {end, end - F(1, 10**9), end + F(1, 10**9)}
     for lam in sorted(points):
-        verdict = certificate.feasible_at(lam)
-        if verdict is not None:
-            assert verdict == _outcome(lambda: _decide_by_cuts(family, lam)), lam
+        assert (_outcome(lambda: certificate.feasible_at(lam))
+                == _outcome(lambda: decide_by_cuts(family, lam))), lam
 
 
 @settings(max_examples=25, deadline=None)
@@ -146,12 +153,13 @@ def _acceptance_sweep(family, name) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN))
-def test_acceptance_sweeps_fall_back_to_the_cut_loop_at_piece_ends(name, monkeypatch):
+def test_acceptance_sweeps_decide_piece_ends_by_the_pointwise_rule(name, monkeypatch):
     # the grid points at the piece ends: dp6 at 1/2, 3/4, 6/5 and 2, dp1 at 0,
     # 1/2 and 4/5; every bisection point lies inside a piece
     calls = []
-    monkeypatch.setattr(properness, "_decide_by_cuts",
-                        lambda family, lam: calls.append(lam) or _decide_by_cuts(family, lam))
+    original = LambdaCertificate._pointwise
+    monkeypatch.setattr(LambdaCertificate, "_pointwise",
+                        lambda self, lam: calls.append(lam) or original(self, lam))
     golden = (GOLDEN / f"sweep_{name}_acceptance.json").read_text(encoding="utf-8")
     assert _acceptance_sweep(fresh(BUILTIN[name][0]()), name) == golden
     assert set(calls) == {"dp6": {F(1, 2), F(3, 4), F(6, 5), F(2)},
@@ -201,5 +209,25 @@ def test_the_certificate_raises_where_l_squared_is_not_positive(l_sq):
 @given(st.fractions(min_value=0, max_value=F(4, 3), max_denominator=10**6))
 def test_builtin_lookups_match_the_cut_loop(lam):
     for make, _, _ in BUILTIN.values():
-        verdict = make().certificate.feasible_at(lam)
-        assert verdict in (None, _decide_by_cuts(make(), lam))
+        assert make().certificate.feasible_at(lam) == decide_by_cuts(make(), lam)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+@pytest.mark.parametrize("verdict", ["feasible", "infeasible"])
+def test_a_piece_the_checker_contradicts_raises(name, verdict, monkeypatch):
+    # the first piece of the given verdict gets the other one when the
+    # certificate is built; the probe at its midpoint must refuse it
+    original = properness._certify_piece
+    other = {"feasible": "infeasible", "infeasible": "feasible"}[verdict]
+
+    def corrupting(family, active, lo, hi, depth, out):
+        original(family, active, lo, hi, depth, out)
+        if depth == 0:
+            i = next(i for i, p in enumerate(out) if p.verdict == verdict)
+            out[i] = out[i]._replace(verdict=other)
+
+    monkeypatch.setattr(properness, "_certify_piece", corrupting)
+    family = fresh(BUILTIN[name][0]())
+    with pytest.raises(GeometryError, match=f"internal inconsistency: the exact probe at "
+                                            f"lambda = .* disagrees with the certificate's {other}"):
+        family.certificate

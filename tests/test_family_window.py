@@ -2,8 +2,9 @@
 
 Every sweep family carries alpha(L_lambda) = den / max(e + f lambda) as
 integer pieces.  `sweep_lambda` decides grid and bisection points by the
-integer cut loop against them, and runs the exact, certified probe only at
-both ends of every bracket, at the witness and at the endpoint checks.
+family's certificate, which clears the comparisons against them to integer
+polynomials, and runs the exact, certified probe only at both ends of every
+bracket, at the witness and at the endpoint checks.
 These tests hold it to:
 
 - the feasible windows of dp6 and dp1, derived here with sympy from the
@@ -12,7 +13,8 @@ These tests hold it to:
   lambdas and at bisection points near each change of verdict;
 - the probe's own alpha, which its cap must match;
 - exact probes at every bracket end, independence of epsilon, and
-  byte-equal sweeps with every point probed.
+  byte-equal sweeps with every point probed, on grids that land on every
+  piece end of the certificate.
 """
 
 from fractions import Fraction
@@ -223,10 +225,15 @@ def test_decide_matches_probe_on_picard_pencils(family, lams, epsilon):
 def toric_pencils(draw):
     """Pencils near an ample class on the fans of test_wall_pairings.py.
     Symmetric ones (constant on the orbits of a rotation: order 3 on p2,
-    order 3 or 6 on dp6) have alpha pieces; sweeps reject the ones without."""
-    name = draw(st.sampled_from(sorted(FANS)))
+    order 6, 3 or 2 on dp6) have alpha pieces; sweeps reject the ones
+    without.  Only the centrally symmetric dp6 ones (order 2, period 3) have
+    windows that can end at condition (3), so half the draws are those."""
+    if draw(st.booleans()):
+        name, period = "dp6", 3
+    else:
+        name = draw(st.sampled_from(sorted(FANS)))
+        period = {"p2": 1, "dp6": draw(st.sampled_from((1, 2)))}.get(name) if draw(st.booleans()) else None
     n = FANS[name].n_rays
-    period = {"p2": 1, "dp6": draw(st.sampled_from((1, 2)))}.get(name) if draw(st.booleans()) else None
     if period:
         shift, slope = (draw(st.lists(offsets, min_size=period, max_size=period)) * (n // period)
                         for _ in range(2))
@@ -359,11 +366,25 @@ def test_windows_do_not_depend_on_epsilon(name):
         assert report.endpoint_checks == first.endpoint_checks
 
 
+# (lambda_min, lambda_max, step) of grids that land on every piece end of
+# the certificate and reach past the ample range: dp6 at 1/2, 3/4, 5/6, 6/5
+# and 2, dp1 at 0, 1/2, 2/3, 4/5, 10/9, 7/6 and 4/3
+PIECE_END_GRIDS = {"dp6": (F(0), F(5, 2), F(1, 60)), "dp1": (F(-1, 2), F(3, 2), F(1, 90))}
+
+
 @pytest.mark.parametrize("name", sorted(SWEEPS))
-@pytest.mark.parametrize("offset", [F(0), F(37, 10000), F(1, 7)])
+# an offset of the grid start at step 1/20, or None for the piece-end grid
+@pytest.mark.parametrize("offset", [F(0), F(37, 10000), F(1, 7),
+                                    pytest.param(None, id="piece-ends")])
 def test_decided_sweep_equals_the_per_point_sweep(name, offset):
     make, lam_min, lam_max = SWEEPS[name]
-    args = (lam_min + offset, lam_max, F(1, 20), F(1, 10**4), F(1), WINDOWS[name])
+    if offset is None:
+        grid = start, stop, step = PIECE_END_GRIDS[name]
+        assert all(start < e < stop and (e - start) % step == 0
+                   for p in make().certificate.pieces for e in (p.lo, p.hi))
+    else:
+        grid = (lam_min + offset, lam_max, F(1, 20))
+    args = (*grid, F(1, 10**4), F(1), WINDOWS[name])
     assert render_report(sweep_lambda(make(), *args)) == render_report(
         _per_point_sweep(make(), *args)
     )
