@@ -13,8 +13,9 @@ by the stabilizer (the full centered polytope in torus-only mode).  The
 inner quantity is linear in y, so only vertices of P^K matter.  The route
 runs in integers: the moment polygon's vertices are integer points over
 one denominator, the recentering shifts them and the coefficients over the
-lcm of that denominator and the barycenter's, the stabilizer test maps the
-integer vertex set, and the vertex formula is one integer maximum, so a
+lcm of that denominator and the barycenter's, the stabilizer is read off
+the integer recentered coefficients (an explicit group is checked on the
+integer vertex set), and the vertex formula is one integer maximum, so a
 Fraction is built only for the barycenter and for alpha.
 
 `alpha_oracle` is the independent brute-force route: it enumerates
@@ -69,6 +70,7 @@ from .toric import (
     fan_automorphisms,
     is_ample,
     moment_polytope,
+    ray_permutations,
 )
 
 GROUP_MODES = ("full", "torus", "explicit")
@@ -101,10 +103,19 @@ class SymmetryContext:
         return tuple(Fraction(a, self.coeff_den) for a in self.coeff_nums)
 
 
-def _stabilizer_of(fan, centered: Polytope) -> tuple:
-    """The fan automorphisms that preserve the centered polytope."""
-    cleared = cleared_vertices(centered)
-    return tuple(g for g in fan_automorphisms(fan) if preserves_vertices(g, cleared))
+def _stabilizer_of(fan, shifted: tuple[int, ...]) -> tuple:
+    """The fan automorphisms that preserve the centered polytope of an
+    ample class, read off its recentered coefficients (as integers over
+    one denominator, see _centered).
+
+    g^T maps {m : <m, u_i> >= -a_i'} onto {m : <m, u_i> >= -a'_perm(i)},
+    where perm is g's ray permutation.  Every ray of an ample class gives a
+    facet, in any dimension, so g fixes the polytope exactly when perm
+    keeps the coefficients."""
+    return tuple(
+        g for g, perm in zip(fan_automorphisms(fan), ray_permutations(fan))
+        if all(shifted[j] == x for x, j in zip(shifted, perm))
+    )
 
 
 def _centered(d: ToricDivisor):
@@ -149,7 +160,7 @@ def symmetry_context(
         raise GeometryError("alpha invariant requires an ample class")
     centered, (den, shifted) = _centered(d)
     if group_mode == "full":
-        stabilizer = _stabilizer_of(d.fan, centered)
+        stabilizer = _stabilizer_of(d.fan, shifted)
     elif group_mode == "torus":
         stabilizer = ()
     else:

@@ -15,13 +15,18 @@ The enumeration also probes d = 7 and raises if anything is found there.
 Every positivity question reads one ConstraintTable per class
 (curve_table, built at most once and kept on the class), the same table
 type that holds the walls of a toric surface and the test curves of a
-slice: the pairings D.C_i as integer numerators over curve_matrix(r), which
-holds one row (d, -m_1, ..., -m_r) per cone curve, over the lcm of the
+slice: the pairings D.C_i as integer numerators, over the lcm of the
 coordinate denominators; K.C_i (-1 on every exceptional curve, -2 on the
-fiber row) on the same denominator; and D.D and K.D.  Ampleness, nefness
-and the slope mu = -K.D / D.D are read off it here, and the checker reads
-every combination x D + y K off its rows.  pairing() remains the reference
-form, used for D.D and K.D.
+fiber row) on the same denominator; and D.D and K.D.  The rows are the
+distinct pairing vectors of the cone curves with the class: curve_matrix(r)
+holds one row (d, -m_1, ..., -m_r) per cone curve, and where the class has
+equal multiplicities m_i the curves that differ only inside such a block
+pair alike with every class of those blocks, so they are merged into one
+row (d_C, the block sums of -m_C, K.C) under the label of the first of
+them.  The dp1 classes 3H - E_1 - ... - E_7 - lambda E_8 keep 15 of the 240
+rows.  Ampleness, nefness and the slope mu = -K.D / D.D are read off the
+table here, and the checker reads every combination x D + y K off its
+rows.  pairing() remains the reference form, used for D.D and K.D.
 """
 
 from __future__ import annotations
@@ -207,19 +212,54 @@ def _canonical_pairings(r: int) -> tuple[int, ...]:
     return tuple(int(pairing(k, c)) for c in cone_curves(r))
 
 
-def curve_table(d: PicardClass) -> ConstraintTable:
-    """The class against the cone curves, computed once per class.
+@functools.lru_cache(maxsize=64)
+def _block_rows(r: int, blocks: tuple[tuple[int, ...], ...]):
+    """(labels, rows, K.C) of the cone curves reduced to the blocks, which
+    partition the positions 0..r-1 of the multiplicities.
 
-    Rows stay in table order, which is the tie order."""
+    A row is (d_C, the sum of -m_C over each block); equal rows with equal
+    K.C are merged, in curve_matrix order, under the label of the first."""
+    first: dict = {}
+    for label, row, k in zip(curve_labels(r), curve_matrix(r), _canonical_pairings(r)):
+        key = (row[0], *(sum(row[1 + i] for i in block) for block in blocks)), k
+        first.setdefault(key, label)
+    rows, ks = zip(*first)
+    return tuple(first.values()), rows, ks
+
+
+def curve_tables(*classes: PicardClass) -> tuple[ConstraintTable, ...]:
+    """The tables of classes of one surface against one list of rows.
+
+    The multiplicities are grouped into the blocks of positions where every
+    class has equal values, in first-occurrence order, and each row pairs
+    with (d, one multiplicity per block).  The rows keep the cone curves'
+    order with the later members of a merged row left out, so the first row
+    at a minimum carries the label of the first cone curve there: that
+    curve's merged row starts at it, and an earlier member would be an
+    earlier curve at the minimum.  The tables of several classes have the
+    same labels row by row."""
+    r = classes[0].surface.r
+    cleared = [clear_denominators(c.coords) for c in classes]
+    positions: dict = {}
+    for i, key in enumerate(zip(*(nums[1:] for _, nums in cleared))):
+        positions.setdefault(key, []).append(i)
+    blocks = tuple(map(tuple, positions.values()))
+    labels, rows, ks = _block_rows(r, blocks)
+    tables = []
+    for c, (den, nums) in zip(classes, cleared):
+        reps = (nums[0], *(nums[1 + block[0]] for block in blocks))
+        tables.append(ConstraintTable(
+            labels, tuple(sum(map(operator.mul, row, reps)) for row in rows),
+            tuple(map(den.__mul__, ks)), den, pairing(c, c), pairing(c.surface.canonical(), c),
+        ))
+    return tuple(tables)
+
+
+def curve_table(d: PicardClass) -> ConstraintTable:
+    """The class against the distinct rows of the cone curves (curve_tables),
+    computed once per class."""
     if d._table is None:
-        r = d.surface.r
-        den, cleared = clear_denominators(d.coords)
-        nums = tuple(sum(map(operator.mul, row, cleared)) for row in curve_matrix(r))
-        table = ConstraintTable(
-            curve_labels(r), nums, tuple(map(den.__mul__, _canonical_pairings(r))), den,
-            pairing(d, d), pairing(d.surface.canonical(), d),
-        )
-        object.__setattr__(d, "_table", table)
+        object.__setattr__(d, "_table", curve_tables(d)[0])
     return d._table
 
 

@@ -75,6 +75,7 @@ from .alpha import alpha_invariant, symmetry_context
 from .picard import (
     PicardClass,
     curve_table,
+    curve_tables,
     dp1_surface,
     slope_picard,
 )
@@ -95,7 +96,7 @@ from .toric import (
     fan_automorphisms,
     is_ample,
     is_nef,
-    ray_permutation,
+    ray_permutations,
     slope_quantities,
     wall_pairings,
     wall_table,
@@ -196,6 +197,9 @@ class _Backend(NamedTuple):
     describe: Callable[[], str]
     # the slope mu = -K.L^{n-1} / L^n
     mu: Callable[[], Fraction]
+    # the tables of several surface classes of this backend, with equal
+    # labels row by row; a slice is no family and has none
+    tables: Callable[..., tuple] | None = None
 
 
 def _backend(backend) -> _Backend:
@@ -207,6 +211,7 @@ def _backend(backend) -> _Backend:
             wall_table(backend) if fan.dim == 2 else None,
             lambda: f"toric divisor ({_join(backend.coeffs)}) on a {fan.n_rays}-ray fan",
             lambda: slope_quantities(backend).mu,
+            lambda *classes: tuple(map(wall_table, classes)),
         )
     if isinstance(backend, PicardClass):
         return _Backend(
@@ -215,6 +220,7 @@ def _backend(backend) -> _Backend:
             lambda: f"Picard class ({_join(backend.coords)}) on the blowup of P^2 at "
             f"{backend.surface.r} points",
             lambda: slope_picard(backend),
+            curve_tables,
         )
     if isinstance(backend, AbstractSlice):
         return _Backend(
@@ -455,12 +461,14 @@ class Family:
 
     @functools.cached_property
     def _tables(self):
-        """The constraint tables of L_0, L_1 and the slope class."""
-        classes = self.base, self.base + self.slope, self.slope
-        tables = tuple(_backend(c).table for c in classes)
-        if None in tables:
+        """The constraint tables of L_0, L_1 and the slope class, on one
+        list of rows: a Picard class alone would merge the rows of its own
+        equal multiplicities, and L_0, L_1 and the slope class need not
+        have the same ones."""
+        view = _backend(self.base)
+        if view.table is None:
             raise GeometryError("family feasibility is decided on surfaces only")
-        return tables
+        return view.tables(self.base, self.base + self.slope, self.slope)
 
     @functools.cached_property
     def pairing_data(self):
@@ -471,7 +479,11 @@ class Family:
         sweep is a handful of integer multiply-adds per row.  Rows come in
         the tables' tie order, and equal rows keep the first label: they give
         equal cuts, and the cut loop keeps the first row on ties."""
-        base, _, slope = self._tables
+        base, top, slope = self._tables
+        if not base.labels == top.labels == slope.labels:
+            raise GeometryError(
+                "internal inconsistency: the family's three tables have different rows"
+            )
         den = math.lcm(base.den, slope.den)
         columns = [
             [x * (den // t.den) for x in nums]
@@ -533,8 +545,7 @@ class Family:
         walls = list(zip(wall_pairings(self.base), wall_pairings(self.slope)))
         group = [
             (g, perm)
-            for g in fan_automorphisms(fan)
-            for perm in (ray_permutation(fan, g),)
+            for g, perm in zip(fan_automorphisms(fan), ray_permutations(fan))
             if all(walls[j] == walls[i] for i, j in enumerate(perm))
         ]
         # entrywise sum of the matrices

@@ -263,11 +263,15 @@ class ConstraintTable:
     span the cone of curves of a blowup of P^2 or the test curves of a
     slice.
 
-    L.C_i = nums[i] / den and K.C_i = k_nums[i] / den with den > 0.  Rows
-    are sorted into the backend's tie order, so a binding constraint is the
-    first row at the minimum.  l_sq and k_dot_l are L^n and K.L^{n-1}.
-    The rows are taken to span the cone of curves, so x L + y K is ample
-    exactly when it pairs positively with every row (Kleiman)."""
+    L.C_i = nums[i] / den and K.C_i = k_nums[i] / den with den > 0.  There
+    is one row per distinct pairing vector: curves that pair alike with
+    every class of the table's kind (the cone curves of a blowup of P^2
+    that differ only inside a block of equal multiplicities) share one row
+    under the label of the first of them.  Rows are sorted into the
+    backend's tie order, so a binding constraint is the first row at the
+    minimum.  l_sq and k_dot_l are L^n and K.L^{n-1}.  The rows are taken
+    to span the cone of curves, so x L + y K is ample exactly when it pairs
+    positively with every row (Kleiman)."""
 
     labels: tuple[str, ...]
     nums: tuple[int, ...]

@@ -234,6 +234,13 @@ def ray_permutation(fan: Fan, g) -> tuple[int, ...]:
     return tuple(ray_index[_apply(g, r)] for r in fan.rays)
 
 
+@functools.lru_cache(maxsize=16)
+def ray_permutations(fan: Fan) -> tuple[tuple[int, ...], ...]:
+    """The ray permutation of each fan automorphism, in the order of
+    fan_automorphisms, once per fan."""
+    return tuple(ray_permutation(fan, g) for g in fan_automorphisms(fan))
+
+
 # ---------------------------------------------------------------------------
 # divisors
 

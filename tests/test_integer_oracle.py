@@ -18,11 +18,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from kproper.alpha import alpha_oracle, symmetry_context  # noqa: E402
+from kproper.alpha import _centered, _stabilizer_of, alpha_oracle, symmetry_context  # noqa: E402
 from kproper.polytope import (  # noqa: E402
+    cleared_vertices,
     fixed_subpolytope,
     lattice_points,
     make_polytope,
+    preserves_vertices,
     vertices,
 )
 from kproper.rationals import (  # noqa: E402
@@ -35,7 +37,14 @@ from kproper.rationals import (  # noqa: E402
     transpose,
     vec_sub,
 )
-from kproper.toric import Fan, ToricDivisor, dp6_fan, is_ample, moment_polytope  # noqa: E402
+from kproper.toric import (  # noqa: E402
+    Fan,
+    ToricDivisor,
+    dp6_fan,
+    fan_automorphisms,
+    is_ample,
+    moment_polytope,
+)
 
 F = Fraction
 
@@ -236,3 +245,16 @@ def test_alpha_oracle_matches_reference_on_threefolds(d, mode, depth):
     ctx = symmetry_context(d, mode)
     assert (len(ctx.stabilizer) > 1) == (mode == "full")
     assert alpha_oracle(ctx, depth) == reference_alpha_oracle(ctx, depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(threefold_classes())
+def test_threefold_stabilizer_is_the_vertex_set_test(d):
+    # the stabilizer is read off the recentred coefficients; on a
+    # threefold it must still be the group that maps the vertex set
+    # of the centred polytope onto itself
+    centered, (_, shifted) = _centered(d)
+    cleared = cleared_vertices(centered)
+    expected = tuple(g for g in fan_automorphisms(d.fan) if preserves_vertices(g, cleared))
+    assert _stabilizer_of(d.fan, shifted) == expected
+    assert symmetry_context(d, "full").stabilizer == expected

@@ -19,17 +19,21 @@ from kproper.picard import (  # noqa: E402
     BlowupSurface,
     curve_matrix,
     curve_table,
+    dp1_surface,
     exceptional_curves,
+    is_ample_picard,
     pairing,
+    slope_picard,
 )
 from kproper.properness import (  # noqa: E402
+    Family,
     _backend,
     _combo_positive,
     _scale_interval_with_bindings,
     dp1_family,
     dp6_family,
 )
-from kproper.rationals import format_rational  # noqa: E402
+from kproper.rationals import GeometryError, format_rational  # noqa: E402
 from kproper.toric import ToricDivisor, canonical_divisor, intersection_number  # noqa: E402
 
 F = Fraction
@@ -45,6 +49,17 @@ scalars = st.one_of(
 def picard_classes(draw):
     r = draw(st.integers(1, 8))
     return BlowupSurface(r).cls(draw(st.lists(scalars, min_size=r + 1, max_size=r + 1)))
+
+
+@st.composite
+def block_classes(draw, r=None):
+    """Classes whose multiplicities take one value per block of a random
+    partition of the r points, so that the table merges rows."""
+    r = r or draw(st.integers(2, 8))
+    n_blocks = draw(st.integers(1, r))
+    block_of = draw(st.lists(st.integers(0, n_blocks - 1), min_size=r, max_size=r))
+    values = draw(st.lists(scalars, min_size=n_blocks, max_size=n_blocks))
+    return BlowupSurface(r).cls([draw(scalars)] + [values[b] for b in block_of])
 
 
 def curve_label(c):
@@ -80,20 +95,94 @@ def test_curve_matrix_rows_are_the_curves():
             assert row == (c.coords[0],) + tuple(-m for m in c.coords[1:])
 
 
+def first_occurrences(rows):
+    """(label, values) rows with equal values merged under the first label."""
+    first = {}
+    for label, values in rows:
+        first.setdefault(values, label)
+    return [(label, values) for values, label in first.items()]
+
+
 @settings(max_examples=150, deadline=None)
 @given(picard_classes())
 def test_cleared_pairings_match_reference(d):
-    nums, den = curve_table(d).nums, curve_table(d).den
-    assert den > 0
-    assert all(isinstance(x, int) for x in nums)
-    expected = [pairing(d, c) for c in reference_curves(d.surface.r)]
-    assert [F(x, den) for x in nums] == expected
+    table = curve_table(d)
+    assert table.den > 0
+    assert all(isinstance(x, int) for x in table.nums + table.k_nums)
+    k = d.surface.canonical()
+    expected = [
+        (curve_label(c), (pairing(d, c), pairing(k, c))) for c in reference_curves(d.surface.r)
+    ]
+    got = [
+        (label, (F(x, table.den), F(y, table.den)))
+        for label, x, y in zip(table.labels, table.nums, table.k_nums)
+    ]
+    assert len(got) <= len(expected)
+    assert first_occurrences(got) == first_occurrences(expected)
 
 
 @settings(max_examples=150, deadline=None)
 @given(picard_classes(), scalars, scalars, st.booleans())
 def test_combo_positive_matches_reference(d, x, y, strict):
     assert _combo_positive(d, x, y, strict) == reference_combo_positive(d, x, y, strict)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_classes(), scalars, scalars, st.booleans())
+@example(dp1_surface().cls((3,) + (1,) * 8), 1, 1, True)
+@example(dp1_surface().cls((3,) + (1,) * 7 + (F(9, 10),)), 1, -1, False)
+def test_reduced_table_decides_like_every_curve(d, x, y, strict):
+    assert _combo_positive(d, x, y, strict) == reference_combo_positive(d, x, y, strict)
+    k = d.surface.canonical()
+    pairings = [pairing(d, c) for c in reference_curves(d.surface.r)]
+    ample = min(pairings) > 0
+    assert is_ample_picard(d) == ample
+    if ample:
+        assert slope_picard(d) == -pairing(k, d) / pairing(d, d)
+    else:
+        with pytest.raises(GeometryError, match="ample"):
+            slope_picard(d)
+
+
+def test_symmetric_dp1_classes_keep_only_their_distinct_rows():
+    surface = dp1_surface()
+    midpoint = surface.cls((3,) + (1,) * 7 + (F(9123, 10000),))
+    assert len(curve_table(midpoint).labels) == 15
+    # one block: a row per degree, under its first curve
+    assert len(curve_table(surface.anticanonical()).labels) == 7
+    assert len(curve_table(surface.cls(range(1, 10))).labels) == 240
+
+
+def reference_pencil_rows(family):
+    """(label, (base.C, slope.C, K.C)) over every cone curve, with equal
+    rows merged under the first label."""
+    k = family.base.surface.canonical()
+    return first_occurrences(
+        (curve_label(c), (pairing(family.base, c), pairing(family.slope, c), pairing(k, c)))
+        for c in reference_curves(family.base.surface.r)
+    )
+
+
+@st.composite
+def picard_pencils(draw):
+    r = draw(st.integers(2, 8))
+    return Family("random", draw(block_classes(r)), draw(block_classes(r)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(picard_pencils())
+@example(dp1_family())
+@example(Family("tie", dp1_surface().anticanonical(), dp1_surface().cls((0,) * 8 + (1,))))
+@example(Family("split", dp1_surface().cls((3, 1, 1, 1, 1, 2, 2, 2, 2)),
+                dp1_surface().cls((0, 1, 0, 1, 0, 1, 0, 1, 0))))
+def test_pencil_rows_are_the_distinct_rows_of_every_curve(family):
+    labels, rows = family.pairing_data
+    expected = reference_pencil_rows(family)
+    assert labels == tuple(label for label, _ in expected)
+    pairs = [(x, y) for row, (_, ref) in zip(rows, expected) for x, y in zip(row, ref)]
+    assert all((x == 0) == (y == 0) for x, y in pairs)
+    scales = {x / y for x, y in pairs if y}
+    assert len(scales) == 1 and scales.pop() > 0
 
 
 def reference_rows(family, lam):
