@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -12,7 +13,14 @@ from kproper.alpha import (
 )
 from kproper.polytope import vertices
 from kproper.rationals import GeometryError, InputError, dot
-from kproper.toric import ToricDivisor, anticanonical_divisor, dp6_fan, moment_polytope, p2_fan
+from kproper.toric import (
+    ToricDivisor,
+    anticanonical_divisor,
+    dp6_fan,
+    fan_automorphisms,
+    moment_polytope,
+    p2_fan,
+)
 
 F = Fraction
 
@@ -142,6 +150,18 @@ def test_oracle_depth_validation():
     # rejected before any lattice point is enumerated
     with pytest.raises(InputError, match="cap"):
         alpha_oracle(ctx, MAX_ORACLE_DEPTH + 1)
+
+
+def test_oracle_rejects_an_element_that_moves_the_class():
+    # a fan automorphism outside the stabilizer maps the polytope onto a
+    # different one, so the oracle's own check must refuse it at any depth
+    d = ToricDivisor(dp6_fan(), tuple(F(c) for c in (1, 2, 2, 1, 2, 2)))
+    ctx = symmetry_context(d, "full")
+    mover = next(g for g in fan_automorphisms(d.fan) if g not in ctx.stabilizer)
+    broken = dataclasses.replace(ctx, stabilizer=ctx.stabilizer + (mover,))
+    for depth in (1, 3):
+        with pytest.raises(GeometryError, match="moves a lattice point out of the dilated polytope"):
+            alpha_oracle(broken, depth)
 
 
 def test_explicit_group_mode():

@@ -44,6 +44,7 @@ from kproper.toric import (  # noqa: E402
     fan_automorphisms,
     is_ample,
     moment_polytope,
+    ray_permutations,
 )
 
 F = Fraction
@@ -213,6 +214,57 @@ def non_integral_dp6_classes(draw):
 def test_alpha_oracle_matches_reference(d, mode, depth):
     ctx = symmetry_context(d, mode)
     assert clear_denominators(d.coeffs)[0] > 1
+    assert alpha_oracle(ctx, depth) == reference_alpha_oracle(ctx, depth)
+
+
+@st.composite
+def integral_dp6_classes(draw):
+    """Ample dp6 classes with integer coefficients, so the oracle's
+    multiplier is 1."""
+    d = ToricDivisor(dp6_fan(), draw(st.tuples(*[st.integers(1, 4).map(F)] * 6)))
+    assume(is_ample(d))
+    return d
+
+
+@settings(max_examples=30, deadline=None)
+@given(integral_dp6_classes(), st.sampled_from(("full", "torus")), st.integers(1, 4))
+def test_alpha_oracle_matches_reference_on_integral_classes(d, mode, depth):
+    ctx = symmetry_context(d, mode)
+    assert clear_denominators(d.coeffs)[0] == 1
+    assert alpha_oracle(ctx, depth) == reference_alpha_oracle(ctx, depth)
+
+
+DP6_SYMMETRIES = tuple(zip(fan_automorphisms(dp6_fan()), ray_permutations(dp6_fan())))
+
+
+@st.composite
+def invariant_dp6_classes(draw):
+    """(d, g): a fan automorphism g of dp6 and an ample class n_i / q
+    (q = 1, 2 or 3) averaged over the ray orbits of <g>.  The average of
+    the ample classes a o perm^t is ample and fixed by g, so the class is
+    built invariant rather than filtered for it."""
+    g, perm = draw(st.sampled_from(DP6_SYMMETRIES))
+    q = draw(st.sampled_from((1, 2, 3)))
+    numerators = draw(st.tuples(*[st.integers(q // 2 + 1, 2 * q)] * 6))
+    d = ToricDivisor(dp6_fan(), tuple(F(n, q) for n in numerators))
+    assume(is_ample(d))
+    orbits = []
+    for i in range(6):
+        orbit = [i]
+        while perm[orbit[-1]] != i:
+            orbit.append(perm[orbit[-1]])
+        orbits.append(orbit)
+    coeffs = tuple(sum(d.coeffs[j] for j in orbit) / len(orbit) for orbit in orbits)
+    return ToricDivisor(dp6_fan(), coeffs), g
+
+
+@settings(max_examples=30, deadline=None)
+@given(invariant_dp6_classes(), st.integers(1, 4))
+def test_alpha_oracle_matches_reference_for_explicit_groups(drawn, depth):
+    d, g = drawn
+    assert is_ample(d)
+    ctx = symmetry_context(d, "explicit", explicit_group=[g])
+    assert g in ctx.stabilizer
     assert alpha_oracle(ctx, depth) == reference_alpha_oracle(ctx, depth)
 
 
