@@ -18,23 +18,23 @@ the integer recentered coefficients (an explicit group is checked on the
 integer vertex set), and the vertex formula is one integer maximum, so a
 Fraction is built only for the barycenter and for alpha.
 
-`alpha_oracle` is the independent brute-force route: it enumerates
-stabilizer orbits of lattice points of dilates of the polytope, forms the
-invariant product section of each orbit and takes the minimum of the exact
-log-canonical thresholds
+`alpha_oracle` is the independent brute-force route: the minimum of the
+exact log-canonical thresholds of the invariant orbit sections on the
+lattice points of dilates k P, an upper bound for the invariant that
+decreases in the search depth.  Summing an orbit is linear in the point:
+with G acting on k P by z -> g^T z - k tau_g, the images g.z cover the
+orbit of z |G_z| times each, so the orbit section of z has
 
-    lct = min_i  k N / (sum_{m in orbit} <m, u_i> + N k a_i),
+    lct = k |G| / max_i f_i(z),   f_i(z) = sum_g (<g^T z - k tau_g, u_i> + k a_i),
 
-which is an upper bound for the invariant, decreasing in the search depth.
-The oracle runs in integers end to end: it clears the coefficient
-denominators (alpha scales by 1/t under D -> tD), takes the integer points
-of k P from the scanline, applies the stabilizer as affine integer maps
-(each element's rows paired with its shift, built once per dilate), sums
-each orbit into one integer vector s, so that the vanishing order along
-D_i is <s, u_i> + N k a_i, and keeps the best threshold as an integer
-pair until one Fraction is built at the end.  Its
-work is capped before any enumeration: the integer bounding boxes of k P
-for k = 1..depth may hold at most MAX_ORACLE_POINTS points in all.
+and f_i, an integer linear form, depends only on the ray orbit of i.
+The oracle clears the coefficient denominators (alpha scales by 1/t under
+D -> tD), checks per element that g^T maps the integer vertex set of P
+onto itself plus tau_g, keeps one form per distinct ray orbit, and takes
+one integer maximum per form and dilate; the best threshold stays an
+integer pair until one Fraction is built at the end.  Its work is capped
+before any enumeration: the integer bounding boxes of k P for
+k = 1..depth may hold at most MAX_ORACLE_POINTS points in all.
 The two routes are kept separate on purpose; the tests play them against
 each other.
 """
@@ -43,8 +43,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm, prod
-from operator import mul
+from operator import add, mul, sub
 
 from .polytope import (
     Polytope,
@@ -225,11 +226,11 @@ def alpha_invariant(ctx: SymmetryContext) -> Fraction:
 def alpha_oracle(ctx: SymmetryContext, k_max: int = 12) -> Fraction:
     """Brute-force upper bound from invariant linear systems up to depth k_max.
 
-    Clears coefficient denominators first (the invariant scales exactly, by
-    1/t under D -> tD), enumerates lattice points of the dilates k P for the
-    integral model, groups them into stabilizer orbits under the affine
-    lattice action, and evaluates the exact lct of each orbit product
-    section.  Nonincreasing in k_max and never below alpha_invariant.
+    Checks per element that g^T maps the integer vertex set of the integral
+    model P onto itself plus tau_g.  The images of a lattice point z of k P
+    then cover its orbit |G_z| times each, so its orbit section has lct
+    k |G| / max_i f_i(z), with one integer form f_i per ray orbit (see the
+    module docstring).  Nonincreasing in k_max, never below alpha_invariant.
     The depth may be at most MAX_ORACLE_DEPTH, and the bounding boxes of
     the dilates may hold at most MAX_ORACLE_POINTS points in all.
     """
@@ -250,51 +251,45 @@ def alpha_oracle(ctx: SymmetryContext, k_max: int = 12) -> Fraction:
             f"the oracle would visit up to {work} lattice points to depth {k_max}, "
             f"over the cap of {MAX_ORACLE_POINTS}"
         )
-    base_anchor = min(verts)
-    actions = []
-    for g in ctx.stabilizer:
-        gt = transpose(g)
-        image_anchor = min(tuple(sum(map(mul, row, v)) for row in gt) for v in verts)
-        # g^T P = P + tau with integral tau; the affine action on k P is
-        # z -> g^T z - k tau
-        tau = tuple(a - b for a, b in zip(image_anchor, base_anchor))
-        actions.append((gt, tau))
-    rays = d.fan.rays
-    # the least threshold k*size / worst so far is best_num / best_den; none while best_den is 0
+    # torus mode is the trivial group; every mode hands over a group
+    group = ctx.stabilizer or (identity_matrix(d.fan.dim),)
+    anchor = min(verts)
+    shift = (0,) * d.fan.dim
+    for g in group:
+        images = {tuple([sum(map(mul, row, v)) for row in transpose(g)]) for v in verts}
+        tau = tuple(map(sub, min(images), anchor))
+        if images != {tuple(map(add, v, tau)) for v in verts}:
+            raise GeometryError(
+                "internal inconsistency: a stabilizer element moves a lattice point "
+                "out of the dilated polytope"
+            )
+        shift = tuple(map(add, shift, tau))
+    # f_i(z) = <z, w_i> + k c_i with w_i = sum_g g u_i and c_i = |G| a_i - <sum_g tau_g, u_i>;
+    # equal forms (one per ray orbit) are kept once
+    total = [tuple(map(sum, zip(*rows))) for rows in zip(*group)]
+    forms = dict.fromkeys(
+        (tuple([sum(map(mul, row, u)) for row in total]),
+         len(group) * a - sum(map(mul, shift, u)))
+        for u, a in zip(d.fan.rays, int_coeffs)
+    )
+    # the least threshold k |G| / M_k so far is best_num / best_den; none while best_den is 0
     best_num, best_den = 0, 0
     for k in range(1, k_max + 1):
-        order = lattice_points(p_int, k)
-        points = set(order) if actions else None
-        # the affine map of each element on k P: its rows paired with k tau
-        maps = [tuple(zip(gt, [k * t for t in tau])) for gt, tau in actions]
-        ray_offsets = [(ray, k * a) for ray, a in zip(rays, int_coeffs)]
-        seen: set = set()
-        for z in order:
-            if not actions:
-                # under the torus alone every orbit is one point
-                size, s = 1, z
-            elif z in seen:
-                continue
-            else:
-                orbit = {tuple([sum(map(mul, row, z)) - t for row, t in m]) for m in maps}
-                if not orbit <= points:
-                    raise GeometryError(
-                        "internal inconsistency: a stabilizer element moves a lattice point "
-                        "out of the dilated polytope"
-                    )
-                seen |= orbit
-                size = len(orbit)
-                s = tuple(map(sum, zip(*orbit)))
-            # the product section of the orbit vanishes to order
-            # <s, u_i> + size*k*a_i along D_i, with s the sum of its points
-            denoms = [sum(map(mul, s, ray)) + size * offset for ray, offset in ray_offsets]
-            if min(denoms) < 0:
+        cols = tuple(zip(*lattice_points(p_int, k)))
+        worst = 0
+        for w, c in forms:
+            dots = map(mul, cols[0], repeat(w[0]))
+            for col, x in zip(cols[1:], w[1:]):
+                dots = map(add, dots, map(mul, col, repeat(x)))
+            dots = list(dots)
+            # |G_z| times the vanishing order of the orbit section of z along the orbit's rays
+            if min(dots) + k * c < 0:
                 raise GeometryError(
                     "internal inconsistency: an orbit section has a negative vanishing order"
                 )
-            worst = max(denoms)
-            if worst > 0 and (best_den == 0 or k * size * best_den < best_num * worst):
-                best_num, best_den = k * size, worst
+            worst = max(worst, max(dots) + k * c)
+        if worst > 0 and (best_den == 0 or k * best_den < best_num * worst):
+            best_num, best_den = k, worst
     if best_den == 0:
         raise GeometryError("internal inconsistency: no orbit section gives a finite threshold")
-    return multiplier * Fraction(best_num, best_den)
+    return multiplier * Fraction(best_num * len(group), best_den)

@@ -40,7 +40,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, comb, floor, gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
 from .rationals import (
@@ -579,20 +579,23 @@ def lattice_points(p: Polytope, k: int = 1) -> tuple:
     """The integer points of the dilate k*p as int tuples, sorted.
 
     Scanline: the first dim - 1 coordinates run over the integer bounding
-    box of k*p, and for each prefix the last coordinate takes an interval
-    read off the half-spaces <z, den*n> >= k*num, whose offsets are cleared
-    to one denominator den once per call, by floor and ceiling division,
-    pinned by the equalities through a divisibility test.  Points come out
-    in lexicographic order, so nothing is sorted.  Unbounded input raises.
+    box of k*p, read off the vertices cleared to integers once (the
+    polygon's cycle when it is known), and for each prefix the last
+    coordinate takes an interval read off the half-spaces
+    <z, den*n> >= k*num, whose offsets are cleared to one denominator den
+    once per call, by floor and ceiling division, pinned by the equalities
+    through a divisibility test.  Points come out in lexicographic order,
+    so nothing is sorted.  Unbounded input raises.
     """
     if not isinstance(k, int) or k < 1:
         raise GeometryError("lattice refinement k must be a positive integer")
-    verts = vertices(p)
-    if not verts:
+    cycle = p._cycle_cache
+    vden, cleared = cycle if cycle is not None and cycle[1] else _cleared(vertices(p))
+    if not cleared:
         return ()
     last = p.dim - 1
-    lo = [ceil(min(v[i] for v in verts) * k) for i in range(p.dim)]
-    hi = [floor(max(v[i] for v in verts) * k) for i in range(p.dim)]
+    lo = [-(-min(col) * k // vden) for col in zip(*cleared)]
+    hi = [max(col) * k // vden for col in zip(*cleared)]
     normals = [hs.normal for hs in p.hrep] + [e.coeffs for e in p.equalities]
     den, nums = clear_denominators([hs.offset for hs in p.hrep] + [e.rhs for e in p.equalities])
     # <z, den*n> >= k*num for a half-space, = for an equality
@@ -619,5 +622,5 @@ def lattice_points(p: Polytope, k: int = 1) -> tuple:
                 z_hi = min(z_hi, rest // step)
             elif step or rest:
                 z_hi = z_lo - 1
-        points.extend(prefix + (x,) for x in range(z_lo, z_hi + 1))
+        points.extend(zip(*map(itertools.repeat, prefix), range(z_lo, z_hi + 1)))
     return tuple(points)
