@@ -30,9 +30,9 @@ orbit of z |G_z| times each, so the orbit section of z has
 and f_i, an integer linear form, depends only on the ray orbit of i.
 The oracle clears the coefficient denominators (alpha scales by 1/t under
 D -> tD), checks per element that g^T maps the integer vertex set of P
-onto itself plus tau_g, keeps one form per distinct ray orbit, and takes
-one integer maximum per form and dilate; the best threshold stays an
-integer pair until one Fraction is built at the end.  Its work is capped
+onto itself plus tau_g, keeps one form per distinct ray orbit, and pays
+one integer dot product per form and lattice point; the best threshold
+stays an integer pair until one Fraction is built at the end.  Its work is capped
 before any enumeration: the integer bounding boxes of k P for
 k = 1..depth may hold at most MAX_ORACLE_POINTS points in all.
 The two routes are kept separate on purpose; the tests play them against
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import lcm, prod
 from operator import add, mul, sub
 
@@ -275,19 +274,16 @@ def alpha_oracle(ctx: SymmetryContext, k_max: int = 12) -> Fraction:
     # the least threshold k |G| / M_k so far is best_num / best_den; none while best_den is 0
     best_num, best_den = 0, 0
     for k in range(1, k_max + 1):
-        cols = tuple(zip(*lattice_points(p_int, k)))
+        offsets = [(w, k * c) for w, c in forms]
         worst = 0
-        for w, c in forms:
-            dots = map(mul, cols[0], repeat(w[0]))
-            for col, x in zip(cols[1:], w[1:]):
-                dots = map(add, dots, map(mul, col, repeat(x)))
-            dots = list(dots)
-            # |G_z| times the vanishing order of the orbit section of z along the orbit's rays
-            if min(dots) + k * c < 0:
+        for z in lattice_points(p_int, k):
+            # |G_z| times the vanishing order of the orbit section of z along each ray orbit
+            orders = [sum(map(mul, z, w)) + kc for w, kc in offsets]
+            if min(orders) < 0:
                 raise GeometryError(
                     "internal inconsistency: an orbit section has a negative vanishing order"
                 )
-            worst = max(worst, max(dots) + k * c)
+            worst = max(worst, *orders)
         if worst > 0 and (best_den == 0 or k * best_den < best_num * worst):
             best_num, best_den = k, worst
     if best_den == 0:
