@@ -32,8 +32,8 @@ The oracle clears the coefficient denominators (alpha scales by 1/t under
 D -> tD), checks per element that g^T maps the integer vertex set of P
 onto itself plus tau_g, keeps one form per distinct ray orbit, and pays
 one integer dot product per form and lattice point; the best threshold
-stays an integer pair until one Fraction is built at the end.  Its work is capped
-before any enumeration: the integer bounding boxes of k P for
+stays an integer pair until one Fraction is built at the end.  Its work
+is capped before any enumeration: the integer bounding boxes of k P for
 k = 1..depth may hold at most MAX_ORACLE_POINTS points in all.
 The two routes are kept separate on purpose; the tests play them against
 each other.
