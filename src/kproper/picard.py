@@ -26,7 +26,8 @@ row (d_C, the block sums of -m_C, K.C) under the label of the first of
 them.  The dp1 classes 3H - E_1 - ... - E_7 - lambda E_8 keep 15 of the 240
 rows.  Ampleness, nefness and the slope mu = -K.D / D.D are read off the
 table here, and the checker reads every combination x D + y K off its
-rows.  pairing() remains the reference form, used for D.D and K.D.
+rows.  A class is cleared to integers once; pairing() sums D.D over its
+cleared coordinates and K.D = (sum m_i - 3d) / N reads them directly.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class BlowupSurface:
         return self.r + 1
 
     def cls(self, coords) -> "PicardClass":
-        return PicardClass(self, tuple(Fraction(c) for c in coords))
+        return PicardClass(self, tuple(coords))
 
     def hyperplane(self) -> "PicardClass":
         return self.cls((1,) + (0,) * self.r)
@@ -71,6 +72,7 @@ class BlowupSurface:
             raise ValidationError(f"no exceptional divisor E_{i} on this surface")
         return self.cls((0,) + tuple(-1 if j == i else 0 for j in range(1, self.r + 1)))
 
+    @functools.lru_cache(maxsize=8)
     def canonical(self) -> "PicardClass":
         return self.cls((-3,) + (-1,) * self.r)
 
@@ -86,9 +88,11 @@ class PicardClass:
     coords: tuple[Fraction, ...]
     # the class's ConstraintTable, filled by curve_table() on first use
     _table: object = field(default=None, init=False, compare=False, repr=False)
+    # (N, N coords), filled by _cleared() on first use
+    _cleared: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        coords = tuple(Fraction(c) for c in self.coords)
+        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coords)
         if len(coords) != self.surface.rank:
             raise ValidationError(
                 f"class needs {self.surface.rank} coordinates, got {len(coords)}"
@@ -112,12 +116,19 @@ class PicardClass:
         return (-1) * self
 
 
+def _cleared(c: PicardClass) -> tuple[int, tuple[int, ...]]:
+    """(N, N coords) with N the lcm of the coordinate denominators, once per class."""
+    if c._cleared is None:
+        object.__setattr__(c, "_cleared", clear_denominators(c.coords))
+    return c._cleared
+
+
 def pairing(a: PicardClass, b: PicardClass) -> Fraction:
-    """Signature (1, r) intersection form: d d' - sum m_i m_i'."""
+    """Signature (1, r) intersection form d d' - sum m_i m_i', in integers."""
     if a.surface != b.surface:
         raise ValidationError("pairing requires classes on the same surface")
-    d = a.coords[0] * b.coords[0]
-    return d - sum(x * y for x, y in zip(a.coords[1:], b.coords[1:]))
+    (den, (d, *m)), (e_den, (e, *n)) = _cleared(a), _cleared(b)
+    return Fraction(d * e - sum(map(operator.mul, m, n)), den * e_den)
 
 
 def _multiplicity_vectors(r: int, target_sum: int, target_sq: int):
@@ -239,7 +250,7 @@ def curve_tables(*classes: PicardClass) -> tuple[ConstraintTable, ...]:
     earlier curve at the minimum.  The tables of several classes have the
     same labels row by row."""
     r = classes[0].surface.r
-    cleared = [clear_denominators(c.coords) for c in classes]
+    cleared = list(map(_cleared, classes))
     positions: dict = {}
     for i, key in enumerate(zip(*(nums[1:] for _, nums in cleared))):
         positions.setdefault(key, []).append(i)
@@ -250,7 +261,8 @@ def curve_tables(*classes: PicardClass) -> tuple[ConstraintTable, ...]:
         reps = (nums[0], *(nums[1 + block[0]] for block in blocks))
         tables.append(ConstraintTable(
             labels, tuple(sum(map(operator.mul, row, reps)) for row in rows),
-            tuple(map(den.__mul__, ks)), den, pairing(c, c), pairing(c.surface.canonical(), c),
+            tuple(map(den.__mul__, ks)), den, pairing(c, c),
+            Fraction(sum(nums[1:]) - 3 * nums[0], den),
         ))
     return tuple(tables)
 

@@ -1275,13 +1275,19 @@ def _alpha_denominator(pieces, lam: Fraction) -> int:
 
 
 def _bisect(bad, good, feasible, tol):
-    while abs(good - bad) > tol:
-        mid = (good + bad) / 2
-        if feasible(mid):
-            good = mid
+    """Halve [bad, good] (either order) to width <= tol, keeping a feasible
+    good end, in integers over the common denominator times 2^k."""
+    den, (b, g) = clear_denominators((bad, good))
+    # the least k with |good - bad| / 2^k <= tol
+    k = max(-(-abs(g - b) * tol.denominator // (tol.numerator * den)) - 1, 0).bit_length()
+    b, g, den = b << k, g << k, den << k
+    for _ in range(k):
+        mid = (b + g) // 2
+        if feasible(Fraction(mid, den)):
+            g = mid
         else:
-            bad = mid
-    return (min(bad, good), max(bad, good))
+            b = mid
+    return (Fraction(min(b, g), den), Fraction(max(b, g), den))
 
 
 def _endpoint_side(e, windows) -> str:

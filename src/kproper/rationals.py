@@ -75,7 +75,7 @@ def parse_rational(text: str, where: str = "") -> Fraction:
 
 def format_rational(q: Scalar) -> str:
     """Canonical string form: "p/q" with q >= 2, or "p" when q = 1."""
-    q = Fraction(q)
+    q = q if type(q) is Fraction else Fraction(q)
     try:
         if q.denominator == 1:
             return str(q.numerator)

@@ -22,8 +22,8 @@ positivity notions reduce to exact linear algebra on that function:
   the integers, and the polygon keeps its vertices as integer points over
   N, with the primitive rays as its half-plane normals, taken as they are.
   The last few are memoized by divisor, so the alpha invariant and the
-  slope of one class build a single polygon.  Ampleness and intersection
-  numbers on a surface read the wall pairings as integers over N too.
+  slope of one class build a single polygon.  The class keeps N a and its
+  wall pairings N D.D_i, which every surface question reads.
 
 Mixed volumes of moment polytopes provide an independent route to
 intersection numbers for nef classes (n <= 3) and serve as a cross-check of
@@ -253,9 +253,11 @@ class ToricDivisor:
     coeffs: tuple[Fraction, ...]
     # the class's wall ConstraintTable, filled by wall_table() on first use
     _table: object = field(default=None, init=False, compare=False, repr=False)
+    # (N, N a, N walls) on a surface fan, filled by _cleared_walls() on first use
+    _cleared: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
         if len(coeffs) != self.fan.n_rays:
             raise ValidationError(
                 f"divisor needs {self.fan.n_rays} coefficients, got {len(coeffs)}"
@@ -284,7 +286,9 @@ def canonical_divisor(fan: Fan) -> ToricDivisor:
     return ToricDivisor(fan, (Fraction(-1),) * fan.n_rays)
 
 
+@functools.lru_cache(maxsize=16)
 def anticanonical_divisor(fan: Fan) -> ToricDivisor:
+    """-K = sum D_i, one per fan, so its cleared walls are built once."""
     return ToricDivisor(fan, (Fraction(1),) * fan.n_rays)
 
 
@@ -392,10 +396,12 @@ def _wall_data(fan: Fan) -> tuple[tuple[int, int, int], ...]:
 
 def _cleared_walls(d: ToricDivisor) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """(N, (N a_i), (N D.D_i)) for a class on a surface fan, with N the lcm
-    of the coefficient denominators."""
-    den, a = clear_denominators(d.coeffs)
-    walls = tuple(a[p] + a[n] - c * a[i] for i, (p, n, c) in enumerate(_wall_data(d.fan)))
-    return den, a, walls
+    of the coefficient denominators, computed once per class."""
+    if d._cleared is None:
+        den, a = clear_denominators(d.coeffs)
+        walls = tuple(a[p] + a[n] - c * a[i] for i, (p, n, c) in enumerate(_wall_data(d.fan)))
+        object.__setattr__(d, "_cleared", (den, a, walls))
+    return d._cleared
 
 
 def wall_pairings(d: ToricDivisor) -> tuple[Fraction, ...]:
@@ -412,6 +418,7 @@ def wall_table(d: ToricDivisor) -> ConstraintTable:
     ("wall at ray 10" before "wall at ray 2").  With K = -sum D_i,
     K.D_i = c_i - 2, L^2 = sum a_i (L.D_i) and K.L = -sum L.D_i."""
     if d._table is None:
+        den, a, walls = _cleared_walls(d)
         pairings = wall_pairings(d)
         k_pairings = tuple(c - 2 for _, _, c in _wall_data(d.fan))
         labels, order = zip(*sorted((f"wall at ray {i}", i) for i in range(d.fan.n_rays)))
@@ -419,8 +426,8 @@ def wall_table(d: ToricDivisor) -> ConstraintTable:
             labels,
             (pairings[i] for i in order),
             (k_pairings[i] for i in order),
-            sum(map(operator.mul, d.coeffs, pairings)),
-            -sum(pairings),
+            Fraction(sum(map(operator.mul, a, walls)), den * den),
+            Fraction(-sum(walls), den),
         )
         object.__setattr__(d, "_table", table)
     return d._table
@@ -435,7 +442,7 @@ def intersection_number(d: ToricDivisor, e: ToricDivisor) -> Fraction:
     if d.fan != e.fan:
         raise ValidationError("divisors live on different fans")
     den, _, walls = _cleared_walls(d)
-    e_den, b = clear_denominators(e.coeffs)
+    e_den, b, _ = _cleared_walls(e)
     return Fraction(sum(map(operator.mul, b, walls)), den * e_den)
 
 

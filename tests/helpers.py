@@ -4,9 +4,12 @@ only the tests use.
 The CLI reads fans, divisors, polytopes and Picard classes from JSON files;
 these write them back, so the tests can check the readers by round trips.
 `reference_symmetry` is the Fraction route to the alpha invariant that the
-integer path in `alpha.py` replaced, and `decide_by_cuts` is the cut loop
-that sweeps once ran where the lambda certificate had no piece; the tests
-play each against the code that replaced it.
+integer path in `alpha.py` replaced, `decide_by_cuts` is the cut loop
+that sweeps once ran where the lambda certificate had no piece,
+`reference_pairing` is the intersection form one Fraction product at a
+time, and `reference_bisect` is the Fraction bisection that the sweep's
+integer halving replaced; the tests play each against the code that
+replaced it.
 """
 
 from fractions import Fraction
@@ -171,3 +174,25 @@ def decide_by_cuts(family, lam: Fraction) -> bool:
     # num / cut_den < (n+1)/n * alpha, cleared of the positive denominators
     return (n * num * _alpha_denominator(family.alpha_pieces, lam)
             < (n + 1) * den * lam.denominator * cut_den)
+
+
+def reference_pairing(a: PicardClass, b: PicardClass) -> Fraction:
+    """d d' - sum m_i m_i' on the blowup of P^2, one Fraction at a time."""
+    if a.surface != b.surface:
+        raise ValidationError("pairing requires classes on the same surface")
+    (d, *m), (e, *n) = a.coords, b.coords
+    return Fraction(d) * Fraction(e) - sum(
+        (Fraction(x) * Fraction(y) for x, y in zip(m, n)), Fraction(0)
+    )
+
+
+def reference_bisect(bad, good, feasible, tol):
+    """Halve [bad, good] (in either order) in Fractions until it is at most
+    tol wide, keeping a feasible good end."""
+    while abs(good - bad) > tol:
+        mid = (good + bad) / 2
+        if feasible(mid):
+            good = mid
+        else:
+            bad = mid
+    return (min(bad, good), max(bad, good))

@@ -19,6 +19,7 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
+from helpers import reference_pairing  # noqa: E402
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_integer_table import reference_curves  # noqa: E402
@@ -77,30 +78,57 @@ def curve_label(c):
 
 
 def reference_pairings(d):
-    return [pairing(d, c) for c in reference_curves(d.surface.r)]
+    return [reference_pairing(d, c) for c in reference_curves(d.surface.r)]
 
 
 def reference_ample(d):
-    return min(reference_pairings(d)) > 0 and pairing(d, d) > 0
+    return min(reference_pairings(d)) > 0 and reference_pairing(d, d) > 0
 
 
 def reference_slope(d):
     if not reference_ample(d):
         raise GeometryError("slope requires an ample class")
-    return -pairing(d.surface.canonical(), d) / pairing(d, d)
+    return -reference_pairing(d.surface.canonical(), d) / reference_pairing(d, d)
 
 
 def reference_combo(backend, x, y, strict):
     combo = F(x) * backend + F(y) * backend.surface.canonical()
     curves = reference_curves(backend.surface.r)
-    slacks = [pairing(combo, c) for c in curves]
+    slacks = [reference_pairing(combo, c) for c in curves]
     margin = min(slacks)
     binding = curve_label(curves[slacks.index(margin)])
-    self_int = pairing(combo, combo)
+    self_int = reference_pairing(combo, combo)
     holds = (margin > 0 and self_int > 0) if strict else (margin >= 0 and self_int >= 0)
     if margin > 0 and self_int <= 0:
         binding, margin = SAFEGUARD, self_int
     return holds, binding, margin
+
+
+@st.composite
+def class_pairs(draw):
+    """Two classes on one blowup, r = 1..8; the coordinates mix integers
+    and fractions with unequal denominators."""
+    r = draw(st.integers(1, 8))
+    surface = BlowupSurface(r)
+    return tuple(
+        surface.cls(draw(st.lists(scalars, min_size=r + 1, max_size=r + 1))) for _ in range(2)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(class_pairs())
+@example((BlowupSurface(8).cls((F(7, 2), 1, 1, 1, 1, 1, 1, 1, F(9, 10))),
+          BlowupSurface(8).cls((F(1, 3), F(5, 7), 0, 0, 0, 0, 0, F(-2, 9), 1))))
+@example((BlowupSurface(1).cls((F(1, 2), F(2, 3))), BlowupSurface(1).cls((F(3, 4), 0))))
+def test_pairing_and_table_forms_match_reference(classes):
+    a, b = classes
+    k = a.surface.canonical()
+    assert pairing(a, b) == reference_pairing(a, b) == pairing(b, a)
+    for d in (a, b):
+        assert pairing(d, d) == reference_pairing(d, d)
+        table = curve_table(d)
+        assert table.l_sq == reference_pairing(d, d)
+        assert table.k_dot_l == reference_pairing(k, d)
 
 
 @settings(max_examples=80, deadline=None)
@@ -118,7 +146,7 @@ def test_combo_positive_matches_reference(d, epsilon, f, strict):
 @example(BlowupSurface(8).cls((3,) + (1,) * 7 + (F(4, 3),)))
 def test_positivity_predicates_match_reference(d):
     pairings = reference_pairings(d)
-    self_int = pairing(d, d)
+    self_int = reference_pairing(d, d)
     assert is_ample_picard(d) == (min(pairings) > 0 and self_int > 0)
     assert (min(curve_table(d).nums) >= 0) == (min(pairings) >= 0 and self_int >= 0)
     # Kleiman: rows that span the cone of curves leave D.D nothing to decide

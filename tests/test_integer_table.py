@@ -1,10 +1,11 @@
 """The integer curve table and the integer cut loop against Fraction references.
 
-The references below are the plain Fraction computations: one pairing()
-call per curve (the exceptional curves, and on one blowup also the fiber
-H - E_1, which with E_1 spans the cone of curves), and the cut loop over c0 + c1 * a > 0 that compares cuts
-as Fractions.  The integer paths must agree with them exactly, including
-which constraint is reported on ties.
+The references below are the plain Fraction computations: one
+reference_pairing() call per curve (the exceptional curves, and on one
+blowup also the fiber H - E_1, which with E_1 spans the cone of curves),
+and the cut loop over c0 + c1 * a > 0 that compares cuts as Fractions.
+The integer paths must agree with them exactly, including which
+constraint is reported on ties.
 """
 
 from fractions import Fraction
@@ -12,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
+from helpers import reference_pairing  # noqa: E402
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
@@ -22,7 +24,6 @@ from kproper.picard import (  # noqa: E402
     dp1_surface,
     exceptional_curves,
     is_ample_picard,
-    pairing,
     slope_picard,
 )
 from kproper.properness import (  # noqa: E402
@@ -75,10 +76,10 @@ def reference_curves(r):
 def reference_combo_positive(backend, x, y, strict):
     combo = F(x) * backend + F(y) * backend.surface.canonical()
     curves = reference_curves(backend.surface.r)
-    slacks = [pairing(combo, c) for c in curves]
+    slacks = [reference_pairing(combo, c) for c in curves]
     margin = min(slacks)
     binding = curve_label(curves[slacks.index(margin)])
-    self_int = pairing(combo, combo)
+    self_int = reference_pairing(combo, combo)
     holds = (margin > 0 and self_int > 0) if strict else (margin >= 0 and self_int >= 0)
     if margin > 0 and self_int <= 0:
         binding = "self-intersection safeguard (D.D > 0)"
@@ -111,7 +112,8 @@ def test_cleared_pairings_match_reference(d):
     assert all(isinstance(x, int) for x in table.nums + table.k_nums)
     k = d.surface.canonical()
     expected = [
-        (curve_label(c), (pairing(d, c), pairing(k, c))) for c in reference_curves(d.surface.r)
+        (curve_label(c), (reference_pairing(d, c), reference_pairing(k, c)))
+        for c in reference_curves(d.surface.r)
     ]
     got = [
         (label, (F(x, table.den), F(y, table.den)))
@@ -134,11 +136,11 @@ def test_combo_positive_matches_reference(d, x, y, strict):
 def test_reduced_table_decides_like_every_curve(d, x, y, strict):
     assert _combo_positive(d, x, y, strict) == reference_combo_positive(d, x, y, strict)
     k = d.surface.canonical()
-    pairings = [pairing(d, c) for c in reference_curves(d.surface.r)]
+    pairings = [reference_pairing(d, c) for c in reference_curves(d.surface.r)]
     ample = min(pairings) > 0
     assert is_ample_picard(d) == ample
     if ample:
-        assert slope_picard(d) == -pairing(k, d) / pairing(d, d)
+        assert slope_picard(d) == -reference_pairing(k, d) / reference_pairing(d, d)
     else:
         with pytest.raises(GeometryError, match="ample"):
             slope_picard(d)
@@ -158,7 +160,7 @@ def reference_pencil_rows(family):
     rows merged under the first label."""
     k = family.base.surface.canonical()
     return first_occurrences(
-        (curve_label(c), (pairing(family.base, c), pairing(family.slope, c), pairing(k, c)))
+        (curve_label(c), tuple(reference_pairing(x, c) for x in (family.base, family.slope, k)))
         for c in reference_curves(family.base.surface.r)
     )
 
@@ -199,7 +201,7 @@ def reference_rows(family, lam):
         return rows
     k = cls.surface.canonical()
     return [
-        (curve_label(c), pairing(cls, c), pairing(k, c))
+        (curve_label(c), reference_pairing(cls, c), reference_pairing(k, c))
         for c in reference_curves(cls.surface.r)
     ]
 
