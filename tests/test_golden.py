@@ -134,6 +134,11 @@ CHECKS = {
                             "--oracle-depth", "12"),
     "alpha_dp6_torus.json": ("alpha", "dp6", "--coeffs", DP6_WINDOW_END, "--group", "torus",
                              "--oracle-depth", "12"),
+    # an order-2 stabilizer, whose fixed polytope is a segment of the centered polygon
+    "alpha_dp6_fixed_line.json": ("alpha", "dp6", "--coeffs", "2/7,2/7,2/7,4/7,6/7,6/7",
+                                  "--group", "full", "--oracle-depth", "4"),
+    # the torus alone: the fixed polytope is the whole centered triangle
+    "alpha_p2_torus.json": ("alpha", "p2", "--coeffs", "1/3,2/7,5", "--group", "torus"),
     "intersect_dp6.json": ("intersect", "dp6", "--coeffs", "1,1,1,1,1,1"),
 }
 
