@@ -11,12 +11,14 @@ invariant is a finite minimization over polytope data:
 where a_i' are the recentered coefficients and P^K is the subpolytope fixed
 by the stabilizer (the full centered polytope in torus-only mode).  The
 inner quantity is linear in y, so only vertices of P^K matter.  The route
-runs in integers: the moment polygon's vertices are integer points over
-one denominator, the recentering shifts them and the coefficients over the
-lcm of that denominator and the barycenter's, the stabilizer is read off
-the integer recentered coefficients (an explicit group is checked on the
-integer vertex set), and the vertex formula is one integer maximum, so a
-Fraction is built only for the barycenter and for alpha.
+runs in integers: a surface class keeps N a and its moment polygon keeps
+integer vertices over N, whose barycenter gives a' over M, the lcm of N and
+its denominator.  The centered polygon is built from a' (half-planes
+<m, u_i> >= -a_i'/M, the cycle shifted over M), the stabilizer is read off
+a' (an explicit group is checked on the integer vertex set) and the vertex
+formula is one integer maximum over the integer vertices of P^K, the whole
+cycle when P^K is the polygon.  A Fraction is built only for the offsets,
+the barycenter that is checked and alpha; threefolds translate by -beta.
 
 `alpha_oracle` is the independent brute-force route: the minimum of the
 exact log-canonical thresholds of the invariant orbit sections on the
@@ -47,11 +49,15 @@ from math import lcm, prod
 from operator import add, mul, sub
 
 from .polytope import (
+    HalfSpace,
     Polytope,
     barycenter,
+    cleared_barycenter,
     cleared_vertices,
     fixed_subpolytope,
+    integer_vertices,
     lattice_points,
+    polygon_from_cycle,
     preserves_vertices,
     translate,
     vertices,
@@ -59,7 +65,6 @@ from .polytope import (
 from .rationals import (
     GeometryError,
     InputError,
-    clear_denominators,
     identity_matrix,
     integer_vector,
     mat_mul,
@@ -67,6 +72,7 @@ from .rationals import (
 )
 from .toric import (
     ToricDivisor,
+    cleared_coefficients,
     fan_automorphisms,
     is_ample,
     moment_polytope,
@@ -114,24 +120,28 @@ def _stabilizer_of(fan, shifted: tuple[int, ...]) -> tuple:
     keeps the coefficients."""
     return tuple(
         g for g, perm in zip(fan_automorphisms(fan), ray_permutations(fan))
-        if all(shifted[j] == x for x, j in zip(shifted, perm))
+        if tuple([shifted[j] for j in perm]) == shifted
     )
 
 
 def _centered(d: ToricDivisor):
     """(P - beta, (M, M a')) for the moment polytope P with barycenter beta:
     the recentered coefficients a_i' = a_i + <beta, u_i> as integers over
-    M, the lcm of the denominators of a and beta, which is also the
-    denominator that `translate` gives the centered polygon's cycle."""
+    M, the lcm of the denominators N of a and of beta.  A moment polygon's
+    translate is built from a': half-planes <m, u_i> >= -a_i'/M, and P's
+    cycle (integers over N) shifted in integers over M."""
     p = moment_polytope(d)
-    beta = barycenter(p)
-    centered = translate(p, tuple(-x for x in beta))
-    den, nums = clear_denominators(d.coeffs)
-    bden, bnums = clear_denominators(beta)
+    den, nums = cleared_coefficients(d)
+    bden, bnums = cleared_barycenter(p)
     m = lcm(den, bden)
     a, b = m // den, m // bden
-    shifted = tuple(x * a + sum(map(mul, bnums, u)) * b for x, u in zip(nums, d.fan.rays))
-    return centered, (m, shifted)
+    shift = [-x * b for x in bnums]
+    shifted = tuple(x * a - sum(map(mul, shift, u)) for x, u in zip(nums, d.fan.rays))
+    if p.dim != 2:
+        return translate(p, [Fraction(x, m) for x in shift]), (m, shifted)
+    hrep = [HalfSpace(u, Fraction(-x, m)) for u, x in sorted(zip(d.fan.rays, shifted))]
+    cycle = [(x * a + shift[0], y * a + shift[1]) for x, y in integer_vertices(p)[1]]
+    return polygon_from_cycle(hrep, m, cycle), (m, shifted)
 
 
 def _close_under_products(generators, bound: int):
@@ -167,10 +177,7 @@ def symmetry_context(
         if not explicit_group:
             raise InputError("explicit group mode needs a nonempty matrix list")
         autos = set(fan_automorphisms(d.fan))
-        closure = _close_under_products(
-            [tuple(tuple(int(x) for x in row) for row in g) for g in explicit_group],
-            bound=len(autos),
-        )
+        closure = _close_under_products(explicit_group, bound=len(autos))
         cleared = cleared_vertices(centered)
         for g in closure:
             if g not in autos:
@@ -201,20 +208,13 @@ def alpha_invariant(ctx: SymmetryContext) -> Fraction:
     """The invariant via the vertex formula on the fixed subpolytope,
     evaluated in integers: the vertices and the recentered coefficients
     over one common denominator m, so alpha = m / max(<v, u_i> + a_i')."""
-    fixed = fixed_polytope(ctx)
-    verts = vertices(fixed)
-    if not verts:
+    vden, points = integer_vertices(fixed_polytope(ctx))
+    if not points:
         raise GeometryError("fixed subpolytope is empty")
-    dim, cden = len(verts[0]), ctx.coeff_den
-    vden, flat = clear_denominators([x for v in verts for x in v])
-    m = lcm(vden, cden)
-    a, b = m // vden, m // cden
+    m = lcm(vden, ctx.coeff_den)
+    a, b = m // vden, m // ctx.coeff_den
     rows = [(ray, x * b) for ray, x in zip(ctx.divisor.fan.rays, ctx.coeff_nums)]
-    worst = max(
-        sum(map(mul, flat[k:k + dim], ray)) * a + x
-        for k in range(0, len(flat), dim)
-        for ray, x in rows
-    )
+    worst = max(sum(map(mul, v, ray)) * a + x for v in points for ray, x in rows)
     if worst <= 0:
         raise GeometryError(
             "internal inconsistency: the alpha vertex formula has no positive denominator"
@@ -238,7 +238,7 @@ def alpha_oracle(ctx: SymmetryContext, k_max: int = 12) -> Fraction:
     if k_max > MAX_ORACLE_DEPTH:
         raise InputError(f"oracle depth {k_max} exceeds the cap of {MAX_ORACLE_DEPTH}")
     d = ctx.divisor
-    multiplier, int_coeffs = clear_denominators(d.coeffs)
+    multiplier, int_coeffs = cleared_coefficients(d)
     integral = ToricDivisor(d.fan, tuple(Fraction(c) for c in int_coeffs))
     p_int = moment_polytope(integral)
     verts = [integer_vector(v) for v in vertices(p_int)]

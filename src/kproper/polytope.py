@@ -434,21 +434,31 @@ def boundary_measure(p: Polytope) -> Fraction:
     return Fraction(sum(gcd(b[0] - a[0], b[1] - a[1]) for a, b in _cycle_edges(cycle)), denom)
 
 
+def cleared_barycenter(p: Polytope) -> tuple[int, tuple[int, ...]]:
+    """The barycenter as integer numerators over their least positive
+    denominator; a polygon's is read off its integer cycle."""
+    if p.dim != 2:
+        return clear_denominators(barycenter(p))
+    denom, cycle = _polygon_cycle(p)
+    if not cycle:
+        raise GeometryError("barycenter requires a polytope of positive volume")
+    # fan the cleared cycle from the origin: the triangle (0, a, b) has
+    # signed double area w = a x b and centroid (a + b) / 3
+    twice = sx = sy = 0
+    for a, b in _cycle_edges(cycle):
+        w = a[0] * b[1] - a[1] * b[0]
+        twice += w
+        sx += w * (a[0] + b[0])
+        sy += w * (a[1] + b[1])
+    g = gcd(3 * twice * denom, sx, sy)
+    return 3 * twice * denom // g, (sx // g, sy // g)
+
+
 def barycenter(p: Polytope) -> tuple:
     """Exact centroid via triangulation; requires positive volume."""
     if p.dim == 2:
-        denom, cycle = _polygon_cycle(p)
-        if not cycle:
-            raise GeometryError("barycenter requires a polytope of positive volume")
-        # fan the cleared cycle from the origin: the triangle (0, a, b) has
-        # signed double area w = a x b and centroid (a + b) / 3
-        twice = sx = sy = 0
-        for a, b in _cycle_edges(cycle):
-            w = a[0] * b[1] - a[1] * b[0]
-            twice += w
-            sx += w * (a[0] + b[0])
-            sy += w * (a[1] + b[1])
-        return (Fraction(sx, 3 * twice * denom), Fraction(sy, 3 * twice * denom))
+        den, nums = cleared_barycenter(p)
+        return tuple(Fraction(x, den) for x in nums)
     verts = vertices(p)
     if not _solid(p, verts):
         raise GeometryError("barycenter requires a polytope of positive volume")
@@ -509,9 +519,10 @@ def fixed_subpolytope(p: Polytope, group) -> Polytope:
     action on the polytope's ambient space is by transposes, so a point y is
     fixed when (g^T - I) y = 0 for every g.  Every group element must map
     the vertex set of p onto itself (the polytope must already be centered),
-    otherwise this raises.
+    otherwise this raises.  A tuple group must hold tuple matrices.
     """
-    group = tuple(tuple(tuple(row) for row in g) for g in group)
+    if type(group) is not tuple:
+        group = tuple(tuple(tuple(row) for row in g) for g in group)
     fixed, fixed_dim = _fixed_space(group, p.dim)
     cleared = cleared_vertices(p)
     for g in group:
@@ -550,29 +561,28 @@ def _fixed_space(group: tuple, dim: int) -> tuple[tuple[LinearEquation, ...], in
     return tuple(sorted(eqs, key=lambda e: (e.coeffs, e.rhs))), len(basis)
 
 
-def cleared_vertices(p: Polytope) -> frozenset:
-    """The vertices of p times one positive common denominator, as integer
-    tuples: the polygon's integer cycle when it is known, else the lcm of
-    the vertex denominators.  A linear map preserves the vertex set exactly
-    when it preserves this integer copy, so symmetry tests never multiply
-    fractions."""
+def integer_vertices(p: Polytope) -> tuple[int, tuple]:
+    """(den, points): the vertices of p as integers over one positive den,
+    the polygon's cycle when it is known, else cleared by their lcm."""
     cycle = p._cycle_cache
-    if cycle is not None and cycle[1]:
-        return frozenset(cycle[1])
-    return frozenset(_cleared(vertices(p))[1])
+    return cycle if cycle is not None and cycle[1] else _cleared(vertices(p))
+
+
+def cleared_vertices(p: Polytope) -> frozenset:
+    """The points of integer_vertices(p) as a set.  A linear map preserves
+    the vertex set exactly when it preserves this integer copy, so symmetry
+    tests never multiply fractions."""
+    return frozenset(integer_vertices(p)[1])
 
 
 def preserves_vertices(g, cleared: frozenset) -> bool:
     """Whether g^T maps a cleared vertex set (see cleared_vertices) onto
-    itself; stops at the first vertex mapped outside it."""
+    itself, that is, whether the set of its images is the set itself."""
+    if len(g) == 2:
+        (a, b), (c, d) = g
+        return {(a * x + c * y, b * x + d * y) for x, y in cleared} == cleared
     gt = tuple(zip(*g))
-    images = set()
-    for w in cleared:
-        image = tuple([sum(map(mul, row, w)) for row in gt])
-        if image not in cleared:
-            return False
-        images.add(image)
-    return len(images) == len(cleared)
+    return {tuple([sum(map(mul, row, w)) for row in gt]) for w in cleared} == cleared
 
 
 def lattice_points(p: Polytope, k: int = 1) -> tuple:
@@ -589,8 +599,7 @@ def lattice_points(p: Polytope, k: int = 1) -> tuple:
     """
     if not isinstance(k, int) or k < 1:
         raise GeometryError("lattice refinement k must be a positive integer")
-    cycle = p._cycle_cache
-    vden, cleared = cycle if cycle is not None and cycle[1] else _cleared(vertices(p))
+    vden, cleared = integer_vertices(p)
     if not cleared:
         return ()
     last = p.dim - 1

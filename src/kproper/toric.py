@@ -404,6 +404,11 @@ def _cleared_walls(d: ToricDivisor) -> tuple[int, tuple[int, ...], tuple[int, ..
     return d._cleared
 
 
+def cleared_coefficients(d: ToricDivisor) -> tuple[int, tuple[int, ...]]:
+    """(N, (N a_i)), N the lcm of the denominators, kept by a surface class."""
+    return _cleared_walls(d)[:2] if d.fan.dim == 2 else clear_denominators(d.coeffs)
+
+
 def wall_pairings(d: ToricDivisor) -> tuple[Fraction, ...]:
     """D . D_i = a_{i-1} + a_{i+1} - c_i a_i for every ray i of a surface
     fan, in ray order.  Every surface positivity question reads their
