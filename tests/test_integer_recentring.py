@@ -22,7 +22,6 @@ from hypothesis import strategies as st  # noqa: E402
 from test_integer_oracle import threefold_classes  # noqa: E402
 from test_moment_polygon import ample_divisors  # noqa: E402
 
-import kproper.alpha as alpha_mod  # noqa: E402
 from kproper.alpha import _centered, alpha_invariant, symmetry_context  # noqa: E402
 from kproper.polytope import (  # noqa: E402
     barycenter,
@@ -33,7 +32,14 @@ from kproper.polytope import (  # noqa: E402
     vertices,
 )
 from kproper.rationals import clear_denominators, dot  # noqa: E402
-from kproper.toric import ToricDivisor, dp6_fan, is_ample, moment_polytope, p2_fan  # noqa: E402
+from kproper.toric import (  # noqa: E402
+    ToricDivisor,
+    dp6_fan,
+    fan_automorphisms,
+    is_ample,
+    moment_polytope,
+    p2_fan,
+)
 
 F = Fraction
 
@@ -115,9 +121,9 @@ def test_every_dp6_automorphism_on_a_centred_hexagon():
     d = ToricDivisor(dp6_fan(), (F(1), F(6, 5)) * 3)
     centered, _ = _centered(d)
     cleared = frozenset(integer_vertices(centered)[1])
-    kept = [g for g in alpha_mod.fan_automorphisms(d.fan) if preserves_vertices(g, cleared)]
+    kept = [g for g in fan_automorphisms(d.fan) if preserves_vertices(g, cleared)]
     assert len(kept) == 6
-    for g in alpha_mod.fan_automorphisms(d.fan):
+    for g in fan_automorphisms(d.fan):
         assert preserves_vertices(g, cleared) == general_loop(g, cleared)
 
 
