@@ -101,6 +101,9 @@ CHECKS = {
                                "--alpha", "2/3"),
     "check_dp1_failing.txt": ("--format", "text", "check", "--builtin", "dp1",
                               "--coeffs", DP1_FAILING, "--alpha", "2/3"),
+    # every condition value with its decimal approximation
+    "check_dp1_failing_approx.txt": ("--format", "text", "--approx", "check", "--builtin", "dp1",
+                                     "--coeffs", DP1_FAILING, "--alpha", "2/3"),
     # zero margin attained by many curves: the first curve in table order wins
     "check_dp1_tie.json": ("check", "--builtin", "dp1", "--coeffs", "3,1,1,1,1,1,1,1,1",
                            "--alpha", "1"),
