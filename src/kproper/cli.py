@@ -107,11 +107,15 @@ def _list(item, size=None):
     return read
 
 
-def _strings(value, where: str) -> dict:
-    """A reader of an object whose values are strings."""
-    if not isinstance(value, dict):
-        raise _fault(where, "a JSON object", value)
-    return {key: _string(x, f"{where}.{key}") for key, x in value.items()}
+def _dict(item):
+    """A reader of an object into a dict, each value read by `item`."""
+
+    def read(value, where: str) -> dict:
+        if not isinstance(value, dict):
+            raise _fault(where, "a JSON object", value)
+        return {key: item(x, f"{where}.{key}") for key, x in value.items()}
+
+    return read
 
 
 def _object(*keys):
@@ -237,13 +241,7 @@ def _approx(value: Fraction) -> str:
 
 
 def _fmt_value(text: str, approx: bool) -> str:
-    if not approx:
-        return text
-    try:
-        q = parse_rational(text)
-    except KProperError:
-        return text
-    return f"{text} (~{_approx(q)})"
+    return f"{text} (~{_approx(parse_rational(text))})" if approx else text
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +263,8 @@ def _report_json(report) -> dict:
             "mu": None if report.mu is None else format_rational(report.mu),
             "conditions": [
                 {"name": c.name, "description": c.description, "holds": c.holds,
-                 "values": dict(c.values), "binding": c.binding}
+                 "values": {k: format_rational(v) for k, v in c.values.items()},
+                 "binding": c.binding}
                 for c in report.conditions
             ],
         }
@@ -349,7 +348,7 @@ _PROPERNESS_KEYS = _object(
         ("name", _string),
         ("description", _string),
         ("holds", _bool),
-        ("values", _strings),
+        ("values", _dict(_rational)),
         ("binding", _optional(_string), None),
     ))),
     ("alpha", _optional(_rational), None),
@@ -377,7 +376,7 @@ _FEASIBILITY_KEYS = _object(
         ("infeasible_outside", _bool),
         ("confirmed", _bool, None),
     ))),
-    ("diagnostics", _strings, {}),
+    ("diagnostics", _dict(_string), {}),
 )
 
 

@@ -47,13 +47,14 @@ built once per process, on first use, and keep that lambda-independent
 data; the certificate is built on their first sweep.
 
 The reports are plain dataclasses; their JSON form is written and read in
-cli.py alone.  A check report's verdict is derived from its conditions, as
-their conjunction, and never stored.  A failing criterion is reported as
-"criterion not satisfied", never as a properness disproof; the conditions
-are sufficient, not sharp.  A weaker historical variant of condition (3)
-(Song-Weinkove's inequality, tested against a wedge with the reference
-metric) is intentionally not implemented; only the stronger class form
-above is decided.
+cli.py alone.  Condition values are exact; cli.py formats them.  A check
+report's verdict is derived from its conditions, as their conjunction, and
+never stored.  A failing criterion is reported as "criterion not
+satisfied", never as a properness disproof; the conditions are sufficient,
+not sharp.  A weaker historical variant of condition (3) (Song-Weinkove's
+inequality, tested against a wedge with the reference metric) is
+intentionally not implemented; only the stronger class form above is
+decided.
 
 Comparison-only constants from the literature, never used in computation:
 Zhou-Zhu prove properness of the same hexagonal family for
@@ -262,10 +263,13 @@ def _combo_positive(backend, x, y, strict: bool):
 
 @dataclass(frozen=True)
 class ConditionCheck:
+    """One condition of a check: whether it holds, its exact values by name,
+    as Fractions, and the label of the constraint that binds it, if any."""
+
     name: str
     description: str
     holds: bool
-    values: dict = field(default_factory=dict)
+    values: dict[str, Fraction] = field(default_factory=dict)
     binding: str | None = None
 
     def __post_init__(self):
@@ -318,11 +322,7 @@ def check_properness(backend, epsilon, alpha_source) -> PropernessReport:
         name="condition (1)",
         description="epsilon < (n+1)/n * alpha",
         holds=eps < bound,
-        values={
-            "epsilon": format_rational(eps),
-            "alpha": format_rational(alpha),
-            "bound": format_rational(bound),
-        },
+        values={"epsilon": eps, "alpha": alpha, "bound": bound},
         binding="alpha bound" if eps >= bound else None,
     )
     cond2 = _positivity(backend, "condition (2)", "K + epsilon L ample", eps, 1, {})
@@ -330,7 +330,7 @@ def check_properness(backend, epsilon, alpha_source) -> PropernessReport:
     factor = eps - n * mu
     cond3 = _positivity(
         backend, "condition (3)", "(epsilon - n*mu) L - (n-1) K ample", factor, -(n - 1),
-        {"mu": format_rational(mu), "L-coefficient": format_rational(factor)},
+        {"mu": mu, "L-coefficient": factor},
     )
     return PropernessReport(
         mode="epsilon-criterion",
@@ -350,7 +350,7 @@ def _positivity(backend, name, description, x, y, values, strict=True) -> Condit
     only when it fails."""
     holds, binding, margin = _combo_positive(backend, x, y, strict)
     if margin is not None:
-        values["margin"] = format_rational(margin)
+        values["margin"] = margin
     return ConditionCheck(name, description, holds, values,
                           binding if strict or not holds else None)
 
@@ -366,7 +366,7 @@ def check_negative_c1(backend) -> PropernessReport:
     factor = -n * mu
     cond = _positivity(
         backend, "condition (nef)", "(-n*mu) L - (n-1) K nef", factor, -(n - 1),
-        {"mu": format_rational(mu), "L-coefficient": format_rational(factor)}, strict=False,
+        {"mu": mu, "L-coefficient": factor}, strict=False,
     )
     return PropernessReport(
         mode="negative-c1",
@@ -392,7 +392,7 @@ def check_fano(backend, alpha_source) -> PropernessReport:
         name="condition (1)",
         description="alpha(-K) > n/(n+1)",
         holds=alpha > threshold,
-        values={"alpha": format_rational(alpha), "threshold": format_rational(threshold)},
+        values={"alpha": alpha, "threshold": threshold},
         binding="alpha bound" if alpha <= threshold else None,
     )
     return PropernessReport(

@@ -12,6 +12,7 @@ from kproper.properness import (
     StabilizerAlpha,
     check_properness,
 )
+from kproper.rationals import InputError
 from kproper.toric import ToricDivisor, anticanonical_divisor, dp6_fan
 
 
@@ -175,6 +176,19 @@ def test_check_json_round_trips(capsys):
     assert code == 0
     report = parse_report(out)
     assert render_report(report, "json") == out
+
+
+@pytest.mark.parametrize("value", ["abc", "2/4", 5, None, ["1"]])
+@pytest.mark.parametrize("index, key", [(1, "margin"), (2, "margin"), (2, "mu")])
+def test_a_condition_value_that_is_no_canonical_rational_is_refused(capsys, index, key, value):
+    code, out, _ = run_cli(
+        capsys, "check", "--builtin", "dp6", "--coeffs", "1,7/10,1,7/10,1,7/10", "--epsilon", "1",
+    )
+    assert code == 0
+    data = json.loads(out)
+    data["conditions"][index]["values"][key] = value
+    with pytest.raises(InputError, match=rf"conditions\[{index}\]\.values\.{key}\b"):
+        parse_report(json.dumps(data))
 
 
 def test_check_picard_backend(capsys):

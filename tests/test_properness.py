@@ -134,7 +134,7 @@ def test_negative_c1_canonical_polarization_identity_collapse():
         assert report.scope == SCOPE_ALL
         assert report.mu == -1
         # nL - (n-1)K with L = K collapses to K, pairing to 1 for every n
-        assert report.conditions[0].values["margin"] == "1"
+        assert report.conditions[0].values["margin"] == F(1)
 
 
 def test_negative_c1_failing_slice():
@@ -142,7 +142,7 @@ def test_negative_c1_failing_slice():
     report = check_negative_c1(backend)
     assert report.verdict == VERDICT_FAIL
     assert report.mu == F(-2, 5)
-    assert report.conditions[0].values["margin"] == "-1/5"
+    assert report.conditions[0].values["margin"] == F(-1, 5)
 
 
 def test_slice_curve_named_like_the_safeguard_adds_no_note():
@@ -343,18 +343,64 @@ def test_sweep_rejects_too_many_conjectured_endpoints_before_any_decision(monkey
 # report serialization
 
 
-def test_properness_report_round_trip():
-    report = check_properness(
+CHECK_KINDS = {
+    "toric-epsilon": lambda: check_properness(
         backend=F(5, 4) * anticanonical_divisor(dp6_fan()),
         epsilon=F(1),
         alpha_source=StabilizerAlpha("full"),
-    )
+    ),
+    "dp1-picard": lambda: check_properness(
+        dp1_surface().cls((F(3),) + (F(1),) * 7 + (F(1, 2),)), F(1), SuppliedAlpha(F(2, 3))
+    ),
+    "fano": lambda: check_fano(anticanonical_divisor(dp6_fan()), StabilizerAlpha("full")),
+    "negative-c1-slice": lambda: check_negative_c1(
+        abstract_slice(2, F(5), F(2), [("test curve", F(1), F(1))])
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHECK_KINDS))
+def test_properness_report_round_trip(kind):
+    report = CHECK_KINDS[kind]()
     text = render_report(report)
     assert parse_report(text) == report
     assert render_report(parse_report(text)) == text
+    # every condition value is exact, written and read back as a Fraction
+    for check in report.conditions + parse_report(text).conditions:
+        assert check.values and all(type(v) is Fraction for v in check.values.values())
     # a report written while check reports still carried notes reads the same
-    older = text.replace('  "mu": "4/5",\n', '  "mu": "4/5",\n  "notes": [],\n')
+    line = '  "kind": "properness-report",\n'
+    older = text.replace(line, line + '  "notes": [],\n')
     assert older != text and parse_report(older) == report
+
+
+@pytest.mark.parametrize("family, lam, coordinates", [
+    (dp6_family, F(1), 6),
+    (dp1_family, F(1), 9),
+])
+def test_a_certified_probe_formats_only_the_backend_description(
+        monkeypatch, family, lam, coordinates):
+    """One probe, its midpoint check included, formats no value of the
+    report it throws away: every format_rational call goes through _join,
+    which writes the midpoint class's coordinates into its description."""
+    real_format, real_join = properness.format_rational, properness._join
+    calls, joining = {"join": 0, "other": 0}, []
+
+    def counting_format(q):
+        calls["join" if joining else "other"] += 1
+        return real_format(q)
+
+    def counting_join(values):
+        joining.append(True)
+        try:
+            return real_join(values)
+        finally:
+            joining.pop()
+
+    monkeypatch.setattr(properness, "format_rational", counting_format)
+    monkeypatch.setattr(properness, "_join", counting_join)
+    assert not feasible_scale_interval(family(), lam).is_empty
+    assert calls == {"join": coordinates, "other": 0}
 
 
 def test_feasibility_report_round_trip():
