@@ -240,8 +240,9 @@ def _approx(value: Fraction) -> str:
     return f"{wide.normalize(_WIDE):.6g}"
 
 
-def _fmt_value(text: str, approx: bool) -> str:
-    return f"{text} (~{_approx(parse_rational(text))})" if approx else text
+def _fmt_value(value: Fraction, approx: bool) -> str:
+    text = format_rational(value)
+    return f"{text} (~{_approx(value)})" if approx else text
 
 
 # ---------------------------------------------------------------------------
@@ -297,43 +298,44 @@ def _report_json(report) -> dict:
 
 def render_report(report, fmt: str = "json", approx: bool = False) -> str:
     """Render a properness or feasibility report; JSON output round-trips
-    through parse_report."""
+    through parse_report; text output formats the exact values."""
     data = _report_json(report)
     if fmt == "json":
         return _dump_json(data)
+    value = functools.partial(_fmt_value, approx=approx)
     if data["kind"] == "properness-report":
         lines = [f"mode: {data['mode']}", f"backend: {data['backend']}"]
-        if data["alpha"] is not None:
-            lines.append(f"alpha: {_fmt_value(data['alpha'], approx)} [{data['alpha_provenance']}]")
-        if data["mu"] is not None:
-            lines.append(f"mu: {_fmt_value(data['mu'], approx)}")
-        for c in data["conditions"]:
-            line = f"{c['name']}: {'PASS' if c['holds'] else 'FAIL'}  {c['description']}"
-            if c["values"]:
-                values = sorted(c["values"].items())
-                line += f"  [{', '.join(f'{k}={_fmt_value(v, approx)}' for k, v in values)}]"
-            if c["binding"] and not c["holds"]:
-                line += f"  binding: {c['binding']}"
+        if report.alpha is not None:
+            lines.append(f"alpha: {value(report.alpha)} [{data['alpha_provenance']}]")
+        if report.mu is not None:
+            lines.append(f"mu: {value(report.mu)}")
+        for c in report.conditions:
+            line = f"{c.name}: {'PASS' if c.holds else 'FAIL'}  {c.description}"
+            if c.values:
+                values = sorted(c.values.items())
+                line += f"  [{', '.join(f'{k}={value(v)}' for k, v in values)}]"
+            if c.binding and not c.holds:
+                line += f"  binding: {c.binding}"
             lines.append(line)
         lines += [f"verdict: {data['verdict']}", f"scope: {data['scope']}"]
     else:
         lines = [
-            f"family: {data['family']}  epsilon: {data['epsilon']}",
-            f"grid: [{data['lambda_min']}, {data['lambda_max']}] step {data['step']}"
-            f" refine_tol {data['refine_tol']}",
+            f"family: {data['family']}  epsilon: {value(report.epsilon)}",
+            f"grid: [{value(report.lambda_min)}, {value(report.lambda_max)}] step "
+            f"{value(report.step)} refine_tol {value(report.refine_tol)}",
         ]
-        if not data["intervals"]:
+        if not report.windows:
             lines.append("no feasible lambda window found")
-        for w in data["intervals"]:
-            (lo0, lo1), (hi0, hi1), witness = w["lo_bracket"], w["hi_bracket"], w["witness"]
+        for w in report.windows:
+            (lo0, lo1), (hi0, hi1) = map(value, w.lo_bracket), map(value, w.hi_bracket)
             lines.append(
                 f"feasible window: lo in [{lo0}, {lo1}], hi in [{hi0}, {hi1}],"
-                f" witness (lambda={witness['lambda']}, a={witness['a']})"
+                f" witness (lambda={value(w.witness_lambda)}, a={value(w.witness_a)})"
             )
-        for c in data["endpoint_checks"]:
-            status = "confirmed" if c["confirmed"] else "NOT confirmed"
-            lines.append(f"conjectured {c['side']} endpoint {c['endpoint']}: {status}")
-        lines += [f"{key}: {value}" for key, value in sorted(data["diagnostics"].items())]
+        for c in report.endpoint_checks:
+            status = "confirmed" if c.confirmed else "NOT confirmed"
+            lines.append(f"conjectured {c.side} endpoint {value(c.endpoint)}: {status}")
+        lines += [f"{key}: {text}" for key, text in sorted(data["diagnostics"].items())]
     return "\n".join(lines) + "\n"
 
 
@@ -453,23 +455,22 @@ def _cmd_polytope_info(args) -> int:
         p = toric_mod.moment_polytope(load_coeffs(load_fan(args.source), args.coeffs))
     verts = polytope_mod.vertices(p)
     vol = polytope_mod.volume(p)
+    measure = polytope_mod.boundary_measure(p) if p.dim == 2 and vol > 0 else None
+    center = polytope_mod.barycenter(p) if vol > 0 else None
     data = {
         "vertices": [[format_rational(x) for x in v] for v in verts],
         "volume": format_rational(vol),
         "affine_dim": polytope_mod.affine_dimension(p),
-        "boundary_measure": None,
-        "barycenter": None,
+        "boundary_measure": None if measure is None else format_rational(measure),
+        "barycenter": None if center is None else [format_rational(x) for x in center],
     }
-    if p.dim == 2 and vol > 0:
-        data["boundary_measure"] = format_rational(polytope_mod.boundary_measure(p))
-    if vol > 0:
-        data["barycenter"] = [format_rational(x) for x in polytope_mod.barycenter(p)]
+    value = functools.partial(_fmt_value, approx=args.approx)
     lines = [
-        f"vertices: {data['vertices']}",
-        f"volume: {_fmt_value(data['volume'], args.approx)}",
+        f"vertices: {[[value(x) for x in v] for v in verts]}",
+        f"volume: {value(vol)}",
         f"affine_dim: {data['affine_dim']}",
-        f"boundary_measure: {data['boundary_measure']}",
-        f"barycenter: {data['barycenter']}",
+        f"boundary_measure: {None if measure is None else value(measure)}",
+        f"barycenter: {None if center is None else [value(x) for x in center]}",
     ]
     _emit(args, data, lines)
     return 0
@@ -496,15 +497,16 @@ def _cmd_alpha(args) -> int:
         "oracle_depth": None,
     }
     if args.oracle_depth is not None:
-        data["oracle"] = format_rational(alpha_mod.alpha_oracle(ctx, args.oracle_depth))
+        oracle = alpha_mod.alpha_oracle(ctx, args.oracle_depth)
+        data["oracle"] = format_rational(oracle)
         data["oracle_depth"] = args.oracle_depth
     lines = [
-        f"alpha: {_fmt_value(data['alpha'], args.approx)}",
+        f"alpha: {_fmt_value(value, args.approx)}",
         f"group_mode: {args.group} (stabilizer order {data['stabilizer_order']})",
     ]
     if data["oracle"] is not None:
         lines.append(
-            f"oracle (depth {args.oracle_depth}): {_fmt_value(data['oracle'], args.approx)}"
+            f"oracle (depth {args.oracle_depth}): {_fmt_value(oracle, args.approx)}"
         )
     _emit(args, data, lines)
     return 0
@@ -516,21 +518,20 @@ def _cmd_intersect(args) -> int:
     minus_k = toric_mod.anticanonical_divisor(fan)
     d_sq = toric_mod.intersection_number(d, d)
     kd = toric_mod.intersection_number(minus_k, d)
+    slopes = toric_mod.slope_quantities(d) if toric_mod.is_ample(d) else None
+    mu, rbar = (slopes.mu, slopes.rbar) if slopes else (None, None)
     data = {
         "self_intersection": format_rational(d_sq),
         "anticanonical_pairing": format_rational(kd),
-        "mu": None,
-        "rbar": None,
+        "mu": None if mu is None else format_rational(mu),
+        "rbar": None if rbar is None else format_rational(rbar),
     }
-    if toric_mod.is_ample(d):
-        slopes = toric_mod.slope_quantities(d)
-        data["mu"] = format_rational(slopes.mu)
-        data["rbar"] = None if slopes.rbar is None else format_rational(slopes.rbar)
+    value = functools.partial(_fmt_value, approx=args.approx)
     lines = [
-        f"D.D: {_fmt_value(data['self_intersection'], args.approx)}",
-        f"-K.D: {_fmt_value(data['anticanonical_pairing'], args.approx)}",
-        f"mu: {data['mu']}",
-        f"rbar: {data['rbar']}",
+        f"D.D: {value(d_sq)}",
+        f"-K.D: {value(kd)}",
+        f"mu: {None if mu is None else value(mu)}",
+        f"rbar: {None if rbar is None else value(rbar)}",
     ]
     _emit(args, data, lines)
     return 0

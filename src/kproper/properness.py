@@ -98,6 +98,7 @@ from .toric import (
     is_ample,
     is_nef,
     ray_permutations,
+    scaled,
     slope_quantities,
     wall_pairings,
     wall_table,
@@ -237,14 +238,14 @@ def _join(values) -> str:
     return ", ".join(format_rational(c) for c in values)
 
 
-def _combo_positive(backend, x, y, strict: bool):
+def _combo_positive(backend, x, y, strict: bool, view: _Backend | None = None):
     """Decide positivity of x L + y K; return (holds, binding label, margin).
 
     One integer pass over the constraint table, where the first row at the
     least pairing binds.  The rows span the cone of curves, so by Kleiman
     their signs alone decide, and a positive class has positive square."""
     x, y = Fraction(x), Fraction(y)
-    table = _backend(backend).table
+    table = (_backend(backend) if view is None else view).table
     if table is None:
         combo = x * backend + y * canonical_divisor(backend.fan)
         return (is_ample(combo) if strict else is_nef(combo)), None, None
@@ -313,7 +314,7 @@ def check_properness(backend, epsilon, alpha_source) -> PropernessReport:
     n = view.dim
     if eps == 0:
         return check_negative_c1(backend)
-    ample, _, _ = _combo_positive(backend, 1, 0, strict=True)
+    ample, _, _ = _combo_positive(backend, 1, 0, True, view)
     if not ample:
         raise GeometryError("class not Kahler: the backend class is not ample")
     alpha, label, scope = resolve_alpha(backend, alpha_source)
@@ -325,11 +326,11 @@ def check_properness(backend, epsilon, alpha_source) -> PropernessReport:
         values={"epsilon": eps, "alpha": alpha, "bound": bound},
         binding="alpha bound" if eps >= bound else None,
     )
-    cond2 = _positivity(backend, "condition (2)", "K + epsilon L ample", eps, 1, {})
+    cond2 = _positivity(backend, view, "condition (2)", "K + epsilon L ample", eps, 1, {})
     mu = view.mu()
     factor = eps - n * mu
     cond3 = _positivity(
-        backend, "condition (3)", "(epsilon - n*mu) L - (n-1) K ample", factor, -(n - 1),
+        backend, view, "condition (3)", "(epsilon - n*mu) L - (n-1) K ample", factor, -(n - 1),
         {"mu": mu, "L-coefficient": factor},
     )
     return PropernessReport(
@@ -343,12 +344,12 @@ def check_properness(backend, epsilon, alpha_source) -> PropernessReport:
     )
 
 
-def _positivity(backend, name, description, x, y, values, strict=True) -> ConditionCheck:
+def _positivity(backend, view, name, description, x, y, values, strict=True) -> ConditionCheck:
     """The condition that x L + y K is ample (strict) or nef, decided by
     _combo_positive, with its margin added to `values`.  An ample condition
     names its binding row whether it holds or not; a nef condition names it
     only when it fails."""
-    holds, binding, margin = _combo_positive(backend, x, y, strict)
+    holds, binding, margin = _combo_positive(backend, x, y, strict, view)
     if margin is not None:
         values["margin"] = margin
     return ConditionCheck(name, description, holds, values,
@@ -359,13 +360,13 @@ def check_negative_c1(backend) -> PropernessReport:
     """The c1 < 0 criterion: (-n mu) L - (n-1) K nef suffices for properness."""
     view = _backend(backend)
     n = view.dim
-    k_ample, _, _ = _combo_positive(backend, 0, 1, strict=True)
+    k_ample, _, _ = _combo_positive(backend, 0, 1, True, view)
     if not k_ample:
         raise GeometryError("negative-c1 criterion requires c1 < 0 (ample canonical class)")
     mu = view.mu()
     factor = -n * mu
     cond = _positivity(
-        backend, "condition (nef)", "(-n*mu) L - (n-1) K nef", factor, -(n - 1),
+        backend, view, "condition (nef)", "(-n*mu) L - (n-1) K nef", factor, -(n - 1),
         {"mu": mu, "L-coefficient": factor}, strict=False,
     )
     return PropernessReport(
@@ -381,7 +382,7 @@ def check_fano(backend, alpha_source) -> PropernessReport:
     """The anticanonically polarized criterion: alpha(-K) > n/(n+1)."""
     view = _backend(backend)
     n = view.dim
-    antik_ample, _, _ = _combo_positive(backend, 0, -1, strict=True)
+    antik_ample, _, _ = _combo_positive(backend, 0, -1, True, view)
     if not antik_ample:
         raise GeometryError("Fano criterion requires an ample anticanonical class")
     # on a toric backend the stabilizer formula evaluates alpha on -K itself
@@ -442,6 +443,11 @@ class Family:
         build, den, base, slope = self._pencil
         den *= q * s
         return build(tuple(Fraction(r * (b * q + t * p), den) for b, t in zip(base, slope)))
+
+    @functools.cached_property
+    def member(self):
+        """class_at(lambda), the last one kept for the probe's midpoint check."""
+        return functools.lru_cache(maxsize=1)(self.class_at)
 
     @functools.cached_property
     def _pencil(self):
@@ -523,7 +529,7 @@ class Family:
 
     def alpha_unscaled(self, lam):
         if self.alpha_scope == SCOPE_G:
-            return resolve_alpha(self.class_at(lam), StabilizerAlpha())
+            return resolve_alpha(self.member(lam), StabilizerAlpha())
         return dervan_alpha_bound(lam), "supplied bound (Dervan)", SCOPE_ALL
 
     @functools.cached_property
@@ -709,8 +715,10 @@ def _lower_cut(family, lam: Fraction):
 
 def _verify_interval(family, lam, epsilon, interval, mu1, alpha1, alpha_label, alpha_scope):
     mid = interval.midpoint
+    # on a fan the midpoint class carries the probe's polygon, scaled
+    toric = family.alpha_scope == SCOPE_G
     report = check_properness(
-        backend=family.class_at(lam, mid),
+        backend=scaled(family.member(lam), mid) if toric else family.class_at(lam, mid),
         epsilon=epsilon,
         alpha_source=SuppliedAlpha(alpha1 / mid, alpha_label, alpha_scope),
     )
@@ -780,10 +788,12 @@ class LambdaCertificate:
                 tuple(slots) or (None,))
 
     def feasible_at(self, lam: Fraction) -> bool:
-        """Whether some scale passes all three conditions at lambda = p/q:
-        the polynomial of its piece, found by a binary search that compares
+        return self.feasible_pair(lam.numerator, lam.denominator)
+
+    def feasible_pair(self, p: int, q: int) -> bool:
+        """Whether some scale passes all three conditions at lambda = p/q, q > 0
+        (any multiple): the polynomial of its piece, found by a binary search
         by cross-multiplication, or the pointwise rule where none decides."""
-        p, q = lam.numerator, lam.denominator
         nums, dens, slots = self._lookup
         lo, hi = 0, len(nums)
         while lo < hi:
@@ -793,7 +803,7 @@ class LambdaCertificate:
             else:
                 hi = mid
         poly = None if lo < len(nums) and nums[lo] * q == p * dens[lo] else slots[lo]
-        return self._pointwise(lam) if poly is None else _value(poly, p, q) > 0
+        return self._pointwise(Fraction(p, q)) if poly is None else _value(poly, p, q) > 0
 
     def _pointwise(self, lam: Fraction) -> bool:
         """A row B q + S p <= 0 makes lambda = p/q infeasible, an alpha piece
@@ -1153,36 +1163,32 @@ def sweep_lambda(
             f"{len(conjectured_endpoints)} conjectured endpoints, at three exact probes "
             f"each; the cap is {MAX_CONJECTURED_ENDPOINTS}"
         )
-    # lambda_min = a/d and step = b/d over one denominator: one Fraction per point
+    # grid point k is the pair (a + k b, d); Fractions only for brackets and witness
     d, (a, b) = clear_denominators((lambda_min, step))
-    grid = [Fraction(a + k * b, d) for k in range(points)]
-    feasible, probe = _feasibility(family, epsilon)
-    flags = [feasible(lam) for lam in grid]
+    grid = range(a, a + points * b, b)
+    decide, probe = _feasibility(family, epsilon)
+    flags = [decide(x, d) for x in grid]
     windows = []
-    diagnostics = {"grid_points": str(len(grid)), "alpha_scope": family.alpha_scope}
+    diagnostics = {"grid_points": str(points), "alpha_scope": family.alpha_scope}
     i = 0
-    while i < len(grid):
+    while i < points:
         if not flags[i]:
             i += 1
             continue
         j = i
-        while j + 1 < len(grid) and flags[j + 1]:
+        while j + 1 < points and flags[j + 1]:
             j += 1
-        lo_bracket = (
-            _bisect(grid[i - 1], grid[i], feasible, refine_tol) if i > 0 else (grid[0], grid[0])
-        )
-        hi_bracket = (
-            _bisect(grid[j + 1], grid[j], feasible, refine_tol)
-            if j + 1 < len(grid)
-            else (grid[-1], grid[-1])
-        )
+        lo_bracket = (_bisect(grid[i - 1], grid[i], d, decide, refine_tol) if i > 0
+                      else (Fraction(grid[0], d),) * 2)
+        hi_bracket = (_bisect(grid[j + 1], grid[j], d, decide, refine_tol) if j + 1 < points
+                      else (Fraction(grid[-1], d),) * 2)
         for lam in (*lo_bracket, *hi_bracket):
-            if probe(lam) != feasible(lam):
+            if probe(lam) != decide(lam.numerator, lam.denominator):
                 raise GeometryError(
                     f"internal inconsistency: the exact probe at lambda = "
                     f"{format_rational(lam)} disagrees with the sweep's decision"
                 )
-        witness_lambda = grid[(i + j) // 2]
+        witness_lambda = Fraction(grid[(i + j) // 2], d)
         interval, lo_label, hi_label = _scale_interval_with_bindings(
             family, witness_lambda, epsilon
         )
@@ -1234,14 +1240,14 @@ def sweep_lambda(
 
 
 def _feasibility(family, epsilon):
-    """(decide, probe): two maps lambda -> whether some scale a passes all
-    three conditions at epsilon > 0.  A lambda outside the ample range is
-    infeasible; every other error propagates, and decide raises wherever
-    probe does.
+    """(decide, probe): whether some scale a passes all three conditions at
+    epsilon > 0, decide(p, q) at lambda = p/q and probe(lambda).  A lambda
+    outside the ample range is infeasible; every other error propagates,
+    and decide raises wherever probe does.
 
     probe runs the certified feasible_scale_interval, whose alpha cap is
     checked against the family's alpha pieces.  decide is the family's
-    LambdaCertificate.feasible_at, which never runs the probe's cut loop,
+    LambdaCertificate.feasible_pair, which never runs the probe's cut loop,
     so a probe at a bracket end checks the decision there: a lookup inside a
     piece, the signs of the family's rows, alpha pieces and cut polynomials
     elsewhere.  A family without alpha pieces is rejected."""
@@ -1258,7 +1264,7 @@ def _feasibility(family, epsilon):
         ample = family.is_ample_at(lam)
         return ample and not feasible_scale_interval(family, lam, epsilon).is_empty
 
-    return family.certificate.feasible_at, probe
+    return family.certificate.feasible_pair, probe
 
 
 def _alpha_denominator(pieces, lam: Fraction) -> int:
@@ -1274,16 +1280,15 @@ def _alpha_denominator(pieces, lam: Fraction) -> int:
     return max(values)
 
 
-def _bisect(bad, good, feasible, tol):
-    """Halve [bad, good] (either order) to width <= tol, keeping a feasible
-    good end, in integers over the common denominator times 2^k."""
-    den, (b, g) = clear_denominators((bad, good))
+def _bisect(bad, good, den, decide, tol):
+    """Halve [bad, good] / den (either order) to width <= tol, keeping a good
+    end that decide(p, q) calls feasible, in integers over den times 2^k."""
     # the least k with |good - bad| / 2^k <= tol
-    k = max(-(-abs(g - b) * tol.denominator // (tol.numerator * den)) - 1, 0).bit_length()
-    b, g, den = b << k, g << k, den << k
+    k = max(-(-abs(good - bad) * tol.denominator // (tol.numerator * den)) - 1, 0).bit_length()
+    b, g, den = bad << k, good << k, den << k
     for _ in range(k):
         mid = (b + g) // 2
-        if feasible(Fraction(mid, den)):
+        if decide(mid, den):
             g = mid
         else:
             b = mid

@@ -20,10 +20,10 @@ positivity notions reduce to exact linear algebra on that function:
   enumeration.  It is built in integers: D is cleared once to N D with
   integer coefficients, each N m_sigma solves a unimodular 2x2 system over
   the integers, and the polygon keeps its vertices as integer points over
-  N, with the primitive rays as its half-plane normals, taken as they are.
-  The last few are memoized by divisor, so the alpha invariant and the
-  slope of one class build a single polygon.  The class keeps N a and its
-  wall pairings N D.D_i, which every surface question reads.
+  N, with the primitive rays as its half-plane normals.  The class keeps it,
+  with N a and its wall pairings N D.D_i, which every surface question
+  reads, and `scaled` carries all three to t D (P_{tD} = t P_D) in integers;
+  the last few polygons are also memoized by divisor.
 
 Mixed volumes of moment polytopes provide an independent route to
 intersection numbers for nef classes (n <= 3) and serve as a cross-check of
@@ -37,9 +37,11 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .polytope import (
-    HalfSpace, Polytope, _angle_cmp, boundary_measure, make_polytope, polygon_from_cycle, volume,
+    HalfSpace, Polytope, _angle_cmp, boundary_measure, integer_vertices, make_polytope,
+    polygon_from_cycle, volume,
 )
 from .rationals import (
     ConstraintTable,
@@ -47,7 +49,6 @@ from .rationals import (
     InputError,
     ValidationError,
     clear_denominators,
-    constraint_table,
     det,
     dot,
     identity_matrix,
@@ -255,6 +256,8 @@ class ToricDivisor:
     _table: object = field(default=None, init=False, compare=False, repr=False)
     # (N, N a, N walls) on a surface fan, filled by _cleared_walls() on first use
     _cleared: object = field(default=None, init=False, compare=False, repr=False)
+    # an ample surface class's moment polygon, kept by moment_polytope() or scaled()
+    _polygon: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
@@ -263,6 +266,10 @@ class ToricDivisor:
                 f"divisor needs {self.fan.n_rays} coefficients, got {len(coeffs)}"
             )
         object.__setattr__(self, "coeffs", coeffs)
+
+    def __hash__(self):
+        # equal classes clear to equal (N, N a); ints hash faster than Fractions
+        return hash((self.fan, *(self._cleared or clear_denominators(self.coeffs))[:2]))
 
     def __add__(self, other: "ToricDivisor") -> "ToricDivisor":
         if self.fan != other.fan:
@@ -348,9 +355,12 @@ def moment_polytope(d: ToricDivisor) -> Polytope:
     divisor is cleared once to N D = sum a_i D_i with integer a_i, so each
     cone functional N m_sigma is the integer solution of a unimodular 2x2
     system and the polygon keeps its vertices as integers over N; its
-    half-planes are the primitive rays, taken in sorted order.  Nef-only
+    half-planes are the primitive rays, taken in sorted order.  The class
+    keeps that polygon, and one built by `scaled` carries it.  Nef-only
     classes and threefolds fall back to vertex enumeration.
     """
+    if d._polygon is not None:
+        return d._polygon
     fan = d.fan
     check = validate_fan(fan)
     if not check.complete:
@@ -363,9 +373,32 @@ def moment_polytope(d: ToricDivisor) -> Polytope:
                 solve_exact((rays[i], rays[j]), (-a[i], -a[j]))
                 for i, j in zip(order, order[1:] + order[:1])
             ]
-            hrep = [HalfSpace(r, Fraction(-x, den)) for r, x in sorted(zip(rays, a))]
-            return polygon_from_cycle(hrep, den, cycle)
+            _keep_polygon(d, den, a, cycle)
+            return d._polygon
     return make_polytope(fan.dim, [(r, -a) for r, a in zip(fan.rays, d.coeffs)])
+
+
+def _keep_polygon(d: ToricDivisor, den: int, a, cycle) -> None:
+    """Keep on d, cleared to N D = sum a_i D_i, the polygon of a cycle over N."""
+    hrep = [HalfSpace(r, Fraction(-x, den)) for r, x in sorted(zip(d.fan.rays, a))]
+    object.__setattr__(d, "_polygon", polygon_from_cycle(hrep, den, cycle))
+
+
+def scaled(d: ToricDivisor, t) -> ToricDivisor:
+    """t d for t = r/s > 0 and an ample surface class d, whose cleared form
+    and polygon carry over (P_{tD} = t P_D) as r/g times themselves over the
+    least N s / g, g = gcd(N s, r a_i); otherwise the plain product."""
+    t = Fraction(t)
+    if t <= 0 or d.fan.dim != 2 or not all(x > 0 for x in _cleared_walls(d)[2]):
+        return t * d
+    (den, a, walls), r, s = d._cleared, t.numerator, t.denominator
+    g = gcd(den * s, r * gcd(*a))
+    out = ToricDivisor(d.fan, tuple(Fraction(r * x, den * s) for x in a))
+    den, a, walls = den * s // g, tuple(r * x // g for x in a), tuple(r * x // g for x in walls)
+    object.__setattr__(out, "_cleared", (den, a, walls))
+    cycle = integer_vertices(moment_polytope(d) if d._polygon is None else d._polygon)[1]
+    _keep_polygon(out, den, a, [(r * x // g, r * y // g) for x, y in cycle])
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -418,19 +451,19 @@ def wall_pairings(d: ToricDivisor) -> tuple[Fraction, ...]:
 
 
 def wall_table(d: ToricDivisor) -> ConstraintTable:
-    """The class against the walls of its surface fan, computed once per
-    class, rows sorted by label so that ties go to the smaller label string
-    ("wall at ray 10" before "wall at ray 2").  With K = -sum D_i,
-    K.D_i = c_i - 2, L^2 = sum a_i (L.D_i) and K.L = -sum L.D_i."""
+    """The class against the walls of its surface fan, N D.D_i over N in
+    least terms, once per class, rows sorted by label so that ties go to the
+    smaller label ("wall at ray 10" before "wall at ray 2").  With K =
+    -sum D_i, K.D_i = c_i - 2, L^2 = sum a_i (L.D_i) and K.L = -sum L.D_i."""
     if d._table is None:
         den, a, walls = _cleared_walls(d)
-        pairings = wall_pairings(d)
-        k_pairings = tuple(c - 2 for _, _, c in _wall_data(d.fan))
         labels, order = zip(*sorted((f"wall at ray {i}", i) for i in range(d.fan.n_rays)))
-        table = constraint_table(
+        data, g = _wall_data(d.fan), gcd(den, *walls)
+        table = ConstraintTable(
             labels,
-            (pairings[i] for i in order),
-            (k_pairings[i] for i in order),
+            tuple(walls[i] // g for i in order),
+            tuple((data[i][2] - 2) * (den // g) for i in order),
+            den // g,
             Fraction(sum(map(operator.mul, a, walls)), den * den),
             Fraction(-sum(walls), den),
         )

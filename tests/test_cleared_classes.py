@@ -7,10 +7,11 @@ class's table.  A filled cache must not tell two equal classes apart, and
 every way of building a new class (+, *, dataclasses.replace) must start
 with empty caches that then fill from the new coefficients.
 
-`_bisect` counts its halvings first and halves integers over one
-power-of-two multiple of the common denominator; `reference_bisect` is
-the Fraction loop it replaced, and both must ask `feasible` the same
-questions in the same order and return the same bracket.
+`_bisect` takes the bracket as integers over one denominator, counts its
+halvings first and halves integers over one power-of-two multiple of that
+denominator, asking an integer pair each time; `reference_bisect` is the
+Fraction loop it replaced, and both must ask `feasible` the same questions
+in the same order and return the same bracket.
 """
 
 import dataclasses
@@ -25,6 +26,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from kproper.picard import BlowupSurface, curve_table, pairing  # noqa: E402
 from kproper.properness import _bisect  # noqa: E402
+from kproper.rationals import clear_denominators  # noqa: E402
 from kproper.toric import (  # noqa: E402
     ToricDivisor,
     anticanonical_divisor,
@@ -186,7 +188,8 @@ def test_integer_bisection_matches_reference(start, step, tol, upper, where, mon
         predicate = scattered
     feasible, calls = recorded(predicate)
     ref_feasible, ref_calls = recorded(predicate)
-    bracket = _bisect(bad, good, feasible, tol)
+    den, (b, g) = clear_denominators((bad, good))
+    bracket = _bisect(b, g, den, lambda p, q: feasible(Fraction(p, q)), tol)
     assert bracket == reference_bisect(bad, good, ref_feasible, tol)
     assert calls == ref_calls
     assert all(type(x) is Fraction for x in (*bracket, *calls))

@@ -1,9 +1,11 @@
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -398,6 +400,33 @@ def test_approx_flag_marks_decimals(capsys):
     )
     assert code == 0
     assert "5/6 (~0.833333)" in out
+
+
+APPROX_COMMANDS = {
+    # command -> the number of rationals its text output prints
+    "intersect": (("intersect", "dp6", "--coeffs", "1,6/5,1,6/5,1,6/5"), 4),
+    # six vertices, the volume, the boundary measure and the barycenter
+    "polytope": (("polytope", "info", "dp6", "--coeffs", "1,6/5,1,6/5,1,6/5"), 12 + 1 + 1 + 2),
+    "alpha": (("alpha", "dp6", "--coeffs", "1,6/5,1,6/5,1,6/5", "--oracle-depth", "2"), 2),
+    # alpha, mu, and the values of conditions (1), (2) and (3)
+    "check": (("check", "--builtin", "dp6", "--coeffs", "1,7/10,1,7/10,1,7/10",
+               "--epsilon", "1"), 2 + 3 + 1 + 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(APPROX_COMMANDS))
+def test_approx_approximates_every_rational_and_nothing_else(capsys, name):
+    argv, count = APPROX_COMMANDS[name]
+    code, plain, _ = run_cli(capsys, "--format", "text", *argv)
+    assert code == 0
+    code, approx, _ = run_cli(capsys, "--format", "text", "--approx", *argv)
+    assert code == 0
+    # every approximation follows the exact value it approximates
+    marks = re.findall(r"(-?\d+(?:/\d+)?) \(~([^)]*)\)", approx)
+    assert len(marks) == approx.count("(~") == count
+    for exact, decimal in marks:
+        assert math.isclose(float(Fraction(exact)), float(decimal), rel_tol=1e-5, abs_tol=0)
+    assert re.sub(r" \(~[^)]*\)", "", approx) == plain
 
 
 def test_approx_beyond_the_float_range(capsys):

@@ -143,7 +143,13 @@ CHECKS = {
     # the torus alone: the fixed polytope is the whole centered triangle
     "alpha_p2_torus.json": ("alpha", "p2", "--coeffs", "1/3,2/7,5", "--group", "torus"),
     "intersect_dp6.json": ("intersect", "dp6", "--coeffs", "1,1,1,1,1,1"),
+    # D.D, -K.D, mu and rbar, each with its decimal approximation
+    "intersect_dp6_approx.txt": ("--format", "text", "--approx", "intersect", "dp6",
+                                 "--coeffs", DP6_WINDOW_END),
 }
+
+# text sweeps with decimal approximations: golden name -> the config in SWEEPS
+TEXT_SWEEPS = {"sweep_dp6_approx.txt": "sweep_dp6_acceptance"}
 
 
 def _cases(config_dir: Path):
@@ -152,6 +158,9 @@ def _cases(config_dir: Path):
         path = config_dir / f"{name}.config.json"
         path.write_text(json.dumps(config))
         cases[f"{name}.json"] = ("sweep", "--config", str(path))
+    for golden, name in TEXT_SWEEPS.items():
+        path = config_dir / f"{name}.config.json"
+        cases[golden] = ("--format", "text", "--approx", "sweep", "--config", str(path))
     for name, data in SLICES.items():
         path = config_dir / f"{name}.slice.json"
         path.write_text(json.dumps(data))
