@@ -335,7 +335,11 @@ def render_report(report, fmt: str = "json", approx: bool = False) -> str:
         for c in report.endpoint_checks:
             status = "confirmed" if c.confirmed else "NOT confirmed"
             lines.append(f"conjectured {c.side} endpoint {value(c.endpoint)}: {status}")
-        lines += [f"{key}: {text}" for key, text in sorted(data["diagnostics"].items())]
+        diagnostics, key = dict(data["diagnostics"]), "witness_scale_interval"
+        if approx and key in diagnostics:
+            ends = map(parse_rational, diagnostics[key][1:-1].split(", "))
+            diagnostics[key] = "({}, {})".format(*map(value, ends))
+        lines += [f"{name}: {text}" for name, text in sorted(diagnostics.items())]
     return "\n".join(lines) + "\n"
 
 

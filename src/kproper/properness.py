@@ -27,12 +27,12 @@ against those pieces are signs of linear and cubic integer polynomials in
 lambda, so each family certifies its whole lambda range once, by Descartes
 bisection, into feasible, infeasible, endpoint and uncertified pieces, and
 probes one point of each feasible and infeasible piece; the certificate
-does not depend on epsilon.  It decides every grid and bisection point of a
-sweep: by a lookup inside a piece, by the signs of the polynomials at lambda
-elsewhere.  The certified probe runs only at both ends of every bracket, at
-the witness and at the endpoint checks; each probe's alpha cap must match
-the pieces.  A family without alpha pieces is rejected, not probed point by
-point.
+does not depend on epsilon.  It decides a sweep's grid piece by piece, and
+each bisection point by a lookup, or by the signs of the polynomials at
+lambda where no piece decides.  The certified probe runs only at both ends
+of every bracket, at the witness and at the endpoint checks; each probe's
+alpha cap must match the pieces.  A family without alpha pieces is
+rejected, not probed point by point.
 
 All three curve lists are one ConstraintTable per class (rationals.py),
 built by wall_table, curve_table or abstract_slice, and _backend is the one
@@ -85,6 +85,7 @@ from .rationals import (
     GeometryError,
     InputError,
     ValidationError,
+    as_fraction,
     clear_denominators,
     constraint_table,
     format_rational,
@@ -133,16 +134,16 @@ class SuppliedAlpha:
 
 def dervan_alpha_bound(lam) -> Fraction:
     """Builtin lower bound min{1, 1/(2 - lambda)} for the dp1 family classes."""
-    lam = Fraction(lam)
-    if lam >= 2:
+    p, q = as_fraction(lam).as_integer_ratio()
+    if p >= 2 * q:
         raise GeometryError("the builtin dp1 alpha bound needs lambda < 2")
-    return 1 / (2 - lam) if lam < 1 else Fraction(1)
+    return Fraction(q, 2 * q - p) if p < q else Fraction(1)
 
 
 def resolve_alpha(backend, source):
     """Return (value, provenance label, scope) or raise naming the gap."""
     if isinstance(source, SuppliedAlpha):
-        value = Fraction(source.value)
+        value = as_fraction(source.value)
         if value <= 0:
             raise InputError("supplied alpha must be positive")
         return value, source.label, source.scope
@@ -243,8 +244,8 @@ def _combo_positive(backend, x, y, strict: bool, view: _Backend | None = None):
 
     One integer pass over the constraint table, where the first row at the
     least pairing binds.  The rows span the cone of curves, so by Kleiman
-    their signs alone decide, and a positive class has positive square."""
-    x, y = Fraction(x), Fraction(y)
+    their signs alone decide, and a positive class has positive square.
+    x and y are ints or Fractions."""
     table = (_backend(backend) if view is None else view).table
     if table is None:
         combo = x * backend + y * canonical_divisor(backend.fan)
@@ -307,7 +308,7 @@ def check_properness(backend, epsilon, alpha_source) -> PropernessReport:
     epsilon = 0 carries no alpha slack and is exactly the c1 < 0 regime, so
     such requests are routed to check_negative_c1 on the same backend.
     """
-    eps = Fraction(epsilon)
+    eps = as_fraction(epsilon)
     if eps < 0:
         raise InputError("epsilon must be nonnegative")
     view = _backend(backend)
@@ -318,13 +319,14 @@ def check_properness(backend, epsilon, alpha_source) -> PropernessReport:
     if not ample:
         raise GeometryError("class not Kahler: the backend class is not ample")
     alpha, label, scope = resolve_alpha(backend, alpha_source)
-    bound = Fraction(n + 1, n) * alpha
+    bound = Fraction((n + 1) * alpha.numerator, n * alpha.denominator)
+    holds = eps < bound
     cond1 = ConditionCheck(
         name="condition (1)",
         description="epsilon < (n+1)/n * alpha",
-        holds=eps < bound,
+        holds=holds,
         values={"epsilon": eps, "alpha": alpha, "bound": bound},
-        binding="alpha bound" if eps >= bound else None,
+        binding=None if holds else "alpha bound",
     )
     cond2 = _positivity(backend, view, "condition (2)", "K + epsilon L ample", eps, 1, {})
     mu = view.mu()
@@ -436,13 +438,17 @@ class Family:
     def class_at(self, lam, scale=1):
         """scale * L_lambda, built in one step: at lambda = p/q and scale =
         r/s its coordinates are r (B_i q + S_i p) / (M q s) for the
-        family's coordinates cleared to integers B_i / M and S_i / M."""
-        lam, scale = Fraction(lam), Fraction(scale)
-        p, q = lam.numerator, lam.denominator
-        r, s = scale.numerator, scale.denominator
+        family's coordinates cleared to integers B_i / M and S_i / M; a
+        Picard class keeps that form, cleared by their gcd with M q s."""
+        (p, q), (r, s) = as_fraction(lam).as_integer_ratio(), as_fraction(scale).as_integer_ratio()
         build, den, base, slope = self._pencil
         den *= q * s
-        return build(tuple(Fraction(r * (b * q + t * p), den) for b, t in zip(base, slope)))
+        nums = [r * (b * q + t * p) for b, t in zip(base, slope)]
+        out = build(tuple(Fraction(x, den) for x in nums))
+        if self.alpha_scope == SCOPE_ALL:
+            g = math.gcd(den, *nums)
+            object.__setattr__(out, "_cleared", (den // g, tuple(x // g for x in nums)))
+        return out
 
     @functools.cached_property
     def member(self):
@@ -515,8 +521,7 @@ class Family:
 
     def is_ample_at(self, lam) -> bool:
         """Kleiman on the family's integer rows, which span the cone of curves."""
-        lam = Fraction(lam)
-        p, q = lam.numerator, lam.denominator
+        p, q = as_fraction(lam).as_integer_ratio()
         _, rows = self.pairing_data
         return min(b * q + s * p for b, s, _ in rows) > 0
 
@@ -627,11 +632,6 @@ def _forms_at(forms, lam: Fraction) -> tuple[int, int]:
     return l_sq, (k0 * q + k1 * p) * q
 
 
-def _family_mu(family, lam) -> Fraction:
-    l_sq, lk = _forms_at(family.forms, Fraction(lam))
-    return Fraction(-lk, l_sq)
-
-
 def feasible_scale_interval(family, lam, epsilon=Fraction(1)) -> OpenInterval:
     """The exact open interval of scales a for which a L_lambda passes all
     three conditions at the given epsilon.
@@ -648,32 +648,29 @@ def feasible_scale_interval(family, lam, epsilon=Fraction(1)) -> OpenInterval:
 
 def _scale_interval_with_bindings(family, lam, epsilon):
     """The interval plus the labels of the constraints attaining lo and hi."""
-    lam, epsilon = Fraction(lam), _positive_slack(epsilon)
+    lam, epsilon = as_fraction(lam), _positive_slack(epsilon)
     if not family.is_ample_at(lam):
         raise GeometryError(f"lambda = {format_rational(lam)} is outside the ample range")
     n = family.dim
-    alpha1, alpha_label, alpha_scope = family.alpha_unscaled(lam)
-    mu1 = _family_mu(family, lam)
+    alpha1, *provenance = family.alpha_unscaled(lam)
     lo_num, lo_den, lo_label = _lower_cut(family, lam)
     pieces = family.alpha_pieces
-    if pieces is not None and alpha1 != Fraction(pieces[0] * lam.denominator,
-                                                 _alpha_denominator(pieces, lam)):
+    if pieces is not None and (alpha1.numerator * _alpha_denominator(pieces, lam)
+                               != pieces[0] * lam.denominator * alpha1.denominator):
         raise GeometryError(
             f"internal inconsistency: the alpha cap at lambda = "
             f"{format_rational(lam)} differs from the family's alpha pieces"
         )
-    interval = OpenInterval(
-        Fraction(lo_num * epsilon.denominator, lo_den * epsilon.numerator),
-        Fraction(n + 1, n) * alpha1 / epsilon,
-    )
-    hi_label = "condition (1): alpha bound"
-    if not interval.is_empty:
-        _verify_interval(family, lam, epsilon, interval, mu1, alpha1, alpha_label, alpha_scope)
-    return interval, lo_label, hi_label
+    (e_num, e_den), (a_num, a_den) = epsilon.as_integer_ratio(), alpha1.as_integer_ratio()
+    lo, hi = (lo_num * e_den, lo_den * e_num), ((n + 1) * a_num * e_den, n * a_den * e_num)
+    if lo[0] * hi[1] < hi[0] * lo[1]:
+        mid = Fraction(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
+        _verify_interval(family, lam, epsilon, mid, (a_num, a_den), provenance)
+    return OpenInterval(Fraction(*lo), Fraction(*hi)), lo_label, "condition (1): alpha bound"
 
 
 def _positive_slack(epsilon) -> Fraction:
-    epsilon = Fraction(epsilon)
+    epsilon = as_fraction(epsilon)
     if epsilon <= 0:
         raise InputError("family feasibility needs epsilon > 0 (zero slack is the c1 < 0 mode)")
     return epsilon
@@ -713,20 +710,23 @@ def _lower_cut(family, lam: Fraction):
     return lo_num, lo_den, lo_label
 
 
-def _verify_interval(family, lam, epsilon, interval, mu1, alpha1, alpha_label, alpha_scope):
-    mid = interval.midpoint
+def _verify_interval(family, lam, epsilon, mid, alpha, provenance):
+    """The full checker on mid L_lambda, given alpha / mid for alpha = num /
+    den, must pass and find mu / mid = -K.L / (L^2 mid) of the family forms."""
+    m, s = mid.as_integer_ratio()
     # on a fan the midpoint class carries the probe's polygon, scaled
     toric = family.alpha_scope == SCOPE_G
     report = check_properness(
         backend=scaled(family.member(lam), mid) if toric else family.class_at(lam, mid),
         epsilon=epsilon,
-        alpha_source=SuppliedAlpha(alpha1 / mid, alpha_label, alpha_scope),
+        alpha_source=SuppliedAlpha(Fraction(alpha[0] * s, alpha[1] * m), *provenance),
     )
     if not report.proper:
         raise GeometryError(
             "internal inconsistency: checker rejects the feasible-interval midpoint"
         )
-    if report.mu != mu1 / mid:
+    l_sq, lk = _forms_at(family.forms, lam)
+    if report.mu.numerator * l_sq * m != -lk * s * report.mu.denominator:
         raise GeometryError(
             "internal inconsistency: the checker's mu at the midpoint differs from "
             "the family forms"
@@ -804,6 +804,25 @@ class LambdaCertificate:
                 hi = mid
         poly = None if lo < len(nums) and nums[lo] * q == p * dens[lo] else slots[lo]
         return self._pointwise(Fraction(p, q)) if poly is None else _value(poly, p, q) > 0
+
+    def grid_flags(self, grid: range, d: int) -> list:
+        """[feasible_pair(x, d) for x in grid] for a step > 0, piece by piece:
+        one floor division counts the points below each piece end, a
+        feasible or infeasible piece fills its run at once, and feasible_pair
+        decides the other points, in grid order."""
+        nums, dens, slots = self._lookup
+        flags = []
+        for i, slot in enumerate(slots):
+            # the least k with grid[k] / d >= end i; past the last end, all of them
+            stop = len(grid) if i == len(nums) else min(len(grid), max(0, -(
+                (grid.start * dens[i] - nums[i] * d) // (grid.step * dens[i]))))
+            if slot is not None and len(slot) == 1:
+                flags += [slot[0] > 0] * (stop - len(flags))
+            else:
+                flags += [self.feasible_pair(x, d) for x in grid[len(flags):stop]]
+            if stop < len(grid) and i < len(nums) and grid[stop] * dens[i] == nums[i] * d:
+                flags.append(self.feasible_pair(grid[stop], d))
+        return flags
 
     def _pointwise(self, lam: Fraction) -> bool:
         """A row B q + S p <= 0 makes lambda = p/q infeasible, an alpha piece
@@ -1057,9 +1076,9 @@ def _rational_root(poly, lo, hi) -> Fraction | None:
 # ---------------------------------------------------------------------------
 # lambda sweeps
 
-# Each grid point is one decision by the family's certificate: a lookup
-# inside a piece (about a microsecond), or the signs of its rows and cut
-# polynomials at a piece end (a few microseconds).
+# The grid inside a feasible or infeasible piece of the certificate is one
+# list fill; each other grid point is one LambdaCertificate.feasible_pair
+# decision (a few microseconds).
 MAX_GRID_POINTS = 100_000
 # Each bisection step is one more decision, and halving one grid step down
 # to refine_tol takes ceil(log2(step / refine_tol)) of them (about 14 at the
@@ -1119,15 +1138,14 @@ def sweep_lambda(
     feasible/infeasible transition down to the requested bracket width.
 
     Points where the class is not ample count as infeasible; any other
-    error propagates.  Grid and bisection points are decided by _feasibility,
-    which reads the family's certificate alone: a lookup inside a piece, and
-    the signs of the family's integer polynomials at lambda elsewhere.  Both
-    ends of every bracket and the witness are then run through the exact,
-    certified feasible_scale_interval probe, and a probe that disagrees with
-    the decision raises.  So the emitted brackets are certificates: the bracket
-    interior contains the true endpoint of the feasible window.  Conjectured
-    exact endpoints are verified by exact probes at the endpoint itself and
-    on both sides at distance refine_tol.
+    error propagates.  The family's certificate alone decides the grid, piece
+    by piece (LambdaCertificate.grid_flags), and each bisection point, by the
+    decide of _feasibility.  Both ends of every bracket and the witness are
+    then run through the exact, certified feasible_scale_interval probe, and
+    a probe that disagrees with the decision raises.  So the emitted brackets
+    are certificates: the bracket interior contains the true endpoint of the
+    feasible window.  Conjectured exact endpoints are verified by exact
+    probes at the endpoint itself and on both sides at distance refine_tol.
 
     The grid may hold at most MAX_GRID_POINTS points, one grid step may
     need at most MAX_BISECTION_STEPS halvings to reach refine_tol, and at
@@ -1135,9 +1153,8 @@ def sweep_lambda(
     requests, epsilon <= 0 and families without alpha pieces are rejected
     before any decision.
     """
-    lambda_min, lambda_max = Fraction(lambda_min), Fraction(lambda_max)
-    step, refine_tol = Fraction(step), Fraction(refine_tol)
-    epsilon = Fraction(epsilon)
+    lambda_min, lambda_max, step, refine_tol, epsilon = map(
+        as_fraction, (lambda_min, lambda_max, step, refine_tol, epsilon))
     if step <= 0 or refine_tol <= 0:
         raise InputError("step and refine_tol must be positive")
     if lambda_min > lambda_max:
@@ -1167,7 +1184,7 @@ def sweep_lambda(
     d, (a, b) = clear_denominators((lambda_min, step))
     grid = range(a, a + points * b, b)
     decide, probe = _feasibility(family, epsilon)
-    flags = [decide(x, d) for x in grid]
+    flags = family.certificate.grid_flags(grid, d)
     windows = []
     diagnostics = {"grid_points": str(points), "alpha_scope": family.alpha_scope}
     i = 0
@@ -1245,8 +1262,9 @@ def _feasibility(family, epsilon):
     outside the ample range is infeasible; every other error propagates,
     and decide raises wherever probe does.
 
-    probe runs the certified feasible_scale_interval, whose alpha cap is
-    checked against the family's alpha pieces.  decide is the family's
+    probe runs the certified feasible_scale_interval, which tests ampleness
+    first, and tests it again only where that raises; the probe's alpha cap
+    is checked against the family's alpha pieces.  decide is the family's
     LambdaCertificate.feasible_pair, which never runs the probe's cut loop,
     so a probe at a bracket end checks the decision there: a lookup inside a
     piece, the signs of the family's rows, alpha pieces and cut polynomials
@@ -1261,8 +1279,12 @@ def _feasibility(family, epsilon):
         )
 
     def probe(lam: Fraction) -> bool:
-        ample = family.is_ample_at(lam)
-        return ample and not feasible_scale_interval(family, lam, epsilon).is_empty
+        try:
+            return not feasible_scale_interval(family, lam, epsilon).is_empty
+        except GeometryError:
+            if family.is_ample_at(lam):
+                raise
+            return False
 
     return family.certificate.feasible_pair, probe
 

@@ -73,6 +73,10 @@ def parse_rational(text: str, where: str = "") -> Fraction:
     return value
 
 
+def as_fraction(x: Scalar) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def format_rational(q: Scalar) -> str:
     """Canonical string form: "p/q" with q >= 2, or "p" when q = 1."""
     q = q if type(q) is Fraction else Fraction(q)

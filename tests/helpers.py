@@ -22,7 +22,13 @@ from kproper.polytope import (
     make_polytope,
     vertices,
 )
-from kproper.properness import AbstractSlice, _alpha_denominator, _lower_cut, abstract_slice
+from kproper.properness import (
+    AbstractSlice,
+    _alpha_denominator,
+    _forms_at,
+    _lower_cut,
+    abstract_slice,
+)
 from kproper.rationals import (
     ValidationError,
     dot,
@@ -162,6 +168,12 @@ def group_closure(generators) -> tuple:
         if products <= group:
             return tuple(sorted(group))
         group |= products
+
+
+def family_mu(family, lam: Fraction) -> Fraction:
+    """mu = -K.L / L^2 of L_lambda from the family's integer forms."""
+    l_sq, lk = _forms_at(family.forms, lam)
+    return Fraction(-lk, l_sq)
 
 
 def decide_by_cuts(family, lam: Fraction) -> bool:

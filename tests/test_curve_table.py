@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from helpers import reference_pairing  # noqa: E402
+from helpers import family_mu, reference_pairing  # noqa: E402
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_integer_table import reference_curves  # noqa: E402
@@ -36,7 +36,6 @@ from kproper.properness import (  # noqa: E402
     Family,
     SuppliedAlpha,
     _combo_positive,
-    _family_mu,
     check_properness,
     dp1_family,
 )
@@ -186,7 +185,7 @@ def test_family_probe_matches_reference(family, lam):
     ample = reference_ample(cls)
     assert family.is_ample_at(lam) == ample
     if ample:
-        assert _family_mu(family, lam) == reference_slope(cls)
+        assert family_mu(family, lam) == reference_slope(cls)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The family body on toric pencils against the class-by-class path.
 
-A `Family` of either backend has one `is_ample_at`, one `_family_mu` and
+A `Family` of either backend has one `is_ample_at`, one mu and
 one set of integer forms, all read off the constraint tables of L_0 = base,
 L_1 = base + slope and the slope class.  On random pencils L_lambda = B +
 lambda S over the fans of test_wall_pairings.py they must agree with
@@ -17,12 +17,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from helpers import family_mu  # noqa: E402
 from test_toric import p1_cubed_fan  # noqa: E402
 from test_wall_pairings import FANS  # noqa: E402
 
 from kproper.properness import (  # noqa: E402
     Family,
-    _family_mu,
     dp6_family,
     feasible_scale_interval,
 )
@@ -75,7 +75,7 @@ def test_shared_family_body_matches_the_class(family, lam):
     ample = is_ample(cls)
     assert family.is_ample_at(lam) == ample
     if ample:
-        assert _family_mu(family, lam) == slope_quantities(cls).mu
+        assert family_mu(family, lam) == slope_quantities(cls).mu
     expected = reference_forms(family)
     # the first nonzero entry fixes the multiplier
     i = next(i for i, x in enumerate(expected) if x)

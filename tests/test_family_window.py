@@ -1,10 +1,11 @@
 """Decisions by integer alpha pieces in family sweeps.
 
 Every sweep family carries alpha(L_lambda) = den / max(e + f lambda) as
-integer pieces.  `sweep_lambda` decides grid and bisection points by the
-family's certificate, which clears the comparisons against them to integer
-polynomials, and runs the exact, certified probe only at both ends of every
-bracket, at the witness and at the endpoint checks.
+integer pieces.  `sweep_lambda` decides grid points (piece by piece) and
+bisection points by the family's certificate, which clears the comparisons
+against them to integer polynomials, and runs the exact, certified probe
+only at both ends of every bracket, at the witness and at the endpoint
+checks.
 These tests hold it to:
 
 - the feasible windows of dp6 and dp1, derived here with sympy from the
@@ -33,6 +34,7 @@ from kproper.cli import render_report  # noqa: E402
 from kproper.picard import BlowupSurface, PicardClass, is_ample_picard  # noqa: E402
 from kproper.properness import (  # noqa: E402
     Family,
+    LambdaCertificate,
     _feasibility,
     _scale_interval_with_bindings,
     dp1_family,
@@ -261,11 +263,14 @@ def test_decide_matches_probe_on_toric_pencils(pencil, lams, epsilon):
 
 
 def _per_point_sweep(family, *args):
-    """The sweep with probe in place of decide, so every lambda is probed."""
+    """The sweep with probe in place of every decision, on the grid and in
+    the bisections, so every lambda is probed."""
     original = properness._feasibility
 
     def per_point(family, epsilon):
         _, probe = original(family, epsilon)
+        patch.setattr(LambdaCertificate, "grid_flags",
+                      lambda self, grid, d: [probe(F(x, d)) for x in grid])
         return (lambda p, q: probe(F(p, q))), probe
 
     with pytest.MonkeyPatch.context() as patch:

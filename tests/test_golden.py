@@ -55,6 +55,26 @@ SWEEPS = {
         "refine_tol": "1/1000000",
         "conjectured_endpoints": ["4/5", "10/9"],
     },
+    # the piece-end settings of the CI smoke configs; their grids land on
+    # every piece end of the lambda certificate and reach past the ample range
+    "sweep_dp6_piece_ends": {
+        "family": "dp6",
+        "epsilon": "1",
+        "lambda_min": "0",
+        "lambda_max": "5/2",
+        "step": "1/60",
+        "refine_tol": "1/10000",
+        "conjectured_endpoints": ["5/6", "6/5"],
+    },
+    "sweep_dp1_piece_ends": {
+        "family": "dp1",
+        "epsilon": "1",
+        "lambda_min": "-1/2",
+        "lambda_max": "3/2",
+        "step": "1/90",
+        "refine_tol": "1/10000",
+        "conjectured_endpoints": ["4/5", "10/9"],
+    },
 }
 
 # negative-c1 slice whose nef test fails on two curves with equal margin -1;

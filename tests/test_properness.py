@@ -447,7 +447,7 @@ def test_verdict_conjunction_is_enforced():
     assert (report.verdict, report.proper) == (VERDICT_PROPER, True)
 
 
-def test_cut_loop_rejects_a_nonpositive_constraint(monkeypatch):
+def test_cut_loop_rejects_a_nonpositive_constraint():
     # past lambda = 4/3 the sextic pairs negatively with L_lambda; a family
     # that wrongly claims ampleness there must not yield an interval
     @dataclass(frozen=True)
@@ -457,6 +457,5 @@ def test_cut_loop_rejects_a_nonpositive_constraint(monkeypatch):
 
     base = dp1_family()
     family = ClaimsAmple(base.name, base.base, base.slope)
-    monkeypatch.setattr(properness, "_family_mu", lambda family, lam: F(1))
     with pytest.raises(GeometryError, match="internal inconsistency"):
         feasible_scale_interval(family, F(3, 2))
