@@ -17,8 +17,9 @@ its denominator.  The centered polygon is built from a' (half-planes
 <m, u_i> >= -a_i'/M, the cycle shifted over M), the stabilizer is read off
 a' (an explicit group is checked on the integer vertex set) and the vertex
 formula is one integer maximum over the integer vertices of P^K, the whole
-cycle when P^K is the polygon.  A Fraction is built only for the offsets,
-the barycenter that is checked and alpha; threefolds translate by -beta.
+cycle when P^K is the polygon.  A Fraction is built only for the
+barycenter that is checked, alpha and offsets that are read; threefolds
+translate by -beta.
 
 `alpha_oracle` is the independent brute-force route: the minimum of the
 exact log-canonical thresholds of the invariant orbit sections on the
@@ -49,7 +50,6 @@ from math import lcm, prod
 from operator import add, mul, sub
 
 from .polytope import (
-    HalfSpace,
     Polytope,
     barycenter,
     cleared_barycenter,
@@ -128,8 +128,8 @@ def _centered(d: ToricDivisor):
     """(P - beta, (M, M a')) for the moment polytope P with barycenter beta:
     the recentered coefficients a_i' = a_i + <beta, u_i> as integers over
     M, the lcm of the denominators N of a and of beta.  A moment polygon's
-    translate is built from a': half-planes <m, u_i> >= -a_i'/M, and P's
-    cycle (integers over N) shifted in integers over M."""
+    translate is built from a': half-planes <m, u_i> >= -a_i'/M, kept in
+    integers, and P's cycle (integers over N) shifted in integers over M."""
     p = moment_polytope(d)
     den, nums = cleared_coefficients(d)
     bden, bnums = cleared_barycenter(p)
@@ -139,9 +139,8 @@ def _centered(d: ToricDivisor):
     shifted = tuple(x * a - sum(map(mul, shift, u)) for x, u in zip(nums, d.fan.rays))
     if p.dim != 2:
         return translate(p, [Fraction(x, m) for x in shift]), (m, shifted)
-    hrep = [HalfSpace(u, Fraction(-x, m)) for u, x in sorted(zip(d.fan.rays, shifted))]
     cycle = [(x * a + shift[0], y * a + shift[1]) for x, y in integer_vertices(p)[1]]
-    return polygon_from_cycle(hrep, m, cycle), (m, shifted)
+    return polygon_from_cycle(d.fan.rays, shifted, m, cycle), (m, shifted)
 
 
 def _close_under_products(generators, bound: int):

@@ -16,7 +16,9 @@ polygon is put in boundary order at most once.  Callers that already know
 the cycle supply it (`polygon_from_cycle`): the moment polygon of an ample
 class on a smooth toric surface has the cone functionals as its vertices,
 in the angular order of the rays, and a translate carries the cycle over
-in integers.  Such polygons, translates and fixed subpolytopes are
+in integers.  Such a polygon keeps its half-planes <m, u_i> >= -a_i / N
+as the integers a_i over N and builds the HalfSpaces only when its
+`hrep` is read.  Polygons, translates and fixed subpolytopes are
 assembled from parts already in canonical form, so their half-planes are
 not canonicalized again; the fixed subpolytope of a group that fixes only
 the origin is that point, without enumeration.
@@ -121,6 +123,9 @@ class Polytope:
     # points over the positive integer den; the cycle is () when the polygon
     # is not full-dimensional
     _cycle_cache: object = field(default=None, compare=False, repr=False)
+    # a polygon from polygon_from_cycle: (normals u_i, integers a_i, den) for its
+    # half-planes <m, u_i> >= -a_i / den, built into hrep on first read
+    _planes: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1 or self.dim > 3:
@@ -146,6 +151,14 @@ class Polytope:
                 eqs.append(canon)
         object.__setattr__(self, "equalities", tuple(sorted(eqs, key=lambda e: (e.coeffs, e.rhs))))
 
+    def __getattr__(self, name):
+        if name != "hrep" or self._planes is None:
+            raise AttributeError(name)
+        normals, nums, den = self._planes
+        hrep = tuple(HalfSpace(u, Fraction(-x, den)) for u, x in sorted(zip(normals, nums)))
+        object.__setattr__(self, "hrep", hrep)
+        return hrep
+
 
 def make_polytope(dim, halfspaces, equalities=()) -> Polytope:
     """Build a polytope from (normal, offset) pairs and (coeffs, rhs) pairs."""
@@ -154,14 +167,17 @@ def make_polytope(dim, halfspaces, equalities=()) -> Polytope:
     return Polytope(dim, hs, eqs)
 
 
-def _assembled(dim, hrep, equalities=(), vertex_cache=None, cycle_cache=None) -> Polytope:
+def _assembled(dim, hrep, equalities=(), vertex_cache=None, cycle_cache=None,
+               planes=None) -> Polytope:
     """A Polytope from parts that are already canonical (primitive, distinct
     normals in sorted order; canonical equations, sorted), built without the
-    canonicalizing pass of __post_init__."""
+    canonicalizing pass of __post_init__.  With hrep None, the half-planes
+    are built from planes when read."""
     p = object.__new__(Polytope)
-    for name, value in (("dim", dim), ("hrep", hrep), ("equalities", equalities),
-                        ("_vertex_cache", vertex_cache), ("_cycle_cache", cycle_cache)):
-        object.__setattr__(p, name, value)
+    vars(p).update(dim=dim, equalities=equalities, _vertex_cache=vertex_cache,
+                   _cycle_cache=cycle_cache, _planes=planes)
+    if hrep is not None:
+        vars(p)["hrep"] = hrep
     return p
 
 
@@ -304,15 +320,16 @@ def affine_dimension(p: Polytope) -> int:
 # measures
 
 
-def polygon_from_cycle(halfspaces, den: int, cycle) -> Polytope:
-    """The full-dimensional polygon cut out by canonical half-spaces
-    (primitive, distinct normals in sorted order) whose vertices are the
-    integer points of `cycle` over den > 0, listed counterclockwise.
+def polygon_from_cycle(normals, nums, den: int, cycle) -> Polytope:
+    """The full-dimensional polygon {m : <m, u_i> >= -a_i / den} for
+    primitive, distinct normals u_i and integers a_i, whose vertices are
+    the integer points of `cycle` over den > 0, listed counterclockwise.
 
     The caller vouches for all of it, so nothing is canonicalized,
-    enumerated or sorted; the vertices become Fractions only when
-    `vertices` is asked for them."""
-    return _assembled(2, tuple(halfspaces), (), None, (den, tuple(cycle)))
+    enumerated or sorted; the half-planes become HalfSpaces only when
+    `hrep` is read, and the vertices Fractions only when `vertices` is
+    asked for them."""
+    return _assembled(2, None, (), None, (den, tuple(cycle)), (tuple(normals), tuple(nums), den))
 
 
 def _polygon_cycle(p: Polytope) -> tuple:
@@ -533,11 +550,12 @@ def fixed_subpolytope(p: Polytope, group) -> Polytope:
     if p.equalities:
         return Polytope(p.dim, p.hrep, p.equalities + fixed)
     if fixed_dim:
-        return _assembled(p.dim, p.hrep, fixed)
+        return _assembled(p.dim, vars(p).get("hrep"), fixed, planes=p._planes)
     # the group fixes the average of the vertex set, which lies in p; with
     # no other fixed point, the fixed subpolytope is that point, the origin
     origin = ((Fraction(0),) * p.dim,) if cleared else ()
-    return _assembled(p.dim, p.hrep, fixed, origin, (1, ()) if p.dim == 2 else None)
+    cycle = (1, ()) if p.dim == 2 else None
+    return _assembled(p.dim, vars(p).get("hrep"), fixed, origin, cycle, p._planes)
 
 
 @functools.lru_cache(maxsize=64)

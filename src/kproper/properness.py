@@ -438,16 +438,19 @@ class Family:
     def class_at(self, lam, scale=1):
         """scale * L_lambda, built in one step: at lambda = p/q and scale =
         r/s its coordinates are r (B_i q + S_i p) / (M q s) for the
-        family's coordinates cleared to integers B_i / M and S_i / M; a
-        Picard class keeps that form, cleared by their gcd with M q s."""
+        family's coordinates cleared to integers B_i / M and S_i / M.  A
+        surface class keeps its cleared integers, read off the pencil the
+        same way and divided by their gcd with M q s: (N, N coords) on a
+        blowup, (N, N a, N walls) on a fan."""
         (p, q), (r, s) = as_fraction(lam).as_integer_ratio(), as_fraction(scale).as_integer_ratio()
-        build, den, base, slope = self._pencil
+        build, den, parts = self._pencil
         den *= q * s
-        nums = [r * (b * q + t * p) for b, t in zip(base, slope)]
-        out = build(tuple(Fraction(x, den) for x in nums))
-        if self.alpha_scope == SCOPE_ALL:
-            g = math.gcd(den, *nums)
-            object.__setattr__(out, "_cleared", (den // g, tuple(x // g for x in nums)))
+        coords, *walls = ([r * (b * q + t * p) for b, t in zip(*part)] for part in parts)
+        out = build(tuple(Fraction(x, den) for x in coords))
+        if self.dim == 2:
+            g = math.gcd(den, *coords)
+            cleared = (tuple(x // g for x in v) for v in (coords, *walls))
+            object.__setattr__(out, "_cleared", (den // g, *cleared))
         return out
 
     @functools.cached_property
@@ -457,15 +460,22 @@ class Family:
 
     @functools.cached_property
     def _pencil(self):
-        """(build, M, B, S): the base and slope coordinates cleared to
-        integers over M, and build(coordinates), a class of the backend on
-        the family's fan or surface.  Both backends are frozen dataclasses
-        whose two init fields are the fan or surface and the coordinates."""
+        """(build, M, parts): build(coordinates) is a class of the backend
+        on the family's fan or surface; parts pairs the base's and slope's
+        integer vectors over M, the lcm of the coordinate denominators: the
+        coordinates, then on a surface fan the wall pairings.  Both backends
+        are frozen dataclasses whose two init fields are the fan or surface
+        and the coordinates."""
         where, coords = (f.name for f in dataclasses.fields(self.base) if f.init)
         build = functools.partial(type(self.base), getattr(self.base, where))
-        den, flat = clear_denominators(getattr(self.base, coords) + getattr(self.slope, coords))
-        half = len(flat) // 2
-        return build, den, flat[:half], flat[half:]
+        classes = (self.base, self.slope)
+        vectors = [getattr(c, coords) for c in classes]
+        if self.alpha_scope == SCOPE_G and self.dim == 2:
+            vectors += map(wall_pairings, classes)
+        den, flat = clear_denominators(sum(vectors, ()))
+        n = len(flat) // len(vectors)
+        rows = [flat[i:i + n] for i in range(0, len(flat), n)]
+        return build, den, tuple(zip(rows[::2], rows[1::2]))
 
     @functools.cached_property
     def dim(self) -> int:
@@ -1318,13 +1328,14 @@ def _bisect(bad, good, den, decide, tol):
 
 
 def _endpoint_side(e, windows) -> str:
-    best = None
-    side = "lower"
+    """The side of the bracket whose centre (a + b) / 2 lies nearest e, the
+    first on ties; each distance is |2e - a - b| / 2, an integer pair, and
+    distances are compared by cross-multiplication."""
+    (n, d), best, side = e.as_integer_ratio(), None, "lower"
     for w in windows:
-        lo_center = (w.lo_bracket[0] + w.lo_bracket[1]) / 2
-        hi_center = (w.hi_bracket[0] + w.hi_bracket[1]) / 2
-        for candidate_side, center in (("lower", lo_center), ("upper", hi_center)):
-            dist = abs(e - center)
-            if best is None or dist < best:
+        for candidate_side, (a, b) in (("lower", w.lo_bracket), ("upper", w.hi_bracket)):
+            (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+            dist = (abs(2 * n * ad * bd - (an * bd + bn * ad) * d), d * ad * bd)
+            if best is None or dist[0] * best[1] < best[0] * dist[1]:
                 best, side = dist, candidate_side
     return side

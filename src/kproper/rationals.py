@@ -181,24 +181,26 @@ def is_unimodular(m: Matrix) -> bool:
 def solve_exact(a: Matrix, b: Sequence[Scalar]):
     """Solve A x = b exactly for square A; return None when A is singular.
 
-    A 2x2 system is solved by Cramer's rule.  When its entries and b are
+    A 2x2 system is solved by Cramer's rule, before the shape checks of
+    the general case, which it passes.  When its entries and b are
     ints and det A = +-1 the solution is a tuple of ints (the cone
     functionals of a smooth surface fan); every other solution is a tuple
     of Fractions."""
     n = len(a)
+    if n == 2 and len(a[0]) == 2 and len(a[1]) == 2 and len(b) == 2:
+        (p, q), (r, s), (u, v) = *a, b
+        d = p * s - q * r
+        if d == 0:
+            return None
+        x, y = s * u - q * v, p * v - r * u
+        ints = type(p) is type(q) is type(r) is type(s) is type(u) is type(v) is int
+        if ints and (d == 1 or d == -1):
+            return (x * d, y * d)
+        return (Fraction(x) / d, Fraction(y) / d)
     if any(len(row) != n for row in a):
         raise ValidationError("solve_exact requires a square matrix")
     if len(b) != n:
         raise ValidationError(f"solve_exact dimension mismatch: matrix {n}x{n}, rhs {len(b)}")
-    if n == 2:
-        (p, q), (r, s) = a
-        d = p * s - q * r
-        if d == 0:
-            return None
-        x, y = s * b[0] - q * b[1], p * b[1] - r * b[0]
-        if (d == 1 or d == -1) and all(type(v) is int for v in (p, q, r, s, *b)):
-            return (x * d, y * d)
-        return (Fraction(x) / d, Fraction(y) / d)
     solution = solve_linear_system(a, b)
     # A is singular exactly when the system is inconsistent or has a null space
     if solution is None or solution[1]:

@@ -20,10 +20,10 @@ positivity notions reduce to exact linear algebra on that function:
   enumeration.  It is built in integers: D is cleared once to N D with
   integer coefficients, each N m_sigma solves a unimodular 2x2 system over
   the integers, and the polygon keeps its vertices as integer points over
-  N, with the primitive rays as its half-plane normals.  The class keeps it,
-  with N a and its wall pairings N D.D_i, which every surface question
-  reads, and `scaled` carries all three to t D (P_{tD} = t P_D) in integers;
-  the last few polygons are also memoized by divisor.
+  N and its half-planes as the rays with N a, made HalfSpaces when read.
+  The class keeps it, with N a and its wall pairings N D.D_i, which every
+  surface question reads, and `scaled` carries all three to t D
+  (P_{tD} = t P_D) in integers; the last few polygons are memoized by divisor.
 
 Mixed volumes of moment polytopes provide an independent route to
 intersection numbers for nef classes (n <= 3) and serve as a cross-check of
@@ -40,8 +40,8 @@ from fractions import Fraction
 from math import gcd
 
 from .polytope import (
-    HalfSpace, Polytope, _angle_cmp, boundary_measure, integer_vertices, make_polytope,
-    polygon_from_cycle, volume,
+    Polytope, _angle_cmp, boundary_measure, integer_vertices, make_polytope, polygon_from_cycle,
+    volume,
 )
 from .rationals import (
     ConstraintTable,
@@ -254,7 +254,7 @@ class ToricDivisor:
     coeffs: tuple[Fraction, ...]
     # the class's wall ConstraintTable, filled by wall_table() on first use
     _table: object = field(default=None, init=False, compare=False, repr=False)
-    # (N, N a, N walls) on a surface fan, filled by _cleared_walls() on first use
+    # (N, N a, N walls) on a surface fan: from _cleared_walls(), scaled() or Family.class_at
     _cleared: object = field(default=None, init=False, compare=False, repr=False)
     # an ample surface class's moment polygon, kept by moment_polytope() or scaled()
     _polygon: object = field(default=None, init=False, compare=False, repr=False)
@@ -355,7 +355,7 @@ def moment_polytope(d: ToricDivisor) -> Polytope:
     divisor is cleared once to N D = sum a_i D_i with integer a_i, so each
     cone functional N m_sigma is the integer solution of a unimodular 2x2
     system and the polygon keeps its vertices as integers over N; its
-    half-planes are the primitive rays, taken in sorted order.  The class
+    half-planes are the primitive rays with N a, built on first read.  The class
     keeps that polygon, and one built by `scaled` carries it.  Nef-only
     classes and threefolds fall back to vertex enumeration.
     """
@@ -380,8 +380,7 @@ def moment_polytope(d: ToricDivisor) -> Polytope:
 
 def _keep_polygon(d: ToricDivisor, den: int, a, cycle) -> None:
     """Keep on d, cleared to N D = sum a_i D_i, the polygon of a cycle over N."""
-    hrep = [HalfSpace(r, Fraction(-x, den)) for r, x in sorted(zip(d.fan.rays, a))]
-    object.__setattr__(d, "_polygon", polygon_from_cycle(hrep, den, cycle))
+    object.__setattr__(d, "_polygon", polygon_from_cycle(d.fan.rays, a, den, cycle))
 
 
 def scaled(d: ToricDivisor, t) -> ToricDivisor:

@@ -7,9 +7,10 @@ these write them back, so the tests can check the readers by round trips.
 integer path in `alpha.py` replaced, `decide_by_cuts` is the cut loop
 that sweeps once ran where the lambda certificate had no piece,
 `reference_pairing` is the intersection form one Fraction product at a
-time, and `reference_bisect` is the Fraction bisection that the sweep's
-integer halving replaced; the tests play each against the code that
-replaced it.
+time, `reference_bisect` is the Fraction bisection that the sweep's
+integer halving replaced, and `reference_endpoint_side` picks an endpoint
+check's side by Fraction distances to the bracket centres; the tests play
+each against the code that replaced it.
 """
 
 from fractions import Fraction
@@ -208,3 +209,18 @@ def reference_bisect(bad, good, feasible, tol):
         else:
             bad = mid
     return (min(bad, good), max(bad, good))
+
+
+def reference_endpoint_side(e, windows) -> str:
+    """The side of the bracket whose Fraction centre is nearest e, the first
+    on ties."""
+    best = None
+    side = "lower"
+    for w in windows:
+        lo_center = (w.lo_bracket[0] + w.lo_bracket[1]) / 2
+        hi_center = (w.hi_bracket[0] + w.hi_bracket[1]) / 2
+        for candidate_side, center in (("lower", lo_center), ("upper", hi_center)):
+            dist = abs(e - center)
+            if best is None or dist < best:
+                best, side = dist, candidate_side
+    return side

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -457,5 +458,13 @@ def test_cut_loop_rejects_a_nonpositive_constraint():
 
     base = dp1_family()
     family = ClaimsAmple(base.name, base.base, base.slope)
-    with pytest.raises(GeometryError, match="internal inconsistency"):
+    # at 7/5, L^2 = 1/25 > 0 and the sextic pairs to 4 - 21/5 < 0, so the
+    # row check of the cut loop raises
+    with pytest.raises(GeometryError, match=re.escape(
+        "internal inconsistency: the ample class pairs nonpositively with "
+        "curve (6, 2, 2, 2, 2, 2, 2, 2, 3)"
+    )):
+        feasible_scale_interval(family, F(7, 5))
+    # at 3/2, L^2 <= 0 already, and the forms raise before the rows are read
+    with pytest.raises(GeometryError, match=r"internal inconsistency: L\^2 <= 0 at lambda = 3/2"):
         feasible_scale_interval(family, F(3, 2))
