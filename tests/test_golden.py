@@ -108,6 +108,15 @@ FANS = {
     ),
 }
 
+# (P^1)^3, for an oracle run on a threefold
+P1_CUBED = {
+    "dim": 3,
+    "rays": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+    "max_cones": [[i, j, k] for i in (0, 1) for j in (2, 3) for k in (4, 5)],
+}
+# the order-3 rotation of the dp6 fan, for an oracle run under an explicit group
+ROTATION = {"matrices": [[[0, -1], [1, -1]]]}
+
 DP1_PROPER = "15/4,5/4,5/4,5/4,5/4,5/4,5/4,5/4,5/4"
 DP1_FAILING = "3,1,1,1,1,1,1,1,1/2"
 DP6_PROPER = "5/4,5/4,5/4,5/4,5/4,5/4"
@@ -189,6 +198,15 @@ def _cases(config_dir: Path):
         path = config_dir / f"{name}.fan.json"
         path.write_text(json.dumps(fan))
         cases[f"{name}.json"] = ("check", "--fan", str(path), "--coeffs", coeffs, "--epsilon", "1")
+    rotation = config_dir / "rotation.group.json"
+    rotation.write_text(json.dumps(ROTATION))
+    cases["alpha_dp6_explicit.json"] = ("alpha", "dp6", "--coeffs", DP6_WINDOW_END, "--group",
+                                        "explicit", "--group-file", str(rotation),
+                                        "--oracle-depth", "12")
+    fan = config_dir / "p1_cubed.fan.json"
+    fan.write_text(json.dumps(P1_CUBED))
+    cases["alpha_p1_cubed.json"] = ("alpha", str(fan), "--coeffs", "1,1,1,1,1,2",
+                                    "--oracle-depth", "3")
     return cases
 
 
