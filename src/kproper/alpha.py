@@ -33,9 +33,11 @@ orbit of z |G_z| times each, so the orbit section of z has
 and f_i, an integer linear form, depends only on the ray orbit of i.
 The oracle clears the coefficient denominators (alpha scales by 1/t under
 D -> tD), checks per element that g^T maps the integer vertex set of P
-onto itself plus tau_g, keeps one form per distinct ray orbit, and pays
-one integer dot product per form and lattice point; the best threshold
-stays an integer pair until one Fraction is built at the end.  Its work
+onto itself plus tau_g, keeps one form per distinct ray orbit, and
+evaluates each form on all lattice points of k P at once, over their
+coordinate columns in integers: no value may be negative, and the greatest
+is the worst vanishing order; the best threshold stays an integer pair
+until one Fraction is built at the end.  Its work
 is capped before any enumeration: the integer bounding boxes of k P for
 k = 1..depth may hold at most MAX_ORACLE_POINTS points in all.
 The two routes are kept separate on purpose; the tests play them against
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm, prod
 from operator import add, mul, sub
 
@@ -228,7 +231,8 @@ def alpha_oracle(ctx: SymmetryContext, k_max: int = 12) -> Fraction:
     model P onto itself plus tau_g.  The images of a lattice point z of k P
     then cover its orbit |G_z| times each, so its orbit section has lct
     k |G| / max_i f_i(z), with one integer form f_i per ray orbit (see the
-    module docstring).  Nonincreasing in k_max, never below alpha_invariant.
+    module docstring), evaluated over the columns of the points of each
+    k P.  Nonincreasing in k_max, never below alpha_invariant.
     The depth may be at most MAX_ORACLE_DEPTH, and the bounding boxes of
     the dilates may hold at most MAX_ORACLE_POINTS points in all.
     """
@@ -273,16 +277,20 @@ def alpha_oracle(ctx: SymmetryContext, k_max: int = 12) -> Fraction:
     # the least threshold k |G| / M_k so far is best_num / best_den; none while best_den is 0
     best_num, best_den = 0, 0
     for k in range(1, k_max + 1):
-        offsets = [(w, k * c) for w, c in forms]
+        # the points of k P as coordinate columns, read once for every form
+        columns = tuple(zip(*lattice_points(p_int, k)))
         worst = 0
-        for z in lattice_points(p_int, k):
-            # |G_z| times the vanishing order of the orbit section of z along each ray orbit
-            orders = [sum(map(mul, z, w)) + kc for w, kc in offsets]
-            if min(orders) < 0:
+        for w, c in forms:
+            # <z, w> over the columns: |G_z| times the vanishing orders minus k c
+            dots = map(mul, columns[0], repeat(w[0]))
+            for column, x in zip(columns[1:], w[1:]):
+                dots = map(add, dots, map(mul, column, repeat(x)))
+            dots = list(dots)
+            if min(dots) + k * c < 0:
                 raise GeometryError(
                     "internal inconsistency: an orbit section has a negative vanishing order"
                 )
-            worst = max(worst, *orders)
+            worst = max(worst, max(dots) + k * c)
         if worst > 0 and (best_den == 0 or k * best_den < best_num * worst):
             best_num, best_den = k, worst
     if best_den == 0:

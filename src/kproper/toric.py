@@ -553,14 +553,16 @@ def slope_quantities(d: ToricDivisor) -> SlopeQuantities:
 
 
 # ---------------------------------------------------------------------------
-# builtin fans
+# builtin fans, each built and validated once per process
 
 
+@functools.cache
 def p2_fan() -> Fan:
     """The projective plane: rays e1, e2, -e1-e2."""
     return Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
 
 
+@functools.cache
 def dp6_fan() -> Fan:
     """The hexagonal fan of the degree 6 del Pezzo surface (P^2 blown up at
     the three torus-fixed points).
