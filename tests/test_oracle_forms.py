@@ -39,11 +39,6 @@ def test_a_point_outside_the_dilate_is_a_negative_vanishing_order(monkeypatch):
         alpha_oracle(ctx, 2)
 
 
-def test_the_full_group_form_of_the_anticanonical_class_is_constant(monkeypatch):
-    monkeypatch.setattr(kproper.alpha, "lattice_points", with_outside_point)
-    assert alpha_oracle(symmetry_context(anticanonical(), "full"), 2) == 1
-
-
 @pytest.mark.parametrize("mode", ["full", "torus"])
 def test_the_oracle_reads_each_dilate_once(monkeypatch, mode):
     ctx = symmetry_context(anticanonical(), mode)
