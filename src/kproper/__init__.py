@@ -35,6 +35,7 @@ from .polytope import (
 from .properness import (
     AbstractSlice,
     Family,
+    FamilyAlpha,
     FeasibilityReport,
     PropernessReport,
     StabilizerAlpha,

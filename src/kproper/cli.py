@@ -87,6 +87,13 @@ def _rational(value, where: str) -> Fraction:
     return parse_rational(value, where=where)
 
 
+def _interval(text: str, where: str) -> tuple:
+    ends = text[1:-1].split(", ")
+    if text[:1] + text[-1:] != "()" or len(ends) != 2:
+        raise _fault(where, 'a string like "(p, q)"', text)
+    return tuple(_rational(end, where) for end in ends)
+
+
 def _optional(item):
     """A reader of null, or of a value read by `item`."""
 
@@ -337,8 +344,7 @@ def render_report(report, fmt: str = "json", approx: bool = False) -> str:
             lines.append(f"conjectured {c.side} endpoint {value(c.endpoint)}: {status}")
         diagnostics, key = dict(data["diagnostics"]), "witness_scale_interval"
         if approx and key in diagnostics:
-            ends = map(parse_rational, diagnostics[key][1:-1].split(", "))
-            diagnostics[key] = "({}, {})".format(*map(value, ends))
+            diagnostics[key] = "({}, {})".format(*map(value, _interval(diagnostics[key], key)))
         lines += [f"{name}: {text}" for name, text in sorted(diagnostics.items())]
     return "\n".join(lines) + "\n"
 
@@ -404,6 +410,8 @@ def parse_report(text: str):
         return report
     if kind == "feasibility-report":
         *head, windows, checks, diagnostics = _FEASIBILITY_KEYS(data, "")
+        if "witness_scale_interval" in diagnostics:
+            _interval(diagnostics["witness_scale_interval"], "diagnostics.witness_scale_interval")
         endpoint_checks = tuple(prop_mod.EndpointCheck(*c[:-1]) for c in checks)
         for i, (check, (*_, confirmed)) in enumerate(zip(endpoint_checks, checks)):
             if confirmed not in (None, check.confirmed):

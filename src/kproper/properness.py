@@ -20,9 +20,9 @@ surfaces), exceptional curves (blowups of P^2) or user-supplied test curves
 affine in the scale a, so the feasible set of scales at fixed lambda is an
 exact open interval.  Sweeps refine the feasible lambda-window endpoints by
 bisection.  Every sweep family carries its alpha as integer pieces, alpha
-(L_lambda) = den / max(e + f lambda): the supplied dp1 bound, or the
-G-averaged coefficients of a toric family whose symmetry group fixes no
-line.  Cleared of positive denominators, the probe's cut loop comparisons
+(L_lambda) = den / max(e + f lambda): a FamilyAlpha's, like Dervan's dp1
+bound, or the G-averaged coefficients of a toric family whose group fixes
+no line.  Cleared of positive denominators, the probe's cut loop comparisons
 against those pieces are signs of linear and cubic integer polynomials in
 lambda, so each family certifies its whole lambda range once, by Descartes
 bisection, into feasible, infeasible, endpoint and uncertified pieces, and
@@ -41,8 +41,8 @@ so the checker decides x L + y K by Kleiman's criterion alone: one integer
 pass over the rows, where the first row at the least pairing binds; toric
 threefolds keep the cone-functional test.  A Family pairs two classes of
 one surface backend and reads its rows, its forms L_lambda^2 and K.L_lambda
-and its ampleness test off the tables of L_0, L_1 and the slope class; only
-its alpha depends on the backend.  The builtin families dp6 and dp1 are
+and its ampleness test off the tables of L_0, L_1 and the slope class; its
+alpha is data, not the backend's.  The builtin families dp6 and dp1 are
 built once per process, on first use, and keep that lambda-independent
 data; the certificate is built on their first sweep.
 
@@ -140,6 +140,16 @@ def dervan_alpha_bound(lam) -> Fraction:
     return Fraction(q, 2 * q - p) if p < q else Fraction(1)
 
 
+class FamilyAlpha(NamedTuple):
+    """A family's alpha: the pieces (den, ((e, f), ...)), with alpha(L_lambda)
+    = den / max(e + f lambda), and value(lambda), which each probe must match."""
+
+    pieces: tuple
+    value: Callable[[Fraction], Fraction]
+    label: str
+    scope: str = SCOPE_ALL
+
+
 def resolve_alpha(backend, source):
     """Return (value, provenance label, scope) or raise naming the gap."""
     if isinstance(source, SuppliedAlpha):
@@ -203,6 +213,7 @@ class _Backend(NamedTuple):
     # the tables of several surface classes of this backend, with equal
     # labels row by row; a slice is no family and has none
     tables: Callable[..., tuple] | None = None
+    walls: Callable | None = None
 
 
 def _backend(backend) -> _Backend:
@@ -215,6 +226,7 @@ def _backend(backend) -> _Backend:
             lambda: f"toric divisor ({_join(backend.coeffs)}) on a {fan.n_rays}-ray fan",
             lambda: slope_quantities(backend).mu,
             lambda *classes: tuple(map(wall_table, classes)),
+            wall_pairings if fan.dim == 2 else None,
         )
     if isinstance(backend, PicardClass):
         return _Backend(
@@ -418,13 +430,14 @@ class Family:
     backend: ToricDivisors on one fan or PicardClasses on one blowup.
 
     The rows and forms of every probe are read once off the tables of
-    L_0 = base, L_1 = base + slope and the slope class.  Alpha is the one
-    place where the backends differ: the stabilizer formula on a fan, with
-    the G-averaged pieces, or the supplied dp1 bound on a blowup."""
+    L_0 = base, L_1 = base + slope and the slope class.  alpha is a
+    FamilyAlpha, or None for the stabilizer formula with its G-averaged
+    pieces, which exists on a fan only."""
 
     name: str
     base: ToricDivisor | PicardClass
     slope: ToricDivisor | PicardClass
+    alpha: FamilyAlpha | None = None
 
     def __post_init__(self):
         if type(self.base) is not type(self.slope):
@@ -470,16 +483,20 @@ class Family:
         build = functools.partial(type(self.base), getattr(self.base, where))
         classes = (self.base, self.slope)
         vectors = [getattr(c, coords) for c in classes]
-        if self.alpha_scope == SCOPE_G and self.dim == 2:
-            vectors += map(wall_pairings, classes)
+        if self._view.walls is not None:
+            vectors += map(self._view.walls, classes)
         den, flat = clear_denominators(sum(vectors, ()))
         n = len(flat) // len(vectors)
         rows = [flat[i:i + n] for i in range(0, len(flat), n)]
         return build, den, tuple(zip(rows[::2], rows[1::2]))
 
     @functools.cached_property
+    def _view(self) -> _Backend:
+        return _backend(self.base)
+
+    @functools.cached_property
     def dim(self) -> int:
-        return _backend(self.base).dim
+        return self._view.dim
 
     @functools.cached_property
     def _tables(self):
@@ -487,10 +504,9 @@ class Family:
         list of rows: a Picard class alone would merge the rows of its own
         equal multiplicities, and L_0, L_1 and the slope class need not
         have the same ones."""
-        view = _backend(self.base)
-        if view.table is None:
+        if self._view.table is None:
             raise GeometryError("family feasibility is decided on surfaces only")
-        return view.tables(self.base, self.base + self.slope, self.slope)
+        return self._view.tables(self.base, self.base + self.slope, self.slope)
 
     @functools.cached_property
     def pairing_data(self):
@@ -535,33 +551,28 @@ class Family:
         _, rows = self.pairing_data
         return min(b * q + s * p for b, s, _ in rows) > 0
 
-    @functools.cached_property
-    def alpha_scope(self) -> str:
-        """The one toric/Picard split: alpha comes from the stabilizer
-        formula on a fan (G-invariant potentials), from the supplied bound
-        min{1, 1/(2 - lambda)} on a blowup (all potentials)."""
-        return SCOPE_G if isinstance(self.base, ToricDivisor) else SCOPE_ALL
-
     def alpha_unscaled(self, lam):
-        if self.alpha_scope == SCOPE_G:
+        if self.alpha is None:
             return resolve_alpha(self.member(lam), StabilizerAlpha())
-        return dervan_alpha_bound(lam), "supplied bound (Dervan)", SCOPE_ALL
+        return self.alpha.value(lam), self.alpha.label, self.alpha.scope
 
     @functools.cached_property
     def alpha_pieces(self):
         """(den, ((e, f), ...)) with alpha(L_lambda) = den / max(e + f lambda)
         wherever L_lambda is ample, or None.
 
-        The supplied bound is 1 / max(1, 2 - lambda).  A toric family has
+        A FamilyAlpha brings its own.  Otherwise a toric surface family has
         pieces when the group G of fan automorphisms that keep every wall
         row (B, S) has fixed space {0}, i.e. its matrices sum to zero.  G
         fixes each class L_lambda, so the stabilizer's fixed polytope is the
         barycenter alone and alpha = 1 / max a_i', where the recentred
         coefficients a' are the one G-invariant representative of the class:
         the G-average of the coefficients, den a_i' = e + f lambda.  A G that
-        fixes a line gets None."""
-        if self.alpha_scope == SCOPE_ALL:
-            return 1, ((1, 0), (2, -1))
+        fixes a line, or any other backend, gets None."""
+        if self.alpha is not None:
+            return self.alpha.pieces
+        if self._view.walls is None:
+            return None
         fan, base, slope = self.base.fan, self.base.coeffs, self.slope.coeffs
         walls = list(zip(wall_pairings(self.base), wall_pairings(self.slope)))
         group = [
@@ -584,7 +595,11 @@ class Family:
         """The exact partition of the lambda range into feasible, infeasible,
         endpoint and uncertified pieces; it does not depend on epsilon, so
         every sweep of the family reads the one built on its first sweep.
-        It needs the alpha pieces."""
+        A family without alpha pieces is refused before any decision."""
+        if self.alpha_pieces is None:
+            why = ("has a symmetry group that fixes a line" if self._view.walls is not None
+                   else "is on no toric surface and was given no FamilyAlpha")
+            raise InputError(f'sweeps need a closed-form alpha; family "{self.name}" {why}')
         return _certify(self)
 
 
@@ -604,7 +619,8 @@ def dp1_family() -> Family:
     """3H - E_1 - ... - E_7 - lambda E_8 on the blowup of P^2 at 8 points;
     built on first use and shared, like dp6_family."""
     surface = dp1_surface()
-    return Family("dp1", surface.cls((3,) + (1,) * 7 + (0,)), surface.cls((0,) * 8 + (1,)))
+    alpha = FamilyAlpha((1, ((1, 0), (2, -1))), dervan_alpha_bound, "supplied bound (Dervan)")
+    return Family("dp1", surface.cls((3,) + (1,) * 7 + (0,)), surface.cls((0,) * 8 + (1,)), alpha)
 
 
 BUILTIN_FAMILIES = {"dp6": dp6_family, "dp1": dp1_family}
@@ -725,7 +741,7 @@ def _verify_interval(family, lam, epsilon, mid, alpha, provenance):
     den, must pass and find mu / mid = -K.L / (L^2 mid) of the family forms."""
     m, s = mid.as_integer_ratio()
     # on a fan the midpoint class carries the probe's polygon, scaled
-    toric = family.alpha_scope == SCOPE_G
+    toric = family._view.walls is not None
     report = check_properness(
         backend=scaled(family.member(lam), mid) if toric else family.class_at(lam, mid),
         epsilon=epsilon,
@@ -1196,7 +1212,8 @@ def sweep_lambda(
     decide, probe = _feasibility(family, epsilon)
     flags = family.certificate.grid_flags(grid, d)
     windows = []
-    diagnostics = {"grid_points": str(points), "alpha_scope": family.alpha_scope}
+    diagnostics = {"grid_points": str(points),
+                   "alpha_scope": SCOPE_G if family.alpha is None else family.alpha.scope}
     i = 0
     while i < points:
         if not flags[i]:
@@ -1278,15 +1295,10 @@ def _feasibility(family, epsilon):
     LambdaCertificate.feasible_pair, which never runs the probe's cut loop,
     so a probe at a bracket end checks the decision there: a lookup inside a
     piece, the signs of the family's rows, alpha pieces and cut polynomials
-    elsewhere.  A family without alpha pieces is rejected."""
+    elsewhere.  The certificate refuses a family without alpha pieces."""
     # a threefold family fails here, before its alpha is looked at
     family.pairing_data
     epsilon = _positive_slack(epsilon)
-    if family.alpha_pieces is None:
-        raise InputError(
-            f"sweeps need a closed-form alpha; the symmetry group of family "
-            f'"{family.name}" fixes a line'
-        )
 
     def probe(lam: Fraction) -> bool:
         try:

@@ -10,9 +10,12 @@ that sweeps once ran where the lambda certificate had no piece,
 time, `reference_bisect` is the Fraction bisection that the sweep's
 integer halving replaced, and `reference_endpoint_side` picks an endpoint
 check's side by Fraction distances to the bracket centres; the tests play
-each against the code that replaced it.
+each against the code that replaced it.  `DERVAN` is the alpha that the
+test families on a blowup are given, and `counting` records the calls of a
+function.
 """
 
+import sys
 from fractions import Fraction
 
 from kproper.picard import PicardClass
@@ -29,6 +32,7 @@ from kproper.properness import (
     _forms_at,
     _lower_cut,
     abstract_slice,
+    dp1_family,
 )
 from kproper.rationals import (
     ValidationError,
@@ -43,6 +47,26 @@ from kproper.rationals import (
     vec_sub,
 )
 from kproper.toric import Fan, ToricDivisor, angular_order, fan_automorphisms
+
+# Dervan's bound min{1, 1/(2 - lambda)}, with the pieces ((1, 0), (2, -1)):
+# the alpha of dp1_family
+DERVAN = dp1_family().alpha
+
+
+def counting(monkeypatch, original, calls):
+    """Replace every kproper binding of a function, in a module or in a
+    class of one, by one that records its positional arguments."""
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    name = original.__name__
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("kproper"):
+            for owner in (module, *(v for v in vars(module).values() if isinstance(v, type))):
+                if vars(owner).get(name) is original:
+                    monkeypatch.setattr(owner, name, wrapper)
 
 
 def fan_to_json(fan: Fan) -> dict:

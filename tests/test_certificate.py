@@ -66,7 +66,7 @@ BUILTIN = {"dp6": (dp6_family, _dp6_window, (F(1, 2), F(2))),
 
 def fresh(family) -> Family:
     """The same pencil with no certificate built yet."""
-    return Family(family.name, family.base, family.slope)
+    return Family(family.name, family.base, family.slope, family.alpha)
 
 
 def ends(certificate):

@@ -26,6 +26,7 @@ pytest.importorskip("hypothesis")
 sp = pytest.importorskip("sympy")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from helpers import DERVAN  # noqa: E402
 from test_family_tables import AMPLE  # noqa: E402
 from test_wall_pairings import FANS  # noqa: E402
 
@@ -37,6 +38,7 @@ from kproper.properness import (  # noqa: E402
     LambdaCertificate,
     _feasibility,
     _scale_interval_with_bindings,
+    dervan_alpha_bound,
     dp1_family,
     dp6_family,
     feasible_scale_interval,
@@ -178,7 +180,8 @@ def cubic_end_picard_pencil():
     condition-(3) polynomial, near 0.185628; feasible on its right."""
     surface = BlowupSurface(2)
     return Family(
-        "r=2", surface.cls((F(25, 6), F(7, 3), F(4, 3))), surface.cls((F(9, 2), F(-1, 6), F(-1, 2)))
+        "r=2", surface.cls((F(25, 6), F(7, 3), F(4, 3))), surface.cls((F(9, 2), F(-1, 6), F(-1, 2))),
+        DERVAN,
     )
 
 
@@ -211,7 +214,8 @@ def picard_pencils(draw):
     base, top = classes
     if not all(is_ample_picard(PicardClass(surface, c)) for c in classes):
         return None
-    return Family("random", surface.cls(base), surface.cls(tuple(b - a for a, b in zip(base, top))))
+    slope = surface.cls(tuple(b - a for a, b in zip(base, top)))
+    return Family("random", surface.cls(base), slope, DERVAN)
 
 
 @settings(max_examples=25, deadline=None)
@@ -294,7 +298,7 @@ def test_decisions_end_where_the_supplied_bound_ends():
     # L_lambda = (1 + lambda)(3H - E_1 - E_2 - E_3) is ample for every lambda > -1;
     # the dp1 bound, hence every probe and every decision, needs lambda < 2
     surface = BlowupSurface(3)
-    family = Family("r=3", surface.cls((3, 1, 1, 1)), surface.cls((3, 1, 1, 1)))
+    family = Family("r=3", surface.cls((3, 1, 1, 1)), surface.cls((3, 1, 1, 1)), DERVAN)
     decide, probe = _feasibility(family, F(1))
     assert decide(19, 10) == probe(F(19, 10)) == _per_point(family, F(19, 10), F(1))
     for check in (lambda: decide(2, 1), lambda: probe(F(2))):
@@ -327,25 +331,47 @@ def test_the_witness_probe_checks_the_alpha_pieces(monkeypatch):
         sweep_lambda(dp6_family(), F(1, 2), F(3, 2), F(1, 10), F(1, 100))
 
 
-def test_probe_checks_the_picard_alpha_pieces(monkeypatch):
-    # the probe reads the supplied bound, the decisions read the pieces
-    original = properness.dervan_alpha_bound
-    monkeypatch.setattr(properness, "dervan_alpha_bound", lambda lam: 2 * original(lam))
+def test_probe_checks_the_picard_alpha_pieces():
+    # the probe reads the supplied value, the decisions read the pieces:
+    # dp1 with its bound doubled over the same pieces
+    dp1 = dp1_family()
+    doubled = dp1.alpha._replace(value=lambda lam: 2 * dervan_alpha_bound(lam))
     with pytest.raises(GeometryError, match="internal inconsistency: the alpha cap"):
-        sweep_lambda(dp1_family(), F(0), F(4, 3), F(1, 10), F(1, 100))
+        sweep_lambda(Family("dp1", dp1.base, dp1.slope, doubled), F(0), F(4, 3), F(1, 10),
+                     F(1, 100))
+
+
+def fixed_line_family():
+    """A dp6 pencil whose only nontrivial symmetry is the reflection in the
+    diagonal (rays 0 <-> 2), which fixes a line, so its alpha has no pieces."""
+    return Family(
+        "line", ToricDivisor(FANS["dp6"], (2,) * 6), ToricDivisor(FANS["dp6"], (1, 0, 1, 0, 0, 0))
+    )
 
 
 def test_a_family_without_alpha_pieces_is_rejected(monkeypatch):
-    # the only nontrivial symmetry this dp6 pencil keeps is the reflection
-    # in the diagonal (rays 0 <-> 2), which fixes a line, so its alpha has
-    # no pieces; the sweep stops before any probe
-    family = Family(
-        "line", ToricDivisor(FANS["dp6"], (2,) * 6), ToricDivisor(FANS["dp6"], (1, 0, 1, 0, 0, 0))
-    )
+    # the sweep stops before any probe
+    family = fixed_line_family()
     assert family.alpha_pieces is None
     monkeypatch.setattr(properness, "feasible_scale_interval", None)
     with pytest.raises(InputError, match="sweeps need a closed-form alpha"):
         sweep_lambda(family, F(0), F(1), F(1, 10), F(1, 100))
+
+
+@pytest.mark.parametrize("case", ["fixed line", "blowup"])
+def test_the_certificate_refuses_a_family_without_alpha_pieces(case, monkeypatch):
+    # a toric family whose group fixes a line, and a blowup family given no
+    # FamilyAlpha: one InputError naming the case, before any probe
+    surface = BlowupSurface(3)
+    family, why = {
+        "fixed line": (fixed_line_family(), "has a symmetry group that fixes a line"),
+        "blowup": (Family("r=3", surface.cls((3, 1, 1, 1)), surface.cls((3, 1, 1, 1))),
+                   "is on no toric surface and was given no FamilyAlpha"),
+    }[case]
+    monkeypatch.setattr(properness, "feasible_scale_interval", None)
+    with pytest.raises(InputError, match=f'sweeps need a closed-form alpha; family "{family.name}" '
+                                         f"{why}"):
+        family.certificate
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 pytest.importorskip("sympy")
+from helpers import DERVAN, counting  # noqa: E402
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_family_window import (  # noqa: E402
@@ -48,7 +49,7 @@ def _r3_family():
     """(1 + lambda)(3H - E_1 - E_2 - E_3): ample for every lambda > -1, so
     the dp1 bound, and every decision from lambda = 2 on, raises."""
     surface = BlowupSurface(3)
-    return Family("r=3", surface.cls((3, 1, 1, 1)), surface.cls((3, 1, 1, 1)))
+    return Family("r=3", surface.cls((3, 1, 1, 1)), surface.cls((3, 1, 1, 1)), DERVAN)
 
 
 FAMILIES = {
@@ -166,22 +167,13 @@ def test_a_dp1_acceptance_sweep_counts_its_decisions(monkeypatch):
     family = dp1_family()
     # the certificate probes its own pieces once, on the family's first sweep
     family.certificate
-    counts = {"feasible_pair": 0, "feasible_scale_interval": 0, "check_properness": 0}
-
-    def counting(owner, name):
-        original = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, wrapper)
-
-    counting(LambdaCertificate, "feasible_pair")
-    counting(properness, "feasible_scale_interval")
-    counting(properness, "check_properness")
+    calls = {"feasible_pair": [], "feasible_scale_interval": [], "check_properness": []}
+    counting(monkeypatch, LambdaCertificate.feasible_pair, calls["feasible_pair"])
+    counting(monkeypatch, properness.feasible_scale_interval, calls["feasible_scale_interval"])
+    counting(monkeypatch, properness.check_properness, calls["check_properness"])
     report = sweep_lambda(family, F(0), F(4, 3), F(1, 100), F(1, 10**6), F(1),
                           (F(4, 5), F(10, 9)))
+    counts = {name: len(made) for name, made in calls.items()}
     assert all(c.confirmed for c in report.endpoint_checks)
     # the grid points on the piece ends 0, 1/2 and 4/5, 2 x 14 bisection
     # points and the 4 bracket ends; a decision per grid point made 166

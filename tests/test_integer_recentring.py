@@ -10,13 +10,13 @@ must agree with the general loop, reached here by embedding the plane in
 three dimensions.
 """
 
-import sys
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
 pytest.importorskip("hypothesis")
+from helpers import counting  # noqa: E402
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_integer_oracle import threefold_classes  # noqa: E402
@@ -125,20 +125,6 @@ def test_every_dp6_automorphism_on_a_centred_hexagon():
     assert len(kept) == 6
     for g in fan_automorphisms(d.fan):
         assert preserves_vertices(g, cleared) == general_loop(g, cleared)
-
-
-def counting(monkeypatch, original, calls):
-    """Replace every kproper binding of a function by one that records its
-    positional arguments."""
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    name = original.__name__
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("kproper") and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, wrapper)
 
 
 @pytest.mark.parametrize("mode", ["full", "torus"])

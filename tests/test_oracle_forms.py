@@ -13,7 +13,7 @@ called once per k.
 from fractions import Fraction
 
 import pytest
-from test_integer_recentring import counting
+from helpers import counting
 
 import kproper.alpha
 from kproper.alpha import alpha_oracle, symmetry_context

@@ -26,11 +26,10 @@ from math import floor
 import pytest
 
 pytest.importorskip("hypothesis")
-from helpers import reference_endpoint_side  # noqa: E402
+from helpers import counting, reference_endpoint_side  # noqa: E402
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_family_tables import toric_pencils  # noqa: E402
-from test_integer_recentring import counting  # noqa: E402
 
 from kproper.alpha import _centered, symmetry_context  # noqa: E402
 from kproper.polytope import HalfSpace, fixed_subpolytope, make_polytope  # noqa: E402

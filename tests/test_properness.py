@@ -457,7 +457,7 @@ def test_cut_loop_rejects_a_nonpositive_constraint():
             return True
 
     base = dp1_family()
-    family = ClaimsAmple(base.name, base.base, base.slope)
+    family = ClaimsAmple(base.name, base.base, base.slope, base.alpha)
     # at 7/5, L^2 = 1/25 > 0 and the sextic pairs to 4 - 21/5 < 0, so the
     # row check of the cut loop raises
     with pytest.raises(GeometryError, match=re.escape(

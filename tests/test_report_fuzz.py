@@ -156,9 +156,13 @@ def _with(index, path, value):
          '"endpoint_checks[1].confirmed" must be false, the conjunction'),
         (_with(4, ("diagnostics", "grid_points"), 14), '"diagnostics.grid_points" must be a string'),
         (_with(2, ("mu",), "2/4"), 'non-canonical rational "2/4" in mu'),
+        *((_with(3, ("diagnostics", "witness_scale_interval"), text),
+           f'"diagnostics.witness_scale_interval" must be a string like "(p, q)", got "{text}"')
+          for text in ("", "(1)", "(1, 2, 3)")),
     ],
     ids=["array", "not-json", "kind", "missing-key", "holds-int", "verdict", "intervals",
-         "bracket", "confirmed-false", "confirmed-true", "diagnostics", "rational"],
+         "bracket", "confirmed-false", "confirmed-true", "diagnostics", "rational",
+         "interval-empty", "interval-one-end", "interval-three-ends"],
 )
 def test_a_malformed_report_raises_one_input_error(text, message):
     with pytest.raises(InputError, match=re.escape(message)):

@@ -11,6 +11,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from helpers import DERVAN
 
 from kproper import properness
 from kproper.cli import main, render_report
@@ -34,7 +35,7 @@ def fresh_family(name) -> Family:
         fan = dp6_fan()
         return Family("dp6", ToricDivisor(fan, (1, 0) * 3), ToricDivisor(fan, (0, 1) * 3))
     surface = dp1_surface()
-    return Family("dp1", surface.cls((3,) + (1,) * 7 + (0,)), surface.cls((0,) * 8 + (1,)))
+    return Family("dp1", surface.cls((3,) + (1,) * 7 + (0,)), surface.cls((0,) * 8 + (1,)), DERVAN)
 
 
 def fresh_sweep(name) -> str:
