@@ -114,6 +114,12 @@ P1_CUBED = {
     "rays": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
     "max_cones": [[i, j, k] for i in (0, 1) for j in (2, 3) for k in (4, 5)],
 }
+# P^3, for a threefold check under the full group
+P3 = {
+    "dim": 3,
+    "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+    "max_cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+}
 # the order-3 rotation of the dp6 fan, for an oracle run under an explicit group
 ROTATION = {"matrices": [[[0, -1], [1, -1]]]}
 
@@ -207,6 +213,12 @@ def _cases(config_dir: Path):
     fan.write_text(json.dumps(P1_CUBED))
     cases["alpha_p1_cubed.json"] = ("alpha", str(fan), "--coeffs", "1,1,1,1,1,2",
                                     "--oracle-depth", "3")
+    # threefold checks: the cone-functional positivity test and mixed volumes
+    cases["check_p1_cubed.json"] = ("check", "--fan", str(fan), "--coeffs",
+                                    "1/3,2/3,3/4,1/2,5/7,1/3", "--alpha", "1/2")
+    p3 = config_dir / "p3.fan.json"
+    p3.write_text(json.dumps(P3))
+    cases["check_p3.json"] = ("check", "--fan", str(p3), "--coeffs", "1,1,1,1")
     return cases
 
 
