@@ -11,9 +11,9 @@ invariant is a finite minimization over polytope data:
 where a_i' are the recentered coefficients and P^K is the subpolytope fixed
 by the stabilizer (the full centered polytope in torus-only mode).  The
 inner quantity is linear in y, so only vertices of P^K matter.  The route
-runs in integers: a surface class keeps N a and its moment polygon keeps
-integer vertices over N, whose barycenter gives a' over M, the lcm of N and
-its denominator.  The centered polygon is built from a' (half-planes
+runs in integers: a class is stored as N a over N and its moment polygon
+keeps integer vertices over N, whose barycenter gives a' over M, the lcm of
+N and its denominator.  The centered polygon is built from a' (half-planes
 <m, u_i> >= -a_i'/M, the cycle shifted over M), the stabilizer is read off
 a' (an explicit group is checked on the integer vertex set) and the vertex
 formula is one integer maximum over the integer vertices of P^K, the whole
@@ -75,7 +75,6 @@ from .rationals import (
 )
 from .toric import (
     ToricDivisor,
-    cleared_coefficients,
     fan_automorphisms,
     is_ample,
     moment_polytope,
@@ -134,12 +133,11 @@ def _centered(d: ToricDivisor):
     translate is built from a': half-planes <m, u_i> >= -a_i'/M, kept in
     integers, and P's cycle (integers over N) shifted in integers over M."""
     p = moment_polytope(d)
-    den, nums = cleared_coefficients(d)
     bden, bnums = cleared_barycenter(p)
-    m = lcm(den, bden)
-    a, b = m // den, m // bden
+    m = lcm(d.den, bden)
+    a, b = m // d.den, m // bden
     shift = [-x * b for x in bnums]
-    shifted = tuple(x * a - sum(map(mul, shift, u)) for x, u in zip(nums, d.fan.rays))
+    shifted = tuple(x * a - sum(map(mul, shift, u)) for x, u in zip(d.nums, d.fan.rays))
     if p.dim != 2:
         return translate(p, [Fraction(x, m) for x in shift]), (m, shifted)
     cycle = [(x * a + shift[0], y * a + shift[1]) for x, y in integer_vertices(p)[1]]
@@ -241,9 +239,7 @@ def alpha_oracle(ctx: SymmetryContext, k_max: int = 12) -> Fraction:
     if k_max > MAX_ORACLE_DEPTH:
         raise InputError(f"oracle depth {k_max} exceeds the cap of {MAX_ORACLE_DEPTH}")
     d = ctx.divisor
-    multiplier, int_coeffs = cleared_coefficients(d)
-    integral = ToricDivisor(d.fan, tuple(Fraction(c) for c in int_coeffs))
-    p_int = moment_polytope(integral)
+    p_int = moment_polytope(ToricDivisor(d.fan, d.nums))
     verts = [integer_vector(v) for v in vertices(p_int)]
     # the integer bounding box of k P has k * width + 1 points per axis
     widths = [max(col) - min(col) for col in zip(*verts)]
@@ -272,7 +268,7 @@ def alpha_oracle(ctx: SymmetryContext, k_max: int = 12) -> Fraction:
     forms = dict.fromkeys(
         (tuple([sum(map(mul, row, u)) for row in total]),
          len(group) * a - sum(map(mul, shift, u)))
-        for u, a in zip(d.fan.rays, int_coeffs)
+        for u, a in zip(d.fan.rays, d.nums)
     )
     # the least threshold k |G| / M_k so far is best_num / best_den; none while best_den is 0
     best_num, best_den = 0, 0
@@ -295,4 +291,4 @@ def alpha_oracle(ctx: SymmetryContext, k_max: int = 12) -> Fraction:
             best_num, best_den = k, worst
     if best_den == 0:
         raise GeometryError("internal inconsistency: no orbit section gives a finite threshold")
-    return multiplier * Fraction(best_num * len(group), best_den)
+    return d.den * Fraction(best_num * len(group), best_den)

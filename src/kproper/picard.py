@@ -26,8 +26,9 @@ row (d_C, the block sums of -m_C, K.C) under the label of the first of
 them.  The dp1 classes 3H - E_1 - ... - E_7 - lambda E_8 keep 15 of the 240
 rows.  Ampleness, nefness and the slope mu = -K.D / D.D are read off the
 table here, and the checker reads every combination x D + y K off its
-rows.  A class is cleared to integers once; pairing() sums D.D over its
-cleared coordinates and K.D = (sum m_i - 3d) / N reads them directly.
+rows.  A class is stored cleared, as N and the integers N coords;
+pairing() sums D.D over them and K.D = (sum m_i - 3d) / N reads them
+directly.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import functools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .rationals import (
     ConstraintTable,
@@ -44,6 +45,7 @@ from .rationals import (
     ValidationError,
     clear_denominators,
     format_rational,
+    integer_ratio,
 )
 
 
@@ -62,7 +64,7 @@ class BlowupSurface:
         return self.r + 1
 
     def cls(self, coords) -> "PicardClass":
-        return PicardClass(self, tuple(coords))
+        return PicardClass(self, coords)
 
     def hyperplane(self) -> "PicardClass":
         return self.cls((1,) + (0,) * self.r)
@@ -80,35 +82,53 @@ class BlowupSurface:
         return self.cls((3,) + (1,) * self.r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class PicardClass:
-    """coords = (d, m_1, ..., m_r) for the class d H - sum m_i E_i."""
+    """The class d H - sum m_i E_i, built from the rationals coords = (d,
+    m_1, ..., m_r) and stored cleared: den = N > 0, their least common
+    denominator, and nums, the integers N coords.  Equality and hashing
+    read (surface, N, N coords), and `coords` builds Fractions on request."""
 
     surface: BlowupSurface
-    coords: tuple[Fraction, ...]
+    den: int = field(init=False)
+    nums: tuple[int, ...] = field(init=False)
     # the class's ConstraintTable, filled by curve_table() on first use
-    _table: object = field(default=None, init=False, compare=False, repr=False)
-    # (N, N coords), filled by _cleared() on first use
-    _cleared: object = field(default=None, init=False, compare=False, repr=False)
+    _table: object = field(default=None, init=False, compare=False)
 
-    def __post_init__(self):
-        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coords)
-        if len(coords) != self.surface.rank:
-            raise ValidationError(
-                f"class needs {self.surface.rank} coordinates, got {len(coords)}"
-            )
-        object.__setattr__(self, "coords", coords)
+    def __init__(self, surface: BlowupSurface, coords):
+        den, nums = clear_denominators(coords)
+        if len(nums) != surface.rank:
+            raise ValidationError(f"class needs {surface.rank} coordinates, got {len(nums)}")
+        vars(self).update(surface=surface, den=den, nums=nums)
+
+    def _with_integers(self, den: int, nums) -> "PicardClass":
+        """The class with coordinates nums / den on this surface, for den >
+        0, stored in least terms: the constructor from integers."""
+        g = gcd(den, *nums)
+        out = object.__new__(PicardClass)
+        vars(out).update(surface=self.surface, den=den // g, nums=tuple(x // g for x in nums))
+        return out
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
+    def __repr__(self) -> str:
+        return f"PicardClass(surface={self.surface!r}, coords={self.coords!r})"
 
     def __add__(self, other: "PicardClass") -> "PicardClass":
         if self.surface != other.surface:
             raise ValidationError("classes live on different surfaces")
-        return PicardClass(self.surface, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return self._with_integers(den, [x * a + y * b for x, y in zip(self.nums, other.nums)])
 
     def __sub__(self, other: "PicardClass") -> "PicardClass":
         return self + (-1) * other
 
     def __mul__(self, c) -> "PicardClass":
-        return PicardClass(self.surface, tuple(Fraction(c) * a for a in self.coords))
+        p, q = integer_ratio(c)
+        return self._with_integers(self.den * q, [p * x for x in self.nums])
 
     __rmul__ = __mul__
 
@@ -116,19 +136,12 @@ class PicardClass:
         return (-1) * self
 
 
-def _cleared(c: PicardClass) -> tuple[int, tuple[int, ...]]:
-    """(N, N coords) with N the lcm of the coordinate denominators, once per class."""
-    if c._cleared is None:
-        object.__setattr__(c, "_cleared", clear_denominators(c.coords))
-    return c._cleared
-
-
 def pairing(a: PicardClass, b: PicardClass) -> Fraction:
     """Signature (1, r) intersection form d d' - sum m_i m_i', in integers."""
     if a.surface != b.surface:
         raise ValidationError("pairing requires classes on the same surface")
-    (den, (d, *m)), (e_den, (e, *n)) = _cleared(a), _cleared(b)
-    return Fraction(d * e - sum(map(operator.mul, m, n)), den * e_den)
+    (d, *m), (e, *n) = a.nums, b.nums
+    return Fraction(d * e - sum(map(operator.mul, m, n)), a.den * b.den)
 
 
 def _multiplicity_vectors(r: int, target_sum: int, target_sq: int):
@@ -178,7 +191,7 @@ def exceptional_curves(r: int) -> tuple[PicardClass, ...]:
             continue
         for m in solutions:
             found.append(surface.cls((d,) + m))
-    curves = tuple(sorted(found, key=lambda c: c.coords))
+    curves = tuple(sorted(found, key=lambda c: c.nums))
     for c in curves:
         if pairing(c, c) != -1 or pairing(c, surface.canonical()) != -1:
             coords = ", ".join(format_rational(x) for x in c.coords)
@@ -201,10 +214,7 @@ def curve_matrix(r: int) -> tuple[tuple[int, ...], ...]:
     """Rows (d, -m_1, ..., -m_r) of the cone curves, in table order.
 
     The row dotted with a class's coordinates is its pairing with the curve."""
-    return tuple(
-        (int(c.coords[0]),) + tuple(-int(m) for m in c.coords[1:])
-        for c in cone_curves(r)
-    )
+    return tuple((c.nums[0], *(-m for m in c.nums[1:])) for c in cone_curves(r))
 
 
 @functools.lru_cache(maxsize=None)
@@ -250,19 +260,18 @@ def curve_tables(*classes: PicardClass) -> tuple[ConstraintTable, ...]:
     earlier curve at the minimum.  The tables of several classes have the
     same labels row by row."""
     r = classes[0].surface.r
-    cleared = list(map(_cleared, classes))
     positions: dict = {}
-    for i, key in enumerate(zip(*(nums[1:] for _, nums in cleared))):
+    for i, key in enumerate(zip(*(c.nums[1:] for c in classes))):
         positions.setdefault(key, []).append(i)
     blocks = tuple(map(tuple, positions.values()))
     labels, rows, ks = _block_rows(r, blocks)
     tables = []
-    for c, (den, nums) in zip(classes, cleared):
-        reps = (nums[0], *(nums[1 + block[0]] for block in blocks))
+    for c in classes:
+        reps = (c.nums[0], *(c.nums[1 + block[0]] for block in blocks))
         tables.append(ConstraintTable(
             labels, tuple(sum(map(operator.mul, row, reps)) for row in rows),
-            tuple(map(den.__mul__, ks)), den, pairing(c, c),
-            Fraction(sum(nums[1:]) - 3 * nums[0], den),
+            tuple(map(c.den.__mul__, ks)), c.den, pairing(c, c),
+            Fraction(sum(c.nums[1:]) - 3 * c.nums[0], c.den),
         ))
     return tuple(tables)
 
@@ -279,7 +288,7 @@ def curve_census(r: int) -> dict[int, int]:
     """Number of exceptional curves by degree d = C.H."""
     census: dict[int, int] = {}
     for c in exceptional_curves(r):
-        d = int(c.coords[0])
+        d = c.nums[0]
         census[d] = census.get(d, 0) + 1
     return census
 

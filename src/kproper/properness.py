@@ -65,7 +65,6 @@ sqrt(10) - 2 (approx 0.76..1.16).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -88,7 +87,9 @@ from .rationals import (
     as_fraction,
     clear_denominators,
     constraint_table,
+    format_ratio,
     format_rational,
+    integer_ratio,
 )
 from .toric import (
     ToricDivisor,
@@ -134,7 +135,7 @@ class SuppliedAlpha:
 
 def dervan_alpha_bound(lam) -> Fraction:
     """Builtin lower bound min{1, 1/(2 - lambda)} for the dp1 family classes."""
-    p, q = as_fraction(lam).as_integer_ratio()
+    p, q = integer_ratio(lam)
     if p >= 2 * q:
         raise GeometryError("the builtin dp1 alpha bound needs lambda < 2")
     return Fraction(q, 2 * q - p) if p < q else Fraction(1)
@@ -223,7 +224,7 @@ def _backend(backend) -> _Backend:
         return _Backend(
             fan.dim,
             wall_table(backend) if fan.dim == 2 else None,
-            lambda: f"toric divisor ({_join(backend.coeffs)}) on a {fan.n_rays}-ray fan",
+            lambda: f"toric divisor ({_join(backend)}) on a {fan.n_rays}-ray fan",
             lambda: slope_quantities(backend).mu,
             lambda *classes: tuple(map(wall_table, classes)),
             wall_pairings if fan.dim == 2 else None,
@@ -232,7 +233,7 @@ def _backend(backend) -> _Backend:
         return _Backend(
             2,
             curve_table(backend),
-            lambda: f"Picard class ({_join(backend.coords)}) on the blowup of P^2 at "
+            lambda: f"Picard class ({_join(backend)}) on the blowup of P^2 at "
             f"{backend.surface.r} points",
             lambda: slope_picard(backend),
             curve_tables,
@@ -247,8 +248,9 @@ def _backend(backend) -> _Backend:
     raise InputError(f"unknown backend {type(backend).__name__}")
 
 
-def _join(values) -> str:
-    return ", ".join(format_rational(c) for c in values)
+def _join(c) -> str:
+    """A surface class's coordinates, from its stored integers."""
+    return ", ".join(format_ratio(x, c.den) for x in c.nums)
 
 
 def _combo_positive(backend, x, y, strict: bool, view: _Backend | None = None):
@@ -449,22 +451,14 @@ class Family:
         self.base + self.slope
 
     def class_at(self, lam, scale=1):
-        """scale * L_lambda, built in one step: at lambda = p/q and scale =
-        r/s its coordinates are r (B_i q + S_i p) / (M q s) for the
-        family's coordinates cleared to integers B_i / M and S_i / M.  A
-        surface class keeps its cleared integers, read off the pencil the
-        same way and divided by their gcd with M q s: (N, N coords) on a
-        blowup, (N, N a, N walls) on a fan."""
-        (p, q), (r, s) = as_fraction(lam).as_integer_ratio(), as_fraction(scale).as_integer_ratio()
-        build, den, parts = self._pencil
-        den *= q * s
-        coords, *walls = ([r * (b * q + t * p) for b, t in zip(*part)] for part in parts)
-        out = build(tuple(Fraction(x, den) for x in coords))
-        if self.dim == 2:
-            g = math.gcd(den, *coords)
-            cleared = (tuple(x // g for x in v) for v in (coords, *walls))
-            object.__setattr__(out, "_cleared", (den // g, *cleared))
-        return out
+        """scale * L_lambda, built in one step from integers: at lambda = p/q
+        and scale = r/s its value is r (B_i q + S_i p) over M q s, for the
+        base and slope over their common denominator, B / M and S / M."""
+        (p, q), (r, s) = integer_ratio(lam), integer_ratio(scale)
+        den, base, slope = self._pencil
+        return self.base._with_integers(
+            den * q * s, [r * (b * q + t * p) for b, t in zip(base, slope)]
+        )
 
     @functools.cached_property
     def member(self):
@@ -473,22 +467,10 @@ class Family:
 
     @functools.cached_property
     def _pencil(self):
-        """(build, M, parts): build(coordinates) is a class of the backend
-        on the family's fan or surface; parts pairs the base's and slope's
-        integer vectors over M, the lcm of the coordinate denominators: the
-        coordinates, then on a surface fan the wall pairings.  Both backends
-        are frozen dataclasses whose two init fields are the fan or surface
-        and the coordinates."""
-        where, coords = (f.name for f in dataclasses.fields(self.base) if f.init)
-        build = functools.partial(type(self.base), getattr(self.base, where))
-        classes = (self.base, self.slope)
-        vectors = [getattr(c, coords) for c in classes]
-        if self._view.walls is not None:
-            vectors += map(self._view.walls, classes)
-        den, flat = clear_denominators(sum(vectors, ()))
-        n = len(flat) // len(vectors)
-        rows = [flat[i:i + n] for i in range(0, len(flat), n)]
-        return build, den, tuple(zip(rows[::2], rows[1::2]))
+        """(M, B, S): the base's and slope's stored integers brought over
+        M, the lcm of their denominators."""
+        den = math.lcm(self.base.den, self.slope.den)
+        return den, *(tuple(x * (den // c.den) for x in c.nums) for c in (self.base, self.slope))
 
     @functools.cached_property
     def _view(self) -> _Backend:
@@ -547,7 +529,7 @@ class Family:
 
     def is_ample_at(self, lam) -> bool:
         """Kleiman on the family's integer rows, which span the cone of curves."""
-        p, q = as_fraction(lam).as_integer_ratio()
+        p, q = integer_ratio(lam)
         _, rows = self.pairing_data
         return min(b * q + s * p for b, s, _ in rows) > 0
 
@@ -574,7 +556,7 @@ class Family:
         if self._view.walls is None:
             return None
         fan, base, slope = self.base.fan, self.base.coeffs, self.slope.coeffs
-        walls = list(zip(wall_pairings(self.base), wall_pairings(self.slope)))
+        walls = list(zip(*map(self._view.walls, (self.base, self.slope))))
         group = [
             (g, perm)
             for g, perm in zip(fan_automorphisms(fan), ray_permutations(fan))
@@ -1319,7 +1301,7 @@ def _alpha_denominator(pieces, lam: Fraction) -> int:
     if min(values) <= 0:
         raise GeometryError(
             f"the alpha pieces e + f lambda are not all positive at lambda = "
-            f"{format_rational(lam)} (the dp1 bound needs lambda < 2)"
+            f"{format_rational(lam)}"
         )
     return max(values)
 

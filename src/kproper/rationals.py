@@ -77,13 +77,22 @@ def as_fraction(x: Scalar) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
+def integer_ratio(x: Scalar) -> tuple[int, int]:
+    """(p, q) with x = p/q in least terms and q > 0, built from an int or a
+    Fraction without a new Fraction."""
+    return (x if type(x) in (int, Fraction) else Fraction(x)).as_integer_ratio()
+
+
 def format_rational(q: Scalar) -> str:
     """Canonical string form: "p/q" with q >= 2, or "p" when q = 1."""
-    q = q if type(q) is Fraction else Fraction(q)
+    return format_ratio(*integer_ratio(q))
+
+
+def format_ratio(p: int, q: int) -> str:
+    """format_rational(p / q) for integers p and q > 0, with no Fraction built."""
+    g = gcd(p, q)
     try:
-        if q.denominator == 1:
-            return str(q.numerator)
-        return f"{q.numerator}/{q.denominator}"
+        return str(p // g) if q == g else f"{p // g}/{q // g}"
     except ValueError:
         raise InputError(
             f"a result has more than {sys.get_int_max_str_digits()} digits, "

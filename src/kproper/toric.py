@@ -17,12 +17,12 @@ positivity notions reduce to exact linear algebra on that function:
   on a smooth surface its vertices are the cone functionals, one per
   maximal cone, and they run counterclockwise in the angular order of the
   rays, so the polygon is built in boundary order without vertex
-  enumeration.  It is built in integers: D is cleared once to N D with
-  integer coefficients, each N m_sigma solves a unimodular 2x2 system over
-  the integers, and the polygon keeps its vertices as integer points over
-  N and its half-planes as the rays with N a, made HalfSpaces when read.
-  The class keeps it, with N a and its wall pairings N D.D_i, which every
-  surface question reads, and `scaled` carries all three to t D
+  enumeration.  It is built in integers: a class is stored cleared, as
+  N > 0 and the integers N a, so each N m_sigma solves a unimodular 2x2
+  system over the integers, and the polygon keeps its vertices as integer
+  points over N and its half-planes as the rays with N a, made HalfSpaces
+  when read.  The class keeps it, and its wall pairings N D.D_i, which
+  every surface question reads; `scaled` carries the polygon to t D
   (P_{tD} = t P_D) in integers; the last few polygons are memoized by divisor.
 
 Mixed volumes of moment polytopes provide an independent route to
@@ -37,7 +37,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .polytope import (
     Polytope, _angle_cmp, boundary_measure, integer_vertices, make_polytope, polygon_from_cycle,
@@ -52,6 +52,7 @@ from .rationals import (
     det,
     dot,
     identity_matrix,
+    integer_ratio,
     primitive,
     solve_exact,
 )
@@ -246,41 +247,57 @@ def ray_permutations(fan: Fan) -> tuple[tuple[int, ...], ...]:
 # divisors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class ToricDivisor:
-    """A T-invariant rational divisor sum a_i D_i on a fixed fan."""
+    """A T-invariant rational divisor sum a_i D_i on a fixed fan, built from
+    the rationals a_i and stored cleared: den = N > 0, their least common
+    denominator, and nums, the integers N a_i.  Equality and hashing read
+    (fan, N, N a), and `coeffs` builds the a_i as Fractions on request."""
 
     fan: Fan
-    coeffs: tuple[Fraction, ...]
-    # the class's wall ConstraintTable, filled by wall_table() on first use
-    _table: object = field(default=None, init=False, compare=False, repr=False)
-    # (N, N a, N walls) on a surface fan: from _cleared_walls(), scaled() or Family.class_at
-    _cleared: object = field(default=None, init=False, compare=False, repr=False)
-    # an ample surface class's moment polygon, kept by moment_polytope() or scaled()
-    _polygon: object = field(default=None, init=False, compare=False, repr=False)
+    den: int = field(init=False)
+    nums: tuple[int, ...] = field(init=False)
+    # derived from the value on first use: the wall ConstraintTable (wall_table),
+    # N D.D_i on a surface fan (_cleared_walls) and an ample surface class's
+    # moment polygon (moment_polytope or scaled)
+    _table: object = field(default=None, init=False, compare=False)
+    _walls: object = field(default=None, init=False, compare=False)
+    _polygon: object = field(default=None, init=False, compare=False)
 
-    def __post_init__(self):
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
-        if len(coeffs) != self.fan.n_rays:
-            raise ValidationError(
-                f"divisor needs {self.fan.n_rays} coefficients, got {len(coeffs)}"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, fan: Fan, coeffs):
+        den, nums = clear_denominators(coeffs)
+        if len(nums) != fan.n_rays:
+            raise ValidationError(f"divisor needs {fan.n_rays} coefficients, got {len(nums)}")
+        vars(self).update(fan=fan, den=den, nums=nums)
 
-    def __hash__(self):
-        # equal classes clear to equal (N, N a); ints hash faster than Fractions
-        return hash((self.fan, *(self._cleared or clear_denominators(self.coeffs))[:2]))
+    def _with_integers(self, den: int, nums) -> "ToricDivisor":
+        """The divisor sum (nums_i / den) D_i on this fan, for den > 0,
+        stored in least terms: the constructor from integers."""
+        g = gcd(den, *nums)
+        out = object.__new__(ToricDivisor)
+        vars(out).update(fan=self.fan, den=den // g, nums=tuple(x // g for x in nums))
+        return out
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
+    def __repr__(self) -> str:
+        return f"ToricDivisor(fan={self.fan!r}, coeffs={self.coeffs!r})"
 
     def __add__(self, other: "ToricDivisor") -> "ToricDivisor":
         if self.fan != other.fan:
             raise ValidationError("divisors live on different fans")
-        return ToricDivisor(self.fan, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return self._with_integers(den, [x * a + y * b for x, y in zip(self.nums, other.nums)])
 
     def __sub__(self, other: "ToricDivisor") -> "ToricDivisor":
         return self + (-1) * other
 
     def __mul__(self, c) -> "ToricDivisor":
-        return ToricDivisor(self.fan, tuple(Fraction(c) * a for a in self.coeffs))
+        p, q = integer_ratio(c)
+        return self._with_integers(self.den * q, [p * x for x in self.nums])
 
     __rmul__ = __mul__
 
@@ -290,20 +307,21 @@ class ToricDivisor:
 
 def canonical_divisor(fan: Fan) -> ToricDivisor:
     """K = -sum D_i."""
-    return ToricDivisor(fan, (Fraction(-1),) * fan.n_rays)
+    return ToricDivisor(fan, (-1,) * fan.n_rays)
 
 
 @functools.lru_cache(maxsize=16)
 def anticanonical_divisor(fan: Fan) -> ToricDivisor:
-    """-K = sum D_i, one per fan, so its cleared walls are built once."""
-    return ToricDivisor(fan, (Fraction(1),) * fan.n_rays)
+    """-K = sum D_i, one per fan, so its walls are built once."""
+    return ToricDivisor(fan, (1,) * fan.n_rays)
 
 
 def _cone_functionals(d: ToricDivisor):
-    """For each maximal cone, the m with <m, u_i> = -a_i on its generators."""
+    """For each maximal cone, N m for the m with <m, u_i> = -a_i on its
+    generators, solved against the integers -N a_i."""
     out = []
     for cone in d.fan.max_cones:
-        m = solve_exact(d.fan.cone_matrix(cone), tuple(-d.coeffs[i] for i in cone))
+        m = solve_exact(d.fan.cone_matrix(cone), tuple(-d.nums[i] for i in cone))
         if m is None:
             raise GeometryError(
                 f"internal inconsistency: the rays of maximal cone {cone} are not a basis"
@@ -315,20 +333,12 @@ def _cone_functionals(d: ToricDivisor):
 def _positivity(d: ToricDivisor, strict: bool) -> bool:
     _require_valid(d.fan)
     if d.fan.dim == 2:
-        _, _, walls = _cleared_walls(d)
+        walls = _cleared_walls(d)
         return all(x > 0 for x in walls) if strict else all(x >= 0 for x in walls)
-    for cone, m in _cone_functionals(d):
-        inside = set(cone)
-        for j, ray in enumerate(d.fan.rays):
-            if j in inside:
-                continue
-            value = dot(m, ray)
-            if strict:
-                if value <= -d.coeffs[j]:
-                    return False
-            elif value < -d.coeffs[j]:
-                return False
-    return True
+    # <N m_sigma, u_j> + N a_j for each ray u_j off each maximal cone
+    gaps = (dot(m, ray) + d.nums[j] for cone, m in _cone_functionals(d)
+            for j, ray in enumerate(d.fan.rays) if j not in cone)
+    return all(x > 0 for x in gaps) if strict else all(x >= 0 for x in gaps)
 
 
 def is_ample(d: ToricDivisor) -> bool:
@@ -352,7 +362,7 @@ def moment_polytope(d: ToricDivisor) -> Polytope:
     For an ample class on a smooth surface the vertices are the cone
     functionals m_sigma, and the cones taken in the angular order of their
     rays list them counterclockwise (Cox-Little-Schenck, ch. 6).  The
-    divisor is cleared once to N D = sum a_i D_i with integer a_i, so each
+    divisor's stored N D = sum (N a_i) D_i has integer coefficients, so each
     cone functional N m_sigma is the integer solution of a unimodular 2x2
     system and the polygon keeps its vertices as integers over N; its
     half-planes are the primitive rays with N a, built on first read.  The class
@@ -365,38 +375,29 @@ def moment_polytope(d: ToricDivisor) -> Polytope:
     check = validate_fan(fan)
     if not check.complete:
         raise GeometryError("moment polytope requires a complete fan")
-    if fan.dim == 2 and check.smooth:
-        den, a, walls = _cleared_walls(d)
-        if all(x > 0 for x in walls):
-            rays, order = fan.rays, angular_order(fan)
-            cycle = [
-                solve_exact((rays[i], rays[j]), (-a[i], -a[j]))
-                for i, j in zip(order, order[1:] + order[:1])
-            ]
-            _keep_polygon(d, den, a, cycle)
-            return d._polygon
+    if fan.dim == 2 and check.smooth and all(x > 0 for x in _cleared_walls(d)):
+        rays, order, a = fan.rays, angular_order(fan), d.nums
+        cycle = [
+            solve_exact((rays[i], rays[j]), (-a[i], -a[j]))
+            for i, j in zip(order, order[1:] + order[:1])
+        ]
+        object.__setattr__(d, "_polygon", polygon_from_cycle(rays, a, d.den, cycle))
+        return d._polygon
     return make_polytope(fan.dim, [(r, -a) for r, a in zip(fan.rays, d.coeffs)])
 
 
-def _keep_polygon(d: ToricDivisor, den: int, a, cycle) -> None:
-    """Keep on d, cleared to N D = sum a_i D_i, the polygon of a cycle over N."""
-    object.__setattr__(d, "_polygon", polygon_from_cycle(d.fan.rays, a, den, cycle))
-
-
 def scaled(d: ToricDivisor, t) -> ToricDivisor:
-    """t d for t = r/s > 0 and an ample surface class d, whose cleared form
-    and polygon carry over (P_{tD} = t P_D) as r/g times themselves over the
-    least N s / g, g = gcd(N s, r a_i); otherwise the plain product."""
-    t = Fraction(t)
-    if t <= 0 or d.fan.dim != 2 or not all(x > 0 for x in _cleared_walls(d)[2]):
-        return t * d
-    (den, a, walls), r, s = d._cleared, t.numerator, t.denominator
-    g = gcd(den * s, r * gcd(*a))
-    out = ToricDivisor(d.fan, tuple(Fraction(r * x, den * s) for x in a))
-    den, a, walls = den * s // g, tuple(r * x // g for x in a), tuple(r * x // g for x in walls)
-    object.__setattr__(out, "_cleared", (den, a, walls))
+    """t d, which for t = r/s > 0 and an ample surface class d carries d's
+    polygon over (P_{tD} = t P_D): its integer cycle over N becomes r/g
+    times itself over t d's least denominator N s / g, g = gcd(N s, r N a_i)."""
+    r, s = integer_ratio(t)
+    out = d * t
+    if r <= 0 or d.fan.dim != 2 or not all(x > 0 for x in _cleared_walls(d)):
+        return out
+    g = d.den * s // out.den
     cycle = integer_vertices(moment_polytope(d) if d._polygon is None else d._polygon)[1]
-    _keep_polygon(out, den, a, [(r * x // g, r * y // g) for x, y in cycle])
+    cycle = [(r * x // g, r * y // g) for x, y in cycle]
+    object.__setattr__(out, "_polygon", polygon_from_cycle(d.fan.rays, out.nums, out.den, cycle))
     return out
 
 
@@ -426,27 +427,21 @@ def _wall_data(fan: Fan) -> tuple[tuple[int, int, int], ...]:
     return tuple(data[i] for i in range(m))
 
 
-def _cleared_walls(d: ToricDivisor) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """(N, (N a_i), (N D.D_i)) for a class on a surface fan, with N the lcm
-    of the coefficient denominators, computed once per class."""
-    if d._cleared is None:
-        den, a = clear_denominators(d.coeffs)
+def _cleared_walls(d: ToricDivisor) -> tuple[int, ...]:
+    """N D.D_i = N a_{i-1} + N a_{i+1} - c_i N a_i for every ray i of a
+    surface fan, in ray order, over the class's own N; once per class."""
+    if d._walls is None:
+        a = d.nums
         walls = tuple(a[p] + a[n] - c * a[i] for i, (p, n, c) in enumerate(_wall_data(d.fan)))
-        object.__setattr__(d, "_cleared", (den, a, walls))
-    return d._cleared
-
-
-def cleared_coefficients(d: ToricDivisor) -> tuple[int, tuple[int, ...]]:
-    """(N, (N a_i)), N the lcm of the denominators, kept by a surface class."""
-    return _cleared_walls(d)[:2] if d.fan.dim == 2 else clear_denominators(d.coeffs)
+        object.__setattr__(d, "_walls", walls)
+    return d._walls
 
 
 def wall_pairings(d: ToricDivisor) -> tuple[Fraction, ...]:
     """D . D_i = a_{i-1} + a_{i+1} - c_i a_i for every ray i of a surface
     fan, in ray order.  Every surface positivity question reads their
     signs: D is ample (nef) iff all are positive (nonnegative)."""
-    den, _, walls = _cleared_walls(d)
-    return tuple(Fraction(x, den) for x in walls)
+    return tuple(Fraction(x, d.den) for x in _cleared_walls(d))
 
 
 def wall_table(d: ToricDivisor) -> ConstraintTable:
@@ -455,7 +450,7 @@ def wall_table(d: ToricDivisor) -> ConstraintTable:
     smaller label ("wall at ray 10" before "wall at ray 2").  With K =
     -sum D_i, K.D_i = c_i - 2, L^2 = sum a_i (L.D_i) and K.L = -sum L.D_i."""
     if d._table is None:
-        den, a, walls = _cleared_walls(d)
+        den, a, walls = d.den, d.nums, _cleared_walls(d)
         labels, order = zip(*sorted((f"wall at ray {i}", i) for i in range(d.fan.n_rays)))
         data, g = _wall_data(d.fan), gcd(den, *walls)
         table = ConstraintTable(
@@ -478,9 +473,7 @@ def intersection_number(d: ToricDivisor, e: ToricDivisor) -> Fraction:
     """
     if d.fan != e.fan:
         raise ValidationError("divisors live on different fans")
-    den, _, walls = _cleared_walls(d)
-    e_den, b, _ = _cleared_walls(e)
-    return Fraction(sum(map(operator.mul, b, walls)), den * e_den)
+    return Fraction(sum(map(operator.mul, e.nums, _cleared_walls(d))), d.den * e.den)
 
 
 def mixed_volume_intersection(divisors) -> Fraction:

@@ -1,11 +1,17 @@
-"""Each surface class is cleared to integers once, and the sweep halves in
-integers.
+"""Each surface class stores its cleared integers as its value, and the
+sweep halves in integers.
 
-A ToricDivisor keeps (N, N a, N walls) and a PicardClass (N, N coords) in
-fields that take no part in equality, hashing or the repr, beside the
-class's table.  A filled cache must not tell two equal classes apart, and
-every way of building a new class (+, *, dataclasses.replace) must start
-with empty caches that then fill from the new coefficients.
+A ToricDivisor is (fan, N, N a) and a PicardClass (surface, N, N coords),
+with N the least common denominator of the rationals it was built from;
+equality, hashing and the repr read these, and `coeffs` / `coords` build
+Fractions only on request.  The wall pairings N D.D_i, the wall or curve
+table and an ample class's moment polygon are derived from the value and
+kept on first use in fields that take no part in equality, hashing or the
+repr.  A filled cache must not tell two equal classes apart, and every
+way of building a new class (+, *, -, dataclasses.replace) must start
+with empty caches.  A class built from rationals, by `Family.class_at`,
+by `toric.scaled` or by arithmetic must be the same value, and the probe
+path's class builders must build no Fraction at all.
 
 `_bisect` takes the bracket as integers over one denominator, counts its
 halvings first and halves integers over one power-of-two multiple of that
@@ -15,7 +21,10 @@ in the same order and return the same bracket.
 """
 
 import dataclasses
+import math
+import sys
 from fractions import Fraction
+from math import floor
 
 import pytest
 
@@ -25,15 +34,18 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from kproper.picard import BlowupSurface, curve_table, pairing  # noqa: E402
-from kproper.properness import _bisect  # noqa: E402
+from kproper.properness import Family, _bisect, dp1_family, dp6_family  # noqa: E402
 from kproper.rationals import clear_denominators  # noqa: E402
 from kproper.toric import (  # noqa: E402
+    Fan,
     ToricDivisor,
     anticanonical_divisor,
     dp6_fan,
     intersection_number,
     is_ample,
     moment_polytope,
+    p2_fan,
+    scaled,
     wall_pairings,
     wall_table,
 )
@@ -58,7 +70,10 @@ def filled_divisor(coeffs) -> ToricDivisor:
     is_ample(d)
     wall_table(d)
     intersection_number(d, anticanonical_divisor(DP6))
-    assert d._cleared is not None and d._table is not None
+    # past the memo, which may hold the polygon of an equal class
+    moment_polytope.__wrapped__(d)
+    assert d._walls is not None and d._table is not None
+    assert (d._polygon is not None) == is_ample(d)
     return d
 
 
@@ -66,7 +81,8 @@ def filled_divisor(coeffs) -> ToricDivisor:
 def test_a_filled_toric_cache_keeps_the_class_identity(coeffs):
     filled = filled_divisor(coeffs)
     fresh = ToricDivisor(DP6, coeffs)
-    assert fresh._cleared is None and fresh._table is None
+    assert fresh._walls is None and fresh._table is None and fresh._polygon is None
+    assert (filled.den, filled.nums) == (fresh.den, fresh.nums) == clear_denominators(coeffs)
     assert filled == fresh and hash(filled) == hash(fresh) and repr(filled) == repr(fresh)
     polygon = moment_polytope(filled)
     before = moment_polytope.cache_info()
@@ -83,7 +99,8 @@ def test_new_toric_classes_start_with_empty_caches(coeffs):
         d + d, 3 * d, d * F(2, 9), -d, d - ToricDivisor(DP6, (F(1, 4),) * 6),
         dataclasses.replace(d, coeffs=shifted),
     ):
-        assert new._cleared is None and new._table is None
+        assert new._walls is None and new._table is None and new._polygon is None
+        assert (new.den, new.nums) == clear_denominators(new.coeffs)
         assert wall_pairings(new) == dp6_walls(new.coeffs)
         # D.E = sum e_i (D.D_i)
         for e in (new, d):
@@ -108,7 +125,7 @@ def filled_class(coords):
     d = BlowupSurface(len(coords) - 1).cls(coords)
     curve_table(d)
     pairing(d, d)
-    assert d._cleared is not None and d._table is not None
+    assert d._table is not None
     return d
 
 
@@ -116,7 +133,8 @@ def filled_class(coords):
 def test_a_filled_picard_cache_keeps_the_class_identity(coords):
     filled = filled_class(coords)
     fresh = filled.surface.cls(coords)
-    assert fresh._cleared is None and fresh._table is None
+    assert fresh._table is None
+    assert (filled.den, filled.nums) == (fresh.den, fresh.nums) == clear_denominators(coords)
     assert filled == fresh and hash(filled) == hash(fresh) and repr(filled) == repr(fresh)
 
 
@@ -126,7 +144,8 @@ def test_new_picard_classes_start_with_empty_caches(coords):
     k = d.surface.canonical()
     shifted = tuple(F(c) + F(i, 11) for i, c in enumerate(coords))
     for new in (d + d, 3 * d, d * F(2, 9), -d, d - k, dataclasses.replace(d, coords=shifted)):
-        assert new._cleared is None and new._table is None
+        assert new._table is None
+        assert (new.den, new.nums) == clear_denominators(new.coords)
         assert pairing(new, new) == reference_pairing(new, new)
         assert pairing(new, d) == reference_pairing(new, d)
         table = curve_table(new)
@@ -140,6 +159,128 @@ def test_the_canonical_class_is_built_once_per_surface():
         k = BlowupSurface(r).canonical()
         assert k is BlowupSurface(r).canonical()
         assert k.coords == (-3,) + (-1,) * r
+
+
+# ---------------------------------------------------------------------------
+# one value however a class is built
+
+P1_CUBED = Fan(
+    3,
+    ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)),
+    tuple((i, j, k) for i in (0, 1) for j in (2, 3) for k in (4, 5)),
+)
+FANS = {"p2": p2_fan(), "dp6": DP6, "P1^3": P1_CUBED}
+
+values = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=40),
+)
+scalars = st.fractions(min_value=-4, max_value=4, max_denominator=30)
+positive = st.fractions(min_value=F(1, 60), max_value=5, max_denominator=60)
+
+
+def check_value(cls, built, rationals, read):
+    """cls is `built`, the class built from `rationals`: equal, with equal
+    hash, repr and Fraction coordinates, stored over the least common
+    denominator of the rationals."""
+    assert cls == built and hash(cls) == hash(built) and repr(cls) == repr(built)
+    expected = tuple(map(F, rationals))
+    assert read(cls) == read(built) == expected
+    den = math.lcm(*(x.denominator for x in expected))
+    assert (cls.den, cls.nums) == (den, tuple(int(x * den) for x in expected))
+
+
+def built_every_way(build, a, b, c, lam, t):
+    """(class, the rationals it should be) for every way of building a class
+    from the classes with rationals a and b, a scalar c, lambda and a scale
+    t > 0."""
+    x, y = build(a), build(b)
+    pencil = Family("pencil", x, y)
+    return [
+        (x, a),
+        (x + y, [p + q for p, q in zip(a, b)]),
+        (x - y, [p - q for p, q in zip(a, b)]),
+        (-x, [-p for p in a]),
+        (c * x, [c * p for p in a]),
+        (x * c, [c * p for p in a]),
+        (pencil.class_at(lam), [p + lam * q for p, q in zip(a, b)]),
+        (pencil.class_at(lam, c), [c * (p + lam * q) for p, q in zip(a, b)]),
+        (pencil.class_at(lam, t), [t * (p + lam * q) for p, q in zip(a, b)]),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(FANS)), st.data(), scalars, scalars, positive)
+@example("dp6", None, F(-1), F(6, 5), F(3, 2))
+def test_toric_classes_are_one_value_however_built(name, data, c, lam, t):
+    fan = FANS[name]
+    if data is None:
+        a, b = (1, 0) * 3, (0, 1) * 3
+    else:
+        a, b = (data.draw(st.lists(values, min_size=fan.n_rays, max_size=fan.n_rays))
+                for _ in range(2))
+    build = lambda v: ToricDivisor(fan, v)  # noqa: E731
+    cases = built_every_way(build, a, b, c, lam, t)
+    x = build(a)
+    cases.append((dataclasses.replace(x, coeffs=b), b))
+    cases.append((scaled(x, t), [t * p for p in a]))
+    if fan.dim == 2:
+        # plus the least multiple of -K that makes every wall pairing positive
+        minus_k = anticanonical_divisor(fan)
+        shift = max(floor(-p / q) + 1 for p, q in zip(wall_pairings(x), wall_pairings(minus_k)))
+        ample = [p + shift for p in a]
+        assert is_ample(build(ample))
+        cases.append((scaled(build(ample), t), [t * p for p in ample]))
+    for cls, rationals in cases:
+        check_value(cls, build(rationals), rationals, lambda d: d.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.data(), scalars, scalars, positive)
+def test_picard_classes_are_one_value_however_built(r, data, c, lam, t):
+    surface = BlowupSurface(r)
+    a, b = (data.draw(st.lists(values, min_size=r + 1, max_size=r + 1)) for _ in range(2))
+    cases = built_every_way(surface.cls, a, b, c, lam, t)
+    cases.append((dataclasses.replace(surface.cls(a), coords=b), b))
+    for cls, rationals in cases:
+        check_value(cls, surface.cls(rationals), rationals, lambda d: d.coords)
+
+
+def fractions_built(call) -> int:
+    """The number of Fraction.__new__ calls that call() makes, by a profile
+    hook that changes nothing it counts."""
+    code, count = Fraction.__new__.__code__, 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is code:
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+@pytest.mark.parametrize("lam, mid", [(F(1), F(11, 10)), (F(9123, 10000), F(7, 6))])
+def test_the_probe_path_builds_its_classes_without_fractions(lam, mid):
+    dp6, dp1 = dp6_family(), dp1_family()
+    ample = ToricDivisor(DP6, (F(1), F(6, 5)) * 3)
+    calls = {
+        "dp6 class_at": lambda: dp6.class_at(lam, mid),
+        "dp1 class_at": lambda: dp1.class_at(lam, mid),
+        "scaled": lambda: scaled(ample, mid),
+    }
+    # the families' integer pencils are built on first use
+    for call in calls.values():
+        call()
+    assert {name: fractions_built(call) for name, call in calls.items()} == dict.fromkeys(calls, 0)
+    # the count sees Fractions where they are built
+    assert fractions_built(lambda: dp6.class_at(lam, mid).coeffs) == 6
+    assert fractions_built(lambda: dp1.class_at(lam, mid).coords) == 9
 
 
 # ---------------------------------------------------------------------------

@@ -301,9 +301,13 @@ def test_decisions_end_where_the_supplied_bound_ends():
     family = Family("r=3", surface.cls((3, 1, 1, 1)), surface.cls((3, 1, 1, 1)), DERVAN)
     decide, probe = _feasibility(family, F(1))
     assert decide(19, 10) == probe(F(19, 10)) == _per_point(family, F(19, 10), F(1))
-    for check in (lambda: decide(2, 1), lambda: probe(F(2))):
-        with pytest.raises(GeometryError, match="lambda < 2"):
-            check()
+    # the decision reads the alpha pieces, the probe the bound itself
+    with pytest.raises(
+        GeometryError, match=r"^the alpha pieces e \+ f lambda are not all positive at lambda = 2$"
+    ):
+        decide(2, 1)
+    with pytest.raises(GeometryError, match=r"^the builtin dp1 alpha bound needs lambda < 2$"):
+        probe(F(2))
 
 
 def test_probe_checks_the_toric_alpha_pieces(monkeypatch):

@@ -9,10 +9,10 @@ where that raises it must raise the same error.  So an acceptance sweep
 asks `feasible_pair` about the few points on piece ends and the bisection
 points alone, while its exact probes and midpoint checks stay as they are.
 
-`Family.class_at(lam, scale)` on a blowup of P^2 stores the class's
-cleared `(N, N coords)`, read off the family's integer pencil; it must be
-what `clear_denominators` gives, and the class must pair, compare and hash
-like the same class built by class arithmetic.
+`Family.class_at(lam, scale)` on a blowup of P^2 builds the class from
+the family's integer pencil as its value `(N, N coords)`; it must be what
+`clear_denominators` gives for the class built by class arithmetic, and
+the two must pair, compare and hash alike.
 """
 
 import math
@@ -40,7 +40,7 @@ from kproper.properness import (  # noqa: E402
     dp6_family,
     sweep_lambda,
 )
-from kproper.rationals import KProperError, clear_denominators  # noqa: E402
+from kproper.rationals import GeometryError, KProperError, clear_denominators  # noqa: E402
 
 F = Fraction
 
@@ -111,17 +111,20 @@ def test_piece_grid_flags_equal_the_per_point_decisions(name):
 
 
 def test_the_r3_grid_raises_where_the_per_point_route_raises():
-    # the first point at lambda = 2 raises the dp1 bound's error on both routes
+    # the first point at lambda = 2, where the dp1 bound's piece 2 - lambda
+    # vanishes, raises on both routes
     family = FAMILIES["r=3"]
     d, (a, b) = 4, (7, 1)
     grid = range(a, a + 3 * b, b)
     outcome = _outcome(lambda: family.certificate.grid_flags(grid, d))
-    assert isinstance(outcome, tuple) and "lambda < 2" in outcome[1]
+    assert outcome == (
+        GeometryError, "the alpha pieces e + f lambda are not all positive at lambda = 2"
+    )
     _check_grid(family, F(7, 4), F(1, 4), 3)
 
 
 # ---------------------------------------------------------------------------
-# the Picard class carried cleared from the pencil
+# the Picard class built from the pencil's integers
 
 PICARD = {
     "dp1": dp1_family(),
@@ -137,8 +140,7 @@ def _check_carried(family, lam, scale):
     cls = family.class_at(lam, scale)
     plain = scale * (family.base + lam * family.slope)
     assert cls.coords == plain.coords
-    assert cls._cleared == clear_denominators(cls.coords)
-    assert plain._cleared is None
+    assert (cls.den, cls.nums) == (plain.den, plain.nums) == clear_denominators(plain.coords)
     assert cls == plain and hash(cls) == hash(plain)
     assert curve_table(cls) == curve_table(plain)
 

@@ -131,7 +131,7 @@ def test_every_dp6_automorphism_on_a_centred_hexagon():
 def test_a_stored_surface_class_is_recentred_without_fractions(monkeypatch, mode):
     d = ToricDivisor(dp6_fan(), (F(9123, 10000), F(1)) * 3)
     assert is_ample(d)
-    stored = d._cleared
+    walls = d._walls
     translated, cleared, listed = [], [], []
     counting(monkeypatch, translate, translated)
     counting(monkeypatch, clear_denominators, cleared)
@@ -139,7 +139,7 @@ def test_a_stored_surface_class_is_recentred_without_fractions(monkeypatch, mode
     ctx = symmetry_context(d, mode)
     assert translated == []
     assert all(list(args[0]) != list(d.coeffs) for args in cleared)
-    assert d._cleared is stored
+    assert d._walls is walls
     del listed[:]
     alpha_invariant(ctx)
     # the torus reads the whole polygon's integer cycle; the full group of

@@ -8,9 +8,9 @@ builds its HalfSpaces only when `hrep` is read.  The half-planes it builds
 must be the canonical ones of `make_polytope`, and it must compare and
 hash like an eagerly built polygon.
 
-`Family.class_at` carries a toric surface class's cleared `(N, N a,
-N walls)` from the family's integer pencil; it must be what
-`_cleared_walls` gives for the same class built plainly.  So one feasible
+`Family.class_at` builds a toric surface class from the family's integer
+pencil as its value `(N, N a)`; its value and its walls `N D.D_i` must be
+what the same class built plainly stores and derives.  So one feasible
 dp6 probe, with the family warm, builds no HalfSpace and makes no
 `clear_denominators` call, while it still runs its checks.
 
@@ -155,7 +155,7 @@ def test_a_polygon_with_kept_half_planes_is_like_any_other():
 
 
 # ---------------------------------------------------------------------------
-# the toric class carried from the pencil
+# the toric class built from the pencil's integers
 
 lambdas = st.fractions(min_value=-3, max_value=3, max_denominator=120)
 signed_scales = scales | scales.map(lambda s: -s)
@@ -164,9 +164,10 @@ signed_scales = scales | scales.map(lambda s: -s)
 def check_carried(family, lam, scale):
     cls = family.class_at(lam, scale)
     plain = scale * (family.base + lam * family.slope)
-    assert plain._cleared is None
+    assert cls._walls is None and plain._walls is None
     assert cls.coeffs == plain.coeffs
-    assert cls._cleared == _cleared_walls(plain)
+    assert (cls.den, cls.nums) == (plain.den, plain.nums) == clear_denominators(plain.coeffs)
+    assert _cleared_walls(cls) == _cleared_walls(plain)
     assert cls == plain and hash(cls) == hash(plain)
 
 

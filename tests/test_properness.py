@@ -382,14 +382,17 @@ def test_properness_report_round_trip(kind):
 def test_a_certified_probe_formats_only_the_backend_description(
         monkeypatch, family, lam, coordinates):
     """One probe, its midpoint check included, formats no value of the
-    report it throws away: every format_rational call goes through _join,
-    which writes the midpoint class's coordinates into its description."""
-    real_format, real_join = properness.format_rational, properness._join
+    report it throws away: every format_rational or format_ratio call goes
+    through _join, which writes the midpoint class's coordinates into its
+    description."""
+    real_join = properness._join
     calls, joining = {"join": 0, "other": 0}, []
 
-    def counting_format(q):
-        calls["join" if joining else "other"] += 1
-        return real_format(q)
+    def counting(real):
+        def counting_format(*args):
+            calls["join" if joining else "other"] += 1
+            return real(*args)
+        return counting_format
 
     def counting_join(values):
         joining.append(True)
@@ -398,7 +401,8 @@ def test_a_certified_probe_formats_only_the_backend_description(
         finally:
             joining.pop()
 
-    monkeypatch.setattr(properness, "format_rational", counting_format)
+    for name in ("format_rational", "format_ratio"):
+        monkeypatch.setattr(properness, name, counting(getattr(properness, name)))
     monkeypatch.setattr(properness, "_join", counting_join)
     assert not feasible_scale_interval(family(), lam).is_empty
     assert calls == {"join": coordinates, "other": 0}

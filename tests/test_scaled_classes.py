@@ -1,15 +1,14 @@
 """A scaled toric class against the same class built from scratch, and the
 integer wall table against the Fraction one.
 
-`toric.scaled(d, t)` builds t d for an ample surface class d and t > 0 from
-what d has computed: its cleared coefficients and walls, and its moment
+`toric.scaled(d, t)` builds t d for an ample surface class d and t > 0 as
+the plain product, from d's stored integers, and carries d's moment
 polygon, whose integer cycle scales with t (P_{tD} = t P_D).  Built from
-scratch, t * d clears its own coefficients and solves its own cone
-functionals.  The two must be the same class, with the same cleared form,
-wall table, polygon and check report; any other class or t falls back to
-the plain product.
+scratch, t * d solves its own cone functionals.  The two must be the same
+class, with the same stored integers, walls, wall table, polygon and check
+report; any other class or t gets the plain product alone.
 
-`wall_table` reads a class's cleared integers (N, N a, N walls) directly;
+`wall_table` reads a class's integers (N, N a) and walls N D.D_i directly;
 the reference is the Fraction table of its wall pairings, computed from
 the cone functionals in test_wall_pairings.py, cleared by constraint_table.
 """
@@ -27,7 +26,7 @@ from test_wall_pairings import divisors, reference_wall_pairings  # noqa: E402
 from kproper.cli import render_report  # noqa: E402
 from kproper.polytope import barycenter, boundary_measure, vertices, volume  # noqa: E402
 from kproper.properness import StabilizerAlpha, check_properness  # noqa: E402
-from kproper.rationals import GeometryError, constraint_table  # noqa: E402
+from kproper.rationals import GeometryError, clear_denominators, constraint_table  # noqa: E402
 from kproper.toric import (  # noqa: E402
     Fan,
     ToricDivisor,
@@ -84,7 +83,8 @@ def test_a_scaled_class_is_the_class_built_from_scratch(d, t):
     sc, plain = scaled(d, t), t * d
     assert sc == plain and hash(sc) == hash(plain) and repr(sc) == repr(plain)
     # the least N, as clearing t d's own coefficients gives it
-    assert sc._cleared == _cleared_walls(fresh(plain))
+    assert (sc.den, sc.nums) == clear_denominators(plain.coeffs)
+    assert _cleared_walls(sc) == _cleared_walls(fresh(plain))
     assert wall_table(sc) == wall_table(fresh(plain))
     # an equal class may have left its own polygon in the cache
     moment_polytope.cache_clear()
@@ -114,7 +114,7 @@ def test_a_scale_that_is_not_positive_falls_back(t):
     moment_polytope(d)
     sc = scaled(d, t)
     assert sc == t * d
-    assert sc._cleared is None and sc._polygon is None and sc._table is None
+    assert sc._walls is None and sc._polygon is None and sc._table is None
 
 
 @pytest.mark.parametrize("coeffs", [(1, 2, 1, 2, 1, 2), (1, 0, 0, 0, 0, 0), (-1,) * 6])
