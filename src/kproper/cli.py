@@ -14,6 +14,7 @@ import argparse
 import decimal
 import functools
 import json
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -35,6 +36,8 @@ from .rationals import (
 # input: every JSON file and inline value is read here, by the readers below.
 # A reader takes a value and its key path (like "rays[2][0]") and returns
 # the value, or raises InputError naming the path and what was expected.
+# A reader whose values are not JSON as they are has a `write` of them back
+# to JSON, which render_report uses.
 
 
 def _read_json(path: str):
@@ -87,6 +90,9 @@ def _rational(value, where: str) -> Fraction:
     return parse_rational(value, where=where)
 
 
+_rational.write = format_rational
+
+
 def _interval(text: str, where: str) -> tuple:
     ends = text[1:-1].split(", ")
     if text[:1] + text[-1:] != "()" or len(ends) != 2:
@@ -100,6 +106,8 @@ def _optional(item):
     def read(value, where: str):
         return None if value is None else item(value, where)
 
+    if hasattr(item, "write"):
+        read.write = lambda value: None if value is None else item.write(value)
     return read
 
 
@@ -111,6 +119,8 @@ def _list(item, size=None):
             raise _fault(where, "a list" if size is None else f"a list of {size}", value)
         return tuple(item(x, f"{where}[{i}]") for i, x in enumerate(value))
 
+    if hasattr(item, "write"):
+        read.write = lambda value: [item.write(x) for x in value]
     return read
 
 
@@ -122,26 +132,37 @@ def _dict(item):
             raise _fault(where, "a JSON object", value)
         return {key: item(x, f"{where}.{key}") for key, x in value.items()}
 
+    if hasattr(item, "write"):
+        read.write = lambda value: {key: item.write(x) for key, x in value.items()}
     return read
+
+
+def _path(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
 
 
 def _object(*keys):
     """A reader of an object into the tuple of its values under `keys`, each
     given as (key, reader) or, when the key may be left out, (key, reader,
-    default)."""
+    default).  A key not among `keys` is refused, once they have been read."""
+    known = {key for key, *_ in keys}
 
     def read(value, where: str) -> tuple:
         if not isinstance(value, dict):
             raise _fault(where, "a JSON object", value)
         values = []
         for key, item, *default in keys:
-            path = f"{where}.{key}" if where else key
+            path = _path(where, key)
             if key in value:
                 values.append(item(value[key], path))
             elif default:
                 values.append(default[0])
             else:
                 raise InputError(f'missing key "{path}"')
+        for key in value:
+            if key not in known:
+                # JSON-quoted, so a newline in the key cannot split the error line
+                raise InputError(f"unknown key {json.dumps(_path(where, key))}")
         return tuple(values)
 
     return read
@@ -253,67 +274,143 @@ def _fmt_value(value: Fraction, approx: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
-# reports: render_report builds each report's JSON object once and prints
-# the text form from that object; parse_report reads the JSON back with the
-# readers above.
+# reports: each record of a check or sweep report (the report, a condition,
+# a window, an endpoint check) is a _Record, its class and the table of its
+# keys in the order they are read.  render_report writes the JSON by the
+# tables, and parse_report reads it back by them and builds each record by
+# keyword.  The text form is written by hand from the record's attributes.
 
 
-def _report_json(report) -> dict:
-    if isinstance(report, prop_mod.PropernessReport):
-        return {
-            "kind": "properness-report",
-            "mode": report.mode,
-            "backend": report.backend,
-            "verdict": report.verdict,
-            "scope": report.scope,
-            "alpha": None if report.alpha is None else format_rational(report.alpha),
-            "alpha_provenance": report.alpha_provenance,
-            "mu": None if report.mu is None else format_rational(report.mu),
-            "conditions": [
-                {"name": c.name, "description": c.description, "holds": c.holds,
-                 "values": {k: format_rational(v) for k, v in c.values.items()},
-                 "binding": c.binding}
-                for c in report.conditions
-            ],
-        }
-    if isinstance(report, prop_mod.FeasibilityReport):
-        return {
-            "kind": "feasibility-report",
-            "family": report.family,
-            "epsilon": format_rational(report.epsilon),
-            "lambda_min": format_rational(report.lambda_min),
-            "lambda_max": format_rational(report.lambda_max),
-            "step": format_rational(report.step),
-            "refine_tol": format_rational(report.refine_tol),
-            "intervals": [
-                {"lo_bracket": [format_rational(x) for x in w.lo_bracket],
-                 "hi_bracket": [format_rational(x) for x in w.hi_bracket],
-                 "witness": {"lambda": format_rational(w.witness_lambda),
-                             "a": format_rational(w.witness_a)}}
-                for w in report.windows
-            ],
-            "endpoint_checks": [
-                {"endpoint": format_rational(c.endpoint), "side": c.side,
-                 "empty_at_endpoint": c.empty_at_endpoint, "feasible_inside": c.feasible_inside,
-                 "infeasible_outside": c.infeasible_outside, "confirmed": c.confirmed}
-                for c in report.endpoint_checks
-            ],
-            "diagnostics": dict(report.diagnostics),
-        }
-    raise InputError(f"cannot render {type(report).__name__}")
+def _retired(value, where: str) -> None:
+    """The reader of a key that only older reports carry: read, then ignored."""
+
+
+class _Key:
+    """A key of a record's table, read by `read`; one with a `default` may be
+    left out.  It holds the record's attribute of its name, or `attr`; or,
+    read by a _Record of no class, a group of the record's attributes in one
+    object.  With `why`, it holds the property of its name instead, or with
+    `value`, that constant: written, and read back only to be checked
+    against the record built, as `why` says."""
+
+    def __init__(self, key, read, *default, attr=None, why=None, value=None):
+        self.key, self.read, self.default, self.why = key, read, default, why
+        self.group = isinstance(read, _Record)
+        # the field that the key is read into, if it is a field of the record
+        self.field = None if self.group or why or value or read is _retired else attr or key
+        # the key's value got off the record, and its writer if it is not JSON
+        if self.group:
+            self.get, self.write = read.write, None
+        else:
+            self.get = (lambda record: value) if value else operator.attrgetter(self.field or key)
+            self.write = getattr(read, "write", None)
+
+
+class _Record:
+    """A reader of a record of class `cls` from an object with `keys`, and by
+    `write`, its writer; with no class, of a group of attributes into a dict."""
+
+    def __init__(self, cls, *keys):
+        self.cls, self.keys = cls, keys
+        self.read = _object(*((k.key, k.read, *k.default) for k in keys))
+        self.writes = [(k.key, k.get, k.write) for k in keys if k.read is not _retired]
+
+    def write(self, record) -> dict:
+        return {key: get(record) if write is None else write(get(record))
+                for key, get, write in self.writes}
+
+    def __call__(self, value, where: str):
+        values, fields = self.read(value, where), {}
+        for k, got in zip(self.keys, values):
+            if k.group:
+                fields.update(got)
+            elif k.field:
+                fields[k.field] = got
+        if self.cls is None:
+            return fields
+        record = self.cls(**fields)
+        for k, got in zip(self.keys, values):
+            if k.why and got not in (None, getattr(record, k.key)):
+                want = json.dumps(getattr(record, k.key))
+                raise _fault(_path(where, k.key), f"{want}, {k.why}", got)
+        return record
+
+
+def _diagnostics(value, where: str) -> dict:
+    """A sweep's diagnostics, strings by name, of which the witness scale
+    interval must read as an interval."""
+    diagnostics, key = _dict(_string)(value, where), "witness_scale_interval"
+    if key in diagnostics:
+        _interval(diagnostics[key], f"{where}.{key}")
+    return diagnostics
+
+
+_BRACKET = _list(_rational, size=2)
+_REPORTS = {
+    "properness-report": _Record(
+        prop_mod.PropernessReport,
+        _Key("kind", _string, value="properness-report"),
+        _Key("mode", _string),
+        _Key("backend", _string),
+        _Key("verdict", _string, why="the conjunction of the conditions"),
+        _Key("scope", _string),
+        _Key("conditions", _list(_Record(
+            prop_mod.ConditionCheck,
+            _Key("name", _string),
+            _Key("description", _string),
+            _Key("holds", _bool),
+            _Key("values", _dict(_rational)),
+            _Key("binding", _optional(_string), None),
+        ))),
+        _Key("alpha", _optional(_rational), None),
+        _Key("alpha_provenance", _optional(_string), None),
+        _Key("mu", _optional(_rational), None),
+        _Key("notes", _retired, None),
+    ),
+    "feasibility-report": _Record(
+        prop_mod.FeasibilityReport,
+        _Key("kind", _string, value="feasibility-report"),
+        _Key("family", _string),
+        _Key("epsilon", _rational),
+        _Key("lambda_min", _rational),
+        _Key("lambda_max", _rational),
+        _Key("step", _rational),
+        _Key("refine_tol", _rational),
+        _Key("intervals", _list(_Record(
+            prop_mod.FeasibleWindow,
+            _Key("lo_bracket", _BRACKET),
+            _Key("hi_bracket", _BRACKET),
+            _Key("witness", _Record(None, _Key("lambda", _rational, attr="witness_lambda"),
+                                    _Key("a", _rational, attr="witness_a"))),
+        )), attr="windows"),
+        _Key("endpoint_checks", _list(_Record(
+            prop_mod.EndpointCheck,
+            _Key("endpoint", _rational),
+            _Key("side", _string),
+            _Key("empty_at_endpoint", _bool),
+            _Key("feasible_inside", _bool),
+            _Key("infeasible_outside", _bool),
+            _Key("confirmed", _bool, None, why="the conjunction of the three checks"),
+        ))),
+        _Key("diagnostics", _diagnostics, {}),
+    ),
+}
+_KINDS = {record.cls: kind for kind, record in _REPORTS.items()}
 
 
 def render_report(report, fmt: str = "json", approx: bool = False) -> str:
     """Render a properness or feasibility report; JSON output round-trips
     through parse_report; text output formats the exact values."""
-    data = _report_json(report)
+    kind = _KINDS.get(type(report))
+    if kind is None:
+        raise InputError(f"cannot render {type(report).__name__}")
     if fmt == "json":
-        return _dump_json(data)
+        return _dump_json(_REPORTS[kind].write(report))
     value = functools.partial(_fmt_value, approx=approx)
-    if data["kind"] == "properness-report":
-        lines = [f"mode: {data['mode']}", f"backend: {data['backend']}"]
+    if kind == "properness-report":
+        lines = [f"mode: {report.mode}", f"backend: {report.backend}"]
         if report.alpha is not None:
-            lines.append(f"alpha: {value(report.alpha)} [{data['alpha_provenance']}]")
+            lines.append(f"alpha: {value(report.alpha)} [{report.alpha_provenance}]")
         if report.mu is not None:
             lines.append(f"mu: {value(report.mu)}")
         for c in report.conditions:
@@ -324,10 +421,10 @@ def render_report(report, fmt: str = "json", approx: bool = False) -> str:
             if c.binding and not c.holds:
                 line += f"  binding: {c.binding}"
             lines.append(line)
-        lines += [f"verdict: {data['verdict']}", f"scope: {data['scope']}"]
+        lines += [f"verdict: {report.verdict}", f"scope: {report.scope}"]
     else:
         lines = [
-            f"family: {data['family']}  epsilon: {value(report.epsilon)}",
+            f"family: {report.family}  epsilon: {value(report.epsilon)}",
             f"grid: [{value(report.lambda_min)}, {value(report.lambda_max)}] step "
             f"{value(report.step)} refine_tol {value(report.refine_tol)}",
         ]
@@ -342,54 +439,11 @@ def render_report(report, fmt: str = "json", approx: bool = False) -> str:
         for c in report.endpoint_checks:
             status = "confirmed" if c.confirmed else "NOT confirmed"
             lines.append(f"conjectured {c.side} endpoint {value(c.endpoint)}: {status}")
-        diagnostics, key = dict(data["diagnostics"]), "witness_scale_interval"
+        diagnostics, key = dict(report.diagnostics), "witness_scale_interval"
         if approx and key in diagnostics:
             diagnostics[key] = "({}, {})".format(*map(value, _interval(diagnostics[key], key)))
         lines += [f"{name}: {text}" for name, text in sorted(diagnostics.items())]
     return "\n".join(lines) + "\n"
-
-
-# The keys of each report, in the order of its dataclass fields; a check
-# report's verdict, read before its scope, is checked against its conditions.
-_PROPERNESS_KEYS = _object(
-    ("mode", _string),
-    ("backend", _string),
-    ("verdict", _string),
-    ("scope", _string),
-    ("conditions", _list(_object(
-        ("name", _string),
-        ("description", _string),
-        ("holds", _bool),
-        ("values", _dict(_rational)),
-        ("binding", _optional(_string), None),
-    ))),
-    ("alpha", _optional(_rational), None),
-    ("alpha_provenance", _optional(_string), None),
-    ("mu", _optional(_rational), None),
-)
-_BRACKET = _list(_rational, size=2)
-_FEASIBILITY_KEYS = _object(
-    ("family", _string),
-    ("epsilon", _rational),
-    ("lambda_min", _rational),
-    ("lambda_max", _rational),
-    ("step", _rational),
-    ("refine_tol", _rational),
-    ("intervals", _list(_object(
-        ("lo_bracket", _BRACKET),
-        ("hi_bracket", _BRACKET),
-        ("witness", _object(("lambda", _rational), ("a", _rational))),
-    ))),
-    ("endpoint_checks", _list(_object(
-        ("endpoint", _rational),
-        ("side", _string),
-        ("empty_at_endpoint", _bool),
-        ("feasible_inside", _bool),
-        ("infeasible_outside", _bool),
-        ("confirmed", _bool, None),
-    ))),
-    ("diagnostics", _dict(_string), {}),
-)
 
 
 def parse_report(text: str):
@@ -399,27 +453,12 @@ def parse_report(text: str):
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid report JSON: {exc}") from None
-    (kind,) = _document(data, "report JSON", ("kind", _string))
-    if kind == "properness-report":
-        mode, backend, verdict, scope, conditions, *rest = _PROPERNESS_KEYS(data, "")
-        conditions = tuple(prop_mod.ConditionCheck(*c) for c in conditions)
-        report = prop_mod.PropernessReport(mode, backend, scope, conditions, *rest)
-        if verdict != report.verdict:
-            raise _fault("verdict", f'"{report.verdict}", the conjunction of the conditions',
-                         verdict)
-        return report
-    if kind == "feasibility-report":
-        *head, windows, checks, diagnostics = _FEASIBILITY_KEYS(data, "")
-        if "witness_scale_interval" in diagnostics:
-            _interval(diagnostics["witness_scale_interval"], "diagnostics.witness_scale_interval")
-        endpoint_checks = tuple(prop_mod.EndpointCheck(*c[:-1]) for c in checks)
-        for i, (check, (*_, confirmed)) in enumerate(zip(endpoint_checks, checks)):
-            if confirmed not in (None, check.confirmed):
-                raise _fault(f"endpoint_checks[{i}].confirmed", f"{json.dumps(check.confirmed)}, "
-                             "the conjunction of the three checks", confirmed)
-        windows = tuple(prop_mod.FeasibleWindow(lo, hi, *witness) for lo, hi, witness in windows)
-        return prop_mod.FeasibilityReport(*head, windows, endpoint_checks, diagnostics)
-    raise _fault("kind", '"properness-report" or "feasibility-report"', kind)
+    if not isinstance(data, dict) or "kind" not in data:
+        _document(data, "report JSON", ("kind", _string))  # raises, as for any document
+    kind = _string(data["kind"], "kind")
+    if kind not in _REPORTS:
+        raise _fault("kind", " or ".join(map(json.dumps, _REPORTS)), kind)
+    return _REPORTS[kind](data, "")
 
 
 def _emit(args, data: dict, text_lines) -> None:

@@ -243,11 +243,15 @@ def test_affine_dimension_reporting():
 def test_json_round_trip(tmp_path):
     path = tmp_path / "polytope.json"
     for p in (hexagon(F(7, 3)), fixed_subpolytope(hexagon(), [((0, 1), (1, 0))])):
-        path.write_text(json.dumps(polytope_to_json(p, include_vrep=True)))
+        path.write_text(json.dumps(polytope_to_json(p)))
         q = load_polytope(str(path))
         assert q.hrep == p.hrep
         assert q.equalities == p.equalities
         assert vertices(q) == vertices(p)
+        # the loader reads no vertex list, so a file that gives one is refused
+        path.write_text(json.dumps(polytope_to_json(p, include_vrep=True)))
+        with pytest.raises(InputError, match='^unknown key "vrep"$'):
+            load_polytope(str(path))
 
 
 def test_vertex_enumeration_is_capped_before_it_starts(monkeypatch):
