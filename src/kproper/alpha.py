@@ -95,26 +95,19 @@ MAX_ORACLE_POINTS = 1_000_000
 
 @dataclass(frozen=True)
 class SymmetryContext:
-    """An ample divisor with its recentered polytope and class stabilizer.
-
-    The recentered coefficients are kept as integers over one positive
-    denominator."""
+    """An ample divisor with its recentered polytope, its recentered class
+    sum a_i' D_i and its class stabilizer."""
 
     divisor: ToricDivisor
     stabilizer: tuple
     centered_polytope: Polytope
-    coeff_den: int
-    coeff_nums: tuple[int, ...]
-
-    @property
-    def centered_coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(a, self.coeff_den) for a in self.coeff_nums)
+    centered: ToricDivisor
 
 
 def _stabilizer_of(fan, shifted: tuple[int, ...]) -> tuple:
     """The fan automorphisms that preserve the centered polytope of an
-    ample class, read off its recentered coefficients (as integers over
-    one denominator, see _centered).
+    ample class, read off the integers of its recentered class (see
+    _centered).
 
     g^T maps {m : <m, u_i> >= -a_i'} onto {m : <m, u_i> >= -a'_perm(i)},
     where perm is g's ray permutation.  Every ray of an ample class gives a
@@ -127,21 +120,23 @@ def _stabilizer_of(fan, shifted: tuple[int, ...]) -> tuple:
 
 
 def _centered(d: ToricDivisor):
-    """(P - beta, (M, M a')) for the moment polytope P with barycenter beta:
-    the recentered coefficients a_i' = a_i + <beta, u_i> as integers over
-    M, the lcm of the denominators N of a and of beta.  A moment polygon's
-    translate is built from a': half-planes <m, u_i> >= -a_i'/M, kept in
-    integers, and P's cycle (integers over N) shifted in integers over M."""
+    """(P - beta, sum a_i' D_i) for the moment polytope P with barycenter
+    beta: the recentered coefficients a_i' = a_i + <beta, u_i> are built as
+    integers over M, the lcm of the denominators N of a and of beta.  A
+    moment polygon's translate is built from a': half-planes <m, u_i> >=
+    -a_i'/M, kept in integers, and P's cycle (integers over N) shifted in
+    integers over M."""
     p = moment_polytope(d)
     bden, bnums = cleared_barycenter(p)
     m = lcm(d.den, bden)
     a, b = m // d.den, m // bden
     shift = [-x * b for x in bnums]
     shifted = tuple(x * a - sum(map(mul, shift, u)) for x, u in zip(d.nums, d.fan.rays))
+    centered = d._with_integers(m, shifted)
     if p.dim != 2:
-        return translate(p, [Fraction(x, m) for x in shift]), (m, shifted)
+        return translate(p, [Fraction(x, m) for x in shift]), centered
     cycle = [(x * a + shift[0], y * a + shift[1]) for x, y in integer_vertices(p)[1]]
-    return polygon_from_cycle(d.fan.rays, shifted, m, cycle), (m, shifted)
+    return polygon_from_cycle(d.fan.rays, shifted, m, cycle), centered
 
 
 def _close_under_products(generators, bound: int):
@@ -168,9 +163,9 @@ def symmetry_context(
         raise InputError(f'unknown group mode "{group_mode}"; expected one of {GROUP_MODES}')
     if not is_ample(d):
         raise GeometryError("alpha invariant requires an ample class")
-    centered, (den, shifted) = _centered(d)
+    polygon, centered = _centered(d)
     if group_mode == "full":
-        stabilizer = _stabilizer_of(d.fan, shifted)
+        stabilizer = _stabilizer_of(d.fan, centered.nums)
     elif group_mode == "torus":
         stabilizer = ()
     else:
@@ -178,23 +173,19 @@ def symmetry_context(
             raise InputError("explicit group mode needs a nonempty matrix list")
         autos = set(fan_automorphisms(d.fan))
         closure = _close_under_products(explicit_group, bound=len(autos))
-        cleared = cleared_vertices(centered)
+        cleared = cleared_vertices(polygon)
         for g in closure:
             if g not in autos:
                 raise GeometryError("explicit group element is not a fan automorphism")
             if not preserves_vertices(g, cleared):
                 raise GeometryError("explicit group element does not preserve the class")
         stabilizer = closure
-    if any(x != 0 for x in barycenter(centered)):
+    if any(x != 0 for x in barycenter(polygon)):
         raise GeometryError(
             "internal inconsistency: the recentered polytope has a nonzero barycenter"
         )
     return SymmetryContext(
-        divisor=d,
-        stabilizer=stabilizer,
-        centered_polytope=centered,
-        coeff_den=den,
-        coeff_nums=shifted,
+        divisor=d, stabilizer=stabilizer, centered_polytope=polygon, centered=centered,
     )
 
 
@@ -211,9 +202,10 @@ def alpha_invariant(ctx: SymmetryContext) -> Fraction:
     vden, points = integer_vertices(fixed_polytope(ctx))
     if not points:
         raise GeometryError("fixed subpolytope is empty")
-    m = lcm(vden, ctx.coeff_den)
-    a, b = m // vden, m // ctx.coeff_den
-    rows = [(ray, x * b) for ray, x in zip(ctx.divisor.fan.rays, ctx.coeff_nums)]
+    c = ctx.centered
+    m = lcm(vden, c.den)
+    a, b = m // vden, m // c.den
+    rows = [(ray, x * b) for ray, x in zip(c.fan.rays, c.nums)]
     worst = max(sum(map(mul, v, ray)) * a + x for v in points for ray, x in rows)
     if worst <= 0:
         raise GeometryError(

@@ -37,15 +37,15 @@ import functools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt
 
 from .rationals import (
+    ClearedClass,
     ConstraintTable,
     GeometryError,
     ValidationError,
     clear_denominators,
     format_rational,
-    integer_ratio,
 )
 
 
@@ -83,11 +83,13 @@ class BlowupSurface:
 
 
 @dataclass(frozen=True, init=False, repr=False)
-class PicardClass:
+class PicardClass(ClearedClass):
     """The class d H - sum m_i E_i, built from the rationals coords = (d,
     m_1, ..., m_r) and stored cleared: den = N > 0, their least common
     denominator, and nums, the integers N coords.  Equality and hashing
     read (surface, N, N coords), and `coords` builds Fractions on request."""
+
+    _home, _apart = "surface", "classes live on different surfaces"
 
     surface: BlowupSurface
     den: int = field(init=False)
@@ -101,39 +103,12 @@ class PicardClass:
             raise ValidationError(f"class needs {surface.rank} coordinates, got {len(nums)}")
         vars(self).update(surface=surface, den=den, nums=nums)
 
-    def _with_integers(self, den: int, nums) -> "PicardClass":
-        """The class with coordinates nums / den on this surface, for den >
-        0, stored in least terms: the constructor from integers."""
-        g = gcd(den, *nums)
-        out = object.__new__(PicardClass)
-        vars(out).update(surface=self.surface, den=den // g, nums=tuple(x // g for x in nums))
-        return out
-
     @property
     def coords(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __repr__(self) -> str:
         return f"PicardClass(surface={self.surface!r}, coords={self.coords!r})"
-
-    def __add__(self, other: "PicardClass") -> "PicardClass":
-        if self.surface != other.surface:
-            raise ValidationError("classes live on different surfaces")
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        return self._with_integers(den, [x * a + y * b for x, y in zip(self.nums, other.nums)])
-
-    def __sub__(self, other: "PicardClass") -> "PicardClass":
-        return self + (-1) * other
-
-    def __mul__(self, c) -> "PicardClass":
-        p, q = integer_ratio(c)
-        return self._with_integers(self.den * q, [p * x for x in self.nums])
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "PicardClass":
-        return (-1) * self
 
 
 def pairing(a: PicardClass, b: PicardClass) -> Fraction:

@@ -49,6 +49,7 @@ from .rationals import (
     GeometryError,
     InputError,
     ValidationError,
+    as_fraction,
     clear_denominators,
     det,
     dot,
@@ -162,8 +163,8 @@ class Polytope:
 
 def make_polytope(dim, halfspaces, equalities=()) -> Polytope:
     """Build a polytope from (normal, offset) pairs and (coeffs, rhs) pairs."""
-    hs = tuple(HalfSpace(tuple(n), Fraction(c)) for n, c in halfspaces)
-    eqs = tuple(LinearEquation(tuple(a), Fraction(r)) for a, r in equalities)
+    hs = tuple(HalfSpace(tuple(n), as_fraction(c)) for n, c in halfspaces)
+    eqs = tuple(LinearEquation(tuple(a), as_fraction(r)) for a, r in equalities)
     return Polytope(dim, hs, eqs)
 
 

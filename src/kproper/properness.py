@@ -100,7 +100,6 @@ from .toric import (
     is_ample,
     is_nef,
     ray_permutations,
-    scaled,
     slope_quantities,
     wall_pairings,
     wall_table,
@@ -195,12 +194,12 @@ def abstract_slice(n: int, l_pow_n, k_dot_l_nm1, curves) -> AbstractSlice:
     table sorts the curves by name, so ties go to the smaller name."""
     if n < 1:
         raise ValidationError("slice dimension must be positive")
-    if l_pow_n <= 0:
+    forms = as_fraction(l_pow_n), as_fraction(k_dot_l_nm1)
+    if forms[0] <= 0:
         raise ValidationError("slice needs L^n > 0")
     if not curves:
         raise ValidationError("slice needs at least one test curve")
     names, l_pairings, k_pairings = zip(*sorted(curves, key=lambda c: c[0]))
-    forms = Fraction(l_pow_n), Fraction(k_dot_l_nm1)
     return AbstractSlice(n, constraint_table(names, l_pairings, k_pairings, *forms))
 
 
@@ -450,19 +449,18 @@ class Family:
         # raises for classes on different fans or surfaces
         self.base + self.slope
 
-    def class_at(self, lam, scale=1):
-        """scale * L_lambda, built in one step from integers: at lambda = p/q
-        and scale = r/s its value is r (B_i q + S_i p) over M q s, for the
-        base and slope over their common denominator, B / M and S / M."""
-        (p, q), (r, s) = integer_ratio(lam), integer_ratio(scale)
+    def class_at(self, lam):
+        """L_lambda, built in one step from integers: at lambda = p/q its
+        value is B_i q + S_i p over M q, for the base and slope over their
+        common denominator, B / M and S / M."""
+        p, q = integer_ratio(lam)
         den, base, slope = self._pencil
-        return self.base._with_integers(
-            den * q * s, [r * (b * q + t * p) for b, t in zip(base, slope)]
-        )
+        return self.base._with_integers(den * q, [b * q + t * p for b, t in zip(base, slope)])
 
     @functools.cached_property
     def member(self):
-        """class_at(lambda), the last one kept for the probe's midpoint check."""
+        """class_at(lambda), the last one kept, so that a probe's alpha and its
+        midpoint check read one class."""
         return functools.lru_cache(maxsize=1)(self.class_at)
 
     @functools.cached_property
@@ -622,7 +620,7 @@ class OpenInterval:
         return (self.lo + self.hi) / 2
 
     def scaled(self, t) -> "OpenInterval":
-        t = Fraction(t)
+        t = as_fraction(t)
         return OpenInterval(self.lo * t, self.hi * t)
 
 
@@ -670,11 +668,13 @@ def _scale_interval_with_bindings(family, lam, epsilon):
             f"{format_rational(lam)} differs from the family's alpha pieces"
         )
     (e_num, e_den), (a_num, a_den) = epsilon.as_integer_ratio(), alpha1.as_integer_ratio()
-    lo, hi = (lo_num * e_den, lo_den * e_num), ((n + 1) * a_num * e_den, n * a_den * e_num)
-    if lo[0] * hi[1] < hi[0] * lo[1]:
-        mid = Fraction(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
-        _verify_interval(family, lam, epsilon, mid, (a_num, a_den), provenance)
-    return OpenInterval(Fraction(*lo), Fraction(*hi)), lo_label, "condition (1): alpha bound"
+    # the interval in t = epsilon a is (lo_num / lo_den, hi_num / hi_den)
+    hi_num, hi_den = (n + 1) * a_num, n * a_den
+    if lo_num * hi_den < hi_num * lo_den:
+        t = Fraction(lo_num * hi_den + hi_num * lo_den, 2 * lo_den * hi_den)
+        _verify_interval(family, lam, t, alpha1, provenance)
+    lo, hi = Fraction(lo_num * e_den, lo_den * e_num), Fraction(hi_num * e_den, hi_den * e_num)
+    return OpenInterval(lo, hi), lo_label, "condition (1): alpha bound"
 
 
 def _positive_slack(epsilon) -> Fraction:
@@ -718,23 +718,19 @@ def _lower_cut(family, lam: Fraction):
     return lo_num, lo_den, lo_label
 
 
-def _verify_interval(family, lam, epsilon, mid, alpha, provenance):
-    """The full checker on mid L_lambda, given alpha / mid for alpha = num /
-    den, must pass and find mu / mid = -K.L / (L^2 mid) of the family forms."""
-    m, s = mid.as_integer_ratio()
-    # on a fan the midpoint class carries the probe's polygon, scaled
-    toric = family._view.walls is not None
-    report = check_properness(
-        backend=scaled(family.member(lam), mid) if toric else family.class_at(lam, mid),
-        epsilon=epsilon,
-        alpha_source=SuppliedAlpha(Fraction(alpha[0] * s, alpha[1] * m), *provenance),
-    )
+def _verify_interval(family, lam, t, alpha, provenance):
+    """The full checker on L_lambda at slack t, the interval's midpoint in t
+    = epsilon a, given alpha, must pass and find mu = -K.L / L^2 of the
+    family forms.  That certifies the scale t / epsilon: for a > 0, alpha(a
+    L) = alpha(L) / a and mu(a L) = mu(L) / a, so conditions (1)-(3) for
+    (a L, epsilon) are those for (L, epsilon a), multiplied through by a."""
+    report = check_properness(family.member(lam), t, SuppliedAlpha(alpha, *provenance))
     if not report.proper:
         raise GeometryError(
             "internal inconsistency: checker rejects the feasible-interval midpoint"
         )
     l_sq, lk = _forms_at(family.forms, lam)
-    if report.mu.numerator * l_sq * m != -lk * s * report.mu.denominator:
+    if report.mu.numerator * l_sq != -lk * report.mu.denominator:
         raise GeometryError(
             "internal inconsistency: the checker's mu at the midpoint differs from "
             "the family forms"
@@ -1182,7 +1178,7 @@ def sweep_lambda(
             f"bisecting one grid step down to refine_tol would take {halvings} steps; "
             f"the cap is {MAX_BISECTION_STEPS} (raise refine_tol or lower step)"
         )
-    conjectured_endpoints = tuple(conjectured_endpoints)
+    conjectured_endpoints = tuple(map(as_fraction, conjectured_endpoints))
     if len(conjectured_endpoints) > MAX_CONJECTURED_ENDPOINTS:
         raise InputError(
             f"{len(conjectured_endpoints)} conjectured endpoints, at three exact probes "
@@ -1238,8 +1234,7 @@ def sweep_lambda(
         )
         i = j + 1
     checks = []
-    for raw in conjectured_endpoints:
-        e = Fraction(raw)
+    for e in conjectured_endpoints:
         side = _endpoint_side(e, windows)
         inside = e + refine_tol if side == "lower" else e - refine_tol
         outside = e - refine_tol if side == "lower" else e + refine_tol

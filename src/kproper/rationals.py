@@ -2,12 +2,14 @@
 
 Every module downstream (fans, polytopes, Picard lattices, feasibility
 sweeps) routes its arithmetic through the helpers here so that no floating
-point can leak into a verdict.  Scalars are `fractions.Fraction` values,
-which already normalize eagerly (gcd-reduced, positive denominator).  This
-module adds the canonical string format used in all JSON interfaces, lattice
-vector helpers, the few dense exact solvers the geometry needs, and the
-integer ConstraintTable that every surface backend builds for a class: its
-pairings with a finite list of curves, whose signs alone decide positivity.
+point can leak into a verdict: they refuse a float.  Scalars are
+`fractions.Fraction` values, which already normalize eagerly (gcd-reduced,
+positive denominator).  This module adds the canonical string format used
+in all JSON interfaces, lattice vector helpers, the few dense exact solvers
+the geometry needs, the cleared arithmetic that toric and Picard classes
+share, and the integer ConstraintTable that every surface backend builds
+for a class: its pairings with a finite list of curves, whose signs alone
+decide positivity.
 
 Vectors are plain tuples, matrices are tuples of rows.  All values are
 immutable and safe to share between threads.
@@ -15,6 +17,7 @@ immutable and safe to share between threads.
 
 from __future__ import annotations
 
+import numbers
 import re
 import sys
 from dataclasses import dataclass
@@ -73,14 +76,23 @@ def parse_rational(text: str, where: str = "") -> Fraction:
     return value
 
 
+def _exact(x) -> Fraction:
+    """x as a Fraction, for an exact rational of any type other than
+    Fraction.  A float, a Decimal, a string or anything else raises,
+    naming x: a float's binary value is never the number that was meant."""
+    if type(x) is int or isinstance(x, numbers.Rational):
+        return Fraction(x)
+    raise InputError(f"{x!r} is not an exact rational; pass an int or a Fraction")
+
+
 def as_fraction(x: Scalar) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
+    return x if type(x) is Fraction else _exact(x)
 
 
 def integer_ratio(x: Scalar) -> tuple[int, int]:
     """(p, q) with x = p/q in least terms and q > 0, built from an int or a
     Fraction without a new Fraction."""
-    return (x if type(x) in (int, Fraction) else Fraction(x)).as_integer_ratio()
+    return (x if type(x) in (int, Fraction) else _exact(x)).as_integer_ratio()
 
 
 def format_rational(q: Scalar) -> str:
@@ -266,9 +278,50 @@ def solve_linear_system(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar])
 
 def clear_denominators(values: Sequence[Scalar]) -> tuple[int, tuple[int, ...]]:
     """Return (c, (c*v as ints)) with c the least positive common multiplier."""
-    fracs = [v if type(v) in (int, Fraction) else Fraction(v) for v in values]
+    fracs = [v if type(v) in (int, Fraction) else _exact(v) for v in values]
     c = lcm(*(f.denominator for f in fracs)) if fracs else 1
     return c, tuple(f.numerator * (c // f.denominator) for f in fracs)
+
+
+class ClearedClass:
+    """The arithmetic of a class stored cleared: den = N > 0, the least
+    common denominator of its rationals, and nums, the integers N times
+    them, on the variety in the field named by `_home`.  +, - and * return
+    a new class with empty caches; adding classes of two kinds raises, and
+    classes on two varieties raise `_apart`."""
+
+    def _with_integers(self, den: int, nums) -> "ClearedClass":
+        """The class nums / den on this variety, for den > 0, stored in least
+        terms: the constructor from integers."""
+        g = gcd(den, *nums)
+        out = object.__new__(type(self))
+        home = self._home
+        vars(out).update({home: vars(self)[home], "den": den // g,
+                          "nums": tuple([x // g for x in nums])})
+        return out
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            raise ValidationError(
+                f"cannot add a {type(other).__name__} to a {type(self).__name__}")
+        here, there = vars(self)[self._home], vars(other)[self._home]
+        if here is not there and here != there:
+            raise ValidationError(self._apart)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return self._with_integers(den, [x * a + y * b for x, y in zip(self.nums, other.nums)])
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __mul__(self, c):
+        p, q = integer_ratio(c)
+        return self._with_integers(self.den * q, [p * x for x in self.nums])
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return (-1) * self
 
 
 @dataclass(frozen=True)

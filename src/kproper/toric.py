@@ -22,8 +22,8 @@ positivity notions reduce to exact linear algebra on that function:
   system over the integers, and the polygon keeps its vertices as integer
   points over N and its half-planes as the rays with N a, made HalfSpaces
   when read.  The class keeps it, and its wall pairings N D.D_i, which
-  every surface question reads; `scaled` carries the polygon to t D
-  (P_{tD} = t P_D) in integers; the last few polygons are memoized by divisor.
+  every surface question reads; the last few polygons are memoized by
+  divisor.
 
 Mixed volumes of moment polytopes provide an independent route to
 intersection numbers for nef classes (n <= 3) and serve as a cross-check of
@@ -37,13 +37,13 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .polytope import (
-    Polytope, _angle_cmp, boundary_measure, integer_vertices, make_polytope, polygon_from_cycle,
-    volume,
+    Polytope, _angle_cmp, boundary_measure, make_polytope, polygon_from_cycle, volume,
 )
 from .rationals import (
+    ClearedClass,
     ConstraintTable,
     GeometryError,
     InputError,
@@ -52,7 +52,6 @@ from .rationals import (
     det,
     dot,
     identity_matrix,
-    integer_ratio,
     primitive,
     solve_exact,
 )
@@ -248,18 +247,20 @@ def ray_permutations(fan: Fan) -> tuple[tuple[int, ...], ...]:
 
 
 @dataclass(frozen=True, init=False, repr=False)
-class ToricDivisor:
+class ToricDivisor(ClearedClass):
     """A T-invariant rational divisor sum a_i D_i on a fixed fan, built from
     the rationals a_i and stored cleared: den = N > 0, their least common
     denominator, and nums, the integers N a_i.  Equality and hashing read
     (fan, N, N a), and `coeffs` builds the a_i as Fractions on request."""
+
+    _home, _apart = "fan", "divisors live on different fans"
 
     fan: Fan
     den: int = field(init=False)
     nums: tuple[int, ...] = field(init=False)
     # derived from the value on first use: the wall ConstraintTable (wall_table),
     # N D.D_i on a surface fan (_cleared_walls) and an ample surface class's
-    # moment polygon (moment_polytope or scaled)
+    # moment polygon (moment_polytope)
     _table: object = field(default=None, init=False, compare=False)
     _walls: object = field(default=None, init=False, compare=False)
     _polygon: object = field(default=None, init=False, compare=False)
@@ -270,39 +271,12 @@ class ToricDivisor:
             raise ValidationError(f"divisor needs {fan.n_rays} coefficients, got {len(nums)}")
         vars(self).update(fan=fan, den=den, nums=nums)
 
-    def _with_integers(self, den: int, nums) -> "ToricDivisor":
-        """The divisor sum (nums_i / den) D_i on this fan, for den > 0,
-        stored in least terms: the constructor from integers."""
-        g = gcd(den, *nums)
-        out = object.__new__(ToricDivisor)
-        vars(out).update(fan=self.fan, den=den // g, nums=tuple(x // g for x in nums))
-        return out
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __repr__(self) -> str:
         return f"ToricDivisor(fan={self.fan!r}, coeffs={self.coeffs!r})"
-
-    def __add__(self, other: "ToricDivisor") -> "ToricDivisor":
-        if self.fan != other.fan:
-            raise ValidationError("divisors live on different fans")
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        return self._with_integers(den, [x * a + y * b for x, y in zip(self.nums, other.nums)])
-
-    def __sub__(self, other: "ToricDivisor") -> "ToricDivisor":
-        return self + (-1) * other
-
-    def __mul__(self, c) -> "ToricDivisor":
-        p, q = integer_ratio(c)
-        return self._with_integers(self.den * q, [p * x for x in self.nums])
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ToricDivisor":
-        return (-1) * self
 
 
 def canonical_divisor(fan: Fan) -> ToricDivisor:
@@ -366,8 +340,8 @@ def moment_polytope(d: ToricDivisor) -> Polytope:
     cone functional N m_sigma is the integer solution of a unimodular 2x2
     system and the polygon keeps its vertices as integers over N; its
     half-planes are the primitive rays with N a, built on first read.  The class
-    keeps that polygon, and one built by `scaled` carries it.  Nef-only
-    classes and threefolds fall back to vertex enumeration.
+    keeps that polygon.  Nef-only classes and threefolds fall back to vertex
+    enumeration.
     """
     if d._polygon is not None:
         return d._polygon
@@ -384,21 +358,6 @@ def moment_polytope(d: ToricDivisor) -> Polytope:
         object.__setattr__(d, "_polygon", polygon_from_cycle(rays, a, d.den, cycle))
         return d._polygon
     return make_polytope(fan.dim, [(r, -a) for r, a in zip(fan.rays, d.coeffs)])
-
-
-def scaled(d: ToricDivisor, t) -> ToricDivisor:
-    """t d, which for t = r/s > 0 and an ample surface class d carries d's
-    polygon over (P_{tD} = t P_D): its integer cycle over N becomes r/g
-    times itself over t d's least denominator N s / g, g = gcd(N s, r N a_i)."""
-    r, s = integer_ratio(t)
-    out = d * t
-    if r <= 0 or d.fan.dim != 2 or not all(x > 0 for x in _cleared_walls(d)):
-        return out
-    g = d.den * s // out.den
-    cycle = integer_vertices(moment_polytope(d) if d._polygon is None else d._polygon)[1]
-    cycle = [(r * x // g, r * y // g) for x, y in cycle]
-    object.__setattr__(out, "_polygon", polygon_from_cycle(d.fan.rays, out.nums, out.den, cycle))
-    return out
 
 
 @functools.lru_cache(maxsize=None)

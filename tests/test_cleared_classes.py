@@ -9,9 +9,9 @@ table and an ample class's moment polygon are derived from the value and
 kept on first use in fields that take no part in equality, hashing or the
 repr.  A filled cache must not tell two equal classes apart, and every
 way of building a new class (+, *, -, dataclasses.replace) must start
-with empty caches.  A class built from rationals, by `Family.class_at`,
-by `toric.scaled` or by arithmetic must be the same value, and the probe
-path's class builders must build no Fraction at all.
+with empty caches.  A class built from rationals, by `Family.class_at` or
+by arithmetic must be the same value, and the probe path's class builders
+must build no Fraction at all.
 
 `_bisect` takes the bracket as integers over one denominator, counts its
 halvings first and halves integers over one power-of-two multiple of that
@@ -22,9 +22,9 @@ in the same order and return the same bracket.
 
 import dataclasses
 import math
+import operator
 import sys
 from fractions import Fraction
-from math import floor
 
 import pytest
 
@@ -35,7 +35,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from kproper.picard import BlowupSurface, curve_table, pairing  # noqa: E402
 from kproper.properness import Family, _bisect, dp1_family, dp6_family  # noqa: E402
-from kproper.rationals import clear_denominators  # noqa: E402
+from kproper.rationals import ValidationError, clear_denominators  # noqa: E402
 from kproper.toric import (  # noqa: E402
     Fan,
     ToricDivisor,
@@ -45,7 +45,6 @@ from kproper.toric import (  # noqa: E402
     is_ample,
     moment_polytope,
     p2_fan,
-    scaled,
     wall_pairings,
     wall_table,
 )
@@ -161,6 +160,19 @@ def test_the_canonical_class_is_built_once_per_surface():
         assert k.coords == (-3,) + (-1,) * r
 
 
+def test_classes_of_two_kinds_or_on_two_varieties_do_not_add():
+    toric, picard = ToricDivisor(DP6, (1,) * 6), BlowupSurface(2).cls((1, 0, 0))
+    for x, y, message in (
+        (toric, picard, "cannot add a PicardClass to a ToricDivisor"),
+        (picard, toric, "cannot add a ToricDivisor to a PicardClass"),
+        (toric, ToricDivisor(p2_fan(), (1, 1, 1)), "divisors live on different fans"),
+        (picard, BlowupSurface(3).cls((1, 0, 0, 0)), "classes live on different surfaces"),
+    ):
+        for combine in (operator.add, operator.sub):
+            with pytest.raises(ValidationError, match=message):
+                combine(x, y)
+
+
 # ---------------------------------------------------------------------------
 # one value however a class is built
 
@@ -204,8 +216,8 @@ def built_every_way(build, a, b, c, lam, t):
         (c * x, [c * p for p in a]),
         (x * c, [c * p for p in a]),
         (pencil.class_at(lam), [p + lam * q for p, q in zip(a, b)]),
-        (pencil.class_at(lam, c), [c * (p + lam * q) for p, q in zip(a, b)]),
-        (pencil.class_at(lam, t), [t * (p + lam * q) for p, q in zip(a, b)]),
+        (pencil.class_at(lam) * c, [c * (p + lam * q) for p, q in zip(a, b)]),
+        (pencil.class_at(lam) * t, [t * (p + lam * q) for p, q in zip(a, b)]),
     ]
 
 
@@ -223,14 +235,6 @@ def test_toric_classes_are_one_value_however_built(name, data, c, lam, t):
     cases = built_every_way(build, a, b, c, lam, t)
     x = build(a)
     cases.append((dataclasses.replace(x, coeffs=b), b))
-    cases.append((scaled(x, t), [t * p for p in a]))
-    if fan.dim == 2:
-        # plus the least multiple of -K that makes every wall pairing positive
-        minus_k = anticanonical_divisor(fan)
-        shift = max(floor(-p / q) + 1 for p, q in zip(wall_pairings(x), wall_pairings(minus_k)))
-        ample = [p + shift for p in a]
-        assert is_ample(build(ample))
-        cases.append((scaled(build(ample), t), [t * p for p in ample]))
     for cls, rationals in cases:
         check_value(cls, build(rationals), rationals, lambda d: d.coeffs)
 
@@ -268,19 +272,17 @@ def fractions_built(call) -> int:
 @pytest.mark.parametrize("lam, mid", [(F(1), F(11, 10)), (F(9123, 10000), F(7, 6))])
 def test_the_probe_path_builds_its_classes_without_fractions(lam, mid):
     dp6, dp1 = dp6_family(), dp1_family()
-    ample = ToricDivisor(DP6, (F(1), F(6, 5)) * 3)
     calls = {
-        "dp6 class_at": lambda: dp6.class_at(lam, mid),
-        "dp1 class_at": lambda: dp1.class_at(lam, mid),
-        "scaled": lambda: scaled(ample, mid),
+        "dp6 class_at": lambda: dp6.class_at(lam) * mid,
+        "dp1 class_at": lambda: dp1.class_at(lam) * mid,
     }
     # the families' integer pencils are built on first use
     for call in calls.values():
         call()
     assert {name: fractions_built(call) for name, call in calls.items()} == dict.fromkeys(calls, 0)
     # the count sees Fractions where they are built
-    assert fractions_built(lambda: dp6.class_at(lam, mid).coeffs) == 6
-    assert fractions_built(lambda: dp1.class_at(lam, mid).coords) == 9
+    assert fractions_built(lambda: (dp6.class_at(lam) * mid).coeffs) == 6
+    assert fractions_built(lambda: (dp1.class_at(lam) * mid).coords) == 9
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ where that raises it must raise the same error.  So an acceptance sweep
 asks `feasible_pair` about the few points on piece ends and the bisection
 points alone, while its exact probes and midpoint checks stay as they are.
 
-`Family.class_at(lam, scale)` on a blowup of P^2 builds the class from
-the family's integer pencil as its value `(N, N coords)`; it must be what
-`clear_denominators` gives for the class built by class arithmetic, and
-the two must pair, compare and hash alike.
+`Family.class_at(lam)` on a blowup of P^2 builds the class from the
+family's integer pencil as its value `(N, N coords)`; times any scale it
+must be what `clear_denominators` gives for the class built by class
+arithmetic, and the two must pair, compare and hash alike.
 """
 
 import math
@@ -137,7 +137,7 @@ scales = st.fractions(min_value=F(1, 50), max_value=5, max_denominator=120)
 
 
 def _check_carried(family, lam, scale):
-    cls = family.class_at(lam, scale)
+    cls = family.class_at(lam) * scale
     plain = scale * (family.base + lam * family.slope)
     assert cls.coords == plain.coords
     assert (cls.den, cls.nums) == (plain.den, plain.nums) == clear_denominators(plain.coords)

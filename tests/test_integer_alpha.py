@@ -99,7 +99,7 @@ def test_integer_alpha_matches_the_fraction_route(case, mode):
     ctx = symmetry_context(d, mode, explicit_group=generators)
     alpha, stabilizer, coeffs, cycle = reference_symmetry(d, mode, generators)
     assert ctx.stabilizer == stabilizer
-    assert ctx.centered_coeffs == coeffs
+    assert ctx.centered.coeffs == coeffs
     assert centered_cycle(ctx) == cycle
     assert alpha_invariant(ctx) == alpha
 
@@ -116,7 +116,7 @@ def test_every_cyclic_symmetry_matches_the_fraction_route(name):
             ctx = symmetry_context(d, mode, explicit_group=[g])
             alpha, stabilizer, centered, cycle = reference_symmetry(d, mode, [g])
             assert ctx.stabilizer == stabilizer
-            assert (ctx.centered_coeffs, centered_cycle(ctx)) == (centered, cycle)
+            assert (ctx.centered.coeffs, centered_cycle(ctx)) == (centered, cycle)
             assert alpha_invariant(ctx) == alpha
 
 

@@ -8,9 +8,9 @@ equal `feasible_at` on every multiple (g p, g q) of a lambda, raises
 included.
 
 A dp6 probe builds L_lambda and its moment polygon once: the midpoint
-certificate checks `scaled(L_lambda, mid)`, which carries that polygon.
-So an acceptance sweep with 11 distinct probes solves 6 cone functionals
-per probe and no more.
+certificate checks L_lambda itself, at slack epsilon mid, which the
+criterion's scale invariance allows.  So an acceptance sweep with 11
+distinct probes solves 6 cone functionals per probe and no more.
 """
 
 import random

@@ -305,8 +305,8 @@ def test_threefold_stabilizer_is_the_vertex_set_test(d):
     # the stabilizer is read off the recentred coefficients; on a
     # threefold it must still be the group that maps the vertex set
     # of the centred polytope onto itself
-    centered, (_, shifted) = _centered(d)
+    centered, cls = _centered(d)
     cleared = cleared_vertices(centered)
     expected = tuple(g for g in fan_automorphisms(d.fan) if preserves_vertices(g, cleared))
-    assert _stabilizer_of(d.fan, shifted) == expected
+    assert _stabilizer_of(d.fan, cls.nums) == expected
     assert symmetry_context(d, "full").stabilizer == expected

@@ -2,12 +2,12 @@
 
 `alpha._centered` builds the centred polytope of a surface class from the
 recentred coefficients: the class's stored (N, N a) and the integer
-centroid of its moment cycle give a' over M, and the half-planes and the
-shifted cycle are read off them.  Threefolds translate by the same cleared
-shift.  The reference is the Fraction route, P translated by minus its
-barycenter.  `preserves_vertices` has its own body for 2x2 matrices, which
-must agree with the general loop, reached here by embedding the plane in
-three dimensions.
+centroid of its moment cycle give a' over M, returned as one ToricDivisor,
+and the half-planes and the shifted cycle are read off them.  Threefolds
+translate by the same cleared shift.  The reference is the Fraction route,
+P translated by minus its barycenter.  `preserves_vertices` has its own
+body for 2x2 matrices, which must agree with the general loop, reached
+here by embedding the plane in three dimensions.
 """
 
 from fractions import Fraction
@@ -57,13 +57,14 @@ def check_against_translate(d):
     p = moment_polytope(d)
     beta = barycenter(p)
     reference = translate(p, tuple(-x for x in beta))
-    centered, (m, shifted) = _centered(d)
+    centered, cls = _centered(d)
     assert centered == reference
     assert (centered.hrep, centered.equalities) == (reference.hrep, reference.equalities)
     assert fraction_cycle(centered) == fraction_cycle(reference)
     assert vertices(centered) == vertices(reference)
-    assert m == lcm(clear_denominators(d.coeffs)[0], clear_denominators(beta)[0])
-    assert tuple(F(x, m) for x in shifted) == tuple(
+    # built over the lcm of the class's and the barycenter's denominators
+    assert lcm(clear_denominators(d.coeffs)[0], clear_denominators(beta)[0]) % cls.den == 0
+    assert cls.fan == d.fan and cls.coeffs == tuple(
         a + dot(beta, u) for a, u in zip(d.coeffs, d.fan.rays)
     )
     assert cleared_barycenter(p) == clear_denominators(beta)

@@ -156,14 +156,14 @@ def reference_preserves(g, verts) -> bool:
 @example(ToricDivisor(dp6_fan(), (F(1),) * 6))
 @example(ToricDivisor(dp6_fan(), (F(1), F(6, 5), F(1), F(6, 5), F(1), F(6, 5))))
 def test_integer_symmetry_test_matches_fractions(d):
-    centered, (_, shifted) = _centered(d)
+    centered, cls = _centered(d)
     autos = fan_automorphisms(d.fan)
     for polygon in (centered, moment_polytope(d)):
         verts = vertices(polygon)
         cleared = cleared_vertices(polygon)
         for g in autos:
             assert preserves_vertices(g, cleared) == reference_preserves(g, verts)
-    stabilizer = _stabilizer_of(d.fan, shifted)
+    stabilizer = _stabilizer_of(d.fan, cls.nums)
     verts = vertices(centered)
     assert stabilizer == tuple(g for g in autos if reference_preserves(g, verts))
     fixed = fixed_subpolytope(centered, stabilizer)

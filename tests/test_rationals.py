@@ -3,6 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+from kproper import (
+    BlowupSurface,
+    StabilizerAlpha,
+    SuppliedAlpha,
+    ToricDivisor,
+    abstract_slice,
+    check_properness,
+    dp6_fan,
+    dp6_family,
+    make_polytope,
+    sweep_lambda,
+)
+from kproper.properness import OpenInterval, dervan_alpha_bound
 from kproper.rationals import (
     GeometryError,
     InputError,
@@ -16,6 +29,8 @@ from kproper.rationals import (
     solve_exact,
     solve_linear_system,
 )
+
+F = Fraction
 
 
 def test_parse_canonical_forms():
@@ -127,3 +142,35 @@ def test_solve_linear_system_nullspace():
 
 def test_solve_linear_system_inconsistent():
     assert solve_linear_system([[1, 0], [1, 0]], [1, 2]) is None
+
+
+# ---------------------------------------------------------------------------
+# the Python API refuses floats, as the CLI does: a float's binary value is
+# never the rational that was meant (0.1 would be 3602879701896397/2^55)
+
+X = 0.1
+MINUS_K = ToricDivisor(dp6_fan(), (1,) * 6)
+SWEEP = (F(1, 2), F(2), F(1, 10), F(1, 100))
+FLOAT_INPUTS = {
+    "sweep range": lambda: sweep_lambda(dp6_family(), X, 2, F(1, 100), F(1, 10**6)),
+    "sweep endpoint": lambda: sweep_lambda(dp6_family(), *SWEEP, 1, [F(5, 6), X]),
+    "check epsilon": lambda: check_properness(MINUS_K, X, StabilizerAlpha()),
+    "supplied alpha": lambda: check_properness(MINUS_K, 1, SuppliedAlpha(X)),
+    "toric coefficient": lambda: ToricDivisor(dp6_fan(), (1,) * 5 + (X,)),
+    "picard coordinate": lambda: BlowupSurface(2).cls((1, X, 0)),
+    "class times a float": lambda: MINUS_K * X,
+    "float times a class": lambda: X * MINUS_K,
+    "family lambda": lambda: dp6_family().class_at(X),
+    "polytope offset": lambda: make_polytope(2, [((1, 0), X), ((0, 1), 0), ((-1, -1), 1)]),
+    "polytope equation": lambda: make_polytope(2, [((1, 0), 0)], [((0, 1), X)]),
+    "slice form": lambda: abstract_slice(2, X, 1, [("c", 1, 1)]),
+    "slice curve": lambda: abstract_slice(2, 1, 1, [("c", X, 1)]),
+    "dp1 bound": lambda: dervan_alpha_bound(X),
+    "interval scale": lambda: OpenInterval(F(0), F(1)).scaled(X),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_INPUTS))
+def test_the_library_refuses_floats(name):
+    with pytest.raises(InputError, match=r"^0\.1 is not an exact rational"):
+        FLOAT_INPUTS[name]()
