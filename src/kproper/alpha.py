@@ -68,6 +68,7 @@ from .polytope import (
 from .rationals import (
     GeometryError,
     InputError,
+    exact_integer,
     identity_matrix,
     integer_vector,
     mat_mul,
@@ -141,7 +142,7 @@ def _centered(d: ToricDivisor):
 
 def _close_under_products(generators, bound: int):
     elements = {identity_matrix(len(generators[0]))} if generators else set()
-    elements |= {tuple(tuple(int(x) for x in row) for row in g) for g in generators}
+    elements |= {tuple(tuple(map(exact_integer, row)) for row in g) for g in generators}
     frontier = list(elements)
     while frontier:
         g = frontier.pop()

@@ -27,6 +27,7 @@ from . import toric as toric_mod
 from .rationals import (
     InputError,
     KProperError,
+    format_ratio,
     format_rational,
     parse_rational,
 )
@@ -689,7 +690,7 @@ def _cmd_picard_curves(args) -> int:
         "r": args.r,
         "count": len(curves),
         "census": {str(d): census[d] for d in sorted(census)},
-        "classes": [[format_rational(x) for x in c.coords] for c in curves],
+        "classes": [[format_ratio(x, c.den) for x in c.nums] for c in curves],
     }
     lines = [f"r: {args.r}", f"count: {len(curves)}", f"census by degree: {data['census']}"]
     _emit(args, data, lines)

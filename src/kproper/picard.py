@@ -29,12 +29,20 @@ table here, and the checker reads every combination x D + y K off its
 rows.  A class is stored cleared, as N and the integers N coords;
 pairing() sums D.D over them and K.D = (sum m_i - 3d) / N reads them
 directly.
+
+A class pairs with all its rows by one packed multiply-add (Kronecker
+substitution) in slots of W = 64 words bits, with max(|N coords|, 3N)
+times the rows' largest 1-norm below 2^(W-1).  For r >= 2 every row has
+K.C = -1, and the binding row is the first at min or max L.C (ConstraintTable).
 """
 
 from __future__ import annotations
 
 import functools
 import operator
+import sys
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -45,7 +53,7 @@ from .rationals import (
     GeometryError,
     ValidationError,
     clear_denominators,
-    format_rational,
+    format_ratio,
 )
 
 
@@ -169,7 +177,7 @@ def exceptional_curves(r: int) -> tuple[PicardClass, ...]:
     curves = tuple(sorted(found, key=lambda c: c.nums))
     for c in curves:
         if pairing(c, c) != -1 or pairing(c, surface.canonical()) != -1:
-            coords = ", ".join(format_rational(x) for x in c.coords)
+            coords = ", ".join(format_ratio(x, c.den) for x in c.nums)
             raise GeometryError(f"enumerated class ({coords}) is not an exceptional curve")
     return curves
 
@@ -196,31 +204,51 @@ def curve_matrix(r: int) -> tuple[tuple[int, ...], ...]:
 def curve_labels(r: int) -> tuple[str, ...]:
     """The report label of each cone curve, in table order."""
     return tuple(
-        "curve (" + ", ".join(format_rational(x) for x in c.coords) + ")"
+        "curve (" + ", ".join(format_ratio(x, c.den) for x in c.nums) + ")"
         for c in cone_curves(r)
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _canonical_pairings(r: int) -> tuple[int, ...]:
-    """K.C for each cone curve, in table order."""
-    k = BlowupSurface(r).canonical()
-    return tuple(int(pairing(k, c)) for c in cone_curves(r))
+@functools.lru_cache(maxsize=64)
+def _block_rows(r: int, blocks: tuple[tuple[int, ...], ...]):
+    """(labels, rows, their largest 1-norm) of the cone curves reduced to the
+    blocks, which partition the positions 0..r-1 of the multiplicities: a
+    row is (d_C, the sum of -m_C over each block), so K.C = -3 d_C minus
+    its other entries, and equal rows merge under the label of the first."""
+    first: dict = {}
+    for label, row in zip(curve_labels(r), curve_matrix(r)):
+        first.setdefault((row[0], *(sum(row[1 + i] for i in block) for block in blocks)), label)
+    return tuple(first.values()), tuple(first), max(sum(map(abs, row)) for row in first)
 
 
 @functools.lru_cache(maxsize=64)
-def _block_rows(r: int, blocks: tuple[tuple[int, ...], ...]):
-    """(labels, rows, K.C) of the cone curves reduced to the blocks, which
-    partition the positions 0..r-1 of the multiplicities.
+def _packed_columns(r: int, blocks: tuple[tuple[int, ...], ...], words: int):
+    """(columns, offset): each column of the _block_rows rows, then K.C, as
+    one int with a W = 64 words bit slot per row, and 2^(W-1) in each slot."""
+    rows, width = _block_rows(r, blocks)[1], 64 * words
+    columns = [sum(v << width * i for i, v in enumerate(col)) for col in zip(*rows)]
+    offset = sum(1 << width * i + width - 1 for i in range(len(rows)))
+    return (*columns, -3 * columns[0] - sum(columns[1:])), offset
 
-    A row is (d_C, the sum of -m_C over each block); equal rows with equal
-    K.C are merged, in curve_matrix order, under the label of the first."""
-    first: dict = {}
-    for label, row, k in zip(curve_labels(r), curve_matrix(r), _canonical_pairings(r)):
-        key = (row[0], *(sum(row[1 + i] for i in block) for block in blocks)), k
-        first.setdefault(key, label)
-    rows, ks = zip(*first)
-    return tuple(first.values()), rows, ks
+
+def _pairings(r: int, blocks: tuple[tuple[int, ...], ...], reps, den: int):
+    """(row . reps, den K.C) over the _block_rows rows, each one packed
+    multiply-add; flipping each slot's top bit leaves its two's complement."""
+    _, rows, norm = _block_rows(r, blocks)
+    words = 1 << ((max(*map(abs, reps), 3 * den) * norm).bit_length() // 64).bit_length()
+    columns, offset = _packed_columns(r, blocks, words)
+    size, out = 8 * words, []
+    for packed in (sum(map(operator.mul, reps, columns)), den * columns[-1]):
+        data = ((packed + offset) ^ offset).to_bytes(size * len(rows), "little")
+        if words == 1:
+            values = array("q", data)
+            if sys.byteorder == "big":
+                values.byteswap()
+        else:
+            values = [int.from_bytes(data[i:i + size], "little", signed=True)
+                      for i in range(0, len(data), size)]
+        out.append(tuple(values))
+    return out
 
 
 def curve_tables(*classes: PicardClass) -> tuple[ConstraintTable, ...]:
@@ -239,16 +267,11 @@ def curve_tables(*classes: PicardClass) -> tuple[ConstraintTable, ...]:
     for i, key in enumerate(zip(*(c.nums[1:] for c in classes))):
         positions.setdefault(key, []).append(i)
     blocks = tuple(map(tuple, positions.values()))
-    labels, rows, ks = _block_rows(r, blocks)
-    tables = []
-    for c in classes:
-        reps = (c.nums[0], *(c.nums[1 + block[0]] for block in blocks))
-        tables.append(ConstraintTable(
-            labels, tuple(sum(map(operator.mul, row, reps)) for row in rows),
-            tuple(map(c.den.__mul__, ks)), c.den, pairing(c, c),
-            Fraction(sum(c.nums[1:]) - 3 * c.nums[0], c.den),
-        ))
-    return tuple(tables)
+    labels = _block_rows(r, blocks)[0]
+    return tuple(ConstraintTable(
+        labels, *_pairings(r, blocks, (c.nums[0], *(c.nums[1 + b[0]] for b in blocks)), c.den),
+        c.den, pairing(c, c), Fraction(sum(c.nums[1:]) - 3 * c.nums[0], c.den),
+    ) for c in classes)
 
 
 def curve_table(d: PicardClass) -> ConstraintTable:
@@ -261,11 +284,7 @@ def curve_table(d: PicardClass) -> ConstraintTable:
 
 def curve_census(r: int) -> dict[int, int]:
     """Number of exceptional curves by degree d = C.H."""
-    census: dict[int, int] = {}
-    for c in exceptional_curves(r):
-        d = c.nums[0]
-        census[d] = census.get(d, 0) + 1
-    return census
+    return Counter(c.nums[0] for c in exceptional_curves(r))
 
 
 def is_ample_picard(d: PicardClass) -> bool:

@@ -53,6 +53,7 @@ from .rationals import (
     clear_denominators,
     det,
     dot,
+    exact_integer,
     identity_matrix,
     is_unimodular,
     mat_vec,
@@ -87,7 +88,7 @@ class LinearEquation:
 
 
 def _canonical_halfspace(normal, offset) -> HalfSpace:
-    normal = tuple(int(x) for x in normal)
+    normal = tuple(map(exact_integer, normal))
     if all(x == 0 for x in normal):
         raise ValidationError("half-space normal must be nonzero")
     g = gcd(*normal)
@@ -97,7 +98,7 @@ def _canonical_halfspace(normal, offset) -> HalfSpace:
 
 
 def _canonical_equation(coeffs, rhs) -> LinearEquation | None:
-    coeffs = tuple(int(x) for x in coeffs)
+    coeffs = tuple(map(exact_integer, coeffs))
     rhs = Fraction(rhs)
     if all(x == 0 for x in coeffs):
         if rhs != 0:

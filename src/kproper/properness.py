@@ -265,10 +265,15 @@ def _combo_positive(backend, x, y, strict: bool, view: _Backend | None = None):
         return (is_ample(combo) if strict else is_nef(combo)), None, None
     # (x L + y K).C_i = (xl nums[i] + yk k_nums[i]) / (x.den y.den den)
     xl, yk = x.numerator * y.denominator, y.numerator * x.denominator
-    values = [xl * a + yk * b for a, b in zip(table.nums, table.k_nums)]
-    low = min(values)
+    nums, ks = table.nums, table.k_nums
+    if ks.count(ks[0]) == len(ks):  # one K.C: ConstraintTable's rule
+        i = 0 if xl == 0 else nums.index(min(nums) if xl > 0 else max(nums))
+    else:
+        values = [xl * a + yk * b for a, b in zip(nums, ks)]
+        i = values.index(min(values))
+    low = xl * nums[i] + yk * ks[i]
     margin = Fraction(low, x.denominator * y.denominator * table.den)
-    binding = table.labels[values.index(low)]
+    binding = table.labels[i]
     return (margin > 0 if strict else margin >= 0), binding, margin
 
 

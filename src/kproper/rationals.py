@@ -85,6 +85,14 @@ def _exact(x) -> Fraction:
     raise InputError(f"{x!r} is not an exact rational; pass an int or a Fraction")
 
 
+def exact_integer(x) -> int:
+    """x as an int, for an exact integer; anything else raises, naming x."""
+    f = x if type(x) is int else _exact(x)
+    if f.denominator != 1:
+        raise InputError(f"{x!r} is not an integer; pass an int or a Fraction with denominator 1")
+    return f.numerator
+
+
 def as_fraction(x: Scalar) -> Fraction:
     return x if type(x) is Fraction else _exact(x)
 
@@ -339,7 +347,11 @@ class ConstraintTable:
     backend's tie order, so a binding constraint is the first row at the
     minimum.  l_sq and k_dot_l are L^n and K.L^{n-1}.  The rows are taken
     to span the cone of curves, so x L + y K is ample exactly when it pairs
-    positively with every row (Kleiman)."""
+    positively with every row (Kleiman).
+
+    With one K.C on every row, the first row at the minimum is the first at
+    min(nums) for x > 0, at max(nums) for x < 0, and row 0 for x = 0.  Picard
+    nums fill packed slots of W bits that hold |nums| < 2^(W-1) (picard)."""
 
     labels: tuple[str, ...]
     nums: tuple[int, ...]

@@ -51,6 +51,7 @@ from .rationals import (
     clear_denominators,
     det,
     dot,
+    exact_integer,
     identity_matrix,
     primitive,
     solve_exact,
@@ -73,7 +74,7 @@ class Fan:
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError("fan dimension must be positive")
-        rays = tuple(tuple(int(x) for x in r) for r in self.rays)
+        rays = tuple(tuple(map(exact_integer, r)) for r in self.rays)
         if not rays:
             raise ValidationError("fan needs at least one ray")
         for r in rays:
@@ -87,7 +88,7 @@ class Fan:
             raise ValidationError("duplicate rays in fan")
         cones = []
         for cone in self.max_cones:
-            idx = tuple(sorted(int(i) for i in cone))
+            idx = tuple(sorted(map(exact_integer, cone)))
             if len(idx) != self.dim or len(set(idx)) != self.dim:
                 raise ValidationError(f"maximal cone {cone} must have {self.dim} distinct rays")
             if any(i < 0 or i >= len(rays) for i in idx):

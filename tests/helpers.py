@@ -7,7 +7,9 @@ these write them back, so the tests can check the readers by round trips.
 integer path in `alpha.py` replaced, `decide_by_cuts` is the cut loop
 that sweeps once ran where the lambda certificate had no piece,
 `reference_pairing` is the intersection form one Fraction product at a
-time, `reference_bisect` is the Fraction bisection that the sweep's
+time, `reference_block_pairings` pairs a class with its table's rows one
+dot product at a time, as the packed multiply-add of `picard._pairings`
+replaced, `reference_bisect` is the Fraction bisection that the sweep's
 integer halving replaced, and `reference_endpoint_side` picks an endpoint
 check's side by Fraction distances to the bracket centres; the tests play
 each against the code that replaced it.  `DERVAN` is the alpha that the
@@ -18,7 +20,7 @@ function.
 import sys
 from fractions import Fraction
 
-from kproper.picard import PicardClass
+from kproper.picard import PicardClass, cone_curves, curve_matrix
 from kproper.polytope import (
     LinearEquation,
     Polytope,
@@ -221,6 +223,19 @@ def reference_pairing(a: PicardClass, b: PicardClass) -> Fraction:
     return Fraction(d) * Fraction(e) - sum(
         (Fraction(x) * Fraction(y) for x, y in zip(m, n)), Fraction(0)
     )
+
+
+def reference_block_pairings(r: int, blocks, reps, den: int):
+    """(row . reps, den K.C) over the cone curves' rows reduced to the
+    blocks, one dot product per row, with equal rows merged in first
+    occurrence order; K.C is the Fraction pairing with the canonical class."""
+    k = cone_curves(r)[0].surface.canonical()
+    rows: dict = {}
+    for row, curve in zip(curve_matrix(r), cone_curves(r)):
+        reduced = (row[0], *(sum(row[1 + i] for i in block) for block in blocks))
+        rows.setdefault(reduced, reference_pairing(k, curve))
+    return (tuple(sum(a * b for a, b in zip(row, reps)) for row in rows),
+            tuple(int(den * kc) for kc in rows.values()))
 
 
 def reference_bisect(bad, good, feasible, tol):

@@ -20,7 +20,9 @@ Fraction loop it replaced, and both must ask `feasible` the same questions
 in the same order and return the same bracket.
 """
 
+import contextlib
 import dataclasses
+import io
 import math
 import operator
 import sys
@@ -33,7 +35,8 @@ from helpers import reference_bisect, reference_pairing  # noqa: E402
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from kproper.picard import BlowupSurface, curve_table, pairing  # noqa: E402
+from kproper.cli import main  # noqa: E402
+from kproper.picard import BlowupSurface, curve_labels, curve_table, pairing  # noqa: E402
 from kproper.properness import Family, _bisect, dp1_family, dp6_family  # noqa: E402
 from kproper.rationals import ValidationError, clear_denominators  # noqa: E402
 from kproper.toric import (  # noqa: E402
@@ -275,11 +278,16 @@ def test_the_probe_path_builds_its_classes_without_fractions(lam, mid):
     calls = {
         "dp6 class_at": lambda: dp6.class_at(lam) * mid,
         "dp1 class_at": lambda: dp1.class_at(lam) * mid,
+        # the 240 curves and their labels are formatted from their integers
+        "picard curves --r 8": lambda: main(["picard", "curves", "--r", "8"]),
+        "curve labels": lambda: curve_labels.__wrapped__(8),
     }
-    # the families' integer pencils are built on first use
-    for call in calls.values():
-        call()
-    assert {name: fractions_built(call) for name, call in calls.items()} == dict.fromkeys(calls, 0)
+    # the families' integer pencils and the curves are built on first use
+    with contextlib.redirect_stdout(io.StringIO()):
+        for call in calls.values():
+            call()
+        built = {name: fractions_built(call) for name, call in calls.items()}
+    assert built == dict.fromkeys(calls, 0)
     # the count sees Fractions where they are built
     assert fractions_built(lambda: (dp6.class_at(lam) * mid).coeffs) == 6
     assert fractions_built(lambda: (dp1.class_at(lam) * mid).coords) == 9

@@ -128,6 +128,11 @@ DP1_FAILING = "3,1,1,1,1,1,1,1,1/2"
 DP6_PROPER = "5/4,5/4,5/4,5/4,5/4,5/4"
 DP6_FAILING = "1,7/10,1,7/10,1,7/10"
 DP6_WINDOW_END = "1,6/5,1,6/5,1,6/5"
+# 3H - sum (1 - i/N) E_i with N > 2^64: eight distinct multiplicities keep all
+# 240 curve rows, and the pairings of its cleared numerators fill two 64-bit
+# words of a packed slot
+GENERIC_DEN = 10**20 + 39
+DP1_GENERIC = ",".join(["3"] + [f"{GENERIC_DEN - i}/{GENERIC_DEN}" for i in range(1, 9)])
 
 CHECKS = {
     "check_dp1_proper.json": ("check", "--builtin", "dp1", "--coeffs", DP1_PROPER,
@@ -142,6 +147,8 @@ CHECKS = {
     # zero margin attained by many curves: the first curve in table order wins
     "check_dp1_tie.json": ("check", "--builtin", "dp1", "--coeffs", "3,1,1,1,1,1,1,1,1",
                            "--alpha", "1"),
+    "check_dp1_generic.json": ("check", "--builtin", "dp1", "--coeffs", DP1_GENERIC,
+                               "--alpha", "1/2"),
     "check_r5.json": ("check", "--builtin", "dp1", "--coeffs", "5,1,1,3/2,1,1/2",
                       "--alpha", "1/3"),
     "check_dp1_fano.json": ("check", "--builtin", "dp1", "--coeffs", "3,1,1,1,1,1,1,1,1",
@@ -177,6 +184,7 @@ CHECKS = {
                                   "--group", "full", "--oracle-depth", "4"),
     # the torus alone: the fixed polytope is the whole centered triangle
     "alpha_p2_torus.json": ("alpha", "p2", "--coeffs", "1/3,2/7,5", "--group", "torus"),
+    "picard_curves_r8.json": ("picard", "curves", "--r", "8"),
     "intersect_dp6.json": ("intersect", "dp6", "--coeffs", "1,1,1,1,1,1"),
     # D.D, -K.D, mu and rbar, each with its decimal approximation
     "intersect_dp6_approx.txt": ("--format", "text", "--approx", "intersect", "dp6",

@@ -5,6 +5,7 @@ import pytest
 
 from kproper import (
     BlowupSurface,
+    Fan,
     StabilizerAlpha,
     SuppliedAlpha,
     ToricDivisor,
@@ -15,6 +16,7 @@ from kproper import (
     make_polytope,
     sweep_lambda,
 )
+from kproper.alpha import symmetry_context
 from kproper.properness import OpenInterval, dervan_alpha_bound
 from kproper.rationals import (
     GeometryError,
@@ -151,6 +153,7 @@ def test_solve_linear_system_inconsistent():
 X = 0.1
 MINUS_K = ToricDivisor(dp6_fan(), (1,) * 6)
 SWEEP = (F(1, 2), F(2), F(1, 10), F(1, 100))
+TRIANGLE = ((0, 1), (1, 2), (0, 2))
 FLOAT_INPUTS = {
     "sweep range": lambda: sweep_lambda(dp6_family(), X, 2, F(1, 100), F(1, 10**6)),
     "sweep endpoint": lambda: sweep_lambda(dp6_family(), *SWEEP, 1, [F(5, 6), X]),
@@ -167,6 +170,10 @@ FLOAT_INPUTS = {
     "slice curve": lambda: abstract_slice(2, 1, 1, [("c", X, 1)]),
     "dp1 bound": lambda: dervan_alpha_bound(X),
     "interval scale": lambda: OpenInterval(F(0), F(1)).scaled(X),
+    # int() once truncated a ray, a normal or a group matrix instead of refusing it
+    "fan ray": lambda: Fan(2, ((X, 0), (0, 1), (-1, -1)), TRIANGLE),
+    "polytope normal": lambda: make_polytope(2, [((X, 0), 0), ((0, 1), 0), ((-1, -1), 1)]),
+    "group matrix": lambda: symmetry_context(MINUS_K, "explicit", [((X, -1), (1, -1))]),
 }
 
 
@@ -174,3 +181,37 @@ FLOAT_INPUTS = {
 def test_the_library_refuses_floats(name):
     with pytest.raises(InputError, match=r"^0\.1 is not an exact rational"):
         FLOAT_INPUTS[name]()
+
+
+# a ray, a normal, an equation coefficient or a group matrix entry that is no
+# integer is refused, naming the value, where int() once truncated it
+NON_INTEGER_INPUTS = {
+    "float ray": (lambda: Fan(2, ((1.7, 0), (0, 1), (-1, -1)), TRIANGLE),
+                  r"^1\.7 is not an exact rational"),
+    "fraction ray": (lambda: Fan(2, ((F(3, 2), 0), (0, 1), (-1, -1)), TRIANGLE),
+                     r"^Fraction\(3, 2\) is not an integer"),
+    "float normal": (lambda: make_polytope(2, [((1.5, 0), 0), ((0, 1), 0), ((-1, -1), 1)]),
+                     r"^1\.5 is not an exact rational"),
+    "fraction normal": (lambda: make_polytope(2, [((F(3, 2), 0), 0), ((0, 1), 0),
+                                                  ((-1, -1), 1)]),
+                        r"^Fraction\(3, 2\) is not an integer"),
+    "fraction equation": (lambda: make_polytope(2, [((1, 0), 0)], [((F(1, 2), 1), 0)]),
+                          r"^Fraction\(1, 2\) is not an integer"),
+    # truncated, this matrix was the order-3 rotation of the dp6 fan
+    "fraction group matrix": (lambda: symmetry_context(MINUS_K, "explicit",
+                                                       [((F(1, 2), -1), (1, -1))]),
+                              r"^Fraction\(1, 2\) is not an integer"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_INPUTS))
+def test_the_library_refuses_non_integer_rays_and_normals(name):
+    build, message = NON_INTEGER_INPUTS[name]
+    with pytest.raises(InputError, match=message):
+        build()
+
+
+def test_integral_fractions_still_make_rays():
+    fan = Fan(2, ((F(2, 2), 0), (0, F(1)), (-1, -1)), TRIANGLE)
+    assert fan.rays == ((1, 0), (0, 1), (-1, -1))
+    assert all(type(x) is int for ray in fan.rays for x in ray)
