@@ -70,7 +70,6 @@ from .rationals import (
     InputError,
     exact_integer,
     identity_matrix,
-    integer_vector,
     mat_mul,
     transpose,
 )
@@ -148,7 +147,6 @@ def _close_under_products(generators, bound: int):
         g = frontier.pop()
         for h in list(elements):
             for prod in (mat_mul(g, h), mat_mul(h, g)):
-                prod = tuple(tuple(int(x) for x in row) for row in prod)
                 if prod not in elements:
                     elements.add(prod)
                     frontier.append(prod)
@@ -233,7 +231,7 @@ def alpha_oracle(ctx: SymmetryContext, k_max: int = 12) -> Fraction:
         raise InputError(f"oracle depth {k_max} exceeds the cap of {MAX_ORACLE_DEPTH}")
     d = ctx.divisor
     p_int = moment_polytope(ToricDivisor(d.fan, d.nums))
-    verts = [integer_vector(v) for v in vertices(p_int)]
+    verts = [tuple(map(exact_integer, v)) for v in vertices(p_int)]
     # the integer bounding box of k P has k * width + 1 points per axis
     widths = [max(col) - min(col) for col in zip(*verts)]
     work = sum(prod(k * w + 1 for w in widths) for k in range(1, k_max + 1))

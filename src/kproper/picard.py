@@ -74,20 +74,9 @@ class BlowupSurface:
     def cls(self, coords) -> "PicardClass":
         return PicardClass(self, coords)
 
-    def hyperplane(self) -> "PicardClass":
-        return self.cls((1,) + (0,) * self.r)
-
-    def exceptional(self, i: int) -> "PicardClass":
-        if not 1 <= i <= self.r:
-            raise ValidationError(f"no exceptional divisor E_{i} on this surface")
-        return self.cls((0,) + tuple(-1 if j == i else 0 for j in range(1, self.r + 1)))
-
     @functools.lru_cache(maxsize=8)
     def canonical(self) -> "PicardClass":
         return self.cls((-3,) + (-1,) * self.r)
-
-    def anticanonical(self) -> "PicardClass":
-        return self.cls((3,) + (1,) * self.r)
 
 
 @dataclass(frozen=True, init=False, repr=False)

@@ -93,13 +93,13 @@ def _canonical_halfspace(normal, offset) -> HalfSpace:
         raise ValidationError("half-space normal must be nonzero")
     g = gcd(*normal)
     if g == 1:
-        return HalfSpace(normal, Fraction(offset))
-    return HalfSpace(tuple(x // g for x in normal), Fraction(offset) / g)
+        return HalfSpace(normal, as_fraction(offset))
+    return HalfSpace(tuple(x // g for x in normal), as_fraction(offset) / g)
 
 
 def _canonical_equation(coeffs, rhs) -> LinearEquation | None:
     coeffs = tuple(map(exact_integer, coeffs))
-    rhs = Fraction(rhs)
+    rhs = as_fraction(rhs)
     if all(x == 0 for x in coeffs):
         if rhs != 0:
             raise ValidationError("inconsistent equation 0 = nonzero")
@@ -244,8 +244,8 @@ def _reduce_by_equalities(p: Polytope):
             if offset > 0:
                 return None
             continue
-        denom = lcm(*(x.denominator for x in coeffs), offset.denominator)
-        sub_constraints.append((tuple(int(x * denom) for x in coeffs), offset * denom))
+        nums = clear_denominators((*coeffs, offset))[1]
+        sub_constraints.append((nums[:-1], nums[-1]))
     return origin, basis, make_polytope(len(basis), sub_constraints)
 
 
@@ -571,7 +571,7 @@ def _fixed_space(group: tuple, dim: int) -> tuple[tuple[LinearEquation, ...], in
         if not is_unimodular(g):
             raise ValidationError("group elements must be unimodular integer matrices")
         for row_g, row_i in zip(transpose(g), eye):
-            coeffs = tuple(int(a - b) for a, b in zip(row_g, row_i))
+            coeffs = tuple(a - b for a, b in zip(row_g, row_i))
             if any(coeffs):
                 rows.append(coeffs)
     if not rows:

@@ -624,10 +624,6 @@ class OpenInterval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def scaled(self, t) -> "OpenInterval":
-        t = as_fraction(t)
-        return OpenInterval(self.lo * t, self.hi * t)
-
 
 def _forms_at(forms, lam: Fraction) -> tuple[int, int]:
     """(L_lambda^2, K.L_lambda) from a family's forms at an ample lambda = p/q,
@@ -795,9 +791,6 @@ class LambdaCertificate:
             slots.append(None)
         return (tuple(e.numerator for e in ends), tuple(e.denominator for e in ends),
                 tuple(slots) or (None,))
-
-    def feasible_at(self, lam: Fraction) -> bool:
-        return self.feasible_pair(lam.numerator, lam.denominator)
 
     def feasible_pair(self, p: int, q: int) -> bool:
         """Whether some scale passes all three conditions at lambda = p/q, q > 0

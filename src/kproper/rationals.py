@@ -2,8 +2,12 @@
 
 Every module downstream (fans, polytopes, Picard lattices, feasibility
 sweeps) routes its arithmetic through the helpers here so that no floating
-point can leak into a verdict: they refuse a float.  Scalars are
-`fractions.Fraction` values, which already normalize eagerly (gcd-reduced,
+point can leak into a verdict.  The exact-number rule lives here: a
+caller's number is read by `as_fraction`, or by `exact_integer` where an
+integer is due, and anything else raises `InputError` naming it.  No value
+is cast with `int()` and no caller's value with `Fraction()`; int
+arithmetic stays int (`dot`, `mat_mul`).  Scalars are ints and
+`fractions.Fraction` values, which normalize eagerly (gcd-reduced,
 positive denominator).  This module adds the canonical string format used
 in all JSON interfaces, lattice vector helpers, the few dense exact solvers
 the geometry needs, the cleared arithmetic that toric and Picard classes
@@ -94,6 +98,7 @@ def exact_integer(x) -> int:
 
 
 def as_fraction(x: Scalar) -> Fraction:
+    """x as a Fraction, for an exact rational; anything else raises, naming x."""
     return x if type(x) is Fraction else _exact(x)
 
 
@@ -125,19 +130,18 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
 
     Raises for the zero vector, which has no primitive representative.
     """
-    entries = tuple(v)
-    if any(not isinstance(x, int) for x in entries):
-        raise ValidationError(f"primitive requires integer entries, got {entries!r}")
+    entries = tuple(map(exact_integer, v))
     g = gcd(*entries) if entries else 0
     if g == 0:
         raise GeometryError("zero vector has no primitive representative")
     return tuple(x // g for x in entries)
 
 
-def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Fraction:
+def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
+    """The exact sum of the products u_i v_i: an int for int vectors."""
     if len(u) != len(v):
         raise ValidationError(f"dot product dimension mismatch: {len(u)} vs {len(v)}")
-    return Fraction(sum(a * b for a, b in zip(u, v)))
+    return sum(a * b for a, b in zip(u, v))
 
 
 def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
@@ -178,7 +182,7 @@ def det(m: Matrix) -> Fraction:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValidationError("determinant requires a square matrix")
-    rows = [[Fraction(x) for x in row] for row in m]
+    rows = [[as_fraction(x) for x in row] for row in m]
     sign = 1
     result = Fraction(1)
     for col in range(n):
@@ -218,14 +222,16 @@ def solve_exact(a: Matrix, b: Sequence[Scalar]):
     n = len(a)
     if n == 2 and len(a[0]) == 2 and len(a[1]) == 2 and len(b) == 2:
         (p, q), (r, s), (u, v) = *a, b
+        ints = type(p) is type(q) is type(r) is type(s) is type(u) is type(v) is int
+        if not ints:
+            p, q, r, s, u, v = map(as_fraction, (p, q, r, s, u, v))
         d = p * s - q * r
         if d == 0:
             return None
         x, y = s * u - q * v, p * v - r * u
-        ints = type(p) is type(q) is type(r) is type(s) is type(u) is type(v) is int
         if ints and (d == 1 or d == -1):
             return (x * d, y * d)
-        return (Fraction(x) / d, Fraction(y) / d)
+        return (Fraction(x, d), Fraction(y, d))
     if any(len(row) != n for row in a):
         raise ValidationError("solve_exact requires a square matrix")
     if len(b) != n:
@@ -249,7 +255,7 @@ def solve_linear_system(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar])
     if m == 0:
         raise ValidationError("empty system has no well-defined unknown count")
     n = len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    aug = [[*map(as_fraction, row), as_fraction(rhs[i])] for i, row in enumerate(rows)]
     pivots: list[int] = []
     r = 0
     for col in range(n):
@@ -366,15 +372,4 @@ def constraint_table(labels, l_pairings, k_pairings, *forms) -> ConstraintTable:
     Fractions L^n and K.L^{n-1}."""
     den, nums = clear_denominators((*l_pairings, *k_pairings))
     return ConstraintTable(tuple(labels), nums[: len(labels)], nums[len(labels) :], den, *forms)
-
-
-def integer_vector(v: Sequence[Scalar]) -> tuple[int, ...]:
-    """Cast an exactly-integral rational vector to int entries."""
-    out = []
-    for x in v:
-        f = Fraction(x)
-        if f.denominator != 1:
-            raise ValidationError(f"expected integral vector, got {tuple(v)!r}")
-        out.append(f.numerator)
-    return tuple(out)
 

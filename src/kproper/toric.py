@@ -203,8 +203,7 @@ def fan_automorphisms(fan: Fan) -> tuple:
     # B has the basis rays as columns; it is unimodular, so B^{-1} is integral
     base_cols = tuple(zip(*(fan.rays[i] for i in base)))
     inverse_cols = tuple(
-        tuple(int(x) for x in solve_exact(base_cols, tuple(int(r == j) for r in range(n))))
-        for j in range(n)
+        tuple(map(exact_integer, solve_exact(base_cols, col))) for col in identity_matrix(n)
     )
     ray_index = {r: i for i, r in enumerate(fan.rays)}
     cone_set = set(fan.max_cones)
@@ -378,12 +377,12 @@ def _wall_data(fan: Fan) -> tuple[tuple[int, int, int], ...]:
         prev_i, next_i = order[(p - 1) % m], order[(p + 1) % m]
         total = tuple(a + b for a, b in zip(fan.rays[prev_i], fan.rays[next_i]))
         k = 0 if fan.rays[i][0] != 0 else 1
-        c = Fraction(total[k], fan.rays[i][k])
-        if c.denominator != 1 or tuple(int(c) * x for x in fan.rays[i]) != total:
+        c, rest = divmod(total[k], fan.rays[i][k])
+        if rest or tuple(c * x for x in fan.rays[i]) != total:
             raise GeometryError(
                 f"internal inconsistency: no integer wall relation at ray {i} of a smooth fan"
             )
-        data[i] = (prev_i, next_i, int(c))
+        data[i] = (prev_i, next_i, c)
     return tuple(data[i] for i in range(m))
 
 

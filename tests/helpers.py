@@ -14,7 +14,9 @@ integer halving replaced, and `reference_endpoint_side` picks an endpoint
 check's side by Fraction distances to the bracket centres; the tests play
 each against the code that replaced it.  `DERVAN` is the alpha that the
 test families on a blowup are given, and `counting` records the calls of a
-function.
+function.  `hyperplane`, `exceptional`, `anticanonical`, `scaled` and
+`feasible_at` build the classes, intervals and certificate lookups that
+only the tests ask for.
 """
 
 import sys
@@ -30,6 +32,7 @@ from kproper.polytope import (
 )
 from kproper.properness import (
     AbstractSlice,
+    OpenInterval,
     _alpha_denominator,
     _forms_at,
     _lower_cut,
@@ -101,6 +104,30 @@ def polytope_to_json(p: Polytope, include_vrep: bool = False) -> dict:
 
 def picard_class_to_json(d: PicardClass) -> dict:
     return {"r": d.surface.r, "coords": [format_rational(c) for c in d.coords]}
+
+
+def hyperplane(surface) -> PicardClass:
+    """The class H of a line on a blowup of P^2."""
+    return surface.cls((1,) + (0,) * surface.r)
+
+
+def exceptional(surface, i: int) -> PicardClass:
+    """The exceptional class E_i, 1 <= i <= r."""
+    return surface.cls((0,) + tuple(-1 if j == i else 0 for j in range(1, surface.r + 1)))
+
+
+def anticanonical(surface) -> PicardClass:
+    """-K = 3H - E_1 - ... - E_r."""
+    return surface.cls((3,) + (1,) * surface.r)
+
+
+def scaled(interval: OpenInterval, t: Fraction) -> OpenInterval:
+    return OpenInterval(interval.lo * t, interval.hi * t)
+
+
+def feasible_at(certificate, lam: Fraction) -> bool:
+    """The certificate's verdict at lambda."""
+    return certificate.feasible_pair(lam.numerator, lam.denominator)
 
 
 def apply_unimodular(p: Polytope, g) -> Polytope:

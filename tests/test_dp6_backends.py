@@ -20,6 +20,7 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
+from helpers import anticanonical  # noqa: E402
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
@@ -74,7 +75,7 @@ classes = ample_classes() | st.builds(
 
 
 def test_the_anticanonical_classes_correspond():
-    assert on_the_blowup(anticanonical_divisor(dp6_fan())) == SURFACE.anticanonical()
+    assert on_the_blowup(anticanonical_divisor(dp6_fan())) == anticanonical(SURFACE)
 
 
 @settings(max_examples=150, deadline=None)

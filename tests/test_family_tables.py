@@ -17,7 +17,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from helpers import family_mu  # noqa: E402
+from helpers import anticanonical, family_mu  # noqa: E402
 from test_toric import p1_cubed_fan  # noqa: E402
 from test_wall_pairings import FANS  # noqa: E402
 
@@ -115,7 +115,7 @@ def test_threefold_family_is_not_a_surface_family():
 def test_a_family_needs_two_classes_of_one_backend():
     hexagon = ToricDivisor(FANS["dp6"], (1,) * 6)
     triangle = ToricDivisor(FANS["p2"], (1,) * 3)
-    dp1, dp3 = BlowupSurface(8).anticanonical(), BlowupSurface(6).anticanonical()
+    dp1, dp3 = anticanonical(BlowupSurface(8)), anticanonical(BlowupSurface(6))
     for base, slope in ((hexagon, dp1), (dp1, hexagon), (hexagon, triangle), (dp1, dp3)):
         with pytest.raises(ValidationError):
             Family("mixed", base, slope)

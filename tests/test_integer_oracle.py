@@ -31,8 +31,8 @@ from kproper.rationals import (  # noqa: E402
     GeometryError,
     clear_denominators,
     dot,
+    exact_integer,
     identity_matrix,
-    integer_vector,
     mat_vec,
     transpose,
     vec_sub,
@@ -78,7 +78,7 @@ def reference_lattice_points(p, k=1):
 
 def reference_dilate_points(p, k):
     """The reference points z / k times k, each checked to be integral."""
-    return tuple(integer_vector([x * k for x in pt]) for pt in reference_lattice_points(p, k))
+    return tuple(tuple(exact_integer(x * k) for x in pt) for pt in reference_lattice_points(p, k))
 
 
 def reference_alpha_oracle(ctx, k_max):
@@ -86,7 +86,7 @@ def reference_alpha_oracle(ctx, k_max):
     multiplier, int_coeffs = clear_denominators(d.coeffs)
     integral = ToricDivisor(d.fan, tuple(Fraction(c) for c in int_coeffs))
     p_int = moment_polytope(integral)
-    verts = [integer_vector(v) for v in vertices(p_int)]
+    verts = [tuple(map(exact_integer, v)) for v in vertices(p_int)]
     base_anchor = min(verts)
     group = ctx.stabilizer
     if not group:
@@ -95,7 +95,7 @@ def reference_alpha_oracle(ctx, k_max):
     for g in group:
         gt = transpose(g)
         image_anchor = min(tuple(int(x) for x in mat_vec(gt, v)) for v in verts)
-        tau = integer_vector(vec_sub(image_anchor, base_anchor))
+        tau = tuple(map(exact_integer, vec_sub(image_anchor, base_anchor)))
         actions.append((gt, tau))
     rays = d.fan.rays
     best = None

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
+from helpers import anticanonical  # noqa: E402
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_family_tables import AMPLE  # noqa: E402
@@ -89,7 +90,7 @@ def test_jflow_boundary_class_with_proper_k_energy():
 
 
 def test_jflow_picard_backend():
-    k8 = dp1_surface().anticanonical()
+    k8 = anticanonical(dp1_surface())
     assert jflow_converges_surface(k8, k8)
 
 

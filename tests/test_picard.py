@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from helpers import picard_class_to_json
+from helpers import anticanonical, exceptional, hyperplane, picard_class_to_json
 
 from kproper.cli import load_picard_class
 from kproper.picard import (
@@ -49,8 +49,8 @@ def binomial_census(r):
 
 def test_pairing_basics():
     s = BlowupSurface(3)
-    h = s.hyperplane()
-    e1, e2 = s.exceptional(1), s.exceptional(2)
+    h = hyperplane(s)
+    e1, e2 = exceptional(s, 1), exceptional(s, 2)
     assert pairing(h, h) == 1
     assert pairing(e1, e1) == -1
     assert pairing(e1, e2) == 0
@@ -62,7 +62,7 @@ def test_lambda_family_pairings():
     lam = F(6, 5)
     l = dp1_lambda(lam)
     assert pairing(l, l) == 2 - lam**2
-    assert pairing(dp1_surface().anticanonical(), l) == 2 - lam
+    assert pairing(anticanonical(dp1_surface()), l) == 2 - lam
 
 
 @pytest.mark.parametrize("r,count", [(1, 1), (2, 3), (3, 6), (4, 10), (5, 16), (6, 27), (7, 56), (8, 240)])
@@ -100,7 +100,7 @@ def test_lambda_family_ampleness():
     assert not is_ample_picard(dp1_lambda(F(4, 3)))
     assert min(curve_table(dp1_lambda(F(4, 3))).nums) >= 0
     assert not is_ample_picard(dp1_lambda(0))
-    assert is_ample_picard(dp1_surface().anticanonical())
+    assert is_ample_picard(anticanonical(dp1_surface()))
 
 
 def test_boundary_curve_is_the_sextic():
@@ -114,7 +114,7 @@ def test_boundary_curve_is_the_sextic():
 
 def test_hyperplane_nef_not_ample():
     s = dp1_surface()
-    h = s.hyperplane()
+    h = hyperplane(s)
     assert min(curve_table(h).nums) >= 0 and not is_ample_picard(h)
 
 
@@ -137,7 +137,7 @@ def test_rows_of_the_curve_table_force_the_sign_of_the_square():
     rng = random.Random(11)
     for r in range(1, 9):
         s = BlowupSurface(r)
-        anti = s.anticanonical()
+        anti = anticanonical(s)
         seen = {"positive": 0, "boundary": 0}
         for _ in range(150):
             x = s.cls([F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(r + 1)])
@@ -178,7 +178,7 @@ def test_surface_validation():
     with pytest.raises(ValidationError):
         PicardClass(BlowupSurface(3), (F(1), F(1)))
     with pytest.raises(ValidationError):
-        pairing(dp1_lambda(1), BlowupSurface(3).hyperplane())
+        pairing(dp1_lambda(1), hyperplane(BlowupSurface(3)))
 
 
 def test_json_round_trip(tmp_path):

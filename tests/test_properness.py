@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from helpers import canonical_polarization_slice
+from helpers import canonical_polarization_slice, scaled
 
 from kproper import properness
 from kproper.cli import parse_report, render_report
@@ -215,7 +215,7 @@ def test_feasible_interval_scales_as_one_over_epsilon(family):
                     feasible_scale_interval(family, lam, eps)
             continue
         for eps in (F(1, 7), F(1, 2), F(3, 4), F(2), F(7, 3)):
-            assert feasible_scale_interval(family, lam, eps) == base.scaled(1 / eps), (lam, eps)
+            assert feasible_scale_interval(family, lam, eps) == scaled(base, 1 / eps), (lam, eps)
 
 
 def test_feasible_interval_outside_ample_range_errors():
@@ -260,7 +260,7 @@ def test_reciprocity_witness_map():
     for lam in (F(9, 10), F(7, 6), F(1), F(21, 20)):
         direct = feasible_scale_interval(family, lam)
         mirrored = feasible_scale_interval(family, 1 / lam)
-        assert direct.scaled(lam) == mirrored
+        assert scaled(direct, lam) == mirrored
 
 
 def test_dervan_bound():

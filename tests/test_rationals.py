@@ -17,7 +17,8 @@ from kproper import (
     sweep_lambda,
 )
 from kproper.alpha import symmetry_context
-from kproper.properness import OpenInterval, dervan_alpha_bound
+from kproper.polytope import HalfSpace, LinearEquation, Polytope
+from kproper.properness import dervan_alpha_bound
 from kproper.rationals import (
     GeometryError,
     InputError,
@@ -26,6 +27,7 @@ from kproper.rationals import (
     dot,
     format_rational,
     is_unimodular,
+    mat_mul,
     parse_rational,
     primitive,
     solve_exact,
@@ -146,6 +148,15 @@ def test_solve_linear_system_inconsistent():
     assert solve_linear_system([[1, 0], [1, 0]], [1, 2]) is None
 
 
+def test_integer_products_stay_integers():
+    # no int() is needed to read an integer product back
+    assert type(dot((1, 2), (3, 4))) is int and dot((1, 2), (3, 4)) == 11
+    rotation = ((0, -1), (1, -1))
+    square = mat_mul(rotation, rotation)
+    assert square == ((-1, 1), (-1, 0))
+    assert all(type(x) is int for row in square for x in row)
+
+
 # ---------------------------------------------------------------------------
 # the Python API refuses floats, as the CLI does: a float's binary value is
 # never the rational that was meant (0.1 would be 3602879701896397/2^55)
@@ -169,7 +180,15 @@ FLOAT_INPUTS = {
     "slice form": lambda: abstract_slice(2, X, 1, [("c", 1, 1)]),
     "slice curve": lambda: abstract_slice(2, 1, 1, [("c", X, 1)]),
     "dp1 bound": lambda: dervan_alpha_bound(X),
-    "interval scale": lambda: OpenInterval(F(0), F(1)).scaled(X),
+    "primitive vector": lambda: primitive((X, 1)),
+    # Fraction() once took a float's binary value in a half-space, an equation or a solver
+    "half-space offset": lambda: Polytope(2, (HalfSpace((1, 0), X), HalfSpace((0, 1), 0),
+                                              HalfSpace((-1, -1), -1))),
+    "equation rhs": lambda: Polytope(2, (HalfSpace((1, 0), 0),), (LinearEquation((1, -1), X),)),
+    "solve 2x2": lambda: solve_exact(((1, 0), (0, 1)), (X, 0)),
+    "solve 3x3": lambda: solve_exact(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, X, 0)),
+    "determinant": lambda: det(((1, 0), (0, X))),
+    "linear system": lambda: solve_linear_system([[1, X]], [0]),
     # int() once truncated a ray, a normal or a group matrix instead of refusing it
     "fan ray": lambda: Fan(2, ((X, 0), (0, 1), (-1, -1)), TRIANGLE),
     "polytope normal": lambda: make_polytope(2, [((X, 0), 0), ((0, 1), 0), ((-1, -1), 1)]),

@@ -27,6 +27,7 @@ from math import floor
 import pytest
 
 pytest.importorskip("hypothesis")
+from helpers import anticanonical  # noqa: E402
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_wall_pairings import divisors, reference_wall_pairings  # noqa: E402
@@ -141,7 +142,7 @@ def ample_picard_classes(draw):
                                     max_size=surface.rank)))
     table = curve_table(raw)
     shift = max(floor(F(-x, table.den)) + 1 for x in table.nums)
-    return raw + shift * surface.anticanonical()
+    return raw + shift * anticanonical(surface)
 
 
 @st.composite
