@@ -99,7 +99,7 @@ def exact_integer(x) -> int:
 
 def as_fraction(x: Scalar) -> Fraction:
     """x as a Fraction, for an exact rational; anything else raises, naming x."""
-    return x if type(x) is Fraction else _exact(x)
+    return x if type(x) is Fraction else Fraction(x) if type(x) is int else _exact(x)
 
 
 def integer_ratio(x: Scalar) -> tuple[int, int]:
@@ -160,10 +160,6 @@ def vec_scale(c: Scalar, v: Sequence[Scalar]) -> tuple:
     return tuple(c * x for x in v)
 
 
-def mat_vec(m: Matrix, v: Sequence[Scalar]) -> tuple:
-    return tuple(dot(row, v) for row in m)
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
@@ -202,13 +198,12 @@ def det(m: Matrix) -> Fraction:
 
 
 def is_unimodular(m: Matrix) -> bool:
-    """True iff the matrix is square, integral, and has determinant +-1."""
+    """True iff the square matrix has determinant +-1; its entries are read
+    by `exact_integer`."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValidationError("unimodularity requires a square matrix")
-    if any(not isinstance(x, int) for row in m for x in row):
-        raise ValidationError("unimodularity requires integer entries")
-    return abs(det(m)) == 1
+    return abs(det([[exact_integer(x) for x in row] for row in m])) == 1
 
 
 def solve_exact(a: Matrix, b: Sequence[Scalar]):

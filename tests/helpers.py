@@ -12,13 +12,16 @@ dot product at a time, as the packed multiply-add of `picard._pairings`
 replaced, `reference_bisect` is the Fraction bisection that the sweep's
 integer halving replaced, and `reference_endpoint_side` picks an endpoint
 check's side by Fraction distances to the bracket centres; the tests play
-each against the code that replaced it.  `DERVAN` is the alpha that the
-test families on a blowup are given, and `counting` records the calls of a
-function.  `hyperplane`, `exceptional`, `anticanonical`, `scaled` and
-`feasible_at` build the classes, intervals and certificate lookups that
-only the tests ask for.
+each against the code that replaced it.  `reference_vertices` finds a
+bounded polytope's vertices by brute force, each equality read as two
+opposite half-spaces.  `DERVAN` is the alpha that the test families on a
+blowup are given, and `counting` records the calls of a function.
+`hyperplane`, `exceptional`, `anticanonical`, `scaled` and `feasible_at`
+build the classes, intervals and certificate lookups that only the tests
+ask for, and `mat_vec` multiplies a matrix by a vector.
 """
 
+import itertools
 import sys
 from fractions import Fraction
 
@@ -45,7 +48,6 @@ from kproper.rationals import (
     format_rational,
     identity_matrix,
     is_unimodular,
-    mat_vec,
     solve_exact,
     solve_linear_system,
     transpose,
@@ -56,6 +58,42 @@ from kproper.toric import Fan, ToricDivisor, angular_order, fan_automorphisms
 # Dervan's bound min{1, 1/(2 - lambda)}, with the pieces ((1, 0), (2, -1)):
 # the alpha of dp1_family
 DERVAN = dp1_family().alpha
+
+
+def mat_vec(m, v) -> tuple:
+    """The product of a matrix (a tuple of rows) with a vector."""
+    return tuple(dot(row, v) for row in m)
+
+
+def reference_vertices(p: Polytope) -> tuple:
+    """The vertices of a bounded polytope by brute force: every dim of its
+    rows, with each equality read as two opposite half-spaces, solved by
+    Fraction elimination, kept where every row holds."""
+    rows = [(hs.normal, hs.offset) for hs in p.hrep]
+    for e in p.equalities:
+        rows += [(e.coeffs, e.rhs), (tuple(-x for x in e.coeffs), -e.rhs)]
+    points = set()
+    for subset in itertools.combinations(rows, p.dim):
+        point = _eliminate([[*map(Fraction, n), Fraction(c)] for n, c in subset])
+        if point is not None and all(dot(point, n) >= c for n, c in rows):
+            points.add(point)
+    return tuple(sorted(points))
+
+
+def _eliminate(aug):
+    """The solution of a square system given by its augmented rows, or None
+    when it is singular."""
+    n = len(aug)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
+    return tuple(row[n] for row in aug)
 
 
 def counting(monkeypatch, original, calls):

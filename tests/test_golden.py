@@ -1,8 +1,8 @@
 """Byte-identity of CLI output against a committed golden corpus.
 
 The files under tests/golden/ pin the exact stdout of sweeps, checks and
-the toric polytope, alpha and intersection commands, including binding
-labels, margins and tie-breaking among equal margins.
+the toric and JSON polytope, alpha and intersection commands, including
+binding labels, margins and tie-breaking among equal margins.
 Regenerate them only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -120,6 +120,24 @@ P3 = {
     "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
     "max_cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
 }
+# JSON polytopes with equalities, whose vertices come from the equality rows of
+# the vertex enumeration: the hexagon with the dp6 rays as normals cut by
+# x - 2y = 1/3, and the unit cube cut by x = y, y = z and x = z, three
+# equalities of rank 2
+POLYTOPES = {
+    "polytope_segment_2d": {
+        "dim": 2,
+        "hrep": [{"normal": u, "offset": "-1"}
+                 for u in ([1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1])],
+        "equalities": [{"coeffs": [1, -2], "rhs": "1/3"}],
+    },
+    "polytope_segment_3d": {
+        "dim": 3,
+        "hrep": [{"normal": [s * x for x in e], "offset": "0" if s == 1 else "-1"}
+                 for e in ([1, 0, 0], [0, 1, 0], [0, 0, 1]) for s in (1, -1)],
+        "equalities": [{"coeffs": c, "rhs": "0"} for c in ([1, -1, 0], [0, 1, -1], [1, 0, -1])],
+    },
+}
 # the order-3 rotation of the dp6 fan, for an oracle run under an explicit group
 ROTATION = {"matrices": [[[0, -1], [1, -1]]]}
 
@@ -212,6 +230,10 @@ def _cases(config_dir: Path):
         path = config_dir / f"{name}.fan.json"
         path.write_text(json.dumps(fan))
         cases[f"{name}.json"] = ("check", "--fan", str(path), "--coeffs", coeffs, "--epsilon", "1")
+    for name, data in POLYTOPES.items():
+        path = config_dir / f"{name}.polytope.json"
+        path.write_text(json.dumps(data))
+        cases[f"{name}.json"] = ("polytope", "info", str(path))
     rotation = config_dir / "rotation.group.json"
     rotation.write_text(json.dumps(ROTATION))
     cases["alpha_dp6_explicit.json"] = ("alpha", "dp6", "--coeffs", DP6_WINDOW_END, "--group",

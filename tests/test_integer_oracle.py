@@ -17,6 +17,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from helpers import mat_vec  # noqa: E402
 
 from kproper.alpha import _centered, _stabilizer_of, alpha_oracle, symmetry_context  # noqa: E402
 from kproper.polytope import (  # noqa: E402
@@ -33,7 +34,6 @@ from kproper.rationals import (  # noqa: E402
     dot,
     exact_integer,
     identity_matrix,
-    mat_vec,
     transpose,
     vec_sub,
 )

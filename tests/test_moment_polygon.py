@@ -18,6 +18,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from helpers import mat_vec  # noqa: E402
 from test_wall_pairings import FANS, scalars  # noqa: E402
 
 from kproper.alpha import _centered, _stabilizer_of  # noqa: E402
@@ -33,7 +34,7 @@ from kproper.polytope import (  # noqa: E402
     vertices,
     volume,
 )
-from kproper.rationals import GeometryError, dot, mat_vec, transpose, vec_sub  # noqa: E402
+from kproper.rationals import GeometryError, dot, transpose, vec_sub  # noqa: E402
 from kproper.toric import (  # noqa: E402
     ToricDivisor,
     dp6_fan,

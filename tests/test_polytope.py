@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import apply_unimodular, polytope_to_json
+from helpers import apply_unimodular, mat_vec, polytope_to_json
 
 from kproper.cli import load_polytope
 from kproper.polytope import (
@@ -170,7 +170,7 @@ def test_fixed_subpolytope_reflection_gives_segment():
 
 
 def test_fixed_subpolytope_is_pointwise_fixed():
-    from kproper.rationals import mat_vec, transpose
+    from kproper.rationals import transpose
 
     groups = [[((0, 1), (1, 0))], [((-1, 0), (0, -1))], [((0, -1), (1, -1))]]
     for group in groups:

@@ -120,7 +120,9 @@ def test_is_unimodular():
 
 
 def test_is_unimodular_rejects_non_integer():
-    with pytest.raises(ValidationError):
+    # an integral Fraction is an integer; Fraction(1, 2) is refused, naming it
+    assert is_unimodular(((Fraction(1), 0), (0, 1)))
+    with pytest.raises(InputError, match=r"^Fraction\(1, 2\) is not an integer"):
         is_unimodular(((Fraction(1, 2), 0), (0, 1)))
 
 
@@ -193,6 +195,7 @@ FLOAT_INPUTS = {
     "fan ray": lambda: Fan(2, ((X, 0), (0, 1), (-1, -1)), TRIANGLE),
     "polytope normal": lambda: make_polytope(2, [((X, 0), 0), ((0, 1), 0), ((-1, -1), 1)]),
     "group matrix": lambda: symmetry_context(MINUS_K, "explicit", [((X, -1), (1, -1))]),
+    "unimodular entry": lambda: is_unimodular(((X, 0), (0, 1))),
 }
 
 
@@ -220,6 +223,8 @@ NON_INTEGER_INPUTS = {
     "fraction group matrix": (lambda: symmetry_context(MINUS_K, "explicit",
                                                        [((F(1, 2), -1), (1, -1))]),
                               r"^Fraction\(1, 2\) is not an integer"),
+    "fraction unimodular entry": (lambda: is_unimodular(((1, 0), (0, F(1, 2)))),
+                                  r"^Fraction\(1, 2\) is not an integer"),
 }
 
 

@@ -4,11 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import divisor_to_json, fan_to_json, transform_fan
+from helpers import divisor_to_json, fan_to_json, mat_vec, transform_fan
 
 from kproper.cli import load_coeffs, load_fan
 from kproper.polytope import boundary_measure, vertices, volume
-from kproper.rationals import GeometryError, ValidationError, det, mat_mul, mat_vec
+from kproper.rationals import GeometryError, ValidationError, det, mat_mul
 from kproper.toric import (
     Fan,
     ToricDivisor,
