@@ -46,11 +46,11 @@ each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import lcm, prod
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from .polytope import (
     Polytope,
@@ -93,8 +93,7 @@ MAX_ORACLE_DEPTH = 64
 MAX_ORACLE_POINTS = 1_000_000
 
 
-@dataclass(frozen=True)
-class SymmetryContext:
+class SymmetryContext(NamedTuple):
     """An ample divisor with its recentered polytope, its recentered class
     sum a_i' D_i and its class stabilizer."""
 

@@ -43,29 +43,31 @@ import operator
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
 from .rationals import (
     ClearedClass,
     ConstraintTable,
+    Frozen,
     GeometryError,
     ValidationError,
     clear_denominators,
+    exact_integer,
     format_ratio,
 )
 
 
-@dataclass(frozen=True)
-class BlowupSurface:
-    """The blowup of P^2 at r general points, 1 <= r <= 8."""
+class BlowupSurface(Frozen):
+    """The blowup of P^2 at r general points, 1 <= r <= 8 (`exact_integer`)."""
 
-    r: int
+    _fields = ("r",)
 
-    def __post_init__(self):
-        if not isinstance(self.r, int) or not 1 <= self.r <= 8:
+    def __init__(self, r: int):
+        r = exact_integer(r)
+        if not 1 <= r <= 8:
             raise ValidationError("blowup surface needs 1 <= r <= 8 points")
+        vars(self)["r"] = r
 
     @property
     def rank(self) -> int:
@@ -79,7 +81,6 @@ class BlowupSurface:
         return self.cls((-3,) + (-1,) * self.r)
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class PicardClass(ClearedClass):
     """The class d H - sum m_i E_i, built from the rationals coords = (d,
     m_1, ..., m_r) and stored cleared: den = N > 0, their least common
@@ -87,12 +88,8 @@ class PicardClass(ClearedClass):
     read (surface, N, N coords), and `coords` builds Fractions on request."""
 
     _home, _apart = "surface", "classes live on different surfaces"
-
-    surface: BlowupSurface
-    den: int = field(init=False)
-    nums: tuple[int, ...] = field(init=False)
     # the class's ConstraintTable, filled by curve_table() on first use
-    _table: object = field(default=None, init=False, compare=False)
+    _table = None
 
     def __init__(self, surface: BlowupSurface, coords):
         den, nums = clear_denominators(coords)
@@ -110,7 +107,7 @@ class PicardClass(ClearedClass):
 
 def pairing(a: PicardClass, b: PicardClass) -> Fraction:
     """Signature (1, r) intersection form d d' - sum m_i m_i', in integers."""
-    if a.surface != b.surface:
+    if a.surface is not b.surface and a.surface != b.surface:
         raise ValidationError("pairing requires classes on the same surface")
     (d, *m), (e, *n) = a.nums, b.nums
     return Fraction(d * e - sum(map(operator.mul, m, n)), a.den * b.den)
@@ -267,7 +264,7 @@ def curve_table(d: PicardClass) -> ConstraintTable:
     """The class against the distinct rows of the cone curves (curve_tables),
     computed once per class."""
     if d._table is None:
-        object.__setattr__(d, "_table", curve_tables(d)[0])
+        vars(d)["_table"] = curve_tables(d)[0]
     return d._table
 
 

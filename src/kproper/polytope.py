@@ -26,8 +26,8 @@ the origin is that point, without enumeration.
 Otherwise the vertices come from the fallback enumeration, which is
 deliberately unsophisticated: candidate vertices are the points where the
 equalities and dim - rank(equalities) facet hyperplanes meet, filtered by
-feasibility; the equalities are rows of the same integer systems as the
-facets.  Inputs here are desk-scale (a few dozen facets), where this is
+feasibility; the equalities' echelon rows are rows of the same square
+integer systems as the facets.  Inputs here are desk-scale (a few dozen facets), where this is
 both fast and easy to trust; larger inputs are rejected before it starts
 (MAX_VERTEX_CANDIDATES).  The same enumeration, on polytopes with one or
 more further equalities, decides emptiness and boundedness (see
@@ -42,12 +42,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .rationals import (
+    Frozen,
     GeometryError,
     InputError,
     ValidationError,
@@ -55,6 +56,7 @@ from .rationals import (
     clear_denominators,
     det,
     dot,
+    echelon,
     exact_integer,
     identity_matrix,
     is_unimodular,
@@ -69,20 +71,18 @@ from .rationals import (
 # The fallback enumeration solves one system for each of the C(m, dim - rank)
 # subsets of the m half-spaces, rank being that of the equalities, and tests
 # each solution against all m; at this cap a polygon with 100 edges takes about
-# 0.6 s and a 3D polytope with 31 facets 0.2 s (Python 3.11, 2 cores).
+# 0.06 s and a 3D polytope with 31 facets 0.07 s (Python 3.11, 2 cores).
 MAX_VERTEX_CANDIDATES = 5000
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(NamedTuple):
     """The closed half-space <m, normal> >= offset."""
 
     normal: tuple[int, ...]
     offset: Fraction
 
 
-@dataclass(frozen=True)
-class LinearEquation:
+class LinearEquation(NamedTuple):
     """The hyperplane <m, coeffs> = rhs."""
 
     coeffs: tuple[int, ...]
@@ -117,50 +117,45 @@ def _canonical_equation(coeffs, rhs) -> LinearEquation | None:
     return LinearEquation(coeffs, rhs)
 
 
-@dataclass(frozen=True)
-class Polytope:
-    dim: int
-    hrep: tuple[HalfSpace, ...]
-    equalities: tuple[LinearEquation, ...] = ()
-    _vertex_cache: object = field(default=None, compare=False, repr=False)
+class Polytope(Frozen):
+    _fields = ("dim", "hrep", "equalities")
+    _vertex_cache = None
     # polygons only: (den, cycle), the vertices counterclockwise as integer
     # points over the positive integer den; the cycle is () when the polygon
     # is not full-dimensional
-    _cycle_cache: object = field(default=None, compare=False, repr=False)
+    _cycle_cache = None
     # a polygon from polygon_from_cycle: (normals u_i, integers a_i, den) for its
     # half-planes <m, u_i> >= -a_i / den, built into hrep on first read
-    _planes: object = field(default=None, compare=False, repr=False)
+    _planes = None
 
-    def __post_init__(self):
-        if self.dim < 1 or self.dim > 3:
-            raise ValidationError(f"polytope dimension {self.dim} unsupported (need 1 <= n <= 3)")
+    def __init__(self, dim: int, hrep, equalities=()):
+        if dim < 1 or dim > 3:
+            raise ValidationError(f"polytope dimension {dim} unsupported (need 1 <= n <= 3)")
         seen: dict[tuple[int, ...], Fraction] = {}
-        for hs in self.hrep:
-            if len(hs.normal) != self.dim:
+        for hs in hrep:
+            if len(hs.normal) != dim:
                 raise ValidationError("half-space dimension mismatch")
             canon = _canonical_halfspace(hs.normal, hs.offset)
             prev = seen.get(canon.normal)
             # parallel constraints: keep only the tightest offset
             if prev is None or canon.offset > prev:
                 seen[canon.normal] = canon.offset
-        object.__setattr__(
-            self, "hrep", tuple(HalfSpace(n, c) for n, c in sorted(seen.items()))
-        )
         eqs = []
-        for eq in self.equalities:
-            if len(eq.coeffs) != self.dim:
+        for eq in equalities:
+            if len(eq.coeffs) != dim:
                 raise ValidationError("equation dimension mismatch")
             canon = _canonical_equation(eq.coeffs, eq.rhs)
             if canon is not None and canon not in eqs:
                 eqs.append(canon)
-        object.__setattr__(self, "equalities", tuple(sorted(eqs, key=lambda e: (e.coeffs, e.rhs))))
+        vars(self).update(dim=dim, hrep=tuple(HalfSpace(n, c) for n, c in sorted(seen.items())),
+                          equalities=tuple(sorted(eqs, key=lambda e: (e.coeffs, e.rhs))))
 
     def __getattr__(self, name):
         if name != "hrep" or self._planes is None:
             raise AttributeError(name)
         normals, nums, den = self._planes
-        hrep = tuple(HalfSpace(u, Fraction(-x, den)) for u, x in sorted(zip(normals, nums)))
-        object.__setattr__(self, "hrep", hrep)
+        hrep = vars(self)["hrep"] = tuple(
+            HalfSpace(u, Fraction(-x, den)) for u, x in sorted(zip(normals, nums)))
         return hrep
 
 
@@ -175,7 +170,7 @@ def _assembled(dim, hrep, equalities=(), vertex_cache=None, cycle_cache=None,
                planes=None) -> Polytope:
     """A Polytope from parts that are already canonical (primitive, distinct
     normals in sorted order; canonical equations, sorted), built without the
-    canonicalizing pass of __post_init__.  With hrep None, the half-planes
+    canonicalizing pass of __init__.  With hrep None, the half-planes
     are built from planes when read."""
     p = object.__new__(Polytope)
     vars(p).update(dim=dim, equalities=equalities, _vertex_cache=vertex_cache,
@@ -213,40 +208,33 @@ def _integer_rows(p: Polytope):
     return den, rows[:len(p.hrep)], rows[len(p.hrep):]
 
 
-def _candidate_vertices(dim: int, ineqs, eqs, free: int):
-    """The feasible points at which the equations and `free` of the
-    half-spaces, held with equality, pin one point."""
-    found = set()
-    for subset in itertools.combinations(ineqs, free):
-        matrix, rhs = zip(*(eqs + subset))
-        if len(matrix) == dim:
-            point = solve_exact(matrix, rhs)
-        else:
-            # dependent equations leave more rows than unknowns
-            solution = solve_linear_system(matrix, rhs)
-            point = solution[0] if solution is not None and not solution[1] else None
-        if point is not None:
-            found.add(point)
-    return [v for v in found if all(dot(v, n) >= c for n, c in ineqs)]
+def _candidate_vertices(ineqs, eqs, free: int):
+    """The feasible points at which the independent equations and `free` of
+    the half-spaces, held with equality, pin one point."""
+    found = {solve_exact(*zip(*(eqs + subset))) for subset in itertools.combinations(ineqs, free)}
+    # each point tested in integers, cleared over its own denominator
+    cleared = {v: clear_denominators(v) for v in found if v is not None}
+    return [v for v, (d, w) in cleared.items() if all(dot(w, n) >= c * d for n, c in ineqs)]
 
 
 def _enumerated(p: Polytope) -> tuple:
     """The vertices of p by the enumeration that `vertices` describes."""
     den, ineqs, eqs = _integer_rows(p)
-    free = p.dim
-    if eqs:
-        # free = dim - rank of the equations, which may be inconsistent
-        solution = solve_linear_system(*zip(*eqs))
-        if solution is None:
-            return ()
-        free = len(solution[1])
+    # the nonzero echelon rows of the equations have their solutions and
+    # leave every system square; a pivot in the right-hand sides is 0 = c
+    rows = [[*n, c] for n, c in eqs]
+    pivots = echelon(rows)[1]
+    if pivots and pivots[-1] == p.dim:
+        return ()
+    eqs = tuple((tuple(row[:-1]), row[-1]) for row in rows[:len(pivots)])
+    free = p.dim - len(pivots)
     count = comb(len(ineqs), free)
     if count > MAX_VERTEX_CANDIDATES:
         raise InputError(
             f"the vertex enumeration would try {count} candidate vertices "
             f"({len(ineqs)} half-spaces choose {free}); the cap is {MAX_VERTEX_CANDIDATES}"
         )
-    cands = _candidate_vertices(p.dim, ineqs, eqs, free)
+    cands = _candidate_vertices(ineqs, eqs, free)
     if cands:
         # with free = 0 the equations alone pin the point
         if free and not _is_bounded(p):
@@ -266,10 +254,10 @@ def vertices(p: Polytope) -> tuple:
 
     A vertex is a point of p where every equality and dim - rank(equalities)
     of the half-spaces hold with equality and pin one point.  The offsets
-    and right-hand sides are cleared to integers over one denominator
-    first, so a 2x2 system is solved in ints (`solve_exact`).  Raises
-    GeometryError when the feasible region is unbounded, since an unbounded
-    region is not described by vertices alone.  A feasible candidate vertex
+    and right-hand sides are cleared to integers over one denominator, and
+    the equalities brought to their `echelon` rows, first, so every system
+    is square and solved in ints (`solve_exact`).  Raises GeometryError
+    when the feasible region is unbounded.  A feasible candidate vertex
     means the rows span, so p is pointed and bounded exactly when a section
     of its recession cone is empty (`_is_bounded`).  With no candidate,
     p = (p & L^perp) + L for the null space L of the rows: p is empty when
@@ -282,7 +270,7 @@ def vertices(p: Polytope) -> tuple:
         result = tuple(tuple(Fraction(x, den) for x in v) for v in sorted(cycle))
     else:
         result = _enumerated(p)
-    object.__setattr__(p, "_vertex_cache", result)
+    vars(p)["_vertex_cache"] = result
     return result
 
 
@@ -322,7 +310,7 @@ def _polygon_cycle(p: Polytope) -> tuple:
         verts = vertices(p)
         full = len(verts) >= 3 and affine_dimension(p) == 2
         denom, points = _cleared(verts) if full else (1, [])
-        object.__setattr__(p, "_cycle_cache", (denom, tuple(_order_ccw_2d(points))))
+        vars(p)["_cycle_cache"] = (denom, tuple(_order_ccw_2d(points)))
     return p._cycle_cache
 
 
@@ -551,14 +539,13 @@ def _fixed_space(group: tuple, dim: int) -> tuple[tuple[LinearEquation, ...], in
         if not is_unimodular(g):
             raise ValidationError("group elements must be unimodular integer matrices")
         for row_g, row_i in zip(transpose(g), eye):
-            coeffs = tuple(a - b for a, b in zip(row_g, row_i))
+            coeffs = [a - b for a, b in zip(row_g, row_i)]
             if any(coeffs):
                 rows.append(coeffs)
     if not rows:
         return (), dim
     eqs = {_canonical_equation(row, 0) for row in rows}
-    _, basis = solve_linear_system(rows, [0] * len(rows))
-    return tuple(sorted(eqs, key=lambda e: (e.coeffs, e.rhs))), len(basis)
+    return tuple(sorted(eqs, key=lambda e: (e.coeffs, e.rhs))), dim - len(echelon(rows)[1])
 
 
 def integer_vertices(p: Polytope) -> tuple[int, tuple]:

@@ -46,15 +46,15 @@ alpha is data, not the backend's.  The builtin families dp6 and dp1 are
 built once per process, on first use, and keep that lambda-independent
 data; the certificate is built on their first sweep.
 
-The reports are plain dataclasses; their JSON form is written and read in
-cli.py alone.  Condition values are exact; cli.py formats them.  A check
-report's verdict is derived from its conditions, as their conjunction, and
-never stored.  A failing criterion is reported as "criterion not
-satisfied", never as a properness disproof; the conditions are sufficient,
-not sharp.  A weaker historical variant of condition (3) (Song-Weinkove's
-inequality, tested against a wedge with the reference metric) is
-intentionally not implemented; only the stronger class form above is
-decided.
+The reports are `NamedTuple`s, or `Frozen` where they copy a caller's dict;
+their JSON form is written and read in cli.py alone.  Condition values are
+exact; cli.py formats them.  A check report's verdict is derived from its
+conditions, as their conjunction, and never stored.  A failing criterion
+is reported as "criterion not satisfied", never as a properness disproof;
+the conditions are sufficient, not sharp.  A weaker historical variant of
+condition (3) (Song-Weinkove's inequality, tested against a wedge with the
+reference metric) is intentionally not implemented; only the stronger
+class form above is decided.
 
 Comparison-only constants from the literature, never used in computation:
 Zhou-Zhu prove properness of the same hexagonal family for
@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -81,6 +80,7 @@ from .picard import (
 )
 from .rationals import (
     ConstraintTable,
+    Frozen,
     GeometryError,
     InputError,
     ValidationError,
@@ -116,15 +116,13 @@ VERDICT_FAIL = "criterion not satisfied"
 # alpha sources
 
 
-@dataclass(frozen=True)
-class StabilizerAlpha:
+class StabilizerAlpha(NamedTuple):
     """Compute alpha with the vertex formula (toric backends only)."""
 
     group_mode: str = "full"
 
 
-@dataclass(frozen=True)
-class SuppliedAlpha:
+class SuppliedAlpha(NamedTuple):
     """An externally supplied alpha value (or lower bound) for the class."""
 
     value: Fraction
@@ -174,8 +172,7 @@ def resolve_alpha(backend, source):
 # backends: toric divisor, Picard class, abstract slice
 
 
-@dataclass(frozen=True)
-class AbstractSlice:
+class AbstractSlice(NamedTuple):
     """Intersection-slice model of a polarized manifold, built by
     abstract_slice.
 
@@ -281,23 +278,17 @@ def _combo_positive(backend, x, y, strict: bool, view: _Backend | None = None):
 # reports
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
-    """One condition of a check: whether it holds, its exact values by name,
-    as Fractions, and the label of the constraint that binds it, if any."""
+class ConditionCheck(Frozen):
+    """One condition of a check: whether it holds, its exact values by name
+    (Fractions, in a dict of its own) and the binding constraint's label, if any."""
 
-    name: str
-    description: str
-    holds: bool
-    values: dict[str, Fraction] = field(default_factory=dict)
-    binding: str | None = None
+    _fields = ("name", "description", "holds", "values", "binding")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", dict(self.values))
+    def __init__(self, name: str, description: str, holds: bool, values=(), binding=None):
+        vars(self).update(zip(self._fields, (name, description, holds, dict(values), binding)))
 
 
-@dataclass(frozen=True)
-class PropernessReport:
+class PropernessReport(NamedTuple):
     mode: str
     backend: str
     scope: str
@@ -430,8 +421,7 @@ def check_fano(backend, alpha_source) -> PropernessReport:
 # one-parameter families and feasibility in the scale
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Frozen):
     """lambda -> L_lambda = base + lambda * slope, for two classes of one
     backend: ToricDivisors on one fan or PicardClasses on one blowup.
 
@@ -440,19 +430,17 @@ class Family:
     FamilyAlpha, or None for the stabilizer formula with its G-averaged
     pieces, which exists on a fan only."""
 
-    name: str
-    base: ToricDivisor | PicardClass
-    slope: ToricDivisor | PicardClass
-    alpha: FamilyAlpha | None = None
+    _fields = ("name", "base", "slope", "alpha")
 
-    def __post_init__(self):
-        if type(self.base) is not type(self.slope):
+    def __init__(self, name: str, base, slope, alpha: FamilyAlpha | None = None):
+        if type(base) is not type(slope):
             raise ValidationError(
                 "a family needs two toric divisors or two Picard classes, got "
-                f"{type(self.base).__name__} and {type(self.slope).__name__}"
+                f"{type(base).__name__} and {type(slope).__name__}"
             )
         # raises for classes on different fans or surfaces
-        self.base + self.slope
+        base + slope
+        vars(self).update(name=name, base=base, slope=slope, alpha=alpha)
 
     def class_at(self, lam):
         """L_lambda, built in one step from integers: at lambda = p/q its
@@ -611,8 +599,7 @@ def dp1_family() -> Family:
 BUILTIN_FAMILIES = {"dp6": dp6_family, "dp1": dp1_family}
 
 
-@dataclass(frozen=True)
-class OpenInterval:
+class OpenInterval(NamedTuple):
     lo: Fraction
     hi: Fraction
 
@@ -761,17 +748,15 @@ class CertifiedPiece(NamedTuple):
     poly: tuple | None = None
 
 
-@dataclass(frozen=True)
-class LambdaCertificate:
+class LambdaCertificate(Frozen):
     """An exact partition of the lambda range on which every row and every
     alpha piece of a family is positive, built by Family.certificate, and
     the family's rows, alpha pieces, forms and cut polynomials."""
 
-    pieces: tuple[CertifiedPiece, ...]
-    rows: tuple
-    alpha_pieces: tuple
-    forms: tuple
-    cuts: tuple
+    _fields = ("pieces", "rows", "alpha_pieces", "forms", "cuts")
+
+    def __init__(self, pieces, rows, alpha_pieces, forms, cuts):
+        vars(self).update(zip(self._fields, (pieces, rows, alpha_pieces, forms, cuts)))
 
     @functools.cached_property
     def _lookup(self):
@@ -1090,16 +1075,14 @@ MAX_BISECTION_STEPS = 64
 MAX_CONJECTURED_ENDPOINTS = 100
 
 
-@dataclass(frozen=True)
-class FeasibleWindow:
+class FeasibleWindow(NamedTuple):
     lo_bracket: tuple[Fraction, Fraction]
     hi_bracket: tuple[Fraction, Fraction]
     witness_lambda: Fraction
     witness_a: Fraction
 
 
-@dataclass(frozen=True)
-class EndpointCheck:
+class EndpointCheck(NamedTuple):
     endpoint: Fraction
     side: str
     empty_at_endpoint: bool
@@ -1111,20 +1094,16 @@ class EndpointCheck:
         return self.empty_at_endpoint and self.feasible_inside and self.infeasible_outside
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    family: str
-    epsilon: Fraction
-    lambda_min: Fraction
-    lambda_max: Fraction
-    step: Fraction
-    refine_tol: Fraction
-    windows: tuple[FeasibleWindow, ...]
-    endpoint_checks: tuple[EndpointCheck, ...]
-    diagnostics: dict = field(default_factory=dict)
+class FeasibilityReport(Frozen):
+    """A sweep's report; its diagnostics, strings by name, are a dict of its own."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "diagnostics", dict(self.diagnostics))
+    _fields = ("family", "epsilon", "lambda_min", "lambda_max", "step", "refine_tol",
+               "windows", "endpoint_checks", "diagnostics")
+
+    def __init__(self, family, epsilon, lambda_min, lambda_max, step, refine_tol, windows,
+                 endpoint_checks, diagnostics=()):
+        grid = (family, epsilon, lambda_min, lambda_max, step, refine_tol)
+        vars(self).update(zip(self._fields, (*grid, windows, endpoint_checks, dict(diagnostics))))
 
 
 def sweep_lambda(

@@ -16,7 +16,8 @@ for a class: its pairings with a finite list of curves, whose signs alone
 decide positivity.
 
 Vectors are plain tuples, matrices are tuples of rows.  All values are
-immutable and safe to share between threads.
+immutable and safe to share between threads: records are `NamedTuple`s,
+and a class that validates its input or keeps caches is a `Frozen`.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from __future__ import annotations
 import numbers
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Sequence, Union
+from math import gcd, lcm, prod
+from operator import mul
+from typing import NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Vector = tuple  # tuple of int or Fraction
@@ -173,28 +174,39 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def echelon(rows: list) -> tuple[int, list[int]]:
+    """Bareiss's fraction-free row echelon form of a list of int row lists,
+    in place, every division exact: (the sign of its row swaps, the pivot
+    column of each row not zero).  The rows keep their span, and a square
+    matrix of full rank ends in its determinant times that sign."""
+    sign, prev, pivots = 1, 1, []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
+        top, lead = rows[r], rows[r][col]
+        for row in rows[r + 1:]:
+            row[col:] = [(x * lead - row[col] * y) // prev for x, y in zip(row[col:], top[col:])]
+        prev = lead
+        pivots.append(col)
+    return sign, pivots
+
+
 def det(m: Matrix) -> Fraction:
-    """Exact determinant by fraction elimination (square matrices only)."""
+    """Exact determinant of a square matrix by `echelon`, each row cleared
+    to integers over its own denominator."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValidationError("determinant requires a square matrix")
-    rows = [[as_fraction(x) for x in row] for row in m]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        result *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor:
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return sign * result
+    cleared = [clear_denominators(row) for row in m]
+    rows = [list(nums) for _, nums in cleared]
+    sign, pivots = echelon(rows)
+    d = 0 if len(pivots) < n else sign * rows[-1][-1] if n else 1
+    return Fraction(d, prod(den for den, _ in cleared))
 
 
 def is_unimodular(m: Matrix) -> bool:
@@ -213,7 +225,8 @@ def solve_exact(a: Matrix, b: Sequence[Scalar]):
     the general case, which it passes.  When its entries and b are
     ints and det A = +-1 the solution is a tuple of ints (the cone
     functionals of a smooth surface fan); every other solution is a tuple
-    of Fractions."""
+    of Fractions.  A larger system is solved in integers, each row cleared
+    with its right-hand side and the rows brought to `echelon` form."""
     n = len(a)
     if n == 2 and len(a[0]) == 2 and len(a[1]) == 2 and len(b) == 2:
         (p, q), (r, s), (u, v) = *a, b
@@ -231,11 +244,16 @@ def solve_exact(a: Matrix, b: Sequence[Scalar]):
         raise ValidationError("solve_exact requires a square matrix")
     if len(b) != n:
         raise ValidationError(f"solve_exact dimension mismatch: matrix {n}x{n}, rhs {len(b)}")
-    solution = solve_linear_system(a, b)
-    # A is singular exactly when the system is inconsistent or has a null space
-    if solution is None or solution[1]:
+    if not n:
+        raise ValidationError("empty system has no well-defined unknown count")
+    rows = [list(clear_denominators((*row, y))[1]) for row, y in zip(a, b)]
+    if echelon(rows)[1] != list(range(n)):
         return None
-    return solution[0]
+    # back-substitution in integers: y_i = d x_i for the last pivot d = +-det A
+    d, ys = rows[-1][n - 1], [0] * n
+    for i in reversed(range(n)):
+        ys[i] = (d * rows[i][n] - sum(map(mul, rows[i][i + 1:n], ys[i + 1:]))) // rows[i][i]
+    return tuple(Fraction(y, d) for y in ys)
 
 
 def solve_linear_system(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]):
@@ -292,12 +310,45 @@ def clear_denominators(values: Sequence[Scalar]) -> tuple[int, tuple[int, ...]]:
     return c, tuple(f.numerator * (c // f.denominator) for f in fracs)
 
 
-class ClearedClass:
-    """The arithmetic of a class stored cleared: den = N > 0, the least
-    common denominator of its rationals, and nums, the integers N times
-    them, on the variety in the field named by `_home`.  +, - and * return
-    a new class with empty caches; adding classes of two kinds raises, and
-    classes on two varieties raise `_apart`."""
+class Frozen:
+    """A value of the fields named by `_fields`, which __init__ puts in
+    vars(self): == compares them within one class, the hash is their tuple's
+    (kept once computed), the repr Name(field=value, ...), and no attribute
+    is set after __init__.  Caches filled on first use go in vars(self) too."""
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return other is self or self._key() == other._key()
+
+    def __hash__(self):
+        values = vars(self)
+        if "_hash" not in values:
+            values["_hash"] = hash(self._key())
+        return values["_hash"]
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class ClearedClass(Frozen):
+    """The arithmetic of a class stored cleared, and its value (home, N,
+    nums): den = N > 0, the least common denominator of its rationals, nums
+    the integers N times them, and home the variety in the field `_home`.
+    +, - and * return a new class with empty caches; adding classes of two
+    kinds raises, and classes on two varieties raise `_apart`."""
+
+    def _key(self) -> tuple:
+        return vars(self)[self._home], self.den, self.nums
 
     def _with_integers(self, den: int, nums) -> "ClearedClass":
         """The class nums / den on this variety, for den > 0, stored in least
@@ -333,8 +384,7 @@ class ClearedClass:
         return (-1) * self
 
 
-@dataclass(frozen=True)
-class ConstraintTable:
+class ConstraintTable(NamedTuple):
     """A class L against the finite list of curves C_i that decides
     positivity of x L + y K: the walls of a toric surface, the curves that
     span the cone of curves of a blowup of P^2 or the test curves of a

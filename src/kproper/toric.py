@@ -35,9 +35,9 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .polytope import (
     Polytope, _angle_cmp, boundary_measure, make_polytope, polygon_from_cycle, volume,
@@ -45,6 +45,7 @@ from .polytope import (
 from .rationals import (
     ClearedClass,
     ConstraintTable,
+    Frozen,
     GeometryError,
     InputError,
     ValidationError,
@@ -63,23 +64,20 @@ from .rationals import (
 MAX_AUTOMORPHISM_CANDIDATES = 4096
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Frozen):
     """A complete simplicial fan given by primitive rays and maximal cones."""
 
-    dim: int
-    rays: tuple[tuple[int, ...], ...]
-    max_cones: tuple[tuple[int, ...], ...]
+    _fields = ("dim", "rays", "max_cones")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, rays, max_cones):
+        if dim < 1:
             raise ValidationError("fan dimension must be positive")
-        rays = tuple(tuple(map(exact_integer, r)) for r in self.rays)
+        rays = tuple(tuple(map(exact_integer, r)) for r in rays)
         if not rays:
             raise ValidationError("fan needs at least one ray")
         for r in rays:
-            if len(r) != self.dim:
-                raise ValidationError(f"ray {r} has wrong dimension (expected {self.dim})")
+            if len(r) != dim:
+                raise ValidationError(f"ray {r} has wrong dimension (expected {dim})")
             if all(x == 0 for x in r):
                 raise ValidationError("zero vector is not a valid ray")
             if primitive(r) != r:
@@ -87,17 +85,16 @@ class Fan:
         if len(set(rays)) != len(rays):
             raise ValidationError("duplicate rays in fan")
         cones = []
-        for cone in self.max_cones:
+        for cone in max_cones:
             idx = tuple(sorted(map(exact_integer, cone)))
-            if len(idx) != self.dim or len(set(idx)) != self.dim:
-                raise ValidationError(f"maximal cone {cone} must have {self.dim} distinct rays")
+            if len(idx) != dim or len(set(idx)) != dim:
+                raise ValidationError(f"maximal cone {cone} must have {dim} distinct rays")
             if any(i < 0 or i >= len(rays) for i in idx):
                 raise ValidationError(f"maximal cone {cone} references a missing ray")
             cones.append(idx)
         if len(set(cones)) != len(cones):
             raise ValidationError("duplicate maximal cones in fan")
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "max_cones", tuple(sorted(cones)))
+        vars(self).update(dim=dim, rays=rays, max_cones=tuple(sorted(cones)))
 
     @property
     def n_rays(self) -> int:
@@ -108,8 +105,7 @@ class Fan:
         return tuple(self.rays[i] for i in cone)
 
 
-@dataclass(frozen=True)
-class FanValidation:
+class FanValidation(NamedTuple):
     smooth: bool
     complete: bool
 
@@ -246,7 +242,6 @@ def ray_permutations(fan: Fan) -> tuple[tuple[int, ...], ...]:
 # divisors
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class ToricDivisor(ClearedClass):
     """A T-invariant rational divisor sum a_i D_i on a fixed fan, built from
     the rationals a_i and stored cleared: den = N > 0, their least common
@@ -254,16 +249,10 @@ class ToricDivisor(ClearedClass):
     (fan, N, N a), and `coeffs` builds the a_i as Fractions on request."""
 
     _home, _apart = "fan", "divisors live on different fans"
-
-    fan: Fan
-    den: int = field(init=False)
-    nums: tuple[int, ...] = field(init=False)
     # derived from the value on first use: the wall ConstraintTable (wall_table),
     # N D.D_i on a surface fan (_cleared_walls) and an ample surface class's
     # moment polygon (moment_polytope)
-    _table: object = field(default=None, init=False, compare=False)
-    _walls: object = field(default=None, init=False, compare=False)
-    _polygon: object = field(default=None, init=False, compare=False)
+    _table = _walls = _polygon = None
 
     def __init__(self, fan: Fan, coeffs):
         den, nums = clear_denominators(coeffs)
@@ -355,7 +344,7 @@ def moment_polytope(d: ToricDivisor) -> Polytope:
             solve_exact((rays[i], rays[j]), (-a[i], -a[j]))
             for i, j in zip(order, order[1:] + order[:1])
         ]
-        object.__setattr__(d, "_polygon", polygon_from_cycle(rays, a, d.den, cycle))
+        vars(d)["_polygon"] = polygon_from_cycle(rays, a, d.den, cycle)
         return d._polygon
     return make_polytope(fan.dim, [(r, -a) for r, a in zip(fan.rays, d.coeffs)])
 
@@ -392,7 +381,7 @@ def _cleared_walls(d: ToricDivisor) -> tuple[int, ...]:
     if d._walls is None:
         a = d.nums
         walls = tuple(a[p] + a[n] - c * a[i] for i, (p, n, c) in enumerate(_wall_data(d.fan)))
-        object.__setattr__(d, "_walls", walls)
+        vars(d)["_walls"] = walls
     return d._walls
 
 
@@ -420,7 +409,7 @@ def wall_table(d: ToricDivisor) -> ConstraintTable:
             Fraction(sum(map(operator.mul, a, walls)), den * den),
             Fraction(-sum(walls), den),
         )
-        object.__setattr__(d, "_table", table)
+        vars(d)["_table"] = table
     return d._table
 
 
@@ -430,7 +419,7 @@ def intersection_number(d: ToricDivisor, e: ToricDivisor) -> Fraction:
     Valid for arbitrary rational coefficients (no nefness needed), which is
     what makes the canonical class usable here.
     """
-    if d.fan != e.fan:
+    if d.fan is not e.fan and d.fan != e.fan:
         raise ValidationError("divisors live on different fans")
     return Fraction(sum(map(operator.mul, e.nums, _cleared_walls(d))), d.den * e.den)
 
@@ -466,8 +455,7 @@ def mixed_volume_intersection(divisors) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class SlopeQuantities:
+class SlopeQuantities(NamedTuple):
     mu: Fraction
     rbar: Fraction | None
 

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -158,7 +157,7 @@ def test_oracle_rejects_an_element_that_moves_the_class():
     d = ToricDivisor(dp6_fan(), tuple(F(c) for c in (1, 2, 2, 1, 2, 2)))
     ctx = symmetry_context(d, "full")
     mover = next(g for g in fan_automorphisms(d.fan) if g not in ctx.stabilizer)
-    broken = dataclasses.replace(ctx, stabilizer=ctx.stabilizer + (mover,))
+    broken = ctx._replace(stabilizer=ctx.stabilizer + (mover,))
     message = "moves a lattice point out of the dilated polytope"
     for depth in (1, 3):
         with pytest.raises(GeometryError, match=message):

@@ -181,6 +181,18 @@ def test_surface_validation():
         pairing(dp1_lambda(1), hyperplane(BlowupSurface(3)))
 
 
+def test_the_number_of_points_is_read_as_an_exact_integer():
+    # a bool once made BlowupSurface(r=True), and an integral Fraction was refused
+    for r, points in ((True, 1), (F(3), 3), (F(16, 2), 8)):
+        surface = BlowupSurface(r)
+        assert type(surface.r) is int and surface == BlowupSurface(points)
+        assert repr(surface) == f"BlowupSurface(r={points})"
+    # the range error keeps its text, for an integral Fraction too
+    for r in (0, 9, F(9), -1):
+        with pytest.raises(ValidationError, match=r"^blowup surface needs 1 <= r <= 8 points$"):
+            BlowupSurface(r)
+
+
 def test_json_round_trip(tmp_path):
     cls = dp1_lambda(F(6, 5))
     data = picard_class_to_json(cls)

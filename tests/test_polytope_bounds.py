@@ -7,12 +7,13 @@ Every system is built around a point x0 that it contains:
 * lines: normals orthogonal to e_dim, so p holds the line x0 + t e_dim.
 Some also carry up to three equalities through x0 that keep the receding
 direction; with three, the third is sometimes the sum of the other two, so
-that the equations are dependent and a vertex's system has more rows than
-unknowns.  Adding a contradictory pair <x, n> >= c, <x, -n> >= 1 - c makes
-any of them empty.  A box's vertices are held to a brute-force reference
-that reads each equality as two opposite half-spaces, and the segment that
-a reflection's fixed line cuts from a centred dp6 or P^2 polygon to its
-two ends, read off the recentred coefficients.
+that the equations are dependent and the enumeration keeps only their
+echelon rows, which leave every system square.  Adding a contradictory
+pair <x, n> >= c, <x, -n> >= 1 - c makes any of them empty.  A box's
+vertices are held to a brute-force reference that reads each equality as
+two opposite half-spaces, and the segment that a reflection's fixed line
+cuts from a centred dp6 or P^2 polygon to its two ends, read off the
+recentred coefficients.
 """
 
 from fractions import Fraction
@@ -32,6 +33,7 @@ from kproper.rationals import (  # noqa: E402
     GeometryError,
     InputError,
     dot,
+    solve_exact,
     solve_linear_system,
 )
 from kproper.toric import (  # noqa: E402
@@ -106,21 +108,25 @@ def test_vertices_tell_empty_bounded_and_unbounded_apart(system):
         assert vertices(p) == reference_vertices(p)
 
 
-def test_dependent_equalities_reach_the_non_square_solve(monkeypatch):
+def test_dependent_equalities_leave_square_systems(monkeypatch):
     # the unit square cut by three equations of rank 2, which meet in one
-    # point: x - y = 0, x + y = 1 and 2x = 1
-    calls = []
+    # point: x - y = 0, 2x = 1 and x + y = 1, cleared over 2 for v = 2 (x, y);
+    # their two echelon rows v_x - v_y = 0 and v_y = 1 make the one system
+    # solved, 2x2, and no system is solved in Fractions
+    calls, solved = [], []
     counting(monkeypatch, solve_linear_system, calls)
+    counting(monkeypatch, solve_exact, solved)
     square = [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1)]
     p = make_polytope(2, square, [((1, -1), 0), ((1, 1), 1), ((2, 0), 1)])
     half = Fraction(1, 2)
     assert vertices(p) == ((half, half),) == reference_vertices(p)
-    assert any(len(rows) > 2 for rows, _ in calls)
+    assert solved == [(((1, -1), (0, 1)), (0, 1))]
+    assert calls == []
 
 
 def test_the_cap_counts_the_systems_actually_solved(monkeypatch):
     # one equation leaves C(101, 2) systems of a 3D polytope, refused before
-    # any of them is solved; only the equation's own rank is solved for
+    # any of them is solved; the equation's rank is found in integers
     calls = []
     counting(monkeypatch, solve_linear_system, calls)
 
@@ -132,7 +138,7 @@ def test_the_cap_counts_the_systems_actually_solved(monkeypatch):
     with pytest.raises(InputError, match=r"would try 5050 candidate vertices "
                                          r"\(101 half-spaces choose 2\)"):
         vertices(p)
-    assert calls == [(((0, 0, 1),), (0,))]
+    assert calls == []
 
 
 def _reflections(fan):

@@ -1,6 +1,5 @@
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -455,7 +454,6 @@ def test_verdict_conjunction_is_enforced():
 def test_cut_loop_rejects_a_nonpositive_constraint():
     # past lambda = 4/3 the sextic pairs negatively with L_lambda; a family
     # that wrongly claims ampleness there must not yield an interval
-    @dataclass(frozen=True)
     class ClaimsAmple(Family):
         def is_ample_at(self, lam):
             return True

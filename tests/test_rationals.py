@@ -196,6 +196,7 @@ FLOAT_INPUTS = {
     "polytope normal": lambda: make_polytope(2, [((X, 0), 0), ((0, 1), 0), ((-1, -1), 1)]),
     "group matrix": lambda: symmetry_context(MINUS_K, "explicit", [((X, -1), (1, -1))]),
     "unimodular entry": lambda: is_unimodular(((X, 0), (0, 1))),
+    "blowup points": lambda: BlowupSurface(X),
 }
 
 
@@ -205,8 +206,9 @@ def test_the_library_refuses_floats(name):
         FLOAT_INPUTS[name]()
 
 
-# a ray, a normal, an equation coefficient or a group matrix entry that is no
-# integer is refused, naming the value, where int() once truncated it
+# a ray, a normal, an equation coefficient, a group matrix entry or a number of
+# blown-up points that is no integer is refused, naming the value, where int()
+# once truncated it or the surface refused an integral Fraction
 NON_INTEGER_INPUTS = {
     "float ray": (lambda: Fan(2, ((1.7, 0), (0, 1), (-1, -1)), TRIANGLE),
                   r"^1\.7 is not an exact rational"),
@@ -225,6 +227,8 @@ NON_INTEGER_INPUTS = {
                               r"^Fraction\(1, 2\) is not an integer"),
     "fraction unimodular entry": (lambda: is_unimodular(((1, 0), (0, F(1, 2)))),
                                   r"^Fraction\(1, 2\) is not an integer"),
+    "fraction blowup points": (lambda: BlowupSurface(F(3, 2)),
+                               r"^Fraction\(3, 2\) is not an integer"),
 }
 
 

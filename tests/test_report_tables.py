@@ -2,7 +2,7 @@
 
 `render_report` writes a report's JSON by the key table of its kind, and
 `parse_report` reads it back by the same table.  The reports here are
-built from the dataclasses directly, with arbitrary rationals and unicode
+built from the record classes directly, with arbitrary rationals and unicode
 text, empty lists and `None` in every optional field, so the tables are
 tested on values that no check or sweep computes.  Each report must read
 back equal, write the same bytes again, and render its `--approx` text.
